@@ -98,9 +98,7 @@ def _cmd_recover(args) -> int:
         print(json.dumps({"out": args.out, "mode": report.mode,
                           "edges": len(report.graph.edges)}))
     else:
-        edges = report.graph.edges
-        for edge in edges:
-            u, v, r = edge[0], edge[1], edge[2]
+        for u, v, r, *_ in report.graph.edges:
             print(f"{u},{v},{r!r}")
     return 0
 
@@ -142,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("probe", help="simulate probing, write a record")
-    p.add_argument("feeder", nargs="?", help="unused when the config "
-                   "names the feeder; kept for symmetry")
     p.add_argument("--config", required=True)
     p.add_argument("--periods", type=int)
     p.add_argument("--seed", type=int)

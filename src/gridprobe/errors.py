@@ -17,7 +17,7 @@ class CycleDetected(GridProbeError):
 
 
 class Disconnected(GridProbeError):
-    """Some bus is not reachable from the substation."""
+    """Some bus is not reachable from the root."""
 
 
 class DuplicateNode(GridProbeError):
@@ -25,15 +25,16 @@ class DuplicateNode(GridProbeError):
 
 
 class NonpositiveImpedance(GridProbeError):
-    """A line resistance or reactance is zero or negative."""
+    """A line resistance or reactance is zero, negative or not finite."""
 
 
 class MissingRoot(GridProbeError):
-    """Bus 0 (the substation) is absent or has a parent."""
+    """The root bus (bus 0, the substation, in a feeder) is absent or has a
+    parent."""
 
 
 class UnknownNode(GridProbeError):
-    """A referenced bus ID does not exist in the feeder."""
+    """A referenced bus ID does not exist in the feeder or is not an integer."""
 
 
 class AssumptionViolated(GridProbeError):

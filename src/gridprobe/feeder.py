@@ -4,11 +4,13 @@ A feeder is a tree rooted at the substation (bus 0). Power flows from the
 root outward, so every line is stored as (parent, child, r, x) with
 impedances in per unit. Reactance may be None on lines whose reactance is
 unknown, e.g. lines reconstructed from probing data, which recovers
-resistances only.
+resistances only. The reduced grid of the reduction module is the same
+kind of tree, rooted below the substation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,14 +28,35 @@ from .errors import (
 Edge = tuple[int, int, float, float | None]
 
 
+def _bus_id(b) -> int:
+    """A bus ID as an int; refuses values that int() would truncate."""
+    try:
+        i = int(b)
+    except (TypeError, ValueError, OverflowError):
+        raise UnknownNode(f"bus ID {b!r} is not an integer") from None
+    if i != b:
+        raise UnknownNode(f"bus ID {b!r} is not an integer")
+    return i
+
+
 class FeederGraph:
     """Immutable radial feeder rooted at bus 0.
 
-    Construction validates radiality: impedances positive, every bus a
-    single parent, bus 0 present with no parent, all buses reachable.
+    Construction validates radiality: impedances positive and finite, every
+    bus a single parent, the root present with no parent, all buses
+    reachable. The same core serves any rooted tree of lines; ROOT_DEPTH is
+    the depth its root is counted at.
     """
 
+    ROOT_DEPTH = 0
+
     def __init__(self, edges: Iterable[Sequence]):
+        edges = list(edges)
+        if not edges:
+            raise MissingRoot("a feeder needs at least one line")
+        self._build(0, edges)
+
+    def _build(self, root: int, edges: Iterable[Sequence]) -> None:
         parsed: list[Edge] = []
         for e in edges:
             if len(e) == 3:
@@ -41,30 +64,29 @@ class FeederGraph:
                 x = None
             else:
                 u, v, r, x = e
-            u, v = int(u), int(v)
+            u, v = _bus_id(u), _bus_id(v)
             r = float(r)
             x = None if x is None else float(x)
-            if r <= 0 or (x is not None and x <= 0):
+            if not 0 < r < math.inf or (x is not None and not 0 < x < math.inf):
                 raise NonpositiveImpedance(
-                    f"line ({u},{v}) has nonpositive impedance r={r} x={x}")
+                    f"line ({u},{v}) has nonpositive or non-finite "
+                    f"impedance r={r} x={x}")
             parsed.append((u, v, r, x))
-        if not parsed:
-            raise MissingRoot("a feeder needs at least one line")
-
         parent: dict[int, int] = {}
         for u, v, _, _ in parsed:
             if v in parent:
                 raise DuplicateNode(f"bus {v} has more than one parent")
             parent[v] = u
-        nodes = set(parent) | {u for u, *_ in parsed}
-        if 0 not in nodes:
-            raise MissingRoot("bus 0 (substation) is missing")
-        if 0 in parent:
-            raise MissingRoot("bus 0 (substation) must not have a parent")
+        # A tree without lines is its root alone.
+        nodes = set(parent) | {u for u, *_ in parsed} or {root}
+        if root not in nodes:
+            raise MissingRoot(f"root bus {root} is missing")
+        if root in parent:
+            raise MissingRoot(f"root bus {root} must not have a parent")
 
         # Walk each parent chain; a revisited bus means a cycle, a chain
-        # ending anywhere but bus 0 means a second component.
-        state: dict[int, int] = {0: 1}  # 1 = reaches root
+        # ending anywhere but the root means a second component.
+        state: dict[int, int] = {root: 1}  # 1 = reaches root
         for start in nodes:
             chain = []
             n = start
@@ -72,13 +94,14 @@ class FeederGraph:
                 chain.append(n)
                 state[n] = 0  # on current chain
                 if n not in parent:
-                    raise Disconnected(f"bus {n} is not connected to the substation")
+                    raise Disconnected(f"bus {n} is not connected to the root")
                 n = parent[n]
             if state[n] == 0:  # landed back on the chain we are walking
                 raise CycleDetected(f"cycle through bus {n}")
             for c in chain:
                 state[c] = 1
 
+        self._root = root
         self._edges: tuple[Edge, ...] = tuple(
             sorted(parsed, key=lambda e: (e[1], e[0])))
         self._parent = parent
@@ -90,11 +113,11 @@ class FeederGraph:
         self._r = {(u, v): r for u, v, r, _ in parsed}
         self._x = {(u, v): x for u, v, _, x in parsed}
 
-        # Root-to-bus ancestries and cumulative path impedances, by BFS.
-        anc: dict[int, tuple[int, ...]] = {0: (0,)}
-        rho: dict[int, float] = {0: 0.0}
-        rho_x: dict[int, float | None] = {0: 0.0}
-        stack = [0]
+        # Root-to-bus ancestries and cumulative path impedances, by DFS.
+        anc: dict[int, tuple[int, ...]] = {root: (root,)}
+        rho: dict[int, float] = {root: 0.0}
+        rho_x: dict[int, float | None] = {root: 0.0}
+        stack = [root]
         while stack:
             u = stack.pop()
             for v in self._children[u]:
@@ -108,6 +131,7 @@ class FeederGraph:
         self._rho = rho
         self._rho_x = rho_x
         self._descendants: dict[int, frozenset[int]] = {}
+        self._matrices: dict[str, ResistanceMatrix] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,12 +145,12 @@ class FeederGraph:
 
     @property
     def root(self) -> int:
-        return 0
+        return self._root
 
     @property
     def bus_order(self) -> tuple[int, ...]:
         """Non-root buses in ascending ID order; fixes matrix indexing."""
-        return tuple(sorted(self._nodes - {0}))
+        return tuple(sorted(self._nodes - {self._root}))
 
     def parent(self, m: int) -> int | None:
         self._check(m)
@@ -154,11 +178,11 @@ class FeederGraph:
 
     def depth(self, m: int) -> int:
         self._check(m)
-        return len(self._ancestry[m]) - 1
+        return self.ROOT_DEPTH + len(self._ancestry[m]) - 1
 
     @property
     def tree_depth(self) -> int:
-        return max(len(a) for a in self._ancestry.values()) - 1
+        return self.ROOT_DEPTH + max(len(a) for a in self._ancestry.values()) - 1
 
     def ancestors(self, m: int) -> frozenset[int]:
         """Buses on the root-to-m path, m and the root included."""
@@ -169,9 +193,9 @@ class FeederGraph:
         """The depth-k bus on the root-to-m path."""
         self._check(m)
         path = self._ancestry[m]
-        if not 0 <= k < len(path):
+        if not 0 <= k - self.ROOT_DEPTH < len(path):
             raise UnknownNode(f"bus {m} has no depth-{k} ancestor")
-        return path[k]
+        return path[k - self.ROOT_DEPTH]
 
     def descendants(self, m: int) -> frozenset[int]:
         """Buses in the subtree hanging from m, m included."""
@@ -191,7 +215,7 @@ class FeederGraph:
     def lca(self, m: int, n: int) -> int:
         """Deepest common bus of the two root paths."""
         a, b = self._ancestry[m], self._ancestry[n]
-        last = 0
+        last = self._root
         for u, v in zip(a, b):
             if u != v:
                 break
@@ -207,13 +231,40 @@ class FeederGraph:
         self._check(m)
         return self._rho_x[m]
 
+    def _shared_path(self, buses: Sequence[int],
+                     rho: Mapping[int, float]) -> np.ndarray:
+        """rho[lca(m, n)] for every pair of the given buses, exactly.
+
+        Walks the depths from the root down: every pair sharing its depth-d
+        ancestor takes that ancestor's rho, so the last write for a pair is
+        its deepest common bus. Root paths shorter than the longest are
+        padded with their own end bus, which matches no other bus.
+        """
+        for b in buses:
+            self._check(b)
+        paths = [self._ancestry[b] for b in buses]
+        width = max(map(len, paths), default=0)
+        padded = [p + p[-1:] * (width - len(p)) for p in paths]
+        slot: dict[int, int] = {}  # small labels; bus IDs may exceed int64
+        ids = np.array([[slot.setdefault(a, len(slot)) for a in p]
+                        for p in padded])
+        vals = np.array([[rho[a] for a in p] for p in padded], dtype=float)
+        out = np.empty((len(paths), len(paths)))
+        for d in range(width):
+            col = ids[:, d]
+            np.copyto(out, vals[:, d, None], where=col[:, None] == col)
+        return out
+
     # -- equality ----------------------------------------------------------
 
+    def _key(self) -> tuple:
+        return self._edges
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FeederGraph) and self._edges == other._edges
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._edges)
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FeederGraph({len(self._nodes)} buses, {len(self._edges)} lines)"
@@ -357,22 +408,22 @@ class ResistanceMatrix:
         return self.values[np.ix_(ri, ci)]
 
 
-def _shared_path_matrix(g: FeederGraph, rho: Mapping[int, float]) -> ResistanceMatrix:
-    order = g.bus_order
-    n = len(order)
-    vals = np.empty((n, n))
-    for i, m in enumerate(order):
-        for j in range(i, n):
-            c = rho[g.lca(m, order[j])]
-            vals[i, j] = c
-            vals[j, i] = c
-    return ResistanceMatrix(nodes=order, values=vals)
+def _cached_matrix(g: FeederGraph, key: str,
+                   rho: Mapping[int, float]) -> ResistanceMatrix:
+    """Shared-path matrix over bus_order, built once per (immutable) tree."""
+    out = g._matrices.get(key)
+    if out is None:
+        order = g.bus_order
+        out = ResistanceMatrix(nodes=order, values=g._shared_path(order, rho))
+        g._matrices[key] = out
+    return out
 
 
 def resistance_matrix(g: FeederGraph) -> ResistanceMatrix:
     """Bus resistance matrix: the inverse of the grounded (root-deleted)
-    conductance Laplacian, computed here by shared-path sums."""
-    return _shared_path_matrix(g, g._rho)
+    conductance Laplacian, computed here by shared-path sums. Built once
+    per feeder; later calls return the same read-only object."""
+    return _cached_matrix(g, "r", g._rho)
 
 
 def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
@@ -381,7 +432,7 @@ def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
         if x is None:
             raise NonpositiveImpedance(
                 f"line ({u},{v}) has no reactance; reactance matrix undefined")
-    return _shared_path_matrix(g, g._rho_x)
+    return _cached_matrix(g, "x", g._rho_x)
 
 
 def effective_resistance(g: FeederGraph, m: int, n: int) -> float:

@@ -67,7 +67,7 @@ def load_feeder(path: str | os.PathLike) -> FeederGraph:
     return build_feeder(edges)
 
 
-def save_feeder(g: FeederGraph | ReducedGrid, path: str | os.PathLike,
+def save_feeder(g: FeederGraph, path: str | os.PathLike,
                 comment: str | None = None) -> None:
     """Write a tree (or reduced grid) in the feeder CSV format."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -78,11 +78,8 @@ def save_feeder(g: FeederGraph | ReducedGrid, path: str | os.PathLike,
             fh.write(f"# reduced grid, root {g.root}, "
                      f"upstream resistance {g.root_upstream_r!r}\n")
         fh.write(FEEDER_HEADER + "\n")
-        if isinstance(g, ReducedGrid):
-            rows = ((u, v, r, None) for u, v, r in g.edges)
-        else:
-            rows = iter(g.edges)
-        for u, v, r, x in rows:
+        for u, v, r, *_ in g.edges:
+            x = g.line_x(u, v)
             xs = "" if x is None else repr(x)
             fh.write(f"{u},{v},{r!r},{xs}\n")
 
@@ -124,10 +121,15 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
             if not line:
                 continue
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
             except ValueError as exc:
                 raise FeederFormatError(
                     f"{path}: line {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise FeederFormatError(
+                    f"{path}: line {lineno}: expected {len(rows[0])} "
+                    f"values, got {len(row)}")
+            rows.append(row)
     try:
         if header["matrix"] is not None:
             plan = ProbingPlan.general(header["buses"],

@@ -190,7 +190,8 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
 
     Complete mode reports all non-substation buses; partial mode reports
     probing buses only. Injection deviations at non-probing buses and
-    measurement noise are redrawn independently every period.
+    measurement noise are redrawn independently every period. The record
+    carries noise.seed, or no seed when an explicit rng drew the noise.
     """
     order = g.bus_order
     pos = {b: i for i, b in enumerate(order)}
@@ -200,6 +201,7 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if mode not in ("complete", "partial"):
         raise ConfigError(f"unknown mode {mode!r}")
 
+    seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g)
     dmat = plan.injections()
     cols = [pos[b] for b in plan.buses]
@@ -224,9 +226,9 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if mode == "partial":
         rows = [pos[b] for b in plan.buses]
         return ProbingRecord(mode=mode, row_nodes=plan.buses,
-                             values=v[rows, :], plan=plan, seed=noise.seed)
+                             values=v[rows, :], plan=plan, seed=seed)
     return ProbingRecord(mode=mode, row_nodes=order, values=v,
-                         plan=plan, seed=noise.seed)
+                         plan=plan, seed=seed)
 
 
 @dataclass(frozen=True)

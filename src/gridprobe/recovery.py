@@ -38,7 +38,7 @@ class RecoveryReport:
     """
 
     mode: str
-    graph: FeederGraph | ReducedGrid
+    graph: FeederGraph
     probing: frozenset[int]
     line_support: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
@@ -196,16 +196,7 @@ class GraphComparison:
     upstream_rel_error: float | None = None
 
 
-def _tree_view(g: FeederGraph | ReducedGrid):
-    if isinstance(g, FeederGraph):
-        line_r = {(u, v): r for u, v, r, _ in g.edges}
-        return g.root, g.children, line_r
-    line_r = {(u, v): r for u, v, r in g.edges}
-    return g.root, g.children, line_r
-
-
-def compare_graphs(recovered: FeederGraph | ReducedGrid,
-                   reference: FeederGraph | ReducedGrid,
+def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
                    probing: Iterable[int]) -> GraphComparison:
     """Match two rooted grids up to relabeling of non-probed buses.
 
@@ -216,19 +207,15 @@ def compare_graphs(recovered: FeederGraph | ReducedGrid,
     """
     probing = frozenset(probing)
     for g in (recovered, reference):
-        nodes = g.nodes
-        missing = probing - nodes
+        missing = probing - g.nodes
         if missing:
             raise LabelMismatch(f"probing buses {sorted(missing)} absent")
 
-    ra, ca, la = _tree_view(recovered)
-    rb, cb, lb = _tree_view(reference)
-
-    probed_below_a = _probed_below(ra, ca, probing)
-    probed_below_b = _probed_below(rb, cb, probing)
+    probed_below_a = _probed_below(recovered, probing)
+    probed_below_b = _probed_below(reference, probing)
 
     mapping: dict[int, int] = {}
-    stack = [(ra, rb)]
+    stack = [(recovered.root, reference.root)]
     correct = True
     while stack and correct:
         a, b = stack.pop()
@@ -237,9 +224,10 @@ def compare_graphs(recovered: FeederGraph | ReducedGrid,
             correct = False
             break
         mapping[a] = b
-        kids_a = {probed_below_a[c]: c for c in ca(a)}
-        kids_b = {probed_below_b[c]: c for c in cb(b)}
-        if (len(kids_a) != len(ca(a)) or len(kids_b) != len(cb(b))
+        ca, cb = recovered.children(a), reference.children(b)
+        kids_a = {probed_below_a[c]: c for c in ca}
+        kids_b = {probed_below_b[c]: c for c in cb}
+        if (len(kids_a) != len(ca) or len(kids_b) != len(cb)
                 or set(kids_a) != set(kids_b)):
             correct = False
             break
@@ -250,8 +238,8 @@ def compare_graphs(recovered: FeederGraph | ReducedGrid,
         return GraphComparison(False, None, None, None)
 
     rel_errors = []
-    for (u, v), r_rec in la.items():
-        r_ref = lb[(mapping[u], mapping[v])]
+    for u, v, r_rec, *_ in recovered.edges:
+        r_ref = reference.line_r(mapping[u], mapping[v])
         rel_errors.append(abs(r_rec - r_ref) / r_ref)
     mpe = 100.0 * sum(rel_errors) / len(rel_errors) if rel_errors else 0.0
     max_rel = max(rel_errors) if rel_errors else 0.0
@@ -267,18 +255,6 @@ def compare_graphs(recovered: FeederGraph | ReducedGrid,
     return GraphComparison(True, mpe, max_rel, mapping, upstream)
 
 
-def _probed_below(root: int, children, probing: frozenset[int]) -> dict[int, frozenset[int]]:
-    """Probed-bus content of every subtree, via post-order accumulation."""
-    out: dict[int, frozenset[int]] = {}
-    order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children(u))
-    for u in reversed(order):
-        acc = {u} & probing
-        for c in children(u):
-            acc = acc | out[c]
-        out[u] = frozenset(acc)
-    return out
+def _probed_below(g: FeederGraph, probing: frozenset[int]) -> dict[int, frozenset[int]]:
+    """Probed-bus content of every subtree."""
+    return {u: g.descendants(u) & probing for u in g.nodes}

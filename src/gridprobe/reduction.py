@@ -13,79 +13,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LeafNotProbed, UnknownNode
-from .feeder import FeederGraph, effective_resistance
+from .feeder import FeederGraph, _bus_id, effective_resistance
 
 
-class ReducedGrid:
+class ReducedGrid(FeederGraph):
     """Immutable rooted tree over probed and junction buses.
 
-    The root is the shallowest retained bus; the resistance of the path
-    between the substation and the root (invisible to probing differences,
-    hence not a line of the reduced grid) is kept as root_upstream_r so the
-    original bus resistance matrix can be reproduced on retained buses.
+    The root is the shallowest retained bus and sits at depth 1; the
+    resistance of the path between the substation and the root (invisible
+    to probing differences, hence not a line of the reduced grid) is kept
+    as root_upstream_r so the original bus resistance matrix can be
+    reproduced on retained buses. Lines are (parent, child, r) triples.
     """
+
+    ROOT_DEPTH = 1
 
     def __init__(self, root: int, edges: Iterable[Sequence],
                  probing: Iterable[int], internal: Iterable[int],
                  root_upstream_r: float):
-        self.root = int(root)
-        self.edges: tuple[tuple[int, int, float], ...] = tuple(
-            sorted(((int(u), int(v), float(r)) for u, v, r in edges),
-                   key=lambda e: (e[1], e[0])))
+        self._build(_bus_id(root), edges)
         self.probing = frozenset(int(b) for b in probing)
         self.internal = frozenset(int(b) for b in internal)
         self.root_upstream_r = float(root_upstream_r)
 
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {self.root: []}
-        for u, v, _ in self.edges:
-            parent[v] = u
-            children.setdefault(u, []).append(v)
-            children.setdefault(v, [])
-        self._parent = parent
-        self._children = {n: tuple(sorted(c)) for n, c in children.items()}
-        self.nodes = frozenset(children)
-
-        path: dict[int, tuple[int, ...]] = {self.root: (self.root,)}
-        rho: dict[int, float] = {self.root: 0.0}
-        rdict = {(u, v): r for u, v, r in self.edges}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            for v in self._children[u]:
-                path[v] = path[u] + (v,)
-                rho[v] = rho[u] + rdict[(u, v)]
-                stack.append(v)
-        self._ancestry = path
-        self._rho = rho
-
-    def parent(self, m: int) -> int | None:
-        return self._parent.get(m)
-
-    def children(self, m: int) -> tuple[int, ...]:
-        return self._children[m]
-
-    def depth(self, m: int) -> int:
-        """Depth within the reduced tree; the root is at depth 1."""
-        return len(self._ancestry[m])
-
-    def lca(self, m: int, n: int) -> int:
-        a, b = self._ancestry[m], self._ancestry[n]
-        last = a[0]
-        for u, v in zip(a, b):
-            if u != v:
-                break
-            last = u
-        return last
-
-    def descendants(self, m: int) -> frozenset[int]:
-        out = []
-        stack = [m]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self._children[u])
-        return frozenset(out)
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple((u, v, r) for u, v, r, _ in self._edges)
 
     def resistance_submatrix(self, buses: Sequence[int]) -> np.ndarray:
         """Matrix of substation-referenced resistances between retained buses.
@@ -94,21 +47,10 @@ class ReducedGrid:
         down to the deepest common bus, which reproduces the corresponding
         entries of the full feeder's resistance matrix.
         """
-        k = len(buses)
-        out = np.empty((k, k))
-        for i, m in enumerate(buses):
-            for j in range(i, k):
-                c = self.root_upstream_r + self._rho[self.lca(m, buses[j])]
-                out[i, j] = c
-                out[j, i] = c
-        return out
+        return self.root_upstream_r + self._shared_path(buses, self._rho)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ReducedGrid)
-                and self.root == other.root
-                and self.edges == other.edges
-                and self.probing == other.probing
-                and abs(self.root_upstream_r - other.root_upstream_r) == 0.0)
+    def _key(self) -> tuple:
+        return (self._root, self._edges, self.probing, self.root_upstream_r)
 
     def __repr__(self) -> str:
         return (f"ReducedGrid(root={self.root}, {len(self.nodes)} buses, "

@@ -142,6 +142,22 @@ def oracle_effective_resistance(edges, m, n):
     return float(e @ pinv @ e)
 
 
+def reference_shared_path(tree, buses, rho):
+    """Pairwise shared-path values by the plain double loop over lca.
+
+    Entry (m, n) is rho(lca(m, n)); the library's vectorised routine must
+    reproduce this bit for bit, because sweep results are byte-stable.
+    """
+    k = len(buses)
+    vals = np.empty((k, k))
+    for i, m in enumerate(buses):
+        for j in range(i, k):
+            c = rho(tree.lca(m, buses[j]))
+            vals[i, j] = c
+            vals[j, i] = c
+    return vals
+
+
 # -- structural claims behind the recovery algorithms -------------------------
 #
 # Level-set anatomy, one function per claim.

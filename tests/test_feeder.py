@@ -1,16 +1,23 @@
 """Feeder construction, ancestry queries, level sets, resistance matrices."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
 from gridprobe import (CycleDetected, Disconnected, DuplicateNode,
                        MissingRoot, NonpositiveImpedance, UnknownNode,
-                       build_feeder, effective_resistance, level_sets,
-                       metered_level_sets, reactance_matrix,
+                       build_feeder, effective_resistance, fileio,
+                       level_sets, metered_level_sets, reactance_matrix,
                        resistance_matrix)
 
 from helpers import (oracle_effective_resistance, oracle_laplacian_inverse,
-                     oracle_level_sets, oracle_path_r, random_feeder)
+                     oracle_level_sets, oracle_path_r, random_feeder,
+                     reference_shared_path)
+
+IEEE37 = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
+                      "data", "ieee37.csv")
 
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
 
@@ -79,6 +86,23 @@ def test_nonpositive_impedance_rejected():
         build_feeder([(0, 1, -1.0)])
     with pytest.raises(NonpositiveImpedance):
         build_feeder([(0, 1, 1.0, -0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_impedance_rejected(bad):
+    with pytest.raises(NonpositiveImpedance):
+        build_feeder([(0, 1, bad, 0.1), (1, 2, 1.0, 1.0)])
+    with pytest.raises(NonpositiveImpedance):
+        build_feeder([(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
+
+
+def test_non_integral_bus_id_rejected():
+    with pytest.raises(UnknownNode):
+        build_feeder([(0, 1.7, 1.0), (1, 2, 1.0)])
+    with pytest.raises(UnknownNode):
+        build_feeder([(0, 1, 1.0), (1, 2, 1.0), (1.5, 3, 1.0)])
+    # integral floats name the same bus
+    assert build_feeder([(0.0, 1.0, 1.0)]).nodes == {0, 1}
 
 
 # -- ancestry -----------------------------------------------------------------
@@ -269,3 +293,35 @@ def test_path_r_matches_oracle():
         for m in g.nodes:
             assert g.path_r(m) == pytest.approx(oracle_path_r(edges, m),
                                                 rel=1e-12)
+
+
+def test_matrices_match_reference_loop_exactly():
+    feeders = [fileio.load_feeder(IEEE37)]
+    rng = np.random.default_rng(31)
+    feeders += [random_feeder(rng, max_buses=40)[1] for _ in range(60)]
+    for g in feeders:
+        order = g.bus_order
+        assert np.array_equal(resistance_matrix(g).values,
+                              reference_shared_path(g, order, g.path_r))
+        assert np.array_equal(reactance_matrix(g).values,
+                              reference_shared_path(g, order, g.path_x))
+
+
+def test_matrices_are_built_once_and_read_only():
+    g = fileio.load_feeder(IEEE37)
+    for build in (resistance_matrix, reactance_matrix):
+        first = build(g)
+        assert build(g) is first
+        assert not first.values.flags.writeable
+        with pytest.raises(ValueError):
+            first.values[0, 0] = 1.0
+    # an equal but distinct feeder builds its own
+    assert resistance_matrix(fileio.load_feeder(IEEE37)) is not \
+        resistance_matrix(g)
+
+
+def test_bus_ids_beyond_int64_keep_exact_matrices():
+    big = 2 ** 70
+    g = build_feeder([(0, big, 1.0), (big, 3, 2.0), (big, 2 * big, 3.0)])
+    assert np.array_equal(resistance_matrix(g).values,
+                          reference_shared_path(g, g.bus_order, g.path_r))

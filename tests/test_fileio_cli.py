@@ -156,6 +156,24 @@ def test_load_record_rejects_bad_rows(tmp_path):
         fileio.load_record(p)
 
 
+def test_ragged_record_is_a_format_error(tmp_path, capsys):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(COMPLETE_CFG)
+    rec = tmp_path / "probe.rec"
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
+    lines = rec.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    rec.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with pytest.raises(FeederFormatError, match="line 4"):
+        fileio.load_record(rec)
+    assert cli.main(["recover", str(rec)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FeederFormatError"
+    assert "line 4" in err["message"]
+
+
 # -- recovery reports ---------------------------------------------------------
 
 

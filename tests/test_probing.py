@@ -280,3 +280,12 @@ def test_estimate_column_accessor():
     est = estimate_resistances(simulate_probing(g, plan, NoiseModel()))
     col = est.column(2)
     assert col == pytest.approx({1: 1.0, 2: 3.0, 3: 1.0}, rel=1e-12)
+
+
+def test_record_seed_is_only_claimed_when_it_drew_the_data():
+    g = y_tree()
+    plan = ProbingPlan.blocks([2, 3], [0.5, 0.5], 4)
+    noise = NoiseModel(sigma_w=0.01, seed=5)
+    assert simulate_probing(g, plan, noise).seed == 5
+    rec = simulate_probing(g, plan, noise, rng=np.random.default_rng(1))
+    assert rec.seed is None

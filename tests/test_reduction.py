@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from gridprobe import (LeafNotProbed, UnknownNode, build_feeder, fileio,
+from gridprobe import (Disconnected, DuplicateNode, FeederGraph,
+                       LeafNotProbed, MissingRoot, NonpositiveImpedance,
+                       ReducedGrid, UnknownNode, build_feeder, fileio,
                        identifiable_junctions, reduce_grid,
                        resistance_matrix)
 
-from helpers import random_feeder, random_probing
+from helpers import random_feeder, random_probing, reference_shared_path
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -135,3 +137,58 @@ def test_bundled_feeder_reduces_to_expected_size():
     # above it is invisible to probing differences
     assert rg.root == 3
     assert rg.root_upstream_r == pytest.approx(g.path_r(3))
+
+
+# -- one tree core ------------------------------------------------------------
+
+
+def test_reduced_grid_is_a_feeder_graph():
+    g = build_feeder(Y_EDGES)
+    rg = reduce_grid(g, {2, 3})
+    assert isinstance(rg, FeederGraph)
+    assert rg.ROOT_DEPTH == 1 and g.ROOT_DEPTH == 0
+    assert rg.ancestor_at(3, 1) == 1 and rg.ancestor_at(3, 2) == 3
+    assert rg.tree_depth == 2
+    assert rg.leaves == {2, 3}
+    assert rg.line_r(1, 3) == 3.0 and rg.line_x(1, 3) is None
+
+
+def test_reduced_grid_never_equals_a_feeder():
+    # reducing onto both children of the substation keeps every line
+    g = build_feeder([(0, 1, 1.0), (0, 2, 1.0)])
+    rg = reduce_grid(g, {1, 2})
+    assert rg.root == 0 and rg._edges == g.edges
+    assert rg != g and g != rg
+    assert rg == reduce_grid(g, {1, 2})
+
+
+def test_reduced_grid_validates_like_a_feeder():
+    def grid(root, edges):
+        return ReducedGrid(root=root, edges=edges, probing=[2],
+                           internal=[], root_upstream_r=1.0)
+
+    with pytest.raises(NonpositiveImpedance):
+        grid(1, [(1, 2, float("nan"))])
+    with pytest.raises(DuplicateNode):
+        grid(1, [(1, 2, 1.0), (1, 3, 1.0), (3, 2, 1.0)])
+    with pytest.raises(Disconnected):
+        grid(1, [(1, 2, 1.0), (3, 4, 1.0)])
+    with pytest.raises(MissingRoot):
+        grid(1, [(2, 1, 1.0)])
+    with pytest.raises(UnknownNode):
+        grid(1.5, [(1, 2, 1.0)])
+    assert grid(2, []).nodes == {2}
+
+
+def test_reduced_submatrix_matches_reference_loop_exactly():
+    g = fileio.load_feeder(os.path.join(DATA, "ieee37.csv"))
+    cases = [(g, sorted(g.leaves))]
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        _, gr = random_feeder(rng, max_buses=40)
+        cases.append((gr, sorted(random_probing(rng, gr))))
+    for g, p in cases:
+        rg = reduce_grid(g, p)
+        want = reference_shared_path(
+            rg, p, lambda n: rg.root_upstream_r + rg.path_r(n))
+        assert np.array_equal(rg.resistance_submatrix(p), want)
