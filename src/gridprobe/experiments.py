@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -29,6 +31,27 @@ from .recovery import compare_graphs, recover_full, recover_partial
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
+
+
+def _integer(value, what: str) -> int:
+    """An int from a config value; bools and fractional numbers are errors."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return tuple(_integer(v, what) for v in value)
+
+
+def _section(raw: Mapping, key: str) -> Mapping:
+    value = raw.get(key, {})
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,20 +80,33 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown probing policy {self.probing!r}")
         elif not self.probing:
             raise ConfigError("explicit probing list is empty")
+        elif len(set(self.probing)) != len(self.probing):
+            raise ConfigError("explicit probing buses must be distinct")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.periods:
             raise ConfigError("periods sweep is empty")
         if any(int(t) != t or t < 1 for t in self.periods):
             raise ConfigError("periods must be positive integers")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        reals = [self.r_min, self.s_base_kva, self.delta_multiple,
+                 *self.loads_kw.values()]
+        reals += [v for v in (self.delta_default_kw, self.delta_value_pu)
+                  if v is not None]
+        if not all(math.isfinite(v) for v in reals):
+            raise ConfigError("r_min, s_base_kva, delta and loads_kw values "
+                              "must be finite")
         if self.r_min <= 0:
             raise ConfigError("r_min must be positive")
         if self.delta_policy not in ("rated", "fixed"):
             raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
-        if self.delta_policy == "fixed" and not self.delta_value_pu:
-            raise ConfigError("fixed delta policy needs value_pu")
+        if self.delta_policy == "fixed" and not (self.delta_value_pu or 0) > 0:
+            raise ConfigError("fixed delta policy needs a positive value_pu")
         if self.delta_policy == "rated" and self.s_base_kva <= 0:
             raise ConfigError("s_base_kva must be positive")
+        if self.delta_policy == "rated" and self.delta_multiple <= 0:
+            raise ConfigError("delta multiple must be positive")
 
     @staticmethod
     def from_dict(raw: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -79,32 +115,30 @@ class ExperimentConfig:
         Relative feeder paths resolve against base_dir (normally the
         directory the config file came from).
         """
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"config must be a mapping, got {raw!r}")
         try:
-            feeder = raw["feeder"]
-            mode = raw["mode"]
-            periods = tuple(int(t) for t in raw["periods"])
-            nd = raw.get("noise", {})
-            noise = NoiseModel(sigma_p=float(nd.get("sigma_p", 0.0)),
-                               sigma_q=float(nd.get("sigma_q", 0.0)),
-                               sigma_w=float(nd.get("sigma_w", 0.0)),
-                               seed=raw.get("seed"))
+            nd = _section(raw, "noise")
+            dd = _section(raw, "delta")
+            seed = _integer(raw.get("seed", 0), "seed")
             probing = raw.get("probing", "all-leaves")
             if not isinstance(probing, str):
-                probing = tuple(int(b) for b in probing)
-            dd = raw.get("delta", {})
-            loads = {int(b): float(kw)
-                     for b, kw in raw.get("loads_kw", {}).items()}
+                probing = _integers(probing, "probing")
             cfg = ExperimentConfig(
-                feeder_path=os.path.join(base_dir, feeder),
-                mode=mode,
+                feeder_path=os.path.join(base_dir, raw["feeder"]),
+                mode=raw["mode"],
                 probing=probing,
-                periods=periods,
-                noise=noise,
+                periods=_integers(raw["periods"], "periods"),
+                noise=NoiseModel(sigma_p=float(nd.get("sigma_p", 0.0)),
+                                 sigma_q=float(nd.get("sigma_q", 0.0)),
+                                 sigma_w=float(nd.get("sigma_w", 0.0)),
+                                 seed=seed if "seed" in raw else None),
                 r_min=float(raw["r_min"]),
-                trials=int(raw.get("trials", 1000)),
-                seed=int(raw.get("seed", 0)),
+                trials=_integer(raw.get("trials", 1000), "trials"),
+                seed=seed,
                 s_base_kva=float(raw.get("s_base_kva", 1.0)),
-                loads_kw=loads,
+                loads_kw={_integer(b, "loads_kw bus"): float(kw)
+                          for b, kw in _section(raw, "loads_kw").items()},
                 delta_policy=dd.get("policy", "rated"),
                 delta_multiple=float(dd.get("multiple", 1.0)),
                 delta_default_kw=(None if dd.get("default_kw") is None
@@ -112,7 +146,7 @@ class ExperimentConfig:
                 delta_value_pu=(None if dd.get("value_pu") is None
                                 else float(dd["value_pu"])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad experiment config: {exc!r}") from None
         return cfg
 

@@ -313,11 +313,19 @@ class LevelSetFamily:
     def depths(self) -> range:
         return range(self.start_depth, self.depth + 1)
 
+    def _index(self, k: int) -> int:
+        i = k - self.start_depth
+        if i < 0 or i >= len(self.sets):
+            raise KeyError(k)
+        return i
+
     def at(self, k: int) -> frozenset[int]:
-        return self.sets[k - self.start_depth]
+        """The depth-k set; KeyError for a depth outside `depths`."""
+        return self.sets[self._index(k)]
 
     def value_at(self, k: int) -> float:
-        return self.values[k - self.start_depth]
+        """The depth-k value; KeyError for a depth outside `depths`."""
+        return self.values[self._index(k)]
 
     def find(self, n: int) -> int | None:
         """Depth of the group containing bus n, or None."""

@@ -10,7 +10,8 @@ resistance marks a boundary between groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import InconsistentLevelSets, NonpositiveRmin
@@ -29,40 +30,46 @@ class LevelGroup:
 
 
 @dataclass(frozen=True)
-class ColumnGrouping:
-    """Groups found in one resistance-matrix column.
+class ColumnGrouping(LevelSetFamily):
+    """The level-set family read off one resistance-matrix column.
 
     Complete-mode groupings cover every non-substation bus plus a
     synthetic zero entry for the substation, and are indexed from depth 0.
-    Partial-mode groupings cover probed buses only and are indexed from
-    depth 1 (depth in the reduced grid).
+    Partial-mode groupings cover probed buses only, are indexed from
+    depth 1 (depth in the reduced grid) and are metered. Besides the
+    family, a grouping keeps the sorted column and the gap threshold
+    (None for exact grouping) for diagnostics.
     """
 
-    owner: int
-    mode: str
-    groups: tuple[LevelGroup, ...]
-    sorted_entries: tuple[tuple[int, float], ...]
+    sorted_entries: tuple[tuple[int, float], ...] = ()
     threshold: float | None = None
 
     @property
-    def depth(self) -> int:
-        return self.groups[-1].depth
+    def mode(self) -> str:
+        return "partial" if self.metered else "complete"
 
-    def nodes_at(self, k: int) -> frozenset[int]:
-        for grp in self.groups:
-            if grp.depth == k:
-                return grp.nodes
-        raise KeyError(k)
+    @property
+    def groups(self) -> tuple[LevelGroup, ...]:
+        return tuple(LevelGroup(k, s, v) for k, s, v
+                     in zip(self.depths, self.sets, self.values))
+
+    nodes_at = LevelSetFamily.at
 
 
-def _sorted_entries(entries: Mapping[int, float], owner: int,
-                    mode: str) -> list[tuple[int, float]]:
+def _group(entries: Mapping[int, float], owner: int, mode: str,
+           threshold: float | None) -> ColumnGrouping:
+    """Sort a column and start a new group wherever a gap exceeds the
+    threshold; no threshold means a cut of zero, i.e. exact equality."""
     if mode not in ("complete", "partial"):
         raise InconsistentLevelSets(f"unknown mode {mode!r}")
     if owner not in entries:
         raise InconsistentLevelSets(
             f"column owner {owner} missing from its own entries")
     items = [(int(n), float(v)) for n, v in entries.items()]
+    for n, v in items:
+        if not math.isfinite(v):
+            raise InconsistentLevelSets(
+                f"column {owner}: entry of bus {n} is {v}, not finite")
     if mode == "complete":
         if SUBSTATION in entries:
             raise InconsistentLevelSets(
@@ -70,34 +77,32 @@ def _sorted_entries(entries: Mapping[int, float], owner: int,
         items.append((SUBSTATION, 0.0))
     # Sort by value, ties by bus ID, so grouping is deterministic.
     items.sort(key=lambda item: (item[1], item[0]))
-    return items
-
-
-def _build(owner: int, mode: str, runs: list[list[tuple[int, float]]],
-           entries: list[tuple[int, float]],
-           threshold: float | None) -> ColumnGrouping:
-    start = 0 if mode == "complete" else 1
-    groups = []
-    for i, run in enumerate(runs):
-        value = sum(v for _, v in run) / len(run)
-        groups.append(LevelGroup(depth=start + i,
-                                 nodes=frozenset(n for n, _ in run),
-                                 value=value))
-    return ColumnGrouping(owner=owner, mode=mode, groups=tuple(groups),
-                          sorted_entries=tuple(entries), threshold=threshold)
+    cut = 0.0 if threshold is None else threshold
+    runs: list[list[tuple[int, float]]] = []
+    for n, v in items:
+        if runs and v - runs[-1][-1][1] <= cut:
+            runs[-1].append((n, v))
+        else:
+            runs.append([(n, v)])
+    return ColumnGrouping(
+        owner=owner,
+        start_depth=0 if mode == "complete" else 1,
+        sets=tuple(frozenset(n for n, _ in run) for run in runs),
+        values=tuple(sum(v for _, v in run) / len(run) for run in runs),
+        metered=(mode == "partial"),
+        sorted_entries=tuple(items),
+        threshold=threshold,
+    )
 
 
 def group_column_exact(entries: Mapping[int, float], owner: int,
                        mode: str = "complete") -> ColumnGrouping:
-    """Group a noise-free column by exact value equality."""
-    items = _sorted_entries(entries, owner, mode)
-    runs: list[list[tuple[int, float]]] = []
-    for n, v in items:
-        if runs and v == runs[-1][-1][1]:
-            runs[-1].append((n, v))
-        else:
-            runs.append([(n, v)])
-    return _build(owner, mode, runs, items, threshold=None)
+    """Group a noise-free column by exact value equality.
+
+    This is the gap rule with a zero cut: on sorted finite entries a gap
+    of zero or less means equal values.
+    """
+    return _group(entries, owner, mode, threshold=None)
 
 
 def group_column_noisy(entries: Mapping[int, float], owner: int,
@@ -109,17 +114,10 @@ def group_column_noisy(entries: Mapping[int, float], owner: int,
     below the substation's zero and end up in the shallowest group unless
     the gap rule separates them. The group value is the member mean.
     """
-    if r_min <= 0:
-        raise NonpositiveRmin(f"r_min must be positive, got {r_min}")
-    items = _sorted_entries(entries, owner, mode)
-    cut = r_min / 2.0
-    runs: list[list[tuple[int, float]]] = []
-    for n, v in items:
-        if runs and v - runs[-1][-1][1] <= cut:
-            runs[-1].append((n, v))
-        else:
-            runs.append([(n, v)])
-    return _build(owner, mode, runs, items, threshold=cut)
+    if not 0 < r_min < math.inf:
+        raise NonpositiveRmin(
+            f"r_min must be positive and finite, got {r_min}")
+    return _group(entries, owner, mode, threshold=r_min / 2.0)
 
 
 def grouping_diagnostics(grouping: ColumnGrouping) -> dict:
@@ -147,8 +145,11 @@ def grouping_diagnostics(grouping: ColumnGrouping) -> dict:
 
 
 def assemble_families(groupings: Iterable[ColumnGrouping],
-                      value_tol: float = 1e-9) -> dict[int, LevelSetFamily]:
-    """Collect per-column groupings into mutually consistent families.
+                      value_tol: float = 1e-9) -> dict[int, ColumnGrouping]:
+    """Check that per-column groupings form mutually consistent families.
+
+    Returns the groupings keyed by owner: complete-mode groupings as they
+    are, partial-mode ones stamped with the probing set (the owners).
 
     Checks, for every pair of owners, that the shared structure two columns
     must agree on agrees: the depth and value at which each owner sees the
@@ -160,45 +161,38 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     gl = list(groupings)
     if not gl:
         raise InconsistentLevelSets("no groupings supplied")
-    mode = gl[0].mode
+    metered = gl[0].metered
     owners = [g.owner for g in gl]
     if len(set(owners)) != len(owners):
         raise InconsistentLevelSets("duplicate column owners")
-    universe = frozenset().union(*(grp.nodes for g in gl for grp in g.groups))
-    probing = frozenset(owners)
+    universe = frozenset().union(*(s for g in gl for s in g.sets))
 
-    families: dict[int, LevelSetFamily] = {}
     for g in gl:
-        if g.mode != mode:
+        if g.metered != metered:
             raise InconsistentLevelSets("mixed complete/partial groupings")
         covered: set[int] = set()
-        for grp in g.groups:
-            if covered & grp.nodes:
+        for s in g.sets:
+            if covered & s:
                 raise InconsistentLevelSets(
                     f"column {g.owner}: bus in two groups")
-            covered |= grp.nodes
+            covered |= s
         if covered != universe:
             raise InconsistentLevelSets(
                 f"column {g.owner} does not cover the observed bus set")
-        values = [grp.value for grp in g.groups]
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if any(b <= a for a, b in zip(g.values, g.values[1:])):
             raise InconsistentLevelSets(
                 f"column {g.owner}: group values not increasing")
-        if g.owner not in g.groups[-1].nodes:
+        if g.owner not in g.sets[-1]:
             raise InconsistentLevelSets(
                 f"column {g.owner}: owner not in its deepest group")
-        if mode == "complete" and SUBSTATION not in g.groups[0].nodes:
+        if not metered and SUBSTATION not in g.sets[0]:
             raise InconsistentLevelSets(
                 f"column {g.owner}: substation not in the shallowest group")
-        families[g.owner] = LevelSetFamily(
-            owner=g.owner,
-            start_depth=0 if mode == "complete" else 1,
-            sets=tuple(grp.nodes for grp in g.groups),
-            values=tuple(values),
-            metered=(mode == "partial"),
-            probing=probing if mode == "partial" else None,
-        )
 
+    if metered:
+        probing = frozenset(owners)
+        gl = [replace(g, probing=probing) for g in gl]
+    families = {g.owner: g for g in gl}
     _check_pairwise(families, value_tol)
     return families
 

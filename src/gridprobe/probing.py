@@ -41,8 +41,12 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.sigma_p, self.sigma_q, self.sigma_w) < 0:
-            raise ConfigError("noise deviations must be nonnegative")
+        if not all(0 <= s < math.inf
+                   for s in (self.sigma_p, self.sigma_q, self.sigma_w)):
+            raise ConfigError("noise deviations must be finite and "
+                              "nonnegative")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def silent(self) -> bool:
@@ -83,13 +87,17 @@ class ProbingPlan:
                 raise ConfigError("block plans need delta and periods")
             if len(self.delta) != len(self.buses) or len(self.periods) != len(self.buses):
                 raise ConfigError("delta/periods must align with buses")
-            if any(d <= 0 for d in self.delta):
-                raise ConfigError("probing magnitudes must be positive")
-            if any(t < 1 or int(t) != t for t in self.periods):
+            if not all(0 < d < math.inf for d in self.delta):
+                raise ConfigError("probing magnitudes must be positive "
+                                  "and finite")
+            if any(not 1 <= t < math.inf or int(t) != t
+                   for t in self.periods):
                 raise ConfigError("probing periods must be positive integers")
         else:
             if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.buses):
                 raise ConfigError("injection matrix needs one row per probing bus")
+            if not np.isfinite(self.matrix).all():
+                raise ConfigError("injection matrix entries must be finite")
             self.matrix.setflags(write=False)
 
     @staticmethod
@@ -150,16 +158,17 @@ def design_plan(r_min: float, sigma: float,
     of the smallest resistance separating two level sets, with probability
     better than 99.99% per entry.
     """
-    if r_min <= 0:
-        raise NonpositiveRmin(f"r_min must be positive, got {r_min}")
-    if sigma < 0:
-        raise ConfigError("sigma must be nonnegative")
+    if not 0 < r_min < math.inf:
+        raise NonpositiveRmin(f"r_min must be positive and finite, got {r_min}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
     buses = tuple(sorted(delta))
     periods = []
     for b in buses:
         d = float(delta[b])
-        if d <= 0:
-            raise ConfigError(f"probing magnitude for bus {b} must be positive")
+        if not 0 < d < math.inf:
+            raise ConfigError(f"probing magnitude for bus {b} must be "
+                              f"positive and finite")
         need = (16.0 * sigma / (r_min * d)) ** 2
         periods.append(max(1, math.ceil(need - 1e-12)))
     return ProbingPlan.blocks(buses, delta, periods)

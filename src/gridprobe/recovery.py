@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     AmbiguousIntersection,
     EmptyPartition,
+    GridProbeError,
     InconsistentLevelSets,
     InconsistentMeteredSets,
     LabelMismatch,
@@ -64,6 +65,55 @@ def _line_estimate(group: frozenset[int], families: Mapping[int, LevelSetFamily]
     return r
 
 
+def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
+          name: Callable[[frozenset[int], int], tuple[int, bool]],
+          error: type[GridProbeError]) -> tuple:
+    """Check level-set families, then rebuild their tree root-down.
+
+    name(group, k) picks the group's common depth-k ancestor and says
+    whether that ancestor must split the group in two or more parts.
+    A member without a depth-k group, or an ancestor that must split but
+    does not, raises error with the recursion state. Returns the root,
+    the (parent, child, r) lines and the number of columns behind each.
+    """
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+    start = int(metered)
+    for m, fam in families.items():
+        if fam.metered != metered or fam.start_depth != start:
+            raise InconsistentLevelSets(
+                f"family of bus {m} is not "
+                f"{'metered' if metered else 'complete'}-data indexed")
+        if fam.owner != m:
+            raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
+
+    root: int | None = None
+    edges: list[tuple[int, int, float]] = []
+    support: dict[tuple[int, int], int] = {}
+    queue: deque = deque([(frozenset(families), None, start)])
+    while queue:
+        group, parent, k = queue.popleft()
+        for m in group:
+            if k > families[m].depth:
+                raise error(f"column {m} has no depth-{k} group",
+                            depth=k, buses=group)
+        n, must_split = name(group, k)
+        if parent is None:
+            root = n
+        else:
+            edges.append((parent, n, _line_estimate(group, families, k)))
+            support[(parent, n)] = len(group)
+        rest = group - {n}
+        if rest:
+            parts = _partition(rest, families, k)
+            if must_split and len(parts) == 1:
+                raise error(f"ancestor {n} at depth {k} does not separate "
+                            f"{sorted(group)}", depth=k, buses=group)
+            for part in parts:
+                queue.append((part, n, k + 1))
+    return root, edges, support
+
+
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     """Rebuild the entire feeder from complete-data level-set families.
 
@@ -71,29 +121,10 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     probing buses covering every leaf. Recovers every bus under its
     original ID together with every line resistance.
     """
-    if not families:
-        raise EmptyPartition("no level-set families supplied")
-    for m, fam in families.items():
-        if fam.metered or fam.start_depth != 0:
-            raise InconsistentLevelSets(
-                f"family of bus {m} is not complete-data indexed")
-        if fam.owner != m:
-            raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
-
-    probing = frozenset(families)
-    edges: list[tuple[int, int, float]] = []
-    support: dict[tuple[int, int], int] = {}
     seen: set[int] = set()
-    queue: deque = deque([(probing, None, 0)])
-    while queue:
-        group, parent, k = queue.popleft()
-        inter: frozenset[int] | None = None
-        for m in group:
-            fam = families[m]
-            if k > fam.depth:
-                raise AmbiguousIntersection(
-                    f"column {m} has no depth-{k} group", depth=k, buses=group)
-            inter = fam.at(k) if inter is None else inter & fam.at(k)
+
+    def name(group, k):
+        inter = frozenset.intersection(*(families[m].at(k) for m in group))
         if len(inter) != 1:
             raise AmbiguousIntersection(
                 f"depth-{k} intersection of {sorted(group)} has "
@@ -103,17 +134,12 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
             raise AmbiguousIntersection(
                 f"bus {n} identified twice", depth=k, buses=group)
         seen.add(n)
-        if k > 0:
-            edges.append((parent, n, _line_estimate(group, families, k)))
-            support[(parent, n)] = len(group)
-        rest = group - {n}
-        if rest:
-            for part in _partition(rest, families, k):
-                queue.append((part, n, k + 1))
+        return n, False
 
+    _, edges, support = _walk(families, False, name, AmbiguousIntersection)
     graph = FeederGraph([(u, v, r, None) for u, v, r in edges])
-    return RecoveryReport(mode="complete", graph=graph, probing=probing,
-                          line_support=support)
+    return RecoveryReport(mode="complete", graph=graph,
+                          probing=frozenset(families), line_support=support)
 
 
 def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -122,59 +148,23 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     Families are indexed by reduced-grid depth from 1. Junctions that are
     not probed get fresh IDs allocated above the largest probing ID.
     """
-    if not families:
-        raise EmptyPartition("no level-set families supplied")
-    for m, fam in families.items():
-        if not fam.metered or fam.start_depth != 1:
-            raise InconsistentLevelSets(
-                f"family of bus {m} is not metered-data indexed")
-        if fam.owner != m:
-            raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
-
-    probing = frozenset(families)
-    next_id = max(probing) + 1
-    edges: list[tuple[int, int, float]] = []
-    support: dict[tuple[int, int], int] = {}
+    first_id = max(families, default=0) + 1
     internal: list[int] = []
-    root: int | None = None
-    queue: deque = deque([(probing, None, 1)])
-    while queue:
-        group, parent, k = queue.popleft()
-        candidates = []
-        for m in sorted(group):
-            fam = families[m]
-            if k <= fam.depth and fam.at(k) == group:
-                candidates.append(m)
-        if len(candidates) > 1:
-            raise InconsistentMeteredSets(
-                f"buses {candidates} both claim to root {sorted(group)}",
-                depth=k, buses=group)
-        if candidates:
-            n = candidates[0]
-        else:
-            n = next_id
-            next_id += 1
-            internal.append(n)
-        if root is None:
-            root = n
-        if k > 1:
-            for m in group:
-                if k > families[m].depth:
-                    raise InconsistentMeteredSets(
-                        f"column {m} has no depth-{k} group",
-                        depth=k, buses=group)
-            edges.append((parent, n, _line_estimate(group, families, k)))
-            support[(parent, n)] = len(group)
-        rest = group - {n}
-        if rest:
-            parts = _partition(rest, families, k)
-            if n not in group and len(parts) == 1:
-                raise InconsistentMeteredSets(
-                    f"junction at depth {k} does not separate "
-                    f"{sorted(group)}", depth=k, buses=group)
-            for part in parts:
-                queue.append((part, n, k + 1))
 
+    def name(group, k):
+        claimants = sorted(m for m in group if families[m].at(k) == group)
+        if len(claimants) > 1:
+            raise InconsistentMeteredSets(
+                f"buses {claimants} both claim to root {sorted(group)}",
+                depth=k, buses=group)
+        if claimants:
+            return claimants[0], False
+        internal.append(first_id + len(internal))
+        return internal[-1], True
+
+    root, edges, support = _walk(families, True, name,
+                                 InconsistentMeteredSets)
+    probing = frozenset(families)
     upstream = sum(f.value_at(1) for f in families.values()) / len(families)
     graph = ReducedGrid(root=root, edges=edges, probing=probing,
                         internal=internal, root_upstream_r=upstream)

@@ -9,9 +9,13 @@ enough context to reproduce a failure.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from gridprobe import (FeederGraph, build_feeder, level_sets,
+from gridprobe import (AmbiguousIntersection, EmptyPartition, FeederGraph,
+                       InconsistentLevelSets, InconsistentMeteredSets,
+                       RecoveryReport, ReducedGrid, build_feeder, level_sets,
                        metered_level_sets, reduce_grid, resistance_matrix)
 
 # One line per acceptance criterion; conftest.py echoes these in the
@@ -156,6 +160,189 @@ def reference_shared_path(tree, buses, rho):
             vals[i, j] = c
             vals[j, i] = c
     return vals
+
+
+# -- reference column grouping and recovery -----------------------------------
+#
+# The earlier, separate implementations: one split loop per grouping rule
+# and one root-down walk per observation mode. The library now runs both
+# rules through one gap routine and both modes through one walk; these
+# copies pin down that nothing observable changed.
+
+
+def _reference_sorted_entries(entries, owner, mode):
+    if mode not in ("complete", "partial"):
+        raise InconsistentLevelSets(f"unknown mode {mode!r}")
+    if owner not in entries:
+        raise InconsistentLevelSets(
+            f"column owner {owner} missing from its own entries")
+    items = [(int(n), float(v)) for n, v in entries.items()]
+    if mode == "complete":
+        if 0 in entries:
+            raise InconsistentLevelSets(
+                "complete-mode columns must not include the substation")
+        items.append((0, 0.0))
+    items.sort(key=lambda item: (item[1], item[0]))
+    return items
+
+
+def _reference_runs_out(runs, items):
+    sets = tuple(frozenset(n for n, _ in run) for run in runs)
+    values = tuple(sum(v for _, v in run) / len(run) for run in runs)
+    return sets, values, tuple(items)
+
+
+def reference_group_exact(entries, owner, mode="complete"):
+    """Exact grouping by value equality; (sets, values, sorted entries)."""
+    items = _reference_sorted_entries(entries, owner, mode)
+    runs = []
+    for n, v in items:
+        if runs and v == runs[-1][-1][1]:
+            runs[-1].append((n, v))
+        else:
+            runs.append([(n, v)])
+    return _reference_runs_out(runs, items)
+
+
+def reference_group_noisy(entries, owner, r_min, mode="complete"):
+    """Sorted gap rule with cut r_min / 2; (sets, values, sorted entries)."""
+    items = _reference_sorted_entries(entries, owner, mode)
+    cut = r_min / 2.0
+    runs = []
+    for n, v in items:
+        if runs and v - runs[-1][-1][1] <= cut:
+            runs[-1].append((n, v))
+        else:
+            runs.append([(n, v)])
+    return _reference_runs_out(runs, items)
+
+
+def _reference_partition(group, families, k):
+    blocks = {}
+    for m in group:
+        blocks.setdefault(families[m].at(k), set()).add(m)
+    return sorted((frozenset(b) for b in blocks.values()), key=min)
+
+
+def _reference_line_estimate(group, families, k):
+    steps = [families[m].value_at(k) - families[m].value_at(k - 1)
+             for m in group]
+    r = sum(steps) / len(steps)
+    if r <= 0:
+        raise InconsistentLevelSets(
+            f"nonpositive line resistance {r} at depth {k}")
+    return r
+
+
+def reference_recover_full(families):
+    """Complete-data recursion: the depth-k intersection names the bus."""
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+    for m, fam in families.items():
+        if fam.metered or fam.start_depth != 0:
+            raise InconsistentLevelSets(
+                f"family of bus {m} is not complete-data indexed")
+        if fam.owner != m:
+            raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
+
+    probing = frozenset(families)
+    edges = []
+    support = {}
+    seen = set()
+    queue = deque([(probing, None, 0)])
+    while queue:
+        group, parent, k = queue.popleft()
+        inter = None
+        for m in group:
+            fam = families[m]
+            if k > fam.depth:
+                raise AmbiguousIntersection(
+                    f"column {m} has no depth-{k} group", depth=k, buses=group)
+            inter = fam.at(k) if inter is None else inter & fam.at(k)
+        if len(inter) != 1:
+            raise AmbiguousIntersection(
+                f"depth-{k} intersection of {sorted(group)} has "
+                f"{len(inter)} buses", depth=k, buses=group)
+        (n,) = inter
+        if n in seen:
+            raise AmbiguousIntersection(
+                f"bus {n} identified twice", depth=k, buses=group)
+        seen.add(n)
+        if k > 0:
+            edges.append((parent, n,
+                          _reference_line_estimate(group, families, k)))
+            support[(parent, n)] = len(group)
+        rest = group - {n}
+        if rest:
+            for part in _reference_partition(rest, families, k):
+                queue.append((part, n, k + 1))
+
+    graph = FeederGraph([(u, v, r, None) for u, v, r in edges])
+    return RecoveryReport(mode="complete", graph=graph, probing=probing,
+                          line_support=support)
+
+
+def reference_recover_partial(families):
+    """Partial-data recursion: a probed claimant or a fresh junction."""
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+    for m, fam in families.items():
+        if not fam.metered or fam.start_depth != 1:
+            raise InconsistentLevelSets(
+                f"family of bus {m} is not metered-data indexed")
+        if fam.owner != m:
+            raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
+
+    probing = frozenset(families)
+    next_id = max(probing) + 1
+    edges = []
+    support = {}
+    internal = []
+    root = None
+    queue = deque([(probing, None, 1)])
+    while queue:
+        group, parent, k = queue.popleft()
+        candidates = []
+        for m in sorted(group):
+            fam = families[m]
+            if k <= fam.depth and fam.at(k) == group:
+                candidates.append(m)
+        if len(candidates) > 1:
+            raise InconsistentMeteredSets(
+                f"buses {candidates} both claim to root {sorted(group)}",
+                depth=k, buses=group)
+        if candidates:
+            n = candidates[0]
+        else:
+            n = next_id
+            next_id += 1
+            internal.append(n)
+        if root is None:
+            root = n
+        if k > 1:
+            for m in group:
+                if k > families[m].depth:
+                    raise InconsistentMeteredSets(
+                        f"column {m} has no depth-{k} group",
+                        depth=k, buses=group)
+            edges.append((parent, n,
+                          _reference_line_estimate(group, families, k)))
+            support[(parent, n)] = len(group)
+        rest = group - {n}
+        if rest:
+            parts = _reference_partition(rest, families, k)
+            if n not in group and len(parts) == 1:
+                raise InconsistentMeteredSets(
+                    f"junction at depth {k} does not separate "
+                    f"{sorted(group)}", depth=k, buses=group)
+            for part in parts:
+                queue.append((part, n, k + 1))
+
+    upstream = sum(f.value_at(1) for f in families.values()) / len(families)
+    graph = ReducedGrid(root=root, edges=edges, probing=probing,
+                        internal=internal, root_upstream_r=upstream)
+    return RecoveryReport(mode="partial", graph=graph, probing=probing,
+                          line_support=support)
 
 
 # -- structural claims behind the recovery algorithms -------------------------

@@ -1,0 +1,308 @@
+"""Input boundaries: typed errors for non-finite and mistyped values.
+
+Library constructors and the config reader must reject NaN, infinities,
+fractional counts and wrongly shaped sections with a GridProbeError, and
+the command line must turn those into exit code 1 with a JSON message.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
+                       InconsistentLevelSets, LevelSetFamily, NoiseModel,
+                       NonpositiveRmin, ProbingPlan, assemble_families,
+                       build_feeder, cli, design_plan, group_column_exact,
+                       group_column_noisy, level_sets, metered_level_sets,
+                       resistance_matrix)
+
+NAN, INF = float("nan"), float("inf")
+Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
+
+BASE_CFG = {
+    "feeder": "y.csv",
+    "mode": "complete",
+    "probing": "all-buses",
+    "periods": [3],
+    "r_min": 0.5,
+    "trials": 2,
+    "seed": 11,
+    "s_base_kva": 100.0,
+    "loads_kw": {1: 5.0, 2: 5.0, 3: 5.0},
+    "noise": {"sigma_p": 1e-4, "sigma_q": 1e-4, "sigma_w": 1e-4},
+    "delta": {"policy": "rated", "multiple": 1.0, "default_kw": 5.0},
+}
+
+
+def write_y_feeder(tmp_path):
+    (tmp_path / "y.csv").write_text("from,to,r_pu,x_pu\n0,1,1.0,1.0\n"
+                                    "1,2,2.0,1.0\n1,3,3.0,1.0\n")
+
+
+def run_montecarlo(tmp_path, capsys, raw):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["montecarlo", "--config", str(cfg), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def with_key(path, value):
+    raw = json.loads(json.dumps(BASE_CFG))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+# -- config reader ------------------------------------------------------------
+
+
+def test_base_config_runs(tmp_path, capsys):
+    code, err, out = run_montecarlo(tmp_path, capsys, BASE_CFG)
+    assert code == 0, err
+    assert (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("noise",), [1, 2]),
+    (("delta",), [1.0]),
+    (("loads_kw",), [5.0, 5.0]),
+    (("trials",), 2.5),
+    (("trials",), True),
+    (("periods",), [2.5]),
+    (("periods",), "12"),
+    (("seed",), -1),
+    (("seed",), 1.5),
+    (("noise", "sigma_p"), NAN),
+    (("noise", "sigma_q"), INF),
+    (("noise", "sigma_w"), NAN),
+    (("r_min",), NAN),
+    (("r_min",), INF),
+    (("s_base_kva",), NAN),
+    (("delta", "multiple"), NAN),
+    (("delta", "multiple"), -1.0),
+    (("delta", "default_kw"), NAN),
+    (("loads_kw", 2), NAN),
+    (("loads_kw", 3), INF),
+])
+def test_bad_config_value_exits_with_config_error(tmp_path, capsys, path,
+                                                  value):
+    code, err, out = run_montecarlo(tmp_path, capsys, with_key(path, value))
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (out / "results.json").exists()
+
+
+def test_negative_probe_seed_exits_with_config_error(tmp_path, capsys):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    rec = tmp_path / "probe.rec"
+    capsys.readouterr()
+    assert cli.main(["probe", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(rec)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("probing", [[2, 3, 3], [2, 3.5]])
+def test_bad_probing_list_exits_with_config_error(tmp_path, capsys, probing):
+    raw = with_key(("probing",), probing)
+    raw["mode"] = "partial"
+    code, err, _ = run_montecarlo(tmp_path, capsys, raw)
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("value_pu", [NAN, INF, -0.1])
+def test_bad_fixed_delta_exits_with_config_error(tmp_path, capsys, value_pu):
+    raw = with_key(("delta",), {"policy": "fixed", "value_pu": value_pu})
+    code, err, _ = run_montecarlo(tmp_path, capsys, raw)
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("raw", [[], "config", 3, None])
+def test_config_must_be_a_mapping(raw):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=3),
+    max_leaves=8)
+
+
+def overlay(top, noise, delta, loads, dropped):
+    raw = json.loads(json.dumps(BASE_CFG))
+    raw["noise"].update(noise)
+    raw["delta"].update(delta)
+    raw["loads_kw"].update(loads)
+    raw.update(top)
+    for key in dropped:
+        raw.pop(key, None)
+    return raw
+
+
+near_valid_configs = st.builds(
+    overlay,
+    st.dictionaries(st.sampled_from(sorted(BASE_CFG)), json_values,
+                    max_size=3),
+    st.dictionaries(st.sampled_from(["sigma_p", "sigma_q", "sigma_w"]),
+                    json_values, max_size=2),
+    st.dictionaries(st.sampled_from(["policy", "multiple", "default_kw",
+                                     "value_pu"]), json_values, max_size=2),
+    st.dictionaries(json_values.filter(lambda v: isinstance(v, (int, str))),
+                    json_values, max_size=2),
+    st.sets(st.sampled_from(sorted(BASE_CFG)), max_size=2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(json_values, near_valid_configs))
+def test_from_dict_returns_config_or_config_error(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg.trials, int) and cfg.trials >= 1
+    assert all(isinstance(t, int) and t >= 1 for t in cfg.periods)
+    reals = [cfg.r_min, cfg.s_base_kva, cfg.delta_multiple,
+             cfg.noise.sigma_p, cfg.noise.sigma_q, cfg.noise.sigma_w,
+             *cfg.loads_kw.values()]
+    assert all(math.isfinite(v) for v in reals)
+
+
+# -- library constructors -----------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["sigma_p", "sigma_q", "sigma_w"])
+@pytest.mark.parametrize("value", [NAN, INF, -1e-3])
+def test_noise_model_rejects_nonfinite_sigmas(field, value):
+    with pytest.raises(ConfigError):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF, 0.0])
+def test_probing_plan_rejects_bad_deltas(value):
+    with pytest.raises(ConfigError):
+        ProbingPlan.blocks([1, 2], [0.1, value], 3)
+
+
+def test_probing_plan_rejects_nonfinite_periods_and_matrix():
+    with pytest.raises(ConfigError):
+        ProbingPlan(buses=(1,), delta=(0.1,), periods=(NAN,))
+    with pytest.raises(ConfigError):
+        ProbingPlan(buses=(1,), delta=(0.1,), periods=(INF,))
+    with pytest.raises(ConfigError):
+        ProbingPlan.general([1], np.array([[0.1, NAN]]))
+
+
+@pytest.mark.parametrize("r_min", [NAN, INF, 0.0, -1.0])
+def test_noisy_grouping_rejects_bad_r_min(r_min):
+    with pytest.raises(NonpositiveRmin):
+        group_column_noisy({1: 1.0}, 1, r_min=r_min)
+
+
+def test_design_plan_rejects_nonfinite_inputs():
+    for r_min in (NAN, INF):
+        with pytest.raises(NonpositiveRmin):
+            design_plan(r_min, 1e-3, {1: 0.1})
+    for sigma in (NAN, INF):
+        with pytest.raises(ConfigError):
+            design_plan(0.5, sigma, {1: 0.1})
+    for delta in (NAN, INF):
+        with pytest.raises(ConfigError):
+            design_plan(0.5, 1e-3, {1: delta})
+
+
+# -- non-finite column entries -----------------------------------------------
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+@pytest.mark.parametrize("group", [group_column_exact,
+                                   lambda e, m: group_column_noisy(e, m, 0.5)])
+def test_nonfinite_entry_names_column_and_bus(group, value):
+    with pytest.raises(InconsistentLevelSets, match=r"column 2\b.*bus 3\b"):
+        group({1: 1.0, 2: 3.0, 3: value}, 2)
+
+
+def test_nan_in_record_is_reported_by_recover(tmp_path, capsys):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    rec = tmp_path / "probe.rec"
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
+    lines = rec.read_text().splitlines()
+    row = lines[2].split(",")  # bus 2's row; periods 0-2 probe bus 1
+    row[0] = "nan"
+    lines[2] = ",".join(row)
+    rec.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["recover", str(rec), "--r-min", "0.5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InconsistentLevelSets"
+    assert "column 1" in err["message"] and "bus 2" in err["message"]
+
+
+# -- level-set families and groupings ----------------------------------------
+
+
+def test_family_lookups_do_not_wrap():
+    g = build_feeder(Y_EDGES)
+    fam = metered_level_sets(g, 2, {2, 3})
+    assert fam.at(1) == {3} and fam.at(2) == {2}
+    for k in (0, -1, 3):
+        with pytest.raises(KeyError):
+            fam.at(k)
+        with pytest.raises(KeyError):
+            fam.value_at(k)
+    full = level_sets(g, 2)
+    with pytest.raises(KeyError):
+        full.at(-1)
+    with pytest.raises(KeyError):
+        full.value_at(3)
+
+
+def test_groupings_are_families():
+    g = build_feeder(Y_EDGES)
+    rmat = resistance_matrix(g)
+    groupings = [group_column_exact(rmat.column(m), m) for m in (2, 3)]
+    assert ColumnGrouping.nodes_at is LevelSetFamily.at
+    for grp in groupings:
+        assert isinstance(grp, LevelSetFamily)
+        assert grp.mode == "complete" and not grp.metered
+        assert [x.depth for x in grp.groups] == list(grp.depths)
+        assert [x.nodes for x in grp.groups] == list(grp.sets)
+        with pytest.raises(KeyError):
+            grp.nodes_at(grp.depth + 1)
+    families = assemble_families(groupings)
+    for grp in groupings:
+        assert families[grp.owner] is grp
+
+
+def test_partial_groupings_get_the_probing_set():
+    groupings = [
+        group_column_noisy({2: 3.0, 3: 1.0}, 2, 0.5, mode="partial"),
+        group_column_noisy({2: 1.0, 3: 4.0}, 3, 0.5, mode="partial"),
+    ]
+    assert all(grp.probing is None for grp in groupings)
+    families = assemble_families(groupings)
+    for grp in groupings:
+        fam = families[grp.owner]
+        assert fam.probing == {2, 3}
+        assert fam.mode == "partial" and fam.start_depth == 1
+        assert fam.sets == grp.sets and fam.values == grp.values
+        assert fam.sorted_entries == grp.sorted_entries
+        assert fam.threshold == grp.threshold == 0.25
