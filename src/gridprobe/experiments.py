@@ -194,28 +194,29 @@ class ExperimentResult:
         raise KeyError(periods)
 
 
-def _single_trial(g, truth, cfg, buses, delta, periods, trial):
+def _single_trial(g, truth, cfg, plan, periods, trial):
     rng = np.random.default_rng((cfg.seed, periods, trial))
-    plan = ProbingPlan.blocks(buses, delta, periods)
     record = simulate_probing(g, plan, cfg.noise, mode=cfg.mode, rng=rng)
     estimate = estimate_resistances(record)
     groupings = [group_column_noisy(estimate.column(m), m, cfg.r_min,
                                     mode=cfg.mode)
-                 for m in buses]
+                 for m in plan.buses]
     families = assemble_families(groupings, value_tol=cfg.r_min / 2)
     if cfg.mode == "complete":
         report = recover_full(families)
     else:
         report = recover_partial(families)
-    return compare_graphs(report.graph, truth, buses)
+    return compare_graphs(report.graph, truth, plan.buses)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured sweep and aggregate error statistics.
 
     Ground truth is the feeder itself in complete mode and its reduced
-    grid in partial mode. Every raised pipeline error marks the trial as
-    a topology error; only exact topology matches contribute to the MPE.
+    grid in partial mode. Every pipeline error raised inside a trial marks
+    it as a topology error; only exact topology matches contribute to the
+    MPE. Each sweep value's plan is built once, outside the trials, so a
+    plan defect raises ConfigError instead of failing every trial.
     """
     g = fileio.load_feeder(config.feeder_path)
     buses = config.probing_buses(g)
@@ -225,12 +226,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for periods in config.periods:
         t0 = time.perf_counter()
+        plan = ProbingPlan.blocks(buses, delta, periods)
         correct = 0
         mpes = []
         for trial in range(config.trials):
             try:
-                outcome = _single_trial(g, truth, config, buses, delta,
-                                        periods, trial)
+                outcome = _single_trial(g, truth, config, plan, periods,
+                                        trial)
             except GridProbeError:
                 continue
             if outcome.topology_correct:

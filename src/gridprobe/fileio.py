@@ -115,7 +115,7 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
                 f"{path}: line 1: not a JSON header: {exc}") from None
         if not isinstance(header, dict) or header.get("kind") != "probing-record":
             raise FeederFormatError(f"{path}: not a probing record")
-        rows = []
+        rows, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -130,22 +130,35 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
                     f"{path}: line {lineno}: expected {len(rows[0])} "
                     f"values, got {len(row)}")
             rows.append(row)
+            linenos.append(lineno)
+    values = np.asarray(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite.all(axis=1)))]
+        raise FeederFormatError(
+            f"{path}: line {lineno}: measurement values must be finite")
     try:
+        buses = _integer_list(header["buses"], "buses", path)
         if header["matrix"] is not None:
-            plan = ProbingPlan.general(header["buses"],
-                                       np.asarray(header["matrix"]))
+            plan = ProbingPlan.general(buses, np.asarray(header["matrix"]))
         else:
-            plan = ProbingPlan.blocks(header["buses"],
-                                      dict(zip(header["buses"],
-                                               header["delta"])),
-                                      header["periods"])
+            plan = ProbingPlan.blocks(
+                buses, dict(zip(buses, header["delta"])),
+                _integer_list(header["periods"], "periods", path))
         return ProbingRecord(mode=header["mode"],
                              row_nodes=tuple(header["row_nodes"]),
-                             values=np.asarray(rows, dtype=float),
+                             values=values,
                              plan=plan,
                              seed=header.get("seed"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederFormatError(f"{path}: malformed record: {exc}") from None
+
+
+def _integer_list(value, key: str, path) -> list[int]:
+    if not isinstance(value, list) or not all(
+            type(v) is int for v in value):
+        raise FeederFormatError(f"{path}: {key} must be a list of integers")
+    return value
 
 
 def save_report(report: RecoveryReport, out_dir: str | os.PathLike) -> None:

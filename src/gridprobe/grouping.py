@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .errors import InconsistentLevelSets, NonpositiveRmin
+from .errors import ConfigError, InconsistentLevelSets, NonpositiveRmin
 from .feeder import LevelSetFamily
 
 SUBSTATION = 0
@@ -151,13 +151,16 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     Returns the groupings keyed by owner: complete-mode groupings as they
     are, partial-mode ones stamped with the probing set (the owners).
 
-    Checks, for every pair of owners, that the shared structure two columns
-    must agree on agrees: the depth and value at which each owner sees the
-    other is symmetric, and whenever bus s appears in owner m's depth-k
-    group, both owners' groups strictly above depth k are identical. Any
+    Each column is read once into a label map, bus -> depth of its group.
+    If owner m sees owner s at depth k, s must see m at depth k with the
+    same value (within value_tol), both must hold identical groups above
+    depth k, and no depth-k group may hold two owners of depth k. Any
     violation means the groupings cannot come from one feeder at the
     claimed noise level.
     """
+    if not 0 <= value_tol < math.inf:
+        raise ConfigError(
+            f"value_tol must be finite and nonnegative, got {value_tol}")
     gl = list(groupings)
     if not gl:
         raise InconsistentLevelSets("no groupings supplied")
@@ -167,16 +170,15 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
         raise InconsistentLevelSets("duplicate column owners")
     universe = frozenset().union(*(s for g in gl for s in g.sets))
 
+    labels: dict[int, dict[int, int]] = {}
     for g in gl:
         if g.metered != metered:
             raise InconsistentLevelSets("mixed complete/partial groupings")
-        covered: set[int] = set()
-        for s in g.sets:
-            if covered & s:
-                raise InconsistentLevelSets(
-                    f"column {g.owner}: bus in two groups")
-            covered |= s
-        if covered != universe:
+        label = {n: k for k, s in zip(g.depths, g.sets) for n in s}
+        if len(label) != sum(map(len, g.sets)):
+            raise InconsistentLevelSets(
+                f"column {g.owner}: bus in two groups")
+        if len(label) != len(universe):
             raise InconsistentLevelSets(
                 f"column {g.owner} does not cover the observed bus set")
         if any(b <= a for a, b in zip(g.values, g.values[1:])):
@@ -188,39 +190,36 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
         if not metered and SUBSTATION not in g.sets[0]:
             raise InconsistentLevelSets(
                 f"column {g.owner}: substation not in the shallowest group")
+        labels[g.owner] = label
 
     if metered:
         probing = frozenset(owners)
         gl = [replace(g, probing=probing) for g in gl]
     families = {g.owner: g for g in gl}
-    _check_pairwise(families, value_tol)
-    return families
-
-
-def _check_pairwise(families: dict[int, LevelSetFamily], value_tol: float) -> None:
+    # Owners sit in their deepest groups, so every label map holds them all.
     owners = sorted(families)
+    depth = {m: families[m].depth for m in owners}
     for i, m in enumerate(owners):
-        fm = families[m]
-        # At most one probed bus of depth k may sit in a depth-k group: that
-        # slot belongs to the owner's depth-k ancestor alone.
-        for k in fm.depths:
-            anchors = [s for s in fm.at(k) if s in families
-                       and families[s].depth == k]
-            if len(anchors) > 1:
-                raise InconsistentLevelSets(
-                    f"column {m}: several depth-{k} buses {sorted(anchors)} "
-                    f"in one depth-{k} group")
+        fm, seen = families[m], labels[m]
+        anchors: dict[int, list[int]] = {}
+        for s in owners:
+            if seen[s] == depth[s]:
+                anchors.setdefault(depth[s], []).append(s)
+        clash = [k for k, a in anchors.items() if len(a) > 1]
+        if clash:
+            k = min(clash)
+            raise InconsistentLevelSets(
+                f"column {m}: several depth-{k} buses {anchors[k]} "
+                f"in one depth-{k} group")
         for s in owners[i + 1:]:
-            fs = families[s]
-            k_ms = fm.find(s)
-            k_sm = fs.find(m)
-            if k_ms is None or k_sm is None or k_ms != k_sm:
+            fs, k = families[s], seen[s]
+            if labels[s][m] != k:
                 raise InconsistentLevelSets(
                     f"columns {m} and {s} disagree on their split depth")
-            if abs(fm.value_at(k_ms) - fs.value_at(k_sm)) > value_tol:
+            if abs(fm.value_at(k) - fs.value_at(k)) > value_tol:
                 raise InconsistentLevelSets(
                     f"columns {m} and {s} disagree on their split value")
-            for j in range(fm.start_depth, k_ms):
-                if fm.at(j) != fs.at(j):
-                    raise InconsistentLevelSets(
-                        f"columns {m} and {s} disagree above depth {k_ms}")
+            if fm.sets[:k - fm.start_depth] != fs.sets[:k - fm.start_depth]:
+                raise InconsistentLevelSets(
+                    f"columns {m} and {s} disagree above depth {k}")
+    return families

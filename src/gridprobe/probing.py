@@ -169,9 +169,17 @@ def design_plan(r_min: float, sigma: float,
         if not 0 < d < math.inf:
             raise ConfigError(f"probing magnitude for bus {b} must be "
                               f"positive and finite")
-        need = (16.0 * sigma / (r_min * d)) ** 2
-        periods.append(max(1, math.ceil(need - 1e-12)))
+        try:
+            need = (16.0 * sigma / (r_min * d)) ** 2
+            periods.append(max(1, math.ceil(need - 1e-12)))
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(f"probing window for bus {b} is too long to "
+                              f"represent") from None
     return ProbingPlan.blocks(buses, delta, periods)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,14 @@ class ProbingRecord:
     def __post_init__(self):
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if not all(_is_int(n) for n in self.row_nodes):
+            raise ConfigError("record rows must be integer bus IDs")
+        if len(set(self.row_nodes)) != len(self.row_nodes):
+            raise ConfigError("record rows must be distinct buses")
+        if self.seed is not None and not (_is_int(self.seed)
+                                          and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, "
+                              f"got {self.seed!r}")
         if self.values.shape != (len(self.row_nodes), self.plan.total_periods):
             raise ConfigError("measurement shape does not match plan")
         self.values.setflags(write=False)

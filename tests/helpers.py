@@ -10,6 +10,7 @@ enough context to reproduce a failure.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -343,6 +344,82 @@ def reference_recover_partial(families):
                         internal=internal, root_upstream_r=upstream)
     return RecoveryReport(mode="partial", graph=graph, probing=probing,
                           line_support=support)
+
+
+# -- reference family consistency check ---------------------------------------
+#
+# The earlier pairwise set scans: a per-column covered-set loop for
+# disjointness and cover, then for every pair of owners a linear `find` in
+# each family and a per-depth `at` comparison above the split. The library
+# now reads one label map per column; this copy pins down that every input
+# still gets the same families or the same error and message.
+
+
+def reference_assemble_families(groupings, value_tol=1e-9):
+    gl = list(groupings)
+    if not gl:
+        raise InconsistentLevelSets("no groupings supplied")
+    metered = gl[0].metered
+    owners = [g.owner for g in gl]
+    if len(set(owners)) != len(owners):
+        raise InconsistentLevelSets("duplicate column owners")
+    universe = frozenset().union(*(s for g in gl for s in g.sets))
+
+    for g in gl:
+        if g.metered != metered:
+            raise InconsistentLevelSets("mixed complete/partial groupings")
+        covered = set()
+        for s in g.sets:
+            if covered & s:
+                raise InconsistentLevelSets(
+                    f"column {g.owner}: bus in two groups")
+            covered |= s
+        if covered != universe:
+            raise InconsistentLevelSets(
+                f"column {g.owner} does not cover the observed bus set")
+        if any(b <= a for a, b in zip(g.values, g.values[1:])):
+            raise InconsistentLevelSets(
+                f"column {g.owner}: group values not increasing")
+        if g.owner not in g.sets[-1]:
+            raise InconsistentLevelSets(
+                f"column {g.owner}: owner not in its deepest group")
+        if not metered and 0 not in g.sets[0]:
+            raise InconsistentLevelSets(
+                f"column {g.owner}: substation not in the shallowest group")
+
+    if metered:
+        probing = frozenset(owners)
+        gl = [replace(g, probing=probing) for g in gl]
+    families = {g.owner: g for g in gl}
+    _reference_check_pairwise(families, value_tol)
+    return families
+
+
+def _reference_check_pairwise(families, value_tol):
+    owners = sorted(families)
+    for i, m in enumerate(owners):
+        fm = families[m]
+        for k in fm.depths:
+            anchors = [s for s in fm.at(k) if s in families
+                       and families[s].depth == k]
+            if len(anchors) > 1:
+                raise InconsistentLevelSets(
+                    f"column {m}: several depth-{k} buses {sorted(anchors)} "
+                    f"in one depth-{k} group")
+        for s in owners[i + 1:]:
+            fs = families[s]
+            k_ms = fm.find(s)
+            k_sm = fs.find(m)
+            if k_ms is None or k_sm is None or k_ms != k_sm:
+                raise InconsistentLevelSets(
+                    f"columns {m} and {s} disagree on their split depth")
+            if abs(fm.value_at(k_ms) - fs.value_at(k_sm)) > value_tol:
+                raise InconsistentLevelSets(
+                    f"columns {m} and {s} disagree on their split value")
+            for j in range(fm.start_depth, k_ms):
+                if fm.at(j) != fs.at(j):
+                    raise InconsistentLevelSets(
+                        f"columns {m} and {s} disagree above depth {k_ms}")
 
 
 # -- structural claims behind the recovery algorithms -------------------------

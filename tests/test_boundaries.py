@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        InconsistentLevelSets, LevelSetFamily, NoiseModel,
-                       NonpositiveRmin, ProbingPlan, assemble_families,
-                       build_feeder, cli, design_plan, group_column_exact,
-                       group_column_noisy, level_sets, metered_level_sets,
-                       resistance_matrix)
+                       NonpositiveRmin, ProbingPlan, ProbingRecord,
+                       assemble_families, build_feeder, cli, design_plan,
+                       group_column_exact, group_column_noisy, level_sets,
+                       metered_level_sets, resistance_matrix)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -252,8 +252,111 @@ def test_nan_in_record_is_reported_by_recover(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["recover", str(rec), "--r-min", "0.5"]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InconsistentLevelSets"
-    assert "column 1" in err["message"] and "bus 2" in err["message"]
+    assert err["error"] == "FeederFormatError"
+    assert "line 3" in err["message"] and "finite" in err["message"]
+
+
+def probe_record(tmp_path):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    rec = tmp_path / "probe.rec"
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
+    return rec
+
+
+def recover_with_header(tmp_path, capsys, key, edit):
+    rec = probe_record(tmp_path)
+    lines = rec.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = edit(header[key])
+    lines[0] = json.dumps(header)
+    rec.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(["recover", str(rec), "--r-min", "0.5"])
+    return code, json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("buses", lambda v: ["a"] + v[1:]),
+    ("buses", lambda v: [1.5] + v[1:]),
+    ("buses", lambda v: "123"),
+    ("delta", lambda v: ["a"] + v[1:]),
+    ("periods", lambda v: [2.5] + v[1:]),
+    ("periods", lambda v: [INF] + v[1:]),
+    ("matrix", lambda v: "abc"),
+    ("matrix", lambda v: [[1.0, "a"]]),
+    ("matrix", lambda v: [[1.0], [1.0, 2.0]]),
+    ("row_nodes", lambda v: 7),
+])
+def test_malformed_record_header_is_a_format_error(tmp_path, capsys, key,
+                                                   edit):
+    code, err = recover_with_header(tmp_path, capsys, key, edit)
+    assert code == 1
+    assert err["error"] == "FeederFormatError"
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("row_nodes", lambda v: [v[0], v[0]] + v[2:]),
+    ("row_nodes", lambda v: ["a"] + v[1:]),
+    ("row_nodes", lambda v: [True] + v[1:]),
+    ("seed", lambda v: -1),
+    ("seed", lambda v: 1.5),
+    ("seed", lambda v: "7"),
+    ("seed", lambda v: True),
+])
+def test_bad_record_rows_or_seed_are_config_errors(tmp_path, capsys, key,
+                                                   edit):
+    code, err = recover_with_header(tmp_path, capsys, key, edit)
+    assert code == 1
+    assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_nonfinite_record_value_names_the_line(tmp_path, capsys, value):
+    rec = probe_record(tmp_path)
+    lines = rec.read_text().splitlines()
+    row = lines[3].split(",")
+    row[-1] = value
+    lines[3] = ",".join(row)
+    rec.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["recover", str(rec), "--r-min", "0.5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FeederFormatError"
+    assert "line 4" in err["message"]
+
+
+def test_record_rejects_duplicate_rows_and_bad_seeds():
+    plan = ProbingPlan.blocks([1, 2], [0.1, 0.1], 1)
+    values = np.zeros((2, 2))
+    with pytest.raises(ConfigError, match="distinct"):
+        ProbingRecord("partial", (1, 1), values, plan)
+    for seed in (-1, 2.0, "3", False):
+        with pytest.raises(ConfigError, match="seed"):
+            ProbingRecord("partial", (1, 2), values, plan, seed=seed)
+    assert ProbingRecord("partial", (1, 2), values, plan,
+                         seed=np.int64(4)).seed == 4
+
+
+@pytest.mark.parametrize("r_min, sigma, delta", [
+    (1e-300, 1.0, 1.0),     # the window length overflows
+    (1e-200, 1.0, 1e-200),  # r_min * delta underflows to zero
+    (0.5, 1e308, 1e-10),    # the window length is infinite
+])
+def test_design_plan_rejects_unrepresentable_windows(r_min, sigma, delta):
+    with pytest.raises(ConfigError):
+        design_plan(r_min, sigma, {1: delta})
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, -1e-9])
+def test_assemble_rejects_bad_value_tol(tol):
+    g = build_feeder(Y_EDGES)
+    groupings = [group_column_exact(resistance_matrix(g).column(m), m)
+                 for m in (1, 2, 3)]
+    with pytest.raises(ConfigError, match="value_tol"):
+        assemble_families(groupings, value_tol=tol)
+    assert sorted(assemble_families(groupings, value_tol=0.0)) == [1, 2, 3]
 
 
 # -- level-set families and groupings ----------------------------------------

@@ -1,11 +1,13 @@
 """One level-set path against the earlier separate implementations.
 
-Column grouping runs both rules through one gap routine, and both
-recoveries through one root-down walk. The references in helpers.py are
-the earlier per-rule and per-mode loops; on consistent and on corrupted
-inputs the two must agree exactly: the same groups and bitwise-equal
-values, the same grid and bitwise-equal line resistances, or the same
-exception class carrying the same recursion state.
+Column grouping runs both rules through one gap routine, both
+recoveries through one root-down walk, and the family check through one
+label map per column. The references in helpers.py are the earlier
+per-rule and per-mode loops and the pairwise set scans; on consistent
+and on corrupted inputs the two must agree exactly: the same groups and
+bitwise-equal values, the same grid and bitwise-equal line resistances,
+the same families, or the same exception class carrying the same
+recursion state or message.
 """
 
 from collections import Counter
@@ -13,11 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from gridprobe import (GridProbeError, group_column_exact, group_column_noisy,
-                       level_sets, metered_level_sets, recover_full,
-                       recover_partial, resistance_matrix)
+from gridprobe import (GridProbeError, assemble_families, build_feeder,
+                       group_column_exact, group_column_noisy, level_sets,
+                       metered_level_sets, recover_full, recover_partial,
+                       resistance_matrix)
 
-from helpers import (random_feeder, random_probing, reference_group_exact,
+from helpers import (random_feeder, random_probing,
+                     reference_assemble_families, reference_group_exact,
                      reference_group_noisy, reference_recover_full,
                      reference_recover_partial)
 
@@ -143,3 +147,124 @@ def test_partial_recovery_matches_reference():
             assert got == recovery_outcome(reference_recover_partial, fams)
             seen[got[0] if isinstance(got[0], type) else "ok"] += 1
     assert seen["ok"] > 300 and len(seen) > 2, seen
+
+
+def assemble_outcome(fn, groupings, value_tol):
+    try:
+        fams = fn(groupings, value_tol=value_tol)
+    except Exception as exc:  # noqa: BLE001 - any class must match
+        return type(exc), str(exc)
+    return [(m, f.sets, f.values, f.probing) for m, f in fams.items()]
+
+
+def crowd_anchor(families, rng):
+    """Move two owners of depth k into the depth-k group of the smallest
+    owner's family, so one depth-k group holds two depth-k owners."""
+    m = min(families)
+    fam = families[m]
+    depth = {s: f.depth for s, f in families.items()}
+    ks = [k for k in fam.depths
+          if sum(1 for s in families if s != m and depth[s] == k) >= 2]
+    if not ks:
+        return families
+    k = ks[int(rng.integers(len(ks)))]
+    movers = [s for s in sorted(families) if s != m and depth[s] == k]
+    movers = set(rng.permutation(movers)[:2].tolist())
+    sets = [s - movers for s in fam.sets]
+    sets[k - fam.start_depth] |= movers
+    out = dict(families)
+    out[m] = replace(fam, sets=tuple(sets))
+    return out
+
+
+def tamper(families, rng):
+    """Copy a bus into a second group, lose a bus, or swap two values."""
+    m = sorted(families)[int(rng.integers(len(families)))]
+    fam = families[m]
+    sets, values = list(fam.sets), list(fam.values)
+    i = int(rng.integers(len(sets)))
+    kind = rng.choice(["copy", "lose", "swap"])
+    if kind == "swap" and len(values) > 1:
+        j = (i + 1) % len(values)
+        values[i], values[j] = values[j], values[i]
+    elif kind == "lose" and len(sets[i]) > 1:
+        sets[i] = sets[i] - {min(sets[i])}
+    else:
+        b = sorted(sets[i])[int(rng.integers(len(sets[i])))]
+        j = (i + 1) % len(sets)
+        sets[j] = sets[j] | {b}
+    out = dict(families)
+    out[m] = replace(fam, sets=tuple(sets), values=tuple(values))
+    return out
+
+
+def random_groupings(rng, g, mode, noisy):
+    """Grouped columns of g: every bus (complete) or a probed subset
+    (partial), exact or with Gaussian noise of r_min/6 or r_min/3."""
+    r_min = min(r for _, _, r, _ in g.edges)
+    rmat = resistance_matrix(g)
+    owners = (g.bus_order if mode == "complete"
+              else sorted(random_probing(rng, g)))
+    rows = g.bus_order if mode == "complete" else owners
+    sigma = r_min * float(rng.choice([1 / 6, 1 / 3])) if noisy else 0.0
+    out = {}
+    for m in owners:
+        col = {n: rmat.entry(n, m) + (float(rng.normal(0.0, sigma))
+                                      if noisy else 0.0) for n in rows}
+        if noisy:
+            out[m] = group_column_noisy(col, m, r_min, mode=mode)
+        else:
+            out[m] = group_column_exact(col, m, mode=mode)
+    return out, r_min
+
+
+REASONS = ("no groupings", "duplicate", "mixed", "two groups",
+           "does not cover", "not increasing", "deepest group",
+           "shallowest group", "several depth", "split depth", "split value",
+           "above depth")
+
+
+def reason(outcome):
+    if isinstance(outcome, list):
+        return "ok"
+    return next(r for r in REASONS if r in outcome[1])
+
+
+def test_family_check_matches_reference_scans():
+    rng = np.random.default_rng(64)
+    seen = Counter()
+    for _ in range(150):
+        _, g = random_feeder(rng, max_buses=20)
+        for mode in ("complete", "partial"):
+            for noisy in (False, True):
+                fams, r_min = random_groupings(rng, g, mode, noisy)
+                tols = (r_min / 2, 1e-9) if noisy else (1e-9,)
+                variants = (fams, corrupt(fams, rng),
+                            corrupt(corrupt(fams, rng), rng),
+                            tamper(fams, rng), crowd_anchor(fams, rng))
+                for variant in variants:
+                    gl = list(variant.values())
+                    for tol in tols:
+                        got = assemble_outcome(assemble_families, gl, tol)
+                        assert got == assemble_outcome(
+                            reference_assemble_families, gl, tol)
+                        seen[reason(got)] += 1
+    assert seen["ok"] > 500, seen
+    for r in ("two groups", "does not cover", "not increasing",
+              "several depth", "split depth", "split value", "above depth"):
+        assert seen[r] > 10, seen
+
+
+def test_family_check_errors_match_reference():
+    tree = build_feeder([(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0),
+                         (1, 3, 3.0, 1.0)])
+    full = [level_sets(tree, m) for m in (1, 2, 3)]
+    metered = [metered_level_sets(tree, m, {2, 3}) for m in (2, 3)]
+    cases = [[], full + full[:1], full[:2] + metered[:1], full, metered,
+             [replace(full[1], values=(0.0, 1.0, 1.0))],
+             [replace(full[1], sets=(frozenset({1}), frozenset({0, 3}),
+                                     frozenset({2})))]]
+    for gl in cases:
+        for tol in (1e-9, 0.5):
+            assert assemble_outcome(assemble_families, gl, tol) == \
+                assemble_outcome(reference_assemble_families, gl, tol)

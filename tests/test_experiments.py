@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gridprobe.experiments
 from gridprobe import (ConfigError, ExperimentConfig, build_feeder, fileio,
                        run_experiment, write_results)
 
@@ -136,6 +137,18 @@ def test_single_trial_has_no_spread_estimate(tmp_path):
     assert row["error_pct"] == 0.0
     assert row["mpe_pct"] == pytest.approx(0.0, abs=1e-9)
     assert row["mpe_se"] is None
+
+
+def test_plan_defect_is_a_config_error_not_a_topology_error(tmp_path,
+                                                           monkeypatch):
+    """A plan depends only on T, so it is built once per sweep value,
+    outside the trials; a defect there must not read as 100% error."""
+    def broken_blocks(buses, delta, periods):
+        raise ConfigError("broken plan")
+    monkeypatch.setattr(gridprobe.experiments.ProbingPlan, "blocks",
+                        staticmethod(broken_blocks))
+    with pytest.raises(ConfigError, match="broken plan"):
+        run_experiment(y_config(tmp_path))
 
 
 def test_overwhelming_noise_breaks_recovery(tmp_path):
