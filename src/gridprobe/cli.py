@@ -9,6 +9,7 @@ a JSON message on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,8 +18,7 @@ from . import fileio
 from .errors import ConfigError, GridProbeError
 from .experiments import ExperimentConfig, run_experiment, write_results
 from .grouping import assemble_families, group_column_exact, group_column_noisy
-from .probing import (NoiseModel, ProbingPlan, estimate_resistances,
-                      simulate_probing)
+from .probing import ProbingPlan, estimate_resistances, simulate_probing
 from .recovery import recover_full, recover_partial
 from .reduction import reduce_grid
 
@@ -69,8 +69,7 @@ def _cmd_probe(args) -> int:
     periods = args.periods if args.periods else max(cfg.periods)
     plan = ProbingPlan.blocks(buses, delta, periods)
     seed = cfg.seed if args.seed is None else args.seed
-    noise = NoiseModel(sigma_p=cfg.noise.sigma_p, sigma_q=cfg.noise.sigma_q,
-                       sigma_w=cfg.noise.sigma_w, seed=seed)
+    noise = dataclasses.replace(cfg.noise, seed=seed)
     record = simulate_probing(g, plan, noise, mode=cfg.mode)
     fileio.save_record(record, args.out)
     print(json.dumps({"out": args.out, "mode": cfg.mode,

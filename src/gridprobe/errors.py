@@ -7,6 +7,8 @@ boundaries while tests can assert the precise failure mode.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class GridProbeError(Exception):
     """Base class for all gridprobe errors."""
@@ -101,3 +103,24 @@ class FeederFormatError(GridProbeError):
 
 class ConfigError(GridProbeError):
     """An experiment configuration is missing keys or holds bad values."""
+
+
+def as_int(value, error: type[GridProbeError], what: str,
+           least: int | None = None) -> int:
+    """The one integer rule for bus IDs, period and trial counts and seeds.
+
+    An integral number (an int, a numpy integer, or a float such as 2.0)
+    comes back as a plain int. A bool, a fractional or non-finite number,
+    a string, None, or an integer below `least` raises `error`.
+    """
+    if type(value) is not int:
+        try:
+            exact = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact or isinstance(value, (bool, np.bool_)):
+            raise error(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if least is not None and value < least:
+        raise error(f"{what} must be at least {least}, got {value}")
+    return value

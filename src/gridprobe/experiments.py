@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, GridProbeError
+from .errors import ConfigError, GridProbeError, as_int
 from .feeder import FeederGraph
 from .grouping import assemble_families, group_column_noisy
 from .probing import (NoiseModel, ProbingPlan, estimate_resistances,
@@ -31,20 +31,6 @@ from .recovery import compare_graphs, recover_full, recover_partial
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
-
-
-def _integer(value, what: str) -> int:
-    """An int from a config value; bools and fractional numbers are errors."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _integers(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{what} must be a list, got {value!r}")
-    return tuple(_integer(v, what) for v in value)
 
 
 def _section(raw: Mapping, key: str) -> Mapping:
@@ -75,6 +61,20 @@ class ExperimentConfig:
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"mode must be complete or partial, "
                               f"got {self.mode!r}")
+        for key, least in (("probing", None), ("periods", 1)):
+            value = getattr(self, key)
+            if isinstance(value, str) and key == "probing":
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
+            object.__setattr__(self, key, tuple(
+                as_int(v, ConfigError, key, least) for v in value))
+        for key, least in (("trials", 1), ("seed", 0)):
+            object.__setattr__(self, key, as_int(getattr(self, key),
+                                                 ConfigError, key, least))
+        object.__setattr__(self, "loads_kw", {
+            as_int(b, ConfigError, "loads_kw bus"): float(kw)
+            for b, kw in self.loads_kw.items()})
         if isinstance(self.probing, str):
             if self.probing not in PROBING_POLICIES:
                 raise ConfigError(f"unknown probing policy {self.probing!r}")
@@ -82,14 +82,8 @@ class ExperimentConfig:
             raise ConfigError("explicit probing list is empty")
         elif len(set(self.probing)) != len(self.probing):
             raise ConfigError("explicit probing buses must be distinct")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         if not self.periods:
             raise ConfigError("periods sweep is empty")
-        if any(int(t) != t or t < 1 for t in self.periods):
-            raise ConfigError("periods must be positive integers")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         reals = [self.r_min, self.s_base_kva, self.delta_multiple,
                  *self.loads_kw.values()]
         reals += [v for v in (self.delta_default_kw, self.delta_value_pu)
@@ -120,25 +114,19 @@ class ExperimentConfig:
         try:
             nd = _section(raw, "noise")
             dd = _section(raw, "delta")
-            seed = _integer(raw.get("seed", 0), "seed")
-            probing = raw.get("probing", "all-leaves")
-            if not isinstance(probing, str):
-                probing = _integers(probing, "probing")
             cfg = ExperimentConfig(
                 feeder_path=os.path.join(base_dir, raw["feeder"]),
                 mode=raw["mode"],
-                probing=probing,
-                periods=_integers(raw["periods"], "periods"),
+                probing=raw.get("probing", "all-leaves"),
+                periods=raw["periods"],
                 noise=NoiseModel(sigma_p=float(nd.get("sigma_p", 0.0)),
                                  sigma_q=float(nd.get("sigma_q", 0.0)),
-                                 sigma_w=float(nd.get("sigma_w", 0.0)),
-                                 seed=seed if "seed" in raw else None),
+                                 sigma_w=float(nd.get("sigma_w", 0.0))),
                 r_min=float(raw["r_min"]),
-                trials=_integer(raw.get("trials", 1000), "trials"),
-                seed=seed,
+                trials=raw.get("trials", 1000),
+                seed=raw.get("seed", 0),
                 s_base_kva=float(raw.get("s_base_kva", 1.0)),
-                loads_kw={_integer(b, "loads_kw bus"): float(kw)
-                          for b, kw in _section(raw, "loads_kw").items()},
+                loads_kw=_section(raw, "loads_kw"),
                 delta_policy=dd.get("policy", "rated"),
                 delta_multiple=float(dd.get("multiple", 1.0)),
                 delta_default_kw=(None if dd.get("default_kw") is None

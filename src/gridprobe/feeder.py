@@ -23,20 +23,10 @@ from .errors import (
     MissingRoot,
     NonpositiveImpedance,
     UnknownNode,
+    as_int,
 )
 
 Edge = tuple[int, int, float, float | None]
-
-
-def _bus_id(b) -> int:
-    """A bus ID as an int; refuses values that int() would truncate."""
-    try:
-        i = int(b)
-    except (TypeError, ValueError, OverflowError):
-        raise UnknownNode(f"bus ID {b!r} is not an integer") from None
-    if i != b:
-        raise UnknownNode(f"bus ID {b!r} is not an integer")
-    return i
 
 
 class FeederGraph:
@@ -64,7 +54,8 @@ class FeederGraph:
                 x = None
             else:
                 u, v, r, x = e
-            u, v = _bus_id(u), _bus_id(v)
+            u = as_int(u, UnknownNode, "bus ID")
+            v = as_int(v, UnknownNode, "bus ID")
             r = float(r)
             x = None if x is None else float(x)
             if not 0 < r < math.inf or (x is not None and not 0 < x < math.inf):
@@ -365,9 +356,10 @@ def metered_level_sets(g: FeederGraph, m: int,
     groups are renumbered consecutively from depth 1, matching the owner's
     ancestry in the reduced grid.
     """
-    p = frozenset(int(b) for b in probing)
+    p = frozenset(as_int(b, UnknownNode, "bus ID") for b in probing)
     for b in p:
         g._check(b)
+    m = as_int(m, UnknownNode, "bus ID")
     if m not in p:
         raise UnknownNode(f"bus {m} is not a probing bus")
     full = level_sets(g, m)
@@ -408,7 +400,7 @@ class ResistanceMatrix:
 
     def column(self, n: int) -> dict[int, float]:
         j = self.nodes.index(n)
-        return {m: float(self.values[i, j]) for i, m in enumerate(self.nodes)}
+        return dict(zip(self.nodes, self.values[:, j].tolist()))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         ri = [self.nodes.index(m) for m in rows]
@@ -445,6 +437,4 @@ def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
 
 def effective_resistance(g: FeederGraph, m: int, n: int) -> float:
     """Resistance of the unique m-n path (the two-point effective resistance)."""
-    g._check(m)
-    g._check(n)
     return g.path_r(m) + g.path_r(n) - 2.0 * g.path_r(g.lca(m, n))

@@ -13,6 +13,7 @@ Python serializes them at full precision.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Mapping
@@ -20,20 +21,30 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FeederFormatError
+from .errors import ConfigError, FeederFormatError, as_int
 from .feeder import FeederGraph, build_feeder
-from .probing import NoiseModel, ProbingPlan, ProbingRecord
+from .probing import ProbingPlan, ProbingRecord
 from .recovery import RecoveryReport
 from .reduction import ReducedGrid
 
 FEEDER_HEADER = "from,to,r_pu,x_pu"
 
 
+@contextlib.contextmanager
+def _read_text(path, error: type[Exception]):
+    """Open a file as UTF-8 text; bytes that do not decode raise `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_feeder(path: str | os.PathLike) -> FeederGraph:
     """Parse a feeder CSV file into a validated tree."""
     edges = []
     saw_header = False
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path, FeederFormatError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -106,7 +117,7 @@ def save_record(record: ProbingRecord, path: str | os.PathLike) -> None:
 
 
 def load_record(path: str | os.PathLike) -> ProbingRecord:
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path, FeederFormatError) as fh:
         first = fh.readline()
         try:
             header = json.loads(first)
@@ -137,14 +148,16 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
         lineno = linenos[int(np.argmin(finite.all(axis=1)))]
         raise FeederFormatError(
             f"{path}: line {lineno}: measurement values must be finite")
+    bus, count = f"{path}: bus", f"{path}: period count"
     try:
-        buses = _integer_list(header["buses"], "buses", path)
+        buses = [as_int(b, FeederFormatError, bus) for b in header["buses"]]
         if header["matrix"] is not None:
             plan = ProbingPlan.general(buses, np.asarray(header["matrix"]))
         else:
             plan = ProbingPlan.blocks(
                 buses, dict(zip(buses, header["delta"])),
-                _integer_list(header["periods"], "periods", path))
+                [as_int(t, FeederFormatError, count)
+                 for t in header["periods"]])
         return ProbingRecord(mode=header["mode"],
                              row_nodes=tuple(header["row_nodes"]),
                              values=values,
@@ -152,13 +165,6 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
                              seed=header.get("seed"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederFormatError(f"{path}: malformed record: {exc}") from None
-
-
-def _integer_list(value, key: str, path) -> list[int]:
-    if not isinstance(value, list) or not all(
-            type(v) is int for v in value):
-        raise FeederFormatError(f"{path}: {key} must be a list of integers")
-    return value
 
 
 def save_report(report: RecoveryReport, out_dir: str | os.PathLike) -> None:
@@ -184,7 +190,7 @@ def save_report(report: RecoveryReport, out_dir: str | os.PathLike) -> None:
 def load_config(path: str | os.PathLike) -> dict:
     """Read a YAML experiment config into a plain dict."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _read_text(path, ConfigError) as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None

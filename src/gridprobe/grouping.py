@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .errors import ConfigError, InconsistentLevelSets, NonpositiveRmin
+from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
+                     as_int)
 from .feeder import LevelSetFamily
 
 SUBSTATION = 0
@@ -62,10 +64,12 @@ def _group(entries: Mapping[int, float], owner: int, mode: str,
     threshold; no threshold means a cut of zero, i.e. exact equality."""
     if mode not in ("complete", "partial"):
         raise InconsistentLevelSets(f"unknown mode {mode!r}")
+    owner = as_int(owner, InconsistentLevelSets, "column owner")
     if owner not in entries:
         raise InconsistentLevelSets(
             f"column owner {owner} missing from its own entries")
-    items = [(int(n), float(v)) for n, v in entries.items()]
+    items = [(as_int(n, InconsistentLevelSets, "bus ID"), float(v))
+             for n, v in entries.items()]
     for n, v in items:
         if not math.isfinite(v):
             raise InconsistentLevelSets(
@@ -125,18 +129,13 @@ def grouping_diagnostics(grouping: ColumnGrouping) -> dict:
     values = [v for _, v in grouping.sorted_entries]
     gaps = [b - a for a, b in zip(values, values[1:])]
     sizes = [len(grp.nodes) for grp in grouping.groups]
-    boundaries = []
-    at = 0
-    for s in sizes[:-1]:
-        at += s
-        boundaries.append(at)
     return {
         "owner": grouping.owner,
         "mode": grouping.mode,
         "entries": [[n, v] for n, v in grouping.sorted_entries],
         "gaps": gaps,
         "threshold": grouping.threshold,
-        "boundaries": boundaries,
+        "boundaries": list(accumulate(sizes[:-1])),
         "groups": [
             {"depth": grp.depth, "buses": sorted(grp.nodes), "value": grp.value}
             for grp in grouping.groups

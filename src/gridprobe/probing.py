@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     NonpositiveRmin,
     RankDeficientProbing,
     UnknownProbingBus,
+    as_int,
 )
 from .feeder import FeederGraph, reactance_matrix, resistance_matrix
 
@@ -45,8 +46,9 @@ class NoiseModel:
                    for s in (self.sigma_p, self.sigma_q, self.sigma_w)):
             raise ConfigError("noise deviations must be finite and "
                               "nonnegative")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed",
+                               as_int(self.seed, ConfigError, "seed", 0))
 
     @property
     def silent(self) -> bool:
@@ -80,6 +82,8 @@ class ProbingPlan:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "buses", tuple(
+            as_int(b, ConfigError, "probing bus") for b in self.buses))
         if len(set(self.buses)) != len(self.buses):
             raise ConfigError("probing buses must be distinct")
         if self.matrix is None:
@@ -90,9 +94,9 @@ class ProbingPlan:
             if not all(0 < d < math.inf for d in self.delta):
                 raise ConfigError("probing magnitudes must be positive "
                                   "and finite")
-            if any(not 1 <= t < math.inf or int(t) != t
-                   for t in self.periods):
-                raise ConfigError("probing periods must be positive integers")
+            object.__setattr__(self, "periods", tuple(
+                as_int(t, ConfigError, "probing period", 1)
+                for t in self.periods))
         else:
             if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.buses):
                 raise ConfigError("injection matrix needs one row per probing bus")
@@ -103,19 +107,19 @@ class ProbingPlan:
     @staticmethod
     def blocks(buses: Sequence[int], delta: Mapping[int, float] | Sequence[float],
                periods: int | Mapping[int, int] | Sequence[int]) -> "ProbingPlan":
-        buses = tuple(int(b) for b in buses)
+        buses = tuple(as_int(b, ConfigError, "probing bus") for b in buses)
         if isinstance(delta, Mapping):
             delta = [delta[b] for b in buses]
-        if isinstance(periods, int):
-            periods = [periods] * len(buses)
-        elif isinstance(periods, Mapping):
+        if isinstance(periods, Mapping):
             periods = [periods[b] for b in buses]
+        elif not isinstance(periods, Iterable):
+            periods = [periods] * len(buses)
         return ProbingPlan(buses=buses, delta=tuple(float(d) for d in delta),
-                           periods=tuple(int(t) for t in periods))
+                           periods=tuple(periods))
 
     @staticmethod
     def general(buses: Sequence[int], matrix: np.ndarray) -> "ProbingPlan":
-        return ProbingPlan(buses=tuple(int(b) for b in buses),
+        return ProbingPlan(buses=tuple(buses),
                            matrix=np.array(matrix, dtype=float))
 
     @property
@@ -178,10 +182,6 @@ def design_plan(r_min: float, sigma: float,
     return ProbingPlan.blocks(buses, delta, periods)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProbingRecord:
     """Voltage-deviation measurements produced by one probing campaign."""
@@ -195,14 +195,13 @@ class ProbingRecord:
     def __post_init__(self):
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not all(_is_int(n) for n in self.row_nodes):
-            raise ConfigError("record rows must be integer bus IDs")
+        object.__setattr__(self, "row_nodes", tuple(
+            as_int(n, ConfigError, "record row bus") for n in self.row_nodes))
         if len(set(self.row_nodes)) != len(self.row_nodes):
             raise ConfigError("record rows must be distinct buses")
-        if self.seed is not None and not (_is_int(self.seed)
-                                          and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, "
-                              f"got {self.seed!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed",
+                               as_int(self.seed, ConfigError, "seed", 0))
         if self.values.shape != (len(self.row_nodes), self.plan.total_periods):
             raise ConfigError("measurement shape does not match plan")
         self.values.setflags(write=False)
@@ -269,7 +268,7 @@ class ResistanceEstimate:
 
     def column(self, n: int) -> dict[int, float]:
         j = self.col_nodes.index(n)
-        return {m: float(self.values[i, j]) for i, m in enumerate(self.row_nodes)}
+        return dict(zip(self.row_nodes, self.values[:, j].tolist()))
 
 
 def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:

@@ -236,11 +236,8 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
 
     upstream = None
     if isinstance(recovered, ReducedGrid) and isinstance(reference, ReducedGrid):
-        if reference.root_upstream_r > 0:
-            upstream = (abs(recovered.root_upstream_r - reference.root_upstream_r)
-                        / reference.root_upstream_r)
-        else:
-            upstream = abs(recovered.root_upstream_r - reference.root_upstream_r)
+        ref = reference.root_upstream_r
+        upstream = abs(recovered.root_upstream_r - ref) / (ref if ref > 0 else 1)
 
     return GraphComparison(True, mpe, max_rel, mapping, upstream)
 

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LeafNotProbed, UnknownNode
-from .feeder import FeederGraph, _bus_id, effective_resistance
+from .errors import LeafNotProbed, UnknownNode, as_int
+from .feeder import FeederGraph, effective_resistance
 
 
 class ReducedGrid(FeederGraph):
@@ -31,9 +31,11 @@ class ReducedGrid(FeederGraph):
     def __init__(self, root: int, edges: Iterable[Sequence],
                  probing: Iterable[int], internal: Iterable[int],
                  root_upstream_r: float):
-        self._build(_bus_id(root), edges)
-        self.probing = frozenset(int(b) for b in probing)
-        self.internal = frozenset(int(b) for b in internal)
+        self._build(as_int(root, UnknownNode, "bus ID"), edges)
+        self.probing = frozenset(as_int(b, UnknownNode, "bus ID")
+                                 for b in probing)
+        self.internal = frozenset(as_int(b, UnknownNode, "bus ID")
+                                  for b in internal)
         self.root_upstream_r = float(root_upstream_r)
 
     @property
@@ -59,15 +61,8 @@ class ReducedGrid(FeederGraph):
 
 def identifiable_junctions(g: FeederGraph, probing: frozenset[int]) -> frozenset[int]:
     """Buses with at least two children whose subtrees each hold a probed bus."""
-    out = []
-    for n in g.nodes:
-        feeds = 0
-        for c in g.children(n):
-            if g.descendants(c) & probing:
-                feeds += 1
-        if feeds >= 2:
-            out.append(n)
-    return frozenset(out)
+    return frozenset(n for n in g.nodes if sum(
+        bool(g.descendants(c) & probing) for c in g.children(n)) >= 2)
 
 
 def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
@@ -76,7 +71,7 @@ def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
     Requires every leaf to be probed; otherwise parts of the tree leave no
     trace in probing data and the reduction is not well defined.
     """
-    p = frozenset(int(b) for b in probing)
+    p = frozenset(as_int(b, UnknownNode, "bus ID") for b in probing)
     for b in p:
         g._check(b)
         if b == g.root:

@@ -5,6 +5,7 @@ fractional counts and wrongly shaped sections with a GridProbeError, and
 the command line must turn those into exit code 1 with a JSON message.
 """
 
+import copy
 import json
 import math
 
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
-                       InconsistentLevelSets, LevelSetFamily, NoiseModel,
-                       NonpositiveRmin, ProbingPlan, ProbingRecord,
+                       FeederFormatError, InconsistentLevelSets,
+                       LevelSetFamily, NoiseModel, NonpositiveRmin,
+                       ProbingPlan, ProbingRecord, ReducedGrid, UnknownNode,
                        assemble_families, build_feeder, cli, design_plan,
                        group_column_exact, group_column_noisy, level_sets,
-                       metered_level_sets, resistance_matrix)
+                       load_record, metered_level_sets, reduce_grid,
+                       resistance_matrix)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -55,7 +58,7 @@ def run_montecarlo(tmp_path, capsys, raw):
 
 
 def with_key(path, value):
-    raw = json.loads(json.dumps(BASE_CFG))
+    raw = copy.deepcopy(BASE_CFG)
     node = raw
     for key in path[:-1]:
         node = node[key]
@@ -146,7 +149,7 @@ json_values = st.recursive(
 
 
 def overlay(top, noise, delta, loads, dropped):
-    raw = json.loads(json.dumps(BASE_CFG))
+    raw = copy.deepcopy(BASE_CFG)
     raw["noise"].update(noise)
     raw["delta"].update(delta)
     raw["loads_kw"].update(loads)
@@ -332,11 +335,12 @@ def test_record_rejects_duplicate_rows_and_bad_seeds():
     values = np.zeros((2, 2))
     with pytest.raises(ConfigError, match="distinct"):
         ProbingRecord("partial", (1, 1), values, plan)
-    for seed in (-1, 2.0, "3", False):
+    for seed in (-1, "3", False):
         with pytest.raises(ConfigError, match="seed"):
             ProbingRecord("partial", (1, 2), values, plan, seed=seed)
-    assert ProbingRecord("partial", (1, 2), values, plan,
-                         seed=np.int64(4)).seed == 4
+    for seed in (2.0, np.int64(2)):
+        record = ProbingRecord("partial", (1, 2), values, plan, seed=seed)
+        assert record.seed == 2 and type(record.seed) is int
 
 
 @pytest.mark.parametrize("r_min, sigma, delta", [
@@ -409,3 +413,187 @@ def test_partial_groupings_get_the_probing_set():
         assert fam.sets == grp.sets and fam.values == grp.values
         assert fam.sorted_entries == grp.sorted_entries
         assert fam.threshold == grp.threshold == 0.25
+
+
+# -- the integer rule ---------------------------------------------------------
+#
+# Every bus ID, period count, trial count and seed goes through one rule:
+# an integral number becomes a plain int; a bool, a fractional or non-finite
+# number, a string or None raises the entry point's typed error.
+
+BAD_INTEGERS = [1.5, True, "3", None, NAN]
+GOOD_INTEGERS = [(2.0, 2), (np.int64(4), 4), (2**70, 2**70)]
+
+
+def member(items, k):
+    """The one stored element equal to k."""
+    (n,) = [n for n in items if n == k]
+    return n
+
+
+def y_feeder(k):
+    """Bus 1 under the root, with leaves k and 3 below it."""
+    return build_feeder([(0, 1, 1.0, 1.0), (1, k, 2.0, 1.0), (1, 3, 3.0, 1.0)])
+
+
+CONFIG_ARGS = dict(feeder_path="y.csv", mode="partial", probing=(2, 3),
+                   periods=(3,), noise=NoiseModel(), r_min=0.5, trials=2,
+                   seed=11, s_base_kva=100.0, loads_kw={2: 5.0, 3: 5.0})
+PLAN = ProbingPlan.blocks([1], [0.1], 1)
+
+# name -> (typed error, stored value when v is put where the integer k goes)
+INTEGER_SITES = {
+    "FeederGraph": (UnknownNode, lambda v, k: member(build_feeder(
+        [(0, 1, 1.0), (1, v, 2.0), (1, 3, 3.0)]).nodes, k)),
+    "ReducedGrid root": (UnknownNode, lambda v, k: ReducedGrid(
+        v, [(k, 3, 1.0)], probing=[3], internal=[k],
+        root_upstream_r=1.0).root),
+    "ReducedGrid probing": (UnknownNode, lambda v, k: member(ReducedGrid(
+        1, [(1, k, 2.0), (1, 3, 3.0)], probing=[v, 3], internal=[1],
+        root_upstream_r=1.0).probing, k)),
+    "ReducedGrid internal": (UnknownNode, lambda v, k: member(ReducedGrid(
+        1, [(1, k, 2.0), (k, 3, 3.0)], probing=[3], internal=[1, v],
+        root_upstream_r=1.0).internal, k)),
+    "reduce_grid": (UnknownNode, lambda v, k: member(
+        reduce_grid(y_feeder(k), [v, 3]).probing, k)),
+    "metered_level_sets": (UnknownNode, lambda v, k: member(
+        metered_level_sets(y_feeder(k), 3, [v, 3]).probing, k)),
+    "ProbingPlan buses": (ConfigError, lambda v, k: ProbingPlan(
+        buses=(v,), delta=(0.1,), periods=(1,)).buses[0]),
+    "ProbingPlan periods": (ConfigError, lambda v, k: ProbingPlan(
+        buses=(1,), delta=(0.1,), periods=(v,)).periods[0]),
+    "ProbingPlan.blocks buses": (ConfigError, lambda v, k: ProbingPlan.blocks(
+        [v], {k: 0.1}, 1).buses[0]),
+    "ProbingPlan.blocks periods": (ConfigError, lambda v, k: ProbingPlan
+                                   .blocks([1], [0.1], [v]).periods[0]),
+    "ProbingPlan.blocks period": (ConfigError, lambda v, k: ProbingPlan
+                                  .blocks([1], [0.1], v).periods[0]),
+    "ProbingPlan.general": (ConfigError, lambda v, k: ProbingPlan.general(
+        [v], np.eye(1)).buses[0]),
+    "NoiseModel seed": (ConfigError, lambda v, k: NoiseModel(seed=v).seed),
+    "ProbingRecord rows": (ConfigError, lambda v, k: ProbingRecord(
+        "partial", (v,), np.zeros((1, 1)), PLAN).row_nodes[0]),
+    "ProbingRecord seed": (ConfigError, lambda v, k: ProbingRecord(
+        "partial", (1,), np.zeros((1, 1)), PLAN, seed=v).seed),
+    "grouping entry key": (InconsistentLevelSets, lambda v, k: member(
+        group_column_exact({v: 1.0, 3: 2.0}, 3, mode="partial").sets[0], k)),
+    "grouping owner": (InconsistentLevelSets, lambda v, k: group_column_noisy(
+        {v: 2.0, 3: 1.0}, v, 0.5, mode="partial").owner),
+    "ExperimentConfig trials": (ConfigError, lambda v, k: ExperimentConfig(
+        **{**CONFIG_ARGS, "trials": v}).trials),
+    "ExperimentConfig seed": (ConfigError, lambda v, k: ExperimentConfig(
+        **{**CONFIG_ARGS, "seed": v}).seed),
+    "ExperimentConfig periods": (ConfigError, lambda v, k: ExperimentConfig(
+        **{**CONFIG_ARGS, "periods": [v]}).periods[0]),
+    "ExperimentConfig probing": (ConfigError, lambda v, k: member(
+        ExperimentConfig(**{**CONFIG_ARGS, "probing": [v, 3]}).probing, k)),
+    "ExperimentConfig loads_kw": (ConfigError, lambda v, k: member(
+        ExperimentConfig(**{**CONFIG_ARGS, "loads_kw": {v: 5.0}}).loads_kw,
+        k)),
+}
+SEED_SITES = {"NoiseModel seed", "ProbingRecord seed"}  # None: no seed
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_rule_rejects(site, value):
+    error, build = INTEGER_SITES[site]
+    if value is None and site in SEED_SITES:
+        assert build(value, 2) is None
+        return
+    with pytest.raises(error, match="is not an integer"):
+        build(value, 2)
+
+
+@pytest.mark.parametrize("value, k", GOOD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_rule_accepts(site, value, k):
+    stored = INTEGER_SITES[site][1](value, k)
+    assert stored == k and type(stored) is int
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("key", ["trials", "seed", "periods", "probing",
+                                 "loads_kw"])
+def test_integer_rule_in_configs_exits_1(tmp_path, capsys, key, value):
+    raw = copy.deepcopy(BASE_CFG)
+    raw.update(mode="partial", probing=[2, 3])
+    if key in ("periods", "probing"):
+        raw[key] = [value] + raw[key][1:]
+    elif key == "loads_kw":
+        raw[key] = {value: 5.0}
+    else:
+        raw[key] = value
+    code, err, out = run_montecarlo(tmp_path, capsys, raw)
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("key, error, value", [
+    (key, error, value)
+    for key, error in [("buses", "FeederFormatError"),
+                       ("periods", "FeederFormatError"),
+                       ("row_nodes", "ConfigError"), ("seed", "ConfigError")]
+    for value in BAD_INTEGERS
+    if (key, value) != ("seed", None)])  # a record without a seed is valid
+def test_integer_rule_in_record_headers_exits_1(tmp_path, capsys, key, error,
+                                                value):
+    edit = (lambda v: value) if key == "seed" else (lambda v: [value] + v[1:])
+    code, err = recover_with_header(tmp_path, capsys, key, edit)
+    assert code == 1
+    assert err["error"] == error
+    assert "is not an integer" in err["message"]
+
+
+def test_record_header_reads_integral_floats_as_ints(tmp_path):
+    rec = probe_record(tmp_path)
+    lines = rec.read_text().splitlines()
+    header = json.loads(lines[0])
+    before = load_record(rec)
+    for key in ("buses", "periods", "row_nodes"):
+        header[key] = [float(v) for v in header[key]]
+    header["seed"] = float(header["seed"])
+    rec.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    after = load_record(rec)
+    for a, b in [(after.plan.buses, before.plan.buses),
+                 (after.plan.periods, before.plan.periods),
+                 (after.row_nodes, before.row_nodes),
+                 ((after.seed,), (before.seed,))]:
+        assert a == b and all(type(n) is int for n in a)
+    assert np.array_equal(after.values, before.values)
+
+
+def test_integer_rule_rejects_numpy_bools():
+    with pytest.raises(UnknownNode):
+        build_feeder([(0, np.True_, 1.0)])
+
+
+REPRODUCTIONS = [
+    (UnknownNode, lambda: build_feeder([(0, True, 1.0), (True, 2, 1.0)])),
+    (ConfigError, lambda: ProbingPlan.blocks([1.5], [0.1], [2.5])),
+    (ConfigError, lambda: ProbingPlan.blocks([1], [0.1], [2.5])),
+    (ConfigError, lambda: ProbingPlan.general([1.5], np.eye(1))),
+    (UnknownNode, lambda: reduce_grid(y_feeder(2), [2.7, 3])),
+    (UnknownNode, lambda: metered_level_sets(y_feeder(2), 2, [2.7, 3])),
+    (UnknownNode, lambda: ReducedGrid(1, [(1, 2, 1.0)], probing=[1.9],
+                                      internal=[], root_upstream_r=0.0)),
+    (InconsistentLevelSets, lambda: group_column_noisy(
+        {1.5: 0.2, 2: 0.3}, 2, 0.05, mode="partial")),
+    (InconsistentLevelSets, lambda: group_column_noisy(
+        {True: 0.2, 2: 0.3}, 2, 0.05, mode="partial")),
+    (ConfigError, lambda: design_plan(0.1, 0.0, {1.5: 0.1, 2: 0.1})),
+    (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "trials": 2.5})),
+    (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "seed": 1.5})),
+    (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "trials": True})),
+    (ConfigError, lambda: NoiseModel(seed=1.5)),
+    (ConfigError, lambda: NoiseModel(seed=True)),
+    (ConfigError, lambda: ExperimentConfig.from_dict(
+        {**BASE_CFG, "trials": "3"})),
+]
+
+
+@pytest.mark.parametrize("error, call", REPRODUCTIONS)
+def test_truncating_inputs_raise_typed_errors(error, call):
+    with pytest.raises(error):
+        call()

@@ -1,9 +1,10 @@
 """Fuzzed readers: every file either loads or fails with a GridProbeError.
 
-The feeder, record and config readers get arbitrary text and near-valid
-files (a valid file with fields, header keys or lines swapped for odd
-tokens). Each must return or raise a GridProbeError; the command line
-on the same files must exit 0 or 1 and never raise.
+The feeder, record and config readers get arbitrary text, arbitrary bytes
+and near-valid files (a valid file with fields, header keys or lines
+swapped for odd tokens, or with a stray byte that is not UTF-8). Each must
+return or raise a GridProbeError; the command line on the same files must
+exit 0 or 1 and never raise.
 """
 
 import contextlib
@@ -103,9 +104,19 @@ def near_valid_configs(draw):
     return draw(near_valid_lines(yaml.safe_dump(raw)))
 
 
-def write(tmp_path_factory, name, text):
+@st.composite
+def stray_byte(draw, text):
+    """A valid file with byte 0xff dropped into one of its data rows."""
+    lines = text.encode().splitlines(keepends=True)
+    i = draw(st.integers(1, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    lines[i] = lines[i][:j] + b"\xff" + lines[i][j:]
+    return b"".join(lines)
+
+
+def write(tmp_path_factory, name, data):
     path = tmp_path_factory.getbasetemp() / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
     return str(path)
 
 
@@ -126,24 +137,27 @@ def exits_cleanly(argv):
 
 
 @FUZZ
-@given(st.one_of(texts, near_valid_lines(FEEDER_TEXT)))
-def test_feeder_reader_and_validate(tmp_path_factory, text):
-    path = write(tmp_path_factory, "feeder.csv", text)
+@given(st.one_of(texts, st.binary(), near_valid_lines(FEEDER_TEXT),
+                 stray_byte(FEEDER_TEXT)))
+def test_feeder_reader_and_validate(tmp_path_factory, data):
+    path = write(tmp_path_factory, "feeder.csv", data)
     loads_or_typed_error(fileio.load_feeder, path)
     exits_cleanly(["validate", path])
 
 
 @FUZZ
-@given(st.one_of(texts, near_valid_records()))
-def test_record_reader_and_recover(tmp_path_factory, text):
-    path = write(tmp_path_factory, "probe.rec", text)
+@given(st.one_of(texts, st.binary(), near_valid_records(),
+                 st.sampled_from(RECORDS).flatmap(stray_byte)))
+def test_record_reader_and_recover(tmp_path_factory, data):
+    path = write(tmp_path_factory, "probe.rec", data)
     loads_or_typed_error(fileio.load_record, path)
     exits_cleanly(["recover", path])
     exits_cleanly(["recover", path, "--r-min", "0.5"])
 
 
 @FUZZ
-@given(st.one_of(texts, near_valid_configs()))
-def test_config_reader(tmp_path_factory, text):
-    path = write(tmp_path_factory, "cfg.yaml", text)
+@given(st.one_of(texts, st.binary(), near_valid_configs(),
+                 stray_byte(yaml.safe_dump(CONFIG))))
+def test_config_reader(tmp_path_factory, data):
+    path = write(tmp_path_factory, "cfg.yaml", data)
     loads_or_typed_error(fileio.load_config, path)
