@@ -162,7 +162,10 @@ class FeederGraph:
         return frozenset(n for n in self._nodes if not self._children[n])
 
     def _check(self, m: int) -> None:
-        if m not in self._nodes:
+        # A bool hashes and compares equal to 0 or 1, so test it apart;
+        # the type test first keeps plain ints, the hot case, cheap.
+        if m not in self._nodes or (type(m) is not int
+                                    and isinstance(m, (bool, np.bool_))):
             raise UnknownNode(f"bus {m} is not in the feeder")
 
     # -- ancestry ----------------------------------------------------------

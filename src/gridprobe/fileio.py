@@ -6,9 +6,12 @@ Feeder files are plain CSV with a fixed header and optional '#' comments:
     0,1,0.0015,0.0030
     1,2,0.0815,0.0547
 
-An empty x field marks a line with unknown reactance. Probing records and
-recovery reports are JSON; floats survive the round trip exactly because
-Python serializes them at full precision.
+An empty x field marks a line with unknown reactance. A probing record is
+one JSON header line followed by one CSV row of measurements per metered
+bus; recovery reports are JSON. Floats survive the round trip exactly
+because Python serializes them at full precision. The reader parses a
+record's data block in one numpy pass; a block that pass rejects is read
+again line by line, so every error still names its line.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import warnings
 from typing import Mapping
 
 import numpy as np
@@ -116,16 +120,29 @@ def save_record(record: ProbingRecord, path: str | os.PathLike) -> None:
             fh.write("\n")
 
 
-def load_record(path: str | os.PathLike) -> ProbingRecord:
+def _parse_block(fh) -> np.ndarray | None:
+    """The rest of an open record as one array, or None for the loop to read.
+
+    `np.loadtxt` accepts a subset of what `float()` accepts and gives the
+    same doubles, so a finite, non-empty result is the loop's result. An
+    empty block, a non-finite value and every parse or decode error are
+    left to `_read_rows`, whose errors name the line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not values.size or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_rows(path: str | os.PathLike) -> np.ndarray:
+    """Read a record's data block line by line; errors name the line."""
     with _read_text(path, FeederFormatError) as fh:
-        first = fh.readline()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise FeederFormatError(
-                f"{path}: line 1: not a JSON header: {exc}") from None
-        if not isinstance(header, dict) or header.get("kind") != "probing-record":
-            raise FeederFormatError(f"{path}: not a probing record")
+        fh.readline()
         rows, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -148,6 +165,23 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
         lineno = linenos[int(np.argmin(finite.all(axis=1)))]
         raise FeederFormatError(
             f"{path}: line {lineno}: measurement values must be finite")
+    return values
+
+
+def load_record(path: str | os.PathLike) -> ProbingRecord:
+    """Read a probing record written by `save_record`."""
+    with _read_text(path, FeederFormatError) as fh:
+        first = fh.readline()
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise FeederFormatError(
+                f"{path}: line 1: not a JSON header: {exc}") from None
+        if not isinstance(header, dict) or header.get("kind") != "probing-record":
+            raise FeederFormatError(f"{path}: not a probing record")
+        values = _parse_block(fh)
+    if values is None:
+        values = _read_rows(path)
     bus, count = f"{path}: bus", f"{path}: period count"
     try:
         buses = [as_int(b, FeederFormatError, bus) for b in header["buses"]]

@@ -108,10 +108,17 @@ class ProbingPlan:
     def blocks(buses: Sequence[int], delta: Mapping[int, float] | Sequence[float],
                periods: int | Mapping[int, int] | Sequence[int]) -> "ProbingPlan":
         buses = tuple(as_int(b, ConfigError, "probing bus") for b in buses)
+
+        def per_bus(table: Mapping, what: str) -> list:
+            for b in buses:
+                if b not in table:
+                    raise ConfigError(f"probing bus {b} has no {what}")
+            return [table[b] for b in buses]
+
         if isinstance(delta, Mapping):
-            delta = [delta[b] for b in buses]
+            delta = per_bus(delta, "delta")
         if isinstance(periods, Mapping):
-            periods = [periods[b] for b in buses]
+            periods = per_bus(periods, "period count")
         elif not isinstance(periods, Iterable):
             periods = [periods] * len(buses)
         return ProbingPlan(buses=buses, delta=tuple(float(d) for d in delta),

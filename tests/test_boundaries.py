@@ -597,3 +597,37 @@ REPRODUCTIONS = [
 def test_truncating_inputs_raise_typed_errors(error, call):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProbingPlan.blocks([2], {1: 0.1}, 1),
+    lambda: ProbingPlan.blocks([2], [0.1], {1: 3}),
+])
+def test_plan_mapping_without_a_bus_names_it(call):
+    with pytest.raises(ConfigError, match="probing bus 2 "):
+        call()
+
+
+# A bool hashes and compares equal to bus 0 or bus 1, which both trees hold.
+TREE_LOOKUPS = {
+    "depth": lambda g, m: g.depth(m),
+    "parent": lambda g, m: g.parent(m),
+    "children": lambda g, m: g.children(m),
+    "ancestors": lambda g, m: g.ancestors(m),
+    "ancestor_at": lambda g, m: g.ancestor_at(m, g.ROOT_DEPTH),
+    "descendants": lambda g, m: g.descendants(m),
+    "path_r": lambda g, m: g.path_r(m),
+    "path_x": lambda g, m: g.path_x(m),
+    "level_sets": lambda g, m: level_sets(g, m),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("lookup", TREE_LOOKUPS.values(), ids=TREE_LOOKUPS)
+def test_tree_lookups_reject_bools(lookup, flag):
+    grid = ReducedGrid(0, [(0, 1, 1.0), (1, 2, 1.0)], probing=[1, 2],
+                       internal=[], root_upstream_r=0.0)
+    for g in (y_feeder(2), grid):
+        lookup(g, int(flag))
+        with pytest.raises(UnknownNode):
+            lookup(g, flag)

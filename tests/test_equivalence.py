@@ -7,23 +7,32 @@ per-rule and per-mode loops and the pairwise set scans; on consistent
 and on corrupted inputs the two must agree exactly: the same groups and
 bitwise-equal values, the same grid and bitwise-equal line resistances,
 the same families, or the same exception class carrying the same
-recursion state or message.
+recursion state or message. The record reader's one-call parse is held
+to the earlier line loop the same way, on valid and perturbed files.
 """
 
+import json
+import math
+import os
+import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridprobe import (GridProbeError, assemble_families, build_feeder,
-                       group_column_exact, group_column_noisy, level_sets,
-                       metered_level_sets, recover_full, recover_partial,
-                       resistance_matrix)
+                       fileio, group_column_exact, group_column_noisy,
+                       level_sets, metered_level_sets, recover_full,
+                       recover_partial, resistance_matrix)
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
-                     reference_group_noisy, reference_recover_full,
-                     reference_recover_partial)
+                     reference_group_noisy, reference_load_record,
+                     reference_recover_full, reference_recover_partial)
 
 
 def grouping_outcome(fn, *args, **kwargs):
@@ -268,3 +277,164 @@ def test_family_check_errors_match_reference():
         for tol in (1e-9, 0.5):
             assert assemble_outcome(assemble_families, gl, tol) == \
                 assemble_outcome(reference_assemble_families, gl, tol)
+
+
+# -- record reader ------------------------------------------------------------
+
+READER = settings(max_examples=300, deadline=None, database=None)
+
+# Finite doubles at the edges of the format: signed zero, the smallest
+# subnormal, the normal/subnormal boundary, the largest double, and
+# 17-digit values whose last digit matters.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.30000000000000004,
+               1.0000000000000002, 9007199254740993.0, 1e-300, 1e300]
+# Spellings that parse to a finite double: underflow to zero or to the
+# smallest subnormal, rounding to the largest double, signs, case, spaces.
+EDGE_TOKENS = ["1e-400", "-1e-400", "2.4703282292062328e-324",
+               "2.4703282292062327e-324", "1.7976931348623158e308",
+               "+1.5", ".5", "5.", "1E+05", "0000.100", " 1.0 ",
+               "\t-2e-7\t", "1.00000000000000000000000000001"]
+FORMATS = [repr, "{:.17g}".format, "{:.17e}".format, "{:.17G}".format,
+           "{:+.3e}".format, "{:.1f}".format]
+
+finite_cells = (
+    st.builds(lambda v, fmt: fmt(v),
+              st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from(EDGE_FLOATS),
+              st.sampled_from(FORMATS)).filter(lambda t: math.isfinite(float(t)))
+    | st.sampled_from(EDGE_TOKENS))
+
+# Lines the loop skips or rejects, and cells the loop accepts and
+# np.loadtxt does not (1_0, Arabic-Indic digits), or neither accepts.
+JUNK_LINES = ["", "   ", "\t", "\x0c", "\x1c", "\u2003", "#", "# note",
+              "1,2,3,4,5,6,7", ","]
+JUNK_CELLS = ["1_0", "\u0661", "\u0661.\u0665", "", " ", "nan", "NaN",
+              "inf", "-inf", "Infinity", "1e400", "-1e400", "#", "#1",
+              "0x10", "1d5", "1 2", "\u20031", "1\x00", "1\r2", "\ufeff1"]
+
+
+def record_header(rows, cols, seed):
+    return json.dumps({
+        "kind": "probing-record", "mode": "complete",
+        "row_nodes": list(range(1, rows + 1)), "buses": [1],
+        "delta": [0.1], "periods": [cols], "matrix": None, "seed": seed})
+
+
+@st.composite
+def valid_records(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.lists(finite_cells, min_size=cols,
+                                   max_size=cols),
+                          min_size=rows, max_size=rows))
+    seed = draw(st.none() | st.integers(0, 2**70))
+    return [record_header(rows, cols, seed)] + [",".join(r) for r in cells]
+
+
+def perturb(draw, lines):
+    """One edit to a valid record's lines (the header is line 0)."""
+    lines = list(lines)
+    kinds = ["line", "crlf"]
+    if len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        kinds += ["cell", "trailing", "ragged", "empty"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "line":
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(JUNK_LINES)))
+    elif kind == "cell":
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(JUNK_CELLS))
+        lines[row] = ",".join(cells)
+    elif kind == "trailing":
+        lines[row] += ","
+    elif kind == "ragged":
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:-1] if len(cells) > 1 else cells * 2)
+    elif kind == "empty":
+        lines = lines[:1]
+    else:
+        lines = [line + "\r" for line in lines]
+    return lines
+
+
+@st.composite
+def perturbed_records(draw):
+    lines = draw(valid_records())
+    for _ in range(draw(st.integers(1, 3))):
+        lines = perturb(draw, lines)
+    return lines
+
+
+def read_both(lines, newline="\n"):
+    """Write the lines as one file; both readers' records or errors.
+
+    Warnings are errors here: np.loadtxt warns on an empty block, and
+    that warning must not escape the reader.
+    """
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "probe.rec")
+        with open(path, "wb") as fh:
+            fh.write(newline.join(lines).encode("utf-8") + b"\n")
+        outcomes = []
+        for reader in (fileio.load_record, reference_load_record):
+            try:
+                outcomes.append(reader(path))
+            except GridProbeError as exc:
+                outcomes.append((type(exc), str(exc)))
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            fast = fileio._parse_block(fh)
+    return outcomes, fast
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()  # -0.0 too
+    assert (got.mode, got.row_nodes, got.seed) == \
+        (want.mode, want.row_nodes, want.seed)
+    assert (got.plan.buses, got.plan.delta, got.plan.periods) == \
+        (want.plan.buses, want.plan.delta, want.plan.periods)
+    assert got.plan.matrix is None and want.plan.matrix is None
+
+
+@READER
+@given(valid_records())
+def test_record_reader_matches_reference_on_valid_files(lines):
+    (got, want), fast = read_both(lines)
+    assert not isinstance(want, tuple), want
+    assert fast is not None  # the one-call parse read it, not the loop
+    assert_same_outcome(got, want)
+
+
+@READER
+@given(perturbed_records())
+def test_record_reader_matches_reference_on_perturbed_files(lines):
+    (got, want), _ = read_both(lines)
+    assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("edit", [
+    "", "   ", "\t", "\x0c", "# note", "1_0,2", "\u0661,2", ",2", "1,2,",
+    "1", "1,2,3", "nan,2", "1,inf", "1e400,2", "1,-1e400"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_record_reader_matches_reference_on_listed_edits(edit, newline):
+    lines = [record_header(2, 2, 7), "0.5,-0.0", "5e-324,1.7976931348623157e308"]
+    for at in (1, 2, 3):
+        outcomes, _ = read_both(lines[:at] + [edit] + lines[at:], newline)
+        assert_same_outcome(*outcomes)
+
+
+@pytest.mark.parametrize("data", [[], [""], ["", "  "], ["\x0c"]])
+def test_record_reader_matches_reference_on_empty_blocks(data):
+    (got, want), fast = read_both([record_header(1, 1, None)] + data)
+    assert fast is None
+    assert isinstance(want, tuple)
+    assert_same_outcome(got, want)
