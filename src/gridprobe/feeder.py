@@ -152,10 +152,21 @@ class FeederGraph:
         return self._children[m]
 
     def line_r(self, u: int, v: int) -> float:
-        return self._r[(u, v)]
+        return self._line(self._r, u, v)
 
     def line_x(self, u: int, v: int) -> float | None:
-        return self._x[(u, v)]
+        return self._line(self._x, u, v)
+
+    def _line(self, table: dict, u: int, v: int):
+        # compare_graphs reads every line, so plain ints skip _check.
+        if type(u) is not int or type(v) is not int:
+            self._check(u)
+            self._check(v)
+        try:
+            return table[(u, v)]
+        except KeyError:
+            raise UnknownNode(f"no line from bus {u} to bus {v} "
+                              f"in the feeder") from None
 
     @property
     def leaves(self) -> frozenset[int]:
@@ -208,6 +219,8 @@ class FeederGraph:
 
     def lca(self, m: int, n: int) -> int:
         """Deepest common bus of the two root paths."""
+        self._check(m)
+        self._check(n)
         a, b = self._ancestry[m], self._ancestry[n]
         last = self._root
         for u, v in zip(a, b):

@@ -116,7 +116,7 @@ def save_record(record: ProbingRecord, path: str | os.PathLike) -> None:
         json.dump(header, fh)
         fh.write("\n")
         for row in record.values:
-            fh.write(",".join(repr(v) for v in row.tolist()))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

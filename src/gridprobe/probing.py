@@ -220,9 +220,12 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     """Generate the voltage-deviation record of a probing campaign.
 
     Complete mode reports all non-substation buses; partial mode reports
-    probing buses only. Injection deviations at non-probing buses and
-    measurement noise are redrawn independently every period. The record
-    carries noise.seed, or no seed when an explicit rng drew the noise.
+    probing buses only. Only noise that reaches the reported rows is
+    drawn, redrawn independently every period: injection deviations
+    (sigma_p, sigma_q) at the non-probing buses, none when every bus
+    probes, and measurement noise (sigma_w) on the reported rows alone.
+    The record carries noise.seed, or no seed when an explicit rng drew
+    the noise.
     """
     order = g.bus_order
     pos = {b: i for i, b in enumerate(order)}
@@ -233,32 +236,37 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
         raise ConfigError(f"unknown mode {mode!r}")
 
     seed = noise.seed if rng is None else None
-    rmat = resistance_matrix(g)
-    dmat = plan.injections()
+    rmat = resistance_matrix(g).values
     cols = [pos[b] for b in plan.buses]
-    v = rmat.values[:, cols] @ dmat
+    rows = cols if mode == "partial" else list(range(len(order)))
+    if plan.is_block:
+        # Each period has one nonzero injection, so this is bitwise the
+        # product with the block injection matrix.
+        v = np.repeat(rmat[np.ix_(rows, cols)] * np.array(plan.delta),
+                      plan.periods, axis=1)
+    else:
+        v = (rmat[:, cols] @ plan.injections())[rows, :]
 
     if not noise.silent:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
-        n, t = len(order), plan.total_periods
-        if noise.sigma_p > 0:
-            shake = rng.standard_normal((n, t))
-            shake[cols, :] = 0.0
-            v = v + noise.sigma_p * (rmat.values @ shake)
+        t = plan.total_periods
+        probing = set(cols)
+        free = [i for i in range(len(order)) if i not in probing]
+        if noise.sigma_p > 0 and free:
+            shake = rng.standard_normal((len(free), t))
+            v += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
         if noise.sigma_q > 0:
-            xmat = reactance_matrix(g)
-            shake = rng.standard_normal((n, t))
-            shake[cols, :] = 0.0
-            v = v + noise.sigma_q * (xmat.values @ shake)
+            # Raises for lines without reactance even when no bus is free.
+            xmat = reactance_matrix(g).values
+            if free:
+                shake = rng.standard_normal((len(free), t))
+                v += noise.sigma_q * (xmat[np.ix_(rows, free)] @ shake)
         if noise.sigma_w > 0:
-            v = v + noise.sigma_w * rng.standard_normal((n, t))
+            v += noise.sigma_w * rng.standard_normal(v.shape)
 
-    if mode == "partial":
-        rows = [pos[b] for b in plan.buses]
-        return ProbingRecord(mode=mode, row_nodes=plan.buses,
-                             values=v[rows, :], plan=plan, seed=seed)
-    return ProbingRecord(mode=mode, row_nodes=order, values=v,
+    row_nodes = plan.buses if mode == "partial" else order
+    return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
 
 

@@ -16,11 +16,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from gridprobe import (AmbiguousIntersection, EmptyPartition, FeederGraph,
-                       FeederFormatError, InconsistentLevelSets,
-                       InconsistentMeteredSets, ProbingPlan, ProbingRecord,
-                       RecoveryReport, ReducedGrid, build_feeder, level_sets,
-                       metered_level_sets, reduce_grid, resistance_matrix)
+from gridprobe import (AmbiguousIntersection, ConfigError, EmptyPartition,
+                       FeederGraph, FeederFormatError, InconsistentLevelSets,
+                       InconsistentMeteredSets, NoiseModel, ProbingPlan,
+                       ProbingRecord, RecoveryReport, ReducedGrid,
+                       UnknownProbingBus, build_feeder, level_sets,
+                       metered_level_sets, reactance_matrix, reduce_grid,
+                       resistance_matrix)
 from gridprobe.errors import as_int
 from gridprobe.fileio import _read_text
 
@@ -427,13 +429,14 @@ def _reference_check_pairwise(families, value_tol):
                         f"columns {m} and {s} disagree above depth {k_ms}")
 
 
-# -- reference record reader --------------------------------------------------
+# -- reference record reader and writer ---------------------------------------
 #
 # The earlier record reader, which converts every value with its own
 # float() call. The library now parses the data block with one np.loadtxt
 # call and keeps this loop only to decide the blocks that call rejects;
 # this copy pins down that every file still gives the same record or the
-# same error and message.
+# same error and message. The earlier writer, likewise, pins down that the
+# library's writer gives the same bytes.
 
 
 def reference_load_record(path: str | os.PathLike) -> ProbingRecord:
@@ -485,6 +488,79 @@ def reference_load_record(path: str | os.PathLike) -> ProbingRecord:
                              seed=header.get("seed"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FeederFormatError(f"{path}: malformed record: {exc}") from None
+
+
+def reference_save_record(record: ProbingRecord,
+                          path: str | os.PathLike) -> None:
+    """The earlier record writer, one repr call per value."""
+    plan = record.plan
+    header = {
+        "kind": "probing-record",
+        "mode": record.mode,
+        "row_nodes": list(record.row_nodes),
+        "buses": list(plan.buses),
+        "delta": list(plan.delta) if plan.delta is not None else None,
+        "periods": list(plan.periods) if plan.periods is not None else None,
+        "matrix": None if plan.matrix is None else plan.matrix.tolist(),
+        "seed": record.seed,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+        fh.write("\n")
+        for row in record.values:
+            fh.write(",".join(repr(v) for v in row.tolist()))
+            fh.write("\n")
+
+
+# -- reference simulator ------------------------------------------------------
+#
+# The earlier simulator, which draws injection and meter noise for every
+# bus and then discards the probing rows' injection noise (and, in partial
+# mode, every non-probing row). The library now draws only the noise the
+# record keeps; this copy pins down that noise-free records are bitwise
+# the same and noisy ones have the same distribution.
+
+
+def reference_simulate_probing(g: FeederGraph, plan: ProbingPlan,
+                               noise: NoiseModel, mode: str = "complete",
+                               rng: np.random.Generator | None = None
+                               ) -> ProbingRecord:
+    order = g.bus_order
+    pos = {b: i for i, b in enumerate(order)}
+    for b in plan.buses:
+        if b not in pos:
+            raise UnknownProbingBus(f"bus {b} cannot probe")
+    if mode not in ("complete", "partial"):
+        raise ConfigError(f"unknown mode {mode!r}")
+
+    seed = noise.seed if rng is None else None
+    rmat = resistance_matrix(g)
+    dmat = plan.injections()
+    cols = [pos[b] for b in plan.buses]
+    v = rmat.values[:, cols] @ dmat
+
+    if not noise.silent:
+        if rng is None:
+            rng = np.random.default_rng(noise.seed)
+        n, t = len(order), plan.total_periods
+        if noise.sigma_p > 0:
+            shake = rng.standard_normal((n, t))
+            shake[cols, :] = 0.0
+            v = v + noise.sigma_p * (rmat.values @ shake)
+        if noise.sigma_q > 0:
+            xmat = reactance_matrix(g)
+            shake = rng.standard_normal((n, t))
+            shake[cols, :] = 0.0
+            v = v + noise.sigma_q * (xmat.values @ shake)
+        if noise.sigma_w > 0:
+            v = v + noise.sigma_w * rng.standard_normal((n, t))
+
+    if mode == "partial":
+        rows = [pos[b] for b in plan.buses]
+        return ProbingRecord(mode=mode, row_nodes=plan.buses,
+                             values=v[rows, :], plan=plan, seed=seed)
+    return ProbingRecord(mode=mode, row_nodes=order, values=v,
+                         plan=plan, seed=seed)
 
 
 # -- structural claims behind the recovery algorithms -------------------------

@@ -619,6 +619,10 @@ TREE_LOOKUPS = {
     "path_r": lambda g, m: g.path_r(m),
     "path_x": lambda g, m: g.path_x(m),
     "level_sets": lambda g, m: level_sets(g, m),
+    "lca": lambda g, m: g.lca(m, 2),
+    "lca_right": lambda g, m: g.lca(2, m),
+    "line_r": lambda g, m: g.line_r(m, int(m) + 1),
+    "line_x": lambda g, m: g.line_x(m, int(m) + 1),
 }
 
 
@@ -631,3 +635,19 @@ def test_tree_lookups_reject_bools(lookup, flag):
         lookup(g, int(flag))
         with pytest.raises(UnknownNode):
             lookup(g, flag)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.lca(9, 2),
+    lambda g: g.lca(2, 9),
+    lambda g: g.line_r(9, 2),
+    lambda g: g.line_r(2, 1),
+    lambda g: g.line_r(0, True),
+    lambda g: g.line_x(1, np.int64(9)),
+    lambda g: g.line_x(0, np.True_),
+])
+def test_line_and_lca_lookups_raise_unknown_node(call):
+    g = y_feeder(2)
+    assert g.line_r(np.int64(1), np.int64(2)) == 2.0
+    with pytest.raises(UnknownNode):
+        call(g)

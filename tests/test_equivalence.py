@@ -8,7 +8,11 @@ and on corrupted inputs the two must agree exactly: the same groups and
 bitwise-equal values, the same grid and bitwise-equal line resistances,
 the same families, or the same exception class carrying the same
 recursion state or message. The record reader's one-call parse is held
-to the earlier line loop the same way, on valid and perturbed files.
+to the earlier line loop the same way, on valid and perturbed files, and
+the record writer to the earlier one value-at-a-time writer byte for
+byte. The simulator, which now draws only the noise a record keeps, is
+held to the earlier one that drew every bus's noise: noise-free records
+bitwise, noisy ones in per-entry mean and variance of the estimate.
 """
 
 import json
@@ -24,15 +28,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridprobe import (GridProbeError, assemble_families, build_feeder,
-                       fileio, group_column_exact, group_column_noisy,
-                       level_sets, metered_level_sets, recover_full,
-                       recover_partial, resistance_matrix)
+from gridprobe import (GridProbeError, NoiseModel, ProbingPlan,
+                       ProbingRecord, assemble_families, build_feeder,
+                       estimate_resistances, fileio, group_column_exact,
+                       group_column_noisy, level_sets, metered_level_sets,
+                       recover_full, recover_partial, resistance_matrix,
+                       simulate_probing)
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
                      reference_group_noisy, reference_load_record,
-                     reference_recover_full, reference_recover_partial)
+                     reference_recover_full, reference_recover_partial,
+                     reference_save_record, reference_simulate_probing)
 
 
 def grouping_outcome(fn, *args, **kwargs):
@@ -438,3 +445,130 @@ def test_record_reader_matches_reference_on_empty_blocks(data):
     assert fast is None
     assert isinstance(want, tuple)
     assert_same_outcome(got, want)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(EDGE_FLOATS),
+                         min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_record_writer_matches_reference_bytes(rows):
+    values = np.array(rows, dtype=float)
+    plan = ProbingPlan.blocks([1], [0.1], values.shape[1])
+    record = ProbingRecord(mode="complete",
+                           row_nodes=tuple(range(1, len(rows) + 1)),
+                           values=values, plan=plan, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "a.rec"), os.path.join(tmp, "b.rec")
+        fileio.save_record(record, got)
+        reference_save_record(record, want)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+# -- simulator ----------------------------------------------------------------
+
+
+def random_plans(rng, g):
+    """A block plan and a general plan over a random probing set."""
+    buses = sorted(random_probing(rng, g))
+    delta = [float(d) for d in rng.uniform(0.05, 1.0, len(buses))]
+    periods = [int(t) for t in rng.integers(1, 5, len(buses))]
+    matrix = rng.normal(size=(len(buses), len(buses) + 2))
+    return (ProbingPlan.blocks(buses, delta, periods),
+            ProbingPlan.general(buses, matrix))
+
+
+def assert_same_record(got, want):
+    assert (got.mode, got.row_nodes, got.seed, got.plan) == \
+        (want.mode, want.row_nodes, want.seed, want.plan)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_noise_free_records_match_reference_bitwise():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        _, g = random_feeder(rng, max_buses=20)
+        for plan in random_plans(rng, g):
+            for mode in ("complete", "partial"):
+                # A seeded silent model carries its seed into the record.
+                for noise in (NoiseModel(), NoiseModel(seed=4)):
+                    assert_same_record(
+                        simulate_probing(g, plan, noise, mode=mode),
+                        reference_simulate_probing(g, plan, noise,
+                                                   mode=mode))
+        every = ProbingPlan.blocks(g.bus_order, [0.1] * len(g.bus_order), 2)
+        assert_same_record(simulate_probing(g, every, NoiseModel()),
+                           reference_simulate_probing(g, every, NoiseModel()))
+
+
+def test_simulator_errors_match_reference():
+    # Lines without reactance: sigma_q > 0 needs the reactance matrix even
+    # when every bus probes and no injection noise is drawn.
+    g = build_feeder([(0, 1, 0.1), (1, 2, 0.2), (1, 3, 0.3)])
+    cases = [(ProbingPlan.blocks([2, 3], [0.1, 0.1], 2),
+              NoiseModel(sigma_q=1e-3), "complete"),
+             (ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2),
+              NoiseModel(sigma_q=1e-3), "complete"),
+             (ProbingPlan.blocks([2, 3], [0.1, 0.1], 2),
+              NoiseModel(sigma_q=1e-3), "partial"),
+             (ProbingPlan.blocks([2, 9], [0.1, 0.1], 2),
+              NoiseModel(), "complete"),
+             (ProbingPlan.blocks([2, 3], [0.1, 0.1], 2),
+              NoiseModel(), "metered")]
+    for plan, noise, mode in cases:
+        outcomes = []
+        for simulate in (simulate_probing, reference_simulate_probing):
+            with pytest.raises(GridProbeError) as err:
+                simulate(g, plan, noise, mode=mode)
+            outcomes.append((type(err.value), str(err.value)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_complete_probing_draws_meter_noise_only():
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        _, g = random_feeder(rng, max_buses=20)
+        order = g.bus_order
+        plan = ProbingPlan.blocks(order, [0.1] * len(order),
+                                  int(rng.integers(1, 6)))
+        seed = int(rng.integers(2**32))
+        full = simulate_probing(g, plan,
+                                NoiseModel(sigma_p=1e-3, sigma_q=2e-3,
+                                           sigma_w=1e-4),
+                                rng=np.random.default_rng(seed))
+        meter = simulate_probing(g, plan, NoiseModel(sigma_w=1e-4),
+                                 rng=np.random.default_rng(seed))
+        assert_same_record(full, meter)
+
+
+def estimate_moments(simulate, g, plan, noise, mode, seed, trials):
+    rng = np.random.default_rng(seed)
+    est = np.array([estimate_resistances(
+        simulate(g, plan, noise, mode=mode, rng=rng)).values
+        for _ in range(trials)])
+    return est.mean(axis=0), est.var(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_noisy_estimates_match_reference_in_distribution(mode):
+    # Eight buses, four probing: injection noise from the four others
+    # reaches every reported row. The three noise sources are of one
+    # size, so dropping or misrouting any one of them moves the variance
+    # of some entry by far more than the band allows.
+    g = build_feeder([(0, 1, 0.3, 0.2), (1, 2, 0.2, 0.4), (2, 3, 0.5, 0.3),
+                      (1, 4, 0.4, 0.1), (4, 5, 0.1, 0.3), (2, 6, 0.3, 0.3),
+                      (6, 7, 0.2, 0.2), (4, 8, 0.6, 0.5)])
+    plan = ProbingPlan.blocks([3, 5, 7, 8], [0.1, 0.2, 0.1, 0.3], [2, 3, 2, 4])
+    noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
+    trials = 4000
+    mean, var = estimate_moments(simulate_probing, g, plan, noise, mode, 73,
+                                 trials)
+    ref_mean, ref_var = estimate_moments(reference_simulate_probing, g,
+                                         plan, noise, mode, 74, trials)
+    # Five standard errors of the difference of two independent sample
+    # means, and of two sample variances (Gaussian entries).
+    assert np.all(np.abs(mean - ref_mean)
+                  <= 5 * np.sqrt((var + ref_var) / trials))
+    assert np.all(np.abs(var - ref_var)
+                  <= 5 * np.sqrt(2 / (trials - 1)) * np.hypot(var, ref_var))
