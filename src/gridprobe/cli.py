@@ -16,8 +16,10 @@ import sys
 
 from . import fileio
 from .errors import ConfigError, GridProbeError
-from .experiments import ExperimentConfig, run_experiment, write_results
-from .grouping import assemble_families, group_column_exact, group_column_noisy
+from .experiments import (ExperimentConfig, identify, run_experiment,
+                          write_results)
+# `identify` runs these stages; perfbench/tracer.py still wraps them here.
+from .grouping import assemble_families, group_column_noisy
 from .probing import ProbingPlan, estimate_resistances, simulate_probing
 from .recovery import recover_full, recover_partial
 from .reduction import reduce_grid
@@ -59,17 +61,22 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read a YAML config, replacing each key whose override is not None."""
+    raw = fileio.load_config(path)
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
+    return ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(path)
+                                      or ".")
+
+
 def _cmd_probe(args) -> int:
-    raw = fileio.load_config(args.config)
-    cfg = ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(args.config)
-                                     or ".")
+    cfg = _load_config(args.config, seed=args.seed)
     g = fileio.load_feeder(cfg.feeder_path)
     buses = cfg.probing_buses(g)
     delta = cfg.delta_map(buses)
-    periods = args.periods if args.periods else max(cfg.periods)
+    periods = max(cfg.periods) if args.periods is None else args.periods
     plan = ProbingPlan.blocks(buses, delta, periods)
-    seed = cfg.seed if args.seed is None else args.seed
-    noise = dataclasses.replace(cfg.noise, seed=seed)
+    noise = dataclasses.replace(cfg.noise, seed=cfg.seed)
     record = simulate_probing(g, plan, noise, mode=cfg.mode)
     fileio.save_record(record, args.out)
     print(json.dumps({"out": args.out, "mode": cfg.mode,
@@ -79,19 +86,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_recover(args) -> int:
     record = fileio.load_record(args.record)
-    estimate = estimate_resistances(record)
-    buses = list(estimate.col_nodes)
-    if args.r_min is None:
-        groupings = [group_column_exact(estimate.column(m), m,
-                                        mode=record.mode) for m in buses]
-        tol = 1e-9
-    else:
-        groupings = [group_column_noisy(estimate.column(m), m, args.r_min,
-                                        mode=record.mode) for m in buses]
-        tol = args.r_min / 2
-    families = assemble_families(groupings, value_tol=tol)
-    report = (recover_full(families) if record.mode == "complete"
-              else recover_partial(families))
+    report = identify(estimate_resistances(record), args.r_min, record.mode)
     if args.out:
         fileio.save_report(report, args.out)
         print(json.dumps({"out": args.out, "mode": report.mode,
@@ -103,13 +98,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    raw = fileio.load_config(args.config)
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(raw, base_dir=os.path.dirname(args.config)
-                                     or ".")
+    cfg = _load_config(args.config, trials=args.trials, seed=args.seed)
     result = run_experiment(cfg)
     write_results(result, args.out)
     print("T_m,error_pct,mpe_pct")
@@ -166,12 +155,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GridProbeError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}),
+    except (GridProbeError, OSError) as exc:
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}),
               file=sys.stderr)
         return 1
 

@@ -63,34 +63,27 @@ class InconsistentLevelSets(GridProbeError):
     """Recovered level-set families contradict each other or basic sanity rules."""
 
 
-class AmbiguousIntersection(GridProbeError):
-    """A recursion step did not pinpoint a unique bus.
-
-    Carries the recursion state so failures can be reported with context.
-    """
+class _RecursionStateError(GridProbeError):
+    """A recovery error that carries the recursion state (depth and the
+    buses in play) so failures can be reported with context."""
 
     def __init__(self, message: str, depth: int | None = None,
                  buses: frozenset[int] | None = None):
         super().__init__(message)
         self.depth = depth
         self.buses = buses
+
+
+class AmbiguousIntersection(_RecursionStateError):
+    """A recursion step did not pinpoint a unique bus."""
 
 
 class EmptyPartition(GridProbeError):
     """A recursion step received or produced an empty probing group."""
 
 
-class InconsistentMeteredSets(GridProbeError):
-    """Partial-data recursion found metered level sets that admit no tree.
-
-    Carries the recursion state so failures can be reported with context.
-    """
-
-    def __init__(self, message: str, depth: int | None = None,
-                 buses: frozenset[int] | None = None):
-        super().__init__(message)
-        self.depth = depth
-        self.buses = buses
+class InconsistentMeteredSets(_RecursionStateError):
+    """Partial-data recursion found metered level sets that admit no tree."""
 
 
 class LabelMismatch(GridProbeError):

@@ -1,8 +1,9 @@
-"""Monte Carlo experiment driver for probing-based feeder identification.
+"""The identification pipeline and the Monte Carlo sweeps built on it.
 
-An experiment sweeps the per-bus probing duration over a list of values
-and, for each one, repeatedly simulates probing on a known feeder,
-runs the full recovery pipeline and scores the result against ground
+`identify` turns a resistance estimate into a recovered grid; the
+`recover` command and every sweep trial call it. A sweep runs over a list
+of per-bus probing durations and, for each, repeatedly simulates probing
+on a known feeder, identifies the grid and scores it against ground
 truth. Trials that raise any pipeline error count as topology errors;
 per-trial seeds are derived from (seed, periods, trial) so results do not
 depend on execution order.
@@ -24,10 +25,12 @@ import numpy as np
 from . import fileio
 from .errors import ConfigError, GridProbeError, as_int
 from .feeder import FeederGraph
-from .grouping import assemble_families, group_column_noisy
-from .probing import (NoiseModel, ProbingPlan, estimate_resistances,
-                      simulate_probing)
-from .recovery import compare_graphs, recover_full, recover_partial
+from .grouping import (assemble_families, group_column_exact,
+                       group_column_noisy)
+from .probing import (NoiseModel, ProbingPlan, ResistanceEstimate,
+                      estimate_resistances, simulate_probing)
+from .recovery import (RecoveryReport, compare_graphs, recover_full,
+                       recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -182,19 +185,27 @@ class ExperimentResult:
         raise KeyError(periods)
 
 
-def _single_trial(g, truth, cfg, plan, periods, trial):
-    rng = np.random.default_rng((cfg.seed, periods, trial))
-    record = simulate_probing(g, plan, cfg.noise, mode=cfg.mode, rng=rng)
-    estimate = estimate_resistances(record)
-    groupings = [group_column_noisy(estimate.column(m), m, cfg.r_min,
-                                    mode=cfg.mode)
-                 for m in plan.buses]
-    families = assemble_families(groupings, value_tol=cfg.r_min / 2)
-    if cfg.mode == "complete":
-        report = recover_full(families)
+def identify(estimate: ResistanceEstimate, r_min: float | None,
+             mode: str) -> RecoveryReport:
+    """Group each column into level sets, check that the families agree,
+    and rebuild the feeder (complete mode) or its reduced grid (partial).
+
+    r_min None groups exactly and matches values to 1e-9; a number groups
+    by the gap rule with cut r_min / 2 and matches values to r_min / 2.
+    Stages resolve through this module's globals, where perfbench/tracer.py
+    wraps them.
+    """
+    cols = [(estimate.column(m), m) for m in estimate.col_nodes]
+    if r_min is None:
+        groupings = [group_column_exact(c, m, mode=mode) for c, m in cols]
+        tol = 1e-9
     else:
-        report = recover_partial(families)
-    return compare_graphs(report.graph, truth, plan.buses)
+        groupings = [group_column_noisy(c, m, r_min, mode=mode)
+                     for c, m in cols]
+        tol = r_min / 2
+    families = assemble_families(groupings, value_tol=tol)
+    recover = recover_full if mode == "complete" else recover_partial
+    return recover(families)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -218,9 +229,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         correct = 0
         mpes = []
         for trial in range(config.trials):
+            rng = np.random.default_rng((config.seed, periods, trial))
             try:
-                outcome = _single_trial(g, truth, config, plan, periods,
-                                        trial)
+                record = simulate_probing(g, plan, config.noise,
+                                          mode=config.mode, rng=rng)
+                report = identify(estimate_resistances(record),
+                                  config.r_min, config.mode)
+                outcome = compare_graphs(report.graph, truth, plan.buses)
             except GridProbeError:
                 continue
             if outcome.topology_correct:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from numbers import Real
 from typing import Iterable, Mapping
 
 from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
@@ -118,7 +119,7 @@ def group_column_noisy(entries: Mapping[int, float], owner: int,
     below the substation's zero and end up in the shallowest group unless
     the gap rule separates them. The group value is the member mean.
     """
-    if not 0 < r_min < math.inf:
+    if not (isinstance(r_min, Real) and 0 < r_min < math.inf):
         raise NonpositiveRmin(
             f"r_min must be positive and finite, got {r_min}")
     return _group(entries, owner, mode, threshold=r_min / 2.0)
@@ -157,7 +158,7 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     violation means the groupings cannot come from one feeder at the
     claimed noise level.
     """
-    if not 0 <= value_tol < math.inf:
+    if not (isinstance(value_tol, Real) and 0 <= value_tol < math.inf):
         raise ConfigError(
             f"value_tol must be finite and nonnegative, got {value_tol}")
     gl = list(groupings)

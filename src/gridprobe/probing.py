@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if not all(0 <= s < math.inf
+        if not all(isinstance(s, Real) and 0 <= s < math.inf
                    for s in (self.sigma_p, self.sigma_q, self.sigma_w)):
             raise ConfigError("noise deviations must be finite and "
                               "nonnegative")

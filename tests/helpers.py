@@ -20,9 +20,10 @@ from gridprobe import (AmbiguousIntersection, ConfigError, EmptyPartition,
                        FeederGraph, FeederFormatError, InconsistentLevelSets,
                        InconsistentMeteredSets, NoiseModel, ProbingPlan,
                        ProbingRecord, RecoveryReport, ReducedGrid,
-                       UnknownProbingBus, build_feeder, level_sets,
-                       metered_level_sets, reactance_matrix, reduce_grid,
-                       resistance_matrix)
+                       UnknownProbingBus, assemble_families, build_feeder,
+                       group_column_exact, group_column_noisy, level_sets,
+                       metered_level_sets, reactance_matrix, recover_full,
+                       recover_partial, reduce_grid, resistance_matrix)
 from gridprobe.errors import as_int
 from gridprobe.fileio import _read_text
 
@@ -427,6 +428,30 @@ def _reference_check_pairwise(families, value_tol):
                 if fm.at(j) != fs.at(j):
                     raise InconsistentLevelSets(
                         f"columns {m} and {s} disagree above depth {k_ms}")
+
+
+# -- reference identification chain -------------------------------------------
+#
+# The stage chain the `recover` command spelled out before `identify` took
+# it over, copied as it stood: estimate columns in, exact grouping with
+# value_tol 1e-9 when r_min is None, the gap rule with r_min / 2 otherwise,
+# then full or partial recovery by mode.
+
+
+def reference_identify(estimate, r_min, mode):
+    buses = list(estimate.col_nodes)
+    if r_min is None:
+        groupings = [group_column_exact(estimate.column(m), m,
+                                        mode=mode) for m in buses]
+        tol = 1e-9
+    else:
+        groupings = [group_column_noisy(estimate.column(m), m, r_min,
+                                        mode=mode) for m in buses]
+        tol = r_min / 2
+    families = assemble_families(groupings, value_tol=tol)
+    report = (recover_full(families) if mode == "complete"
+              else recover_partial(families))
+    return report
 
 
 # -- reference record reader and writer ---------------------------------------

@@ -20,9 +20,10 @@ from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        LevelSetFamily, NoiseModel, NonpositiveRmin,
                        ProbingPlan, ProbingRecord, ReducedGrid, UnknownNode,
                        assemble_families, build_feeder, cli, design_plan,
-                       group_column_exact, group_column_noisy, level_sets,
-                       load_record, metered_level_sets, reduce_grid,
-                       resistance_matrix)
+                       estimate_resistances, group_column_exact,
+                       group_column_noisy, identify, level_sets, load_record,
+                       metered_level_sets, reduce_grid, resistance_matrix,
+                       simulate_probing)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -112,6 +113,19 @@ def test_negative_probe_seed_exits_with_config_error(tmp_path, capsys):
     rec = tmp_path / "probe.rec"
     capsys.readouterr()
     assert cli.main(["probe", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(rec)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("periods", ["0", "-1"])
+def test_bad_probe_periods_exit_with_config_error(tmp_path, capsys, periods):
+    write_y_feeder(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(BASE_CFG))
+    rec = tmp_path / "probe.rec"
+    capsys.readouterr()
+    assert cli.main(["probe", "--config", str(cfg), "--periods", periods,
                      "--out", str(rec)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not rec.exists()
@@ -590,6 +604,16 @@ REPRODUCTIONS = [
     (ConfigError, lambda: NoiseModel(seed=True)),
     (ConfigError, lambda: ExperimentConfig.from_dict(
         {**BASE_CFG, "trials": "3"})),
+    # Thresholds that are not numbers, on the path `identify` takes.
+    (NonpositiveRmin, lambda: group_column_noisy({1: 0.2}, 1, "a")),
+    (ConfigError, lambda: assemble_families(
+        [group_column_exact({1: 0.2}, 1)], value_tol="a")),
+    (ConfigError, lambda: NoiseModel(sigma_p="a")),
+    (ConfigError, lambda: NoiseModel(sigma_w=None)),
+    (NonpositiveRmin, lambda: identify(
+        estimate_resistances(simulate_probing(
+            y_feeder(2), ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2),
+            NoiseModel())), "a", "complete")),
 ]
 
 

@@ -13,8 +13,13 @@ the record writer to the earlier one value-at-a-time writer byte for
 byte. The simulator, which now draws only the noise a record keeps, is
 held to the earlier one that drew every bus's noise: noise-free records
 bitwise, noisy ones in per-entry mean and variance of the estimate.
+`identify`, the one chain from an estimate to a recovered grid, is held to
+the stage chain the `recover` command spelled out before it: the same
+grid, lines and supports, or the same exception class and message.
 """
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -28,18 +33,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridprobe import (GridProbeError, NoiseModel, ProbingPlan,
-                       ProbingRecord, assemble_families, build_feeder,
-                       estimate_resistances, fileio, group_column_exact,
-                       group_column_noisy, level_sets, metered_level_sets,
-                       recover_full, recover_partial, resistance_matrix,
+from gridprobe import (ExperimentConfig, GridProbeError, NoiseModel,
+                       ProbingPlan, ProbingRecord, assemble_families,
+                       build_feeder, cli, estimate_resistances, experiments,
+                       fileio, group_column_exact, group_column_noisy,
+                       identify, level_sets, metered_level_sets, recover_full,
+                       recover_partial, resistance_matrix, run_experiment,
                        simulate_probing)
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
-                     reference_group_noisy, reference_load_record,
-                     reference_recover_full, reference_recover_partial,
-                     reference_save_record, reference_simulate_probing)
+                     reference_group_noisy, reference_identify,
+                     reference_load_record, reference_recover_full,
+                     reference_recover_partial, reference_save_record,
+                     reference_simulate_probing)
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "src", "gridprobe", "data")
 
 
 def grouping_outcome(fn, *args, **kwargs):
@@ -572,3 +582,137 @@ def test_noisy_estimates_match_reference_in_distribution(mode):
                   <= 5 * np.sqrt((var + ref_var) / trials))
     assert np.all(np.abs(var - ref_var)
                   <= 5 * np.sqrt(2 / (trials - 1)) * np.hypot(var, ref_var))
+
+
+# -- identification pipeline --------------------------------------------------
+
+
+def identify_outcome(fn, estimate, r_min, mode):
+    """Mode, probing set, lines and supports of the report, plus the root,
+    internal buses and upstream r of a reduced grid; or error and message."""
+    try:
+        rep = fn(estimate, r_min, mode)
+    except GridProbeError as exc:
+        return type(exc), str(exc)
+    grid = rep.graph
+    extra = ()
+    if rep.mode == "partial":
+        extra = (grid.root, grid.internal, grid.root_upstream_r)
+    return (rep.mode, rep.probing, grid.edges,
+            tuple(rep.line_support.items())) + extra
+
+
+def assert_identify_matches(estimate, r_min, mode, seen):
+    got = identify_outcome(identify, estimate, r_min, mode)
+    assert got == identify_outcome(reference_identify, estimate, r_min, mode)
+    seen[got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+def test_identify_matches_reference_on_bundled_trials(name):
+    cfg = ExperimentConfig.from_dict(
+        fileio.load_config(os.path.join(DATA, name)), base_dir=DATA)
+    g = fileio.load_feeder(cfg.feeder_path)
+    buses = cfg.probing_buses(g)
+    delta = cfg.delta_map(buses)
+    seen = Counter()
+    for periods in cfg.periods:
+        plan = ProbingPlan.blocks(buses, delta, periods)
+        for trial in range(6):
+            rng = np.random.default_rng((cfg.seed, periods, trial))
+            record = simulate_probing(g, plan, cfg.noise, mode=cfg.mode,
+                                      rng=rng)
+            assert_identify_matches(estimate_resistances(record), cfg.r_min,
+                                    cfg.mode, seen)
+    assert seen["ok"] >= 6 and len(seen) > 1, seen
+
+
+def test_identify_matches_reference_on_noiseless_records():
+    rng = np.random.default_rng(65)
+    seen = Counter()
+    for _ in range(60):
+        _, g = random_feeder(rng, max_buses=20)
+        for mode in ("complete", "partial"):
+            buses = (g.bus_order if mode == "complete"
+                     else sorted(random_probing(rng, g)))
+            plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 2)
+            record = simulate_probing(g, plan, NoiseModel(), mode=mode,
+                                      rng=rng)
+            assert_identify_matches(estimate_resistances(record), None, mode,
+                                    seen)
+    assert seen["ok"] > 60, seen
+
+
+Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
+
+
+def test_identify_matches_reference_when_a_stage_fails():
+    g = build_feeder(Y_EDGES)
+    plan = ProbingPlan.blocks([1, 2, 3], [0.1, 0.1, 0.1], 3)
+    record = simulate_probing(g, plan, NoiseModel(sigma_w=1e-4),
+                              rng=np.random.default_rng(7))
+    estimate = estimate_resistances(record)
+    seen = Counter()
+    # Exact grouping of noisy data, a cut wider than every line, a
+    # non-number threshold, and an unknown mode.
+    for r_min, mode in ((None, "complete"), (100.0, "complete"),
+                        ("a", "complete"), (0.5, "bogus")):
+        assert_identify_matches(estimate, r_min, mode, seen)
+    assert "ok" not in seen and len(seen) >= 2, seen
+
+
+def write_y_config(tmp_path):
+    (tmp_path / "y.csv").write_text("from,to,r_pu,x_pu\n0,1,1.0,1.0\n"
+                                    "1,2,2.0,1.0\n1,3,3.0,1.0\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({
+        "feeder": "y.csv", "mode": "complete", "probing": "all-buses",
+        "periods": [3], "r_min": 0.5, "trials": 2, "seed": 11,
+        "noise": {"sigma_p": 1e-4, "sigma_q": 1e-4, "sigma_w": 1e-4},
+        "delta": {"policy": "fixed", "value_pu": 0.1}}))
+    return cfg
+
+
+STAGES = ("group_column_noisy", "assemble_families", "recover_full")
+
+
+def test_cli_and_sweep_call_the_stages_the_tracer_wraps(tmp_path,
+                                                        monkeypatch):
+    # perfbench/tracer.py swaps these names in gridprobe.experiments for
+    # timing wrappers, and counts grouping entries as len(args[0]).
+    calls, entries = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "group_column_noisy":
+                entries[name] += len(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(experiments, name,
+                            counted(name, getattr(experiments, name)))
+    cfg = write_y_config(tmp_path)
+    rec = tmp_path / "probe.rec"
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
+    assert cli.main(["recover", str(rec), "--r-min", "0.5",
+                     "--out", str(tmp_path / "rep")]) == 0
+    assert calls == {"group_column_noisy": 3, "assemble_families": 1,
+                     "recover_full": 1}
+    assert entries["group_column_noisy"] == 9
+    calls.clear()
+    run_experiment(ExperimentConfig.from_dict(
+        fileio.load_config(cfg), base_dir=str(tmp_path)))
+    assert calls == {"group_column_noisy": 6, "assemble_families": 2,
+                     "recover_full": 2}
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), \
+            (module, attr)
