@@ -18,7 +18,8 @@ from . import fileio
 from .errors import ConfigError, GridProbeError
 from .experiments import (ExperimentConfig, identify, run_experiment,
                           write_results)
-# `identify` runs these stages; perfbench/tracer.py still wraps them here.
+# perfbench/tracer.py wraps these stage names here; `identify` now groups
+# through grouping.group_estimate instead of the two per-column stages.
 from .grouping import assemble_families, group_column_noisy
 from .probing import ProbingPlan, estimate_resistances, simulate_probing
 from .recovery import recover_full, recover_partial

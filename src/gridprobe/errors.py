@@ -117,3 +117,14 @@ def as_int(value, error: type[GridProbeError], what: str,
     if least is not None and value < least:
         raise error(f"{what} must be at least {least}, got {value}")
     return value
+
+
+def as_float(value, error: type[GridProbeError], what: str) -> float:
+    """The one rule for real inputs: whatever `float()` takes comes back as
+    a float; anything else (None, a non-numeric string, a container, an
+    integer too large for a float) raises `error`. Range checks, such as
+    finiteness, are the caller's."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} {value!r} is not a number") from None

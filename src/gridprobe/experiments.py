@@ -23,10 +23,11 @@ from typing import Mapping
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, GridProbeError, as_int
+from .errors import ConfigError, GridProbeError, as_float, as_int
 from .feeder import FeederGraph
-from .grouping import (assemble_families, group_column_exact,
-                       group_column_noisy)
+# `identify` calls group_estimate; perfbench/tracer.py still wraps the
+# per-column stages here.
+from .grouping import assemble_families, group_column_noisy, group_estimate
 from .probing import (NoiseModel, ProbingPlan, ResistanceEstimate,
                       estimate_resistances, simulate_probing)
 from .recovery import (RecoveryReport, compare_graphs, recover_full,
@@ -76,8 +77,16 @@ class ExperimentConfig:
             object.__setattr__(self, key, as_int(getattr(self, key),
                                                  ConfigError, key, least))
         object.__setattr__(self, "loads_kw", {
-            as_int(b, ConfigError, "loads_kw bus"): float(kw)
+            as_int(b, ConfigError, "loads_kw bus"):
+                as_float(kw, ConfigError, f"loads_kw value of bus {b}")
             for b, kw in self.loads_kw.items()})
+        for key, optional in (("r_min", False), ("s_base_kva", False),
+                              ("delta_multiple", False),
+                              ("delta_default_kw", True),
+                              ("delta_value_pu", True)):
+            value = getattr(self, key)
+            if not (optional and value is None):
+                object.__setattr__(self, key, as_float(value, ConfigError, key))
         if isinstance(self.probing, str):
             if self.probing not in PROBING_POLICIES:
                 raise ConfigError(f"unknown probing policy {self.probing!r}")
@@ -192,18 +201,10 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
     r_min None groups exactly and matches values to 1e-9; a number groups
     by the gap rule with cut r_min / 2 and matches values to r_min / 2.
-    Stages resolve through this module's globals, where perfbench/tracer.py
-    wraps them.
+    Stages resolve through this module's globals, so a tracer can wrap
+    them here.
     """
-    cols = [(estimate.column(m), m) for m in estimate.col_nodes]
-    if r_min is None:
-        groupings = [group_column_exact(c, m, mode=mode) for c, m in cols]
-        tol = 1e-9
-    else:
-        groupings = [group_column_noisy(c, m, r_min, mode=mode)
-                     for c, m in cols]
-        tol = r_min / 2
-    families = assemble_families(groupings, value_tol=tol)
+    families = group_estimate(estimate, r_min, mode)
     recover = recover_full if mode == "complete" else recover_partial
     return recover(families)
 

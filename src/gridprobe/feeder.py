@@ -56,8 +56,13 @@ class FeederGraph:
                 u, v, r, x = e
             u = as_int(u, UnknownNode, "bus ID")
             v = as_int(v, UnknownNode, "bus ID")
-            r = float(r)
-            x = None if x is None else float(x)
+            try:
+                r = float(r)
+                x = None if x is None else float(x)
+            except (TypeError, ValueError, OverflowError):
+                raise NonpositiveImpedance(
+                    f"line ({u},{v}) impedance r={r!r} x={x!r} is not a "
+                    f"number") from None
             if not 0 < r < math.inf or (x is not None and not 0 < x < math.inf):
                 raise NonpositiveImpedance(
                     f"line ({u},{v}) has nonpositive or non-finite "

@@ -185,11 +185,13 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
     bus, count = f"{path}: bus", f"{path}: period count"
     try:
         buses = [as_int(b, FeederFormatError, bus) for b in header["buses"]]
+        # Numbers are converted here, so a bad one is a format error.
         if header["matrix"] is not None:
-            plan = ProbingPlan.general(buses, np.asarray(header["matrix"]))
+            plan = ProbingPlan.general(
+                buses, np.array(header["matrix"], dtype=float))
         else:
             plan = ProbingPlan.blocks(
-                buses, dict(zip(buses, header["delta"])),
+                buses, dict(zip(buses, map(float, header["delta"]))),
                 [as_int(t, FeederFormatError, count)
                  for t in header["periods"]])
         return ProbingRecord(mode=header["mode"],

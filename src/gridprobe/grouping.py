@@ -6,6 +6,13 @@ Grouping a column's entries by value therefore reads the owner's level
 sets straight off the data: exactly on clean columns, and by a sorted
 gap rule on noisy ones, where a jump larger than half the smallest line
 resistance marks a boundary between groups.
+
+One gap routine cuts any number of columns at once into a label matrix
+(bus x column owner, each entry the index of the bus's group), and one
+family check runs on that matrix. `group_estimate` feeds them a whole
+resistance estimate; `group_column_exact`, `group_column_noisy` and
+`assemble_families` adapt single columns and ready-made groupings to the
+same two routines.
 """
 
 from __future__ import annotations
@@ -14,13 +21,19 @@ import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from numbers import Real
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
                      as_int)
 from .feeder import LevelSetFamily
+from .probing import ResistanceEstimate
 
 SUBSTATION = 0
+# Elements per temporary array in the blocked steps of the gap routine and
+# the family check, which bounds their memory on large feeders.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,45 +72,288 @@ class ColumnGrouping(LevelSetFamily):
     nodes_at = LevelSetFamily.at
 
 
-def _group(entries: Mapping[int, float], owner: int, mode: str,
-           threshold: float | None) -> ColumnGrouping:
-    """Sort a column and start a new group wherever a gap exceeds the
-    threshold; no threshold means a cut of zero, i.e. exact equality."""
+# -- the gap routine ----------------------------------------------------------
+
+
+class _Cut(NamedTuple):
+    """Columns cut into groups by the gap rule.
+
+    order[:, j] lists the rows of column j by value, ties by bus ID, and
+    ranked[:, j] their values; starts[i, j] marks the sorted row that
+    opens a group. labels[i, j] is the index of the group holding row i
+    in column j, counts[j] the number of groups in column j and
+    values[j, :counts[j]] their values.
+    """
+
+    order: np.ndarray
+    ranked: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+
+
+def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
+    """Sort every column, ties by bus ID, and start a new group wherever
+    the gap to the previous entry exceeds cut (zero for exact grouping).
+
+    A group value is the left-to-right sum of its sorted run, started
+    from 0, divided by the run's length: bit for bit what Python's sum
+    gave before 3.12, on any Python. Pairwise summation (np.mean,
+    np.add.reduceat) rounds differently.
+    """
+    n, m = values.shape
+    cols = np.arange(m)
+    by_bus = np.argsort(buses, kind="stable")
+    order = by_bus[np.argsort(values[by_bus], axis=0, kind="stable")]
+    ranked = values[order, cols]
+    starts = np.ones((n, m), dtype=bool)
+    np.greater(ranked[1:] - ranked[:-1], cut, out=starts[1:])
+    group = np.cumsum(starts, axis=0) - 1
+    labels = np.empty((n, m), dtype=np.min_scalar_type(n))
+    labels[order, cols] = group
+    counts = group[-1] + 1
+
+    # Stack each group's run down the rows of a (1 + run, column, group)
+    # block: a leading 0.0 plays sum()'s start value and trailing -0.0
+    # pads, since x + -0.0 == x for every x. Add down the rows, a block
+    # of columns at a time.
+    rows = np.arange(n)[:, None]
+    place = rows - np.maximum.accumulate(np.where(starts, rows, 0), axis=0)
+    width, gmax = int(place.max()) + 2, int(counts.max())
+    sums = np.empty((m, gmax))
+    step = max(1, _BLOCK // (width * gmax))
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        block = np.full((width, b - a, gmax), -0.0)
+        block[0] = 0.0
+        block[place[:, a:b] + 1, cols[:b - a], group[:, a:b]] = ranked[:, a:b]
+        sums[a:b] = np.add.accumulate(block, axis=0)[-1]
+    sizes = np.bincount((group + cols * gmax).ravel(), minlength=m * gmax)
+    table = sums / np.maximum(sizes, 1).reshape(m, gmax)
+    return _Cut(order, ranked, starts, labels, counts, table)
+
+
+def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
+               metered: bool, threshold: float | None,
+               probing: frozenset[int] | None = None) -> list[ColumnGrouping]:
+    """One ColumnGrouping per cut column."""
+    n = len(buses)
+    bus_cols = buses[cut.order].T.tolist()
+    value_cols = cut.ranked.T.tolist()
+    group_values = cut.values.tolist()
+    firsts = (np.flatnonzero(cut.starts.T.ravel()) % n).tolist()
+    out = []
+    k = 0
+    for j, (owner, count) in enumerate(zip(owners, cut.counts.tolist())):
+        bounds = firsts[k:k + count] + [n]
+        k += count
+        col = bus_cols[j]
+        out.append(ColumnGrouping(
+            owner=owner,
+            start_depth=int(metered),
+            sets=tuple(frozenset(col[a:b])
+                       for a, b in zip(bounds, bounds[1:])),
+            values=tuple(group_values[j][:count]),
+            metered=metered,
+            probing=probing,
+            sorted_entries=tuple(zip(col, value_cols[j])),
+            threshold=threshold,
+        ))
+    return out
+
+
+# -- the family check ---------------------------------------------------------
+
+
+def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
+                   owners: Sequence[int], owner_rows: np.ndarray,
+                   substation_row: int | None) -> None:
+    """Per column, in column order: group values increase, the owner sits
+    in the deepest group and (complete mode) the substation in the
+    shallowest. A row of -1 means the bus is in no group."""
+    m = len(owners)
+    steps = np.arange(values.shape[1] - 1)
+    flat = ((values[:, 1:] <= values[:, :-1])
+            & (steps < counts[:, None] - 1)).any(axis=1)
+    deep = owner_rows >= 0
+    deep[deep] = (labels[owner_rows[deep], np.flatnonzero(deep)]
+                  == counts[deep] - 1)
+    if substation_row is None:
+        shallow = np.ones(m, dtype=bool)
+    elif substation_row < 0:
+        shallow = np.zeros(m, dtype=bool)
+    else:
+        shallow = labels[substation_row] == 0
+    bad = flat | ~deep | ~shallow
+    if not bad.any():
+        return
+    j = int(bad.argmax())
+    if flat[j]:
+        problem = "group values not increasing"
+    elif not deep[j]:
+        problem = "owner not in its deepest group"
+    else:
+        problem = "substation not in the shallowest group"
+    raise InconsistentLevelSets(f"column {owners[j]}: {problem}")
+
+
+def _first_differences(labels: np.ndarray) -> np.ndarray:
+    """For every pair of columns, the lowest group index whose sets differ
+    between them, or the label type's maximum where none does.
+
+    Groups below index k agree exactly when no row that one of the two
+    columns puts below k is labelled differently by the other.
+    """
+    n, m = labels.shape
+    none = np.iinfo(labels.dtype).max
+    out = np.empty((m, m), dtype=labels.dtype)
+    step = max(1, _BLOCK // max(n * m, 1))
+    right = labels[:, None, :]
+    for a in range(0, m, step):
+        left = labels[:, a:a + step, None]
+        low = np.minimum(left, right)
+        np.maximum(low, np.multiply(left == right, none, dtype=labels.dtype),
+                   out=low)
+        out[a:a + step] = low.min(axis=0, initial=none)
+    return out
+
+
+def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
+                 owners: Sequence[int], owner_rows: np.ndarray, start: int,
+                 value_tol: float) -> None:
+    """The cross-column checks, owners taken in ascending order.
+
+    Needs every owner in its own deepest group and every column to label
+    every row. If owner m's column puts owner s at depth k, s's column
+    must put m at depth k with the same value (within value_tol), and the
+    two must hold identical groups above depth k. A depth-k group may hold
+    at most one owner of depth k.
+    """
+    m = len(owners)
+    cols = np.argsort(np.asarray(owners), kind="stable")
+    ascending = [owners[c] for c in cols.tolist()]
+    # seen[a, b]: the group that owner a's column puts owner b in.
+    seen = labels[owner_rows[cols], cols[:, None]].astype(np.intp)
+    deep = counts[cols] - 1
+    anchor = seen == deep
+    gmax = values.shape[1]
+    tally = np.bincount((np.arange(m)[:, None] * gmax + deep)[anchor],
+                        minlength=m * gmax)
+    crowded = tally.reshape(m, gmax) > 1
+    at = values[cols[:, None], seen]
+    split_depth = seen != seen.T
+    split_value = np.abs(at - at.T) > value_tol
+    above = _first_differences(labels[:, cols]) < seen
+    bad = np.triu(split_depth | split_value | above, 1)
+    stop = crowded.any(axis=1) | bad.any(axis=1)
+    if not stop.any():
+        return
+    a = int(stop.argmax())
+    if crowded[a].any():
+        k = int(crowded[a].argmax())
+        buses = [ascending[b]
+                 for b in np.flatnonzero(anchor[a] & (deep == k))]
+        raise InconsistentLevelSets(
+            f"column {ascending[a]}: several depth-{k + start} buses {buses} "
+            f"in one depth-{k + start} group")
+    b = int(bad[a].argmax())
+    pair = f"columns {ascending[a]} and {ascending[b]} disagree"
+    if split_depth[a, b]:
+        raise InconsistentLevelSets(f"{pair} on their split depth")
+    if split_value[a, b]:
+        raise InconsistentLevelSets(f"{pair} on their split value")
+    raise InconsistentLevelSets(f"{pair} above depth {seen[a, b] + start}")
+
+
+# -- entry points -------------------------------------------------------------
+
+
+def _threshold(r_min) -> float:
+    if not (isinstance(r_min, Real) and 0 < r_min < math.inf):
+        raise NonpositiveRmin(
+            f"r_min must be positive and finite, got {r_min}")
+    return r_min / 2.0
+
+
+def _check_mode(mode: str) -> None:
     if mode not in ("complete", "partial"):
         raise InconsistentLevelSets(f"unknown mode {mode!r}")
+
+
+def _check_entries(owner: int, buses: Sequence[int], values: np.ndarray,
+                   mode: str) -> None:
+    """Every entry finite; no substation entry in a complete-mode column."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InconsistentLevelSets(
+            f"column {owner}: entry of bus {buses[i]} is {float(values[i])}, "
+            f"not finite")
+    if mode == "complete" and SUBSTATION in buses:
+        raise InconsistentLevelSets(
+            "complete-mode columns must not include the substation")
+
+
+def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
+                   mode: str) -> dict[int, ColumnGrouping]:
+    """Group every column of an estimate and check the families agree.
+
+    r_min None groups exactly and matches values to 1e-9; a number groups
+    by the gap rule with cut r_min / 2 and matches values to r_min / 2.
+    Returns the groupings keyed by owner in column order, or raises the
+    first error that grouping each column with `group_column_exact` or
+    `group_column_noisy`, in column order, and then `assemble_families`
+    would raise.
+    """
+    threshold = None if r_min is None else _threshold(r_min)
+    _check_mode(mode)
+    owners, rows = estimate.col_nodes, estimate.row_nodes
+    if not owners:
+        raise InconsistentLevelSets("no groupings supplied")
+    index = {n: i for i, n in enumerate(rows)}
+    owner_rows = np.array([index.get(m, -1) for m in owners])
+    values = estimate.values
+    complete = mode == "complete"
+    bad = ((owner_rows < 0) | ~np.isfinite(values).all(axis=0)
+           | (complete and SUBSTATION in index))
+    if bad.any():
+        j = int(bad.argmax())
+        if owner_rows[j] < 0:
+            raise InconsistentLevelSets(
+                f"column owner {owners[j]} missing from its own entries")
+        _check_entries(owners[j], rows, values[:, j], mode)
+    if complete:
+        rows = rows + (SUBSTATION,)
+        values = np.vstack([values, np.zeros((1, len(owners)))])
+    buses = np.array(rows)
+    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
+    _check_columns(cut.labels, cut.counts, cut.values, owners, owner_rows,
+                   len(rows) - 1 if complete else None)
+    _check_pairs(cut.labels, cut.counts, cut.values, owners, owner_rows,
+                 int(not complete), 1e-9 if threshold is None else threshold)
+    probing = None if complete else frozenset(owners)
+    return {g.owner: g for g in _groupings(owners, buses, cut, not complete,
+                                           threshold, probing)}
+
+
+def _group(entries: Mapping[int, float], owner: int, mode: str,
+           threshold: float | None) -> ColumnGrouping:
+    """Cut one column: the gap routine on a single-column matrix."""
+    _check_mode(mode)
     owner = as_int(owner, InconsistentLevelSets, "column owner")
     if owner not in entries:
         raise InconsistentLevelSets(
             f"column owner {owner} missing from its own entries")
-    items = [(as_int(n, InconsistentLevelSets, "bus ID"), float(v))
-             for n, v in entries.items()]
-    for n, v in items:
-        if not math.isfinite(v):
-            raise InconsistentLevelSets(
-                f"column {owner}: entry of bus {n} is {v}, not finite")
+    buses = [as_int(n, InconsistentLevelSets, "bus ID") for n in entries]
+    values = np.array([float(v) for v in entries.values()])
+    _check_entries(owner, buses, values, mode)
     if mode == "complete":
-        if SUBSTATION in entries:
-            raise InconsistentLevelSets(
-                "complete-mode columns must not include the substation")
-        items.append((SUBSTATION, 0.0))
-    # Sort by value, ties by bus ID, so grouping is deterministic.
-    items.sort(key=lambda item: (item[1], item[0]))
-    cut = 0.0 if threshold is None else threshold
-    runs: list[list[tuple[int, float]]] = []
-    for n, v in items:
-        if runs and v - runs[-1][-1][1] <= cut:
-            runs[-1].append((n, v))
-        else:
-            runs.append([(n, v)])
-    return ColumnGrouping(
-        owner=owner,
-        start_depth=0 if mode == "complete" else 1,
-        sets=tuple(frozenset(n for n, _ in run) for run in runs),
-        values=tuple(sum(v for _, v in run) / len(run) for run in runs),
-        metered=(mode == "partial"),
-        sorted_entries=tuple(items),
-        threshold=threshold,
-    )
+        buses.append(SUBSTATION)
+        values = np.append(values, 0.0)
+    buses = np.array(buses)
+    cut = _cut(buses, values[:, None], 0.0 if threshold is None else threshold)
+    return _groupings([owner], buses, cut, mode == "partial", threshold)[0]
 
 
 def group_column_exact(entries: Mapping[int, float], owner: int,
@@ -119,10 +375,7 @@ def group_column_noisy(entries: Mapping[int, float], owner: int,
     below the substation's zero and end up in the shallowest group unless
     the gap rule separates them. The group value is the member mean.
     """
-    if not (isinstance(r_min, Real) and 0 < r_min < math.inf):
-        raise NonpositiveRmin(
-            f"r_min must be positive and finite, got {r_min}")
-    return _group(entries, owner, mode, threshold=r_min / 2.0)
+    return _group(entries, owner, mode, threshold=_threshold(r_min))
 
 
 def grouping_diagnostics(grouping: ColumnGrouping) -> dict:
@@ -151,12 +404,13 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     Returns the groupings keyed by owner: complete-mode groupings as they
     are, partial-mode ones stamped with the probing set (the owners).
 
-    Each column is read once into a label map, bus -> depth of its group.
-    If owner m sees owner s at depth k, s must see m at depth k with the
-    same value (within value_tol), both must hold identical groups above
-    depth k, and no depth-k group may hold two owners of depth k. Any
-    violation means the groupings cannot come from one feeder at the
-    claimed noise level.
+    The groupings are read into one label matrix, bus x owner, each entry
+    the index of the bus's group; a column whose groups overlap or miss
+    an observed bus cannot be read and is rejected. If owner m sees owner
+    s at depth k, s must see m at depth k with the same value (within
+    value_tol), both must hold identical groups above depth k, and no
+    depth-k group may hold two owners of depth k. Any violation means the
+    groupings cannot come from one feeder at the claimed noise level.
     """
     if not (isinstance(value_tol, Real) and 0 <= value_tol < math.inf):
         raise ConfigError(
@@ -164,62 +418,40 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     gl = list(groupings)
     if not gl:
         raise InconsistentLevelSets("no groupings supplied")
-    metered = gl[0].metered
+    metered, start = gl[0].metered, gl[0].start_depth
     owners = [g.owner for g in gl]
     if len(set(owners)) != len(owners):
         raise InconsistentLevelSets("duplicate column owners")
     universe = frozenset().union(*(s for g in gl for s in g.sets))
+    index = {n: i for i, n in enumerate(universe)}
+    width = max(len(g.sets) for g in gl)
+    labels = np.zeros((len(index), len(gl)),
+                      dtype=np.min_scalar_type(max(len(index), width)))
+    values = np.zeros((len(gl), width))
+    counts = np.array([len(g.sets) for g in gl])
+    owner_rows = np.array([index.get(m, -1) for m in owners])
+    substation_row = None if metered else index.get(SUBSTATION, -1)
 
-    labels: dict[int, dict[int, int]] = {}
-    for g in gl:
-        if g.metered != metered:
-            raise InconsistentLevelSets("mixed complete/partial groupings")
-        label = {n: k for k, s in zip(g.depths, g.sets) for n in s}
-        if len(label) != sum(map(len, g.sets)):
-            raise InconsistentLevelSets(
-                f"column {g.owner}: bus in two groups")
-        if len(label) != len(universe):
-            raise InconsistentLevelSets(
-                f"column {g.owner} does not cover the observed bus set")
-        if any(b <= a for a, b in zip(g.values, g.values[1:])):
-            raise InconsistentLevelSets(
-                f"column {g.owner}: group values not increasing")
-        if g.owner not in g.sets[-1]:
-            raise InconsistentLevelSets(
-                f"column {g.owner}: owner not in its deepest group")
-        if not metered and SUBSTATION not in g.sets[0]:
-            raise InconsistentLevelSets(
-                f"column {g.owner}: substation not in the shallowest group")
-        labels[g.owner] = label
+    for j, g in enumerate(gl):
+        problem = None
+        label = {n: k for k, s in enumerate(g.sets) for n in s}
+        # A family indexed from another depth is another mode's family.
+        if (g.metered, g.start_depth) != (metered, start):
+            problem = "mixed complete/partial groupings"
+        elif len(label) != sum(map(len, g.sets)):
+            problem = f"column {g.owner}: bus in two groups"
+        elif len(label) != len(universe):
+            problem = f"column {g.owner} does not cover the observed bus set"
+        if problem:
+            _check_columns(labels[:, :j], counts[:j], values[:j], owners[:j],
+                           owner_rows[:j], substation_row)
+            raise InconsistentLevelSets(problem)
+        labels[[index[n] for n in label], j] = list(label.values())
+        values[j, :len(g.values)] = g.values
+    _check_columns(labels, counts, values, owners, owner_rows, substation_row)
+    _check_pairs(labels, counts, values, owners, owner_rows, start, value_tol)
 
     if metered:
         probing = frozenset(owners)
         gl = [replace(g, probing=probing) for g in gl]
-    families = {g.owner: g for g in gl}
-    # Owners sit in their deepest groups, so every label map holds them all.
-    owners = sorted(families)
-    depth = {m: families[m].depth for m in owners}
-    for i, m in enumerate(owners):
-        fm, seen = families[m], labels[m]
-        anchors: dict[int, list[int]] = {}
-        for s in owners:
-            if seen[s] == depth[s]:
-                anchors.setdefault(depth[s], []).append(s)
-        clash = [k for k, a in anchors.items() if len(a) > 1]
-        if clash:
-            k = min(clash)
-            raise InconsistentLevelSets(
-                f"column {m}: several depth-{k} buses {anchors[k]} "
-                f"in one depth-{k} group")
-        for s in owners[i + 1:]:
-            fs, k = families[s], seen[s]
-            if labels[s][m] != k:
-                raise InconsistentLevelSets(
-                    f"columns {m} and {s} disagree on their split depth")
-            if abs(fm.value_at(k) - fs.value_at(k)) > value_tol:
-                raise InconsistentLevelSets(
-                    f"columns {m} and {s} disagree on their split value")
-            if fm.sets[:k - fm.start_depth] != fs.sets[:k - fm.start_depth]:
-                raise InconsistentLevelSets(
-                    f"columns {m} and {s} disagree above depth {k}")
-    return families
+    return {g.owner: g for g in gl}

@@ -21,11 +21,20 @@ from .errors import (
     NonpositiveRmin,
     RankDeficientProbing,
     UnknownProbingBus,
+    as_float,
     as_int,
 )
 from .feeder import FeederGraph, reactance_matrix, resistance_matrix
 
 RANK_TOL = 1e-10
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """values as a new float array; ConfigError if they are not numbers."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} entries must be numbers") from None
 
 
 @dataclass(frozen=True)
@@ -92,18 +101,23 @@ class ProbingPlan:
                 raise ConfigError("block plans need delta and periods")
             if len(self.delta) != len(self.buses) or len(self.periods) != len(self.buses):
                 raise ConfigError("delta/periods must align with buses")
-            if not all(0 < d < math.inf for d in self.delta):
+            delta = tuple(as_float(d, ConfigError, "probing magnitude")
+                          for d in self.delta)
+            if not all(0 < d < math.inf for d in delta):
                 raise ConfigError("probing magnitudes must be positive "
                                   "and finite")
+            object.__setattr__(self, "delta", delta)
             object.__setattr__(self, "periods", tuple(
                 as_int(t, ConfigError, "probing period", 1)
                 for t in self.periods))
         else:
-            if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.buses):
+            matrix = _float_array(self.matrix, "injection matrix")
+            if matrix.ndim != 2 or matrix.shape[0] != len(self.buses):
                 raise ConfigError("injection matrix needs one row per probing bus")
-            if not np.isfinite(self.matrix).all():
+            if not np.isfinite(matrix).all():
                 raise ConfigError("injection matrix entries must be finite")
-            self.matrix.setflags(write=False)
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
 
     @staticmethod
     def blocks(buses: Sequence[int], delta: Mapping[int, float] | Sequence[float],
@@ -122,13 +136,12 @@ class ProbingPlan:
             periods = per_bus(periods, "period count")
         elif not isinstance(periods, Iterable):
             periods = [periods] * len(buses)
-        return ProbingPlan(buses=buses, delta=tuple(float(d) for d in delta),
+        return ProbingPlan(buses=buses, delta=tuple(delta),
                            periods=tuple(periods))
 
     @staticmethod
     def general(buses: Sequence[int], matrix: np.ndarray) -> "ProbingPlan":
-        return ProbingPlan(buses=tuple(buses),
-                           matrix=np.array(matrix, dtype=float))
+        return ProbingPlan(buses=tuple(buses), matrix=matrix)
 
     @property
     def is_block(self) -> bool:
@@ -177,7 +190,7 @@ def design_plan(r_min: float, sigma: float,
     buses = tuple(sorted(delta))
     periods = []
     for b in buses:
-        d = float(delta[b])
+        d = as_float(delta[b], ConfigError, f"probing magnitude for bus {b}")
         if not 0 < d < math.inf:
             raise ConfigError(f"probing magnitude for bus {b} must be "
                               f"positive and finite")
@@ -280,7 +293,22 @@ class ResistanceEstimate:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        for key in ("row_nodes", "col_nodes"):
+            buses = tuple(as_int(n, ConfigError, "estimate bus")
+                          for n in getattr(self, key))
+            if len(set(buses)) != len(buses):
+                raise ConfigError(f"estimate {key} must be distinct buses")
+            object.__setattr__(self, key, buses)
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == float):
+            values = _float_array(values, "estimate")
+        if values.shape != (len(self.row_nodes), len(self.col_nodes)):
+            raise ConfigError(
+                f"estimate values have shape {values.shape}, not "
+                f"{(len(self.row_nodes), len(self.col_nodes))} (rows x "
+                f"columns)")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def column(self, n: int) -> dict[int, float]:
         j = self.col_nodes.index(n)

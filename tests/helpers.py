@@ -10,18 +10,20 @@ enough context to reproduce a failure.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 from dataclasses import replace
+from numbers import Real
 
 import numpy as np
 
-from gridprobe import (AmbiguousIntersection, ConfigError, EmptyPartition,
-                       FeederGraph, FeederFormatError, InconsistentLevelSets,
-                       InconsistentMeteredSets, NoiseModel, ProbingPlan,
+from gridprobe import (AmbiguousIntersection, ColumnGrouping, ConfigError,
+                       EmptyPartition, FeederGraph, FeederFormatError,
+                       InconsistentLevelSets, InconsistentMeteredSets,
+                       NoiseModel, NonpositiveRmin, ProbingPlan,
                        ProbingRecord, RecoveryReport, ReducedGrid,
-                       UnknownProbingBus, assemble_families, build_feeder,
-                       group_column_exact, group_column_noisy, level_sets,
+                       UnknownProbingBus, build_feeder, level_sets,
                        metered_level_sets, reactance_matrix, recover_full,
                        recover_partial, reduce_grid, resistance_matrix)
 from gridprobe.errors import as_int
@@ -433,25 +435,40 @@ def _reference_check_pairwise(families, value_tol):
 # -- reference identification chain -------------------------------------------
 #
 # The stage chain the `recover` command spelled out before `identify` took
-# it over, copied as it stood: estimate columns in, exact grouping with
-# value_tol 1e-9 when r_min is None, the gap rule with r_min / 2 otherwise,
-# then full or partial recovery by mode.
+# it over, on the pure copies above: each estimate column grouped by the
+# per-column loop (exactly, and matched to 1e-9, when r_min is None; by the
+# gap rule with r_min / 2, and matched to r_min / 2, otherwise), the
+# families checked by the pairwise scans, then full or partial recovery by
+# mode. The library now groups and checks a whole estimate on one label
+# matrix, and its per-column functions are adapters over that same core,
+# so the reference must not call them.
+
+
+def reference_group_estimate(estimate, r_min, mode):
+    if r_min is not None and not (isinstance(r_min, Real)
+                                  and 0 < r_min < math.inf):
+        raise NonpositiveRmin(
+            f"r_min must be positive and finite, got {r_min}")
+    tol = 1e-9 if r_min is None else r_min / 2
+    groupings = []
+    for m in estimate.col_nodes:
+        col = estimate.column(m)
+        if r_min is None:
+            sets, values, entries = reference_group_exact(col, m, mode=mode)
+        else:
+            sets, values, entries = reference_group_noisy(col, m, r_min,
+                                                          mode=mode)
+        groupings.append(ColumnGrouping(
+            owner=m, start_depth=int(mode == "partial"), sets=sets,
+            values=values, metered=mode == "partial", sorted_entries=entries,
+            threshold=None if r_min is None else r_min / 2.0))
+    return reference_assemble_families(groupings, value_tol=tol)
 
 
 def reference_identify(estimate, r_min, mode):
-    buses = list(estimate.col_nodes)
-    if r_min is None:
-        groupings = [group_column_exact(estimate.column(m), m,
-                                        mode=mode) for m in buses]
-        tol = 1e-9
-    else:
-        groupings = [group_column_noisy(estimate.column(m), m, r_min,
-                                        mode=mode) for m in buses]
-        tol = r_min / 2
-    families = assemble_families(groupings, value_tol=tol)
-    report = (recover_full(families) if mode == "complete"
-              else recover_partial(families))
-    return report
+    families = reference_group_estimate(estimate, r_min, mode)
+    return (recover_full(families) if mode == "complete"
+            else recover_partial(families))
 
 
 # -- reference record reader and writer ---------------------------------------

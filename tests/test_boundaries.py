@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        FeederFormatError, InconsistentLevelSets,
                        LevelSetFamily, NoiseModel, NonpositiveRmin,
-                       ProbingPlan, ProbingRecord, ReducedGrid, UnknownNode,
+                       NonpositiveImpedance, ProbingPlan, ProbingRecord,
+                       ReducedGrid, ResistanceEstimate, UnknownNode,
                        assemble_families, build_feeder, cli, design_plan,
                        estimate_resistances, group_column_exact,
                        group_column_noisy, identify, level_sets, load_record,
@@ -504,6 +505,10 @@ INTEGER_SITES = {
     "ExperimentConfig loads_kw": (ConfigError, lambda v, k: member(
         ExperimentConfig(**{**CONFIG_ARGS, "loads_kw": {v: 5.0}}).loads_kw,
         k)),
+    "ResistanceEstimate rows": (ConfigError, lambda v, k: member(
+        ResistanceEstimate((v, 3), (3,), np.zeros((2, 1))).row_nodes, k)),
+    "ResistanceEstimate columns": (ConfigError, lambda v, k: member(
+        ResistanceEstimate((3,), (v, 3), np.zeros((1, 2))).col_nodes, k)),
 }
 SEED_SITES = {"NoiseModel seed", "ProbingRecord seed"}  # None: no seed
 
@@ -675,3 +680,100 @@ def test_line_and_lca_lookups_raise_unknown_node(call):
     assert g.line_r(np.int64(1), np.int64(2)) == 2.0
     with pytest.raises(UnknownNode):
         call(g)
+
+
+# -- resistance estimates -----------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, cols, values", [
+    # one row short: `column` would zip the two rows with one value
+    ((1, 2), (1,), np.array([[0.1]])),
+    ((1,), (1,), np.array([0.1])),
+    ((1, 2), (1,), np.zeros((2, 2))),
+    ((1, 1), (1,), np.zeros((2, 1))),
+    ((1, 2), (2, 2), np.zeros((2, 2))),
+    ((1,), (1,), [["a"]]),
+    ((1,), (1,), [[0.1, 0.2], [0.3]]),
+])
+def test_estimate_rejects_bad_shapes_buses_and_values(rows, cols, values):
+    with pytest.raises(ConfigError):
+        ResistanceEstimate(rows, cols, values)
+
+
+def test_estimate_converts_values_and_identifies_from_lists():
+    g = y_feeder(2)
+    est = estimate_resistances(simulate_probing(
+        g, ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2), NoiseModel()))
+    listed = ResistanceEstimate(est.row_nodes, est.col_nodes,
+                                est.values.tolist())
+    assert listed.values.dtype == float and not listed.values.flags.writeable
+    assert np.array_equal(listed.values, est.values)
+    assert identify(listed, None, "complete").graph.edges == \
+        identify(est, None, "complete").graph.edges
+
+
+# -- probing plans ------------------------------------------------------------
+
+
+def test_general_plan_constructor_converts_the_matrix():
+    plan = ProbingPlan(buses=(1,), matrix=[[1.0, 2]])
+    assert isinstance(plan.matrix, np.ndarray) and plan.matrix.dtype == float
+    assert not plan.matrix.flags.writeable
+    assert plan.total_periods == 2
+    assert np.array_equal(ProbingPlan.general([1], [[1.0, 2]]).matrix,
+                          plan.matrix)
+    for matrix in ([["a"]], [[1.0], [2.0, 3.0]], [[None]]):
+        with pytest.raises(ConfigError):
+            ProbingPlan(buses=(1,), matrix=matrix)
+
+
+# -- real-number inputs -------------------------------------------------------
+
+# name -> (typed error, build with v where a real number goes)
+REAL_SITES = {
+    "ExperimentConfig loads_kw": (ConfigError, lambda v: ExperimentConfig(
+        **{**CONFIG_ARGS, "loads_kw": {2: v, 3: 5.0}})),
+    "ExperimentConfig r_min": (ConfigError, lambda v: ExperimentConfig(
+        **{**CONFIG_ARGS, "r_min": v})),
+    "ExperimentConfig s_base_kva": (ConfigError, lambda v: ExperimentConfig(
+        **{**CONFIG_ARGS, "s_base_kva": v})),
+    "ExperimentConfig delta_multiple": (ConfigError, lambda v:
+                                        ExperimentConfig(**{
+                                            **CONFIG_ARGS,
+                                            "delta_multiple": v})),
+    "ExperimentConfig delta_default_kw": (ConfigError, lambda v:
+                                          ExperimentConfig(**{
+                                              **CONFIG_ARGS,
+                                              "delta_default_kw": v})),
+    "ExperimentConfig delta_value_pu": (ConfigError, lambda v:
+                                        ExperimentConfig(**{
+                                            **CONFIG_ARGS,
+                                            "delta_policy": "fixed",
+                                            "delta_value_pu": v})),
+    "ProbingPlan delta": (ConfigError, lambda v: ProbingPlan(
+        buses=(1,), delta=(v,), periods=(1,))),
+    "ProbingPlan.blocks delta": (ConfigError, lambda v: ProbingPlan.blocks(
+        [1], [v], 1)),
+    "ProbingPlan.blocks delta map": (ConfigError, lambda v: ProbingPlan
+                                     .blocks([1], {1: v}, 1)),
+    "design_plan delta": (ConfigError, lambda v: design_plan(
+        0.5, 1e-3, {1: v})),
+    "build_feeder r": (NonpositiveImpedance, lambda v: build_feeder(
+        [(0, 1, v, None)])),
+    "build_feeder x": (NonpositiveImpedance, lambda v: build_feeder(
+        [(0, 1, 1.0, v)])),
+}
+NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, object(), 10**400]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_non_number_inputs_raise_typed_errors(site, value):
+    error, build = REAL_SITES[site]
+    with pytest.raises(error, match="not a number"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_sites_accept_integers_as_floats(site):
+    REAL_SITES[site][1](2)

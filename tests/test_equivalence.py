@@ -16,6 +16,12 @@ bitwise, noisy ones in per-entry mean and variance of the estimate.
 `identify`, the one chain from an estimate to a recovered grid, is held to
 the stage chain the `recover` command spelled out before it: the same
 grid, lines and supports, or the same exception class and message.
+`group_estimate`, which groups a whole estimate on one label matrix, is
+held to the per-column copies and the pairwise scans in helpers.py: the
+same families bit for bit, or the same first error. The library's own
+per-column functions are adapters over the same core, so they serve as a
+second reference only for the entry checks (NaN entries) that the copies
+predate.
 """
 
 import importlib
@@ -34,16 +40,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprobe import (ExperimentConfig, GridProbeError, NoiseModel,
-                       ProbingPlan, ProbingRecord, assemble_families,
-                       build_feeder, cli, estimate_resistances, experiments,
-                       fileio, group_column_exact, group_column_noisy,
+                       ProbingPlan, ProbingRecord, ResistanceEstimate,
+                       assemble_families, build_feeder, cli,
+                       estimate_resistances, experiments, fileio,
+                       group_column_exact, group_column_noisy, group_estimate,
                        identify, level_sets, metered_level_sets, recover_full,
                        recover_partial, resistance_matrix, run_experiment,
                        simulate_probing)
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
-                     reference_group_noisy, reference_identify,
+                     reference_group_estimate, reference_group_noisy,
+                     reference_identify,
                      reference_load_record, reference_recover_full,
                      reference_recover_partial, reference_save_record,
                      reference_simulate_probing)
@@ -643,6 +651,182 @@ def test_identify_matches_reference_on_noiseless_records():
     assert seen["ok"] > 60, seen
 
 
+def family_outcome(fn, *args, **kwargs):
+    """Owners in order, with each family's sets, values (bit patterns),
+    sorted entries, threshold and probing set; or error and message."""
+    try:
+        fams = fn(*args, **kwargs)
+    except GridProbeError as exc:
+        return type(exc), str(exc)
+    return [(m, f.owner, f.start_depth, f.metered, f.sets,
+             tuple(v.hex() for v in f.values),
+             tuple((n, v.hex()) for n, v in f.sorted_entries),
+             f.threshold, f.probing) for m, f in fams.items()]
+
+
+def assert_families_match(estimate, r_min, mode, seen, rng):
+    got = family_outcome(group_estimate, estimate, r_min, mode)
+    assert got == family_outcome(reference_group_estimate, estimate, r_min,
+                                 mode)
+    if isinstance(got[0], type):
+        seen["trial " + reason((got[0], got[1]))] += 1
+        return
+    seen["trial ok"] += 1
+    # The adapter over the same family check, on the accepted families and
+    # on broken copies of them.
+    fams = group_estimate(estimate, r_min, mode)
+    tol = 1e-9 if r_min is None else r_min / 2
+    for variant in (fams, corrupt(fams, rng), tamper(fams, rng),
+                    crowd_anchor(fams, rng)):
+        gl = list(variant.values())
+        out = assemble_outcome(assemble_families, gl, tol)
+        assert out == assemble_outcome(reference_assemble_families, gl, tol)
+        seen[reason(out)] += 1
+
+
+def assert_coverage(seen, trials):
+    rejected = sum(n for r, n in seen.items()
+                   if r.startswith("trial ") and r != "trial ok")
+    assert seen["trial ok"] > trials and rejected > 50, seen
+    for r in ("two groups", "does not cover", "not increasing",
+              "split depth", "split value", "above depth"):
+        assert seen[r] > 0, seen
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+def test_group_estimate_matches_reference_on_bundled_sweeps(name):
+    # The 50-trial sweeps the CI byte-checks, at every T, for two seeds.
+    cfg = ExperimentConfig.from_dict(
+        fileio.load_config(os.path.join(DATA, name)), base_dir=DATA)
+    g = fileio.load_feeder(cfg.feeder_path)
+    buses = cfg.probing_buses(g)
+    delta = cfg.delta_map(buses)
+    rng = np.random.default_rng(66)
+    seen = Counter()
+    for seed in (0, 1):
+        for periods in cfg.periods:
+            plan = ProbingPlan.blocks(buses, delta, periods)
+            for trial in range(50):
+                record = simulate_probing(
+                    g, plan, cfg.noise, mode=cfg.mode,
+                    rng=np.random.default_rng((seed, periods, trial)))
+                assert_families_match(estimate_resistances(record),
+                                      cfg.r_min, cfg.mode, seen, rng)
+    assert_coverage(seen, trials=250)
+
+
+def shuffled(estimate, rng):
+    """The same estimate with its rows in a random order."""
+    perm = rng.permutation(len(estimate.row_nodes))
+    return ResistanceEstimate(
+        row_nodes=tuple(estimate.row_nodes[i] for i in perm),
+        col_nodes=estimate.col_nodes, values=estimate.values[perm])
+
+
+def test_group_estimate_matches_reference_on_noiseless_and_shuffled_rows():
+    # Noiseless columns are full of ties, which the bus ID breaks whatever
+    # order the rows come in.
+    rng = np.random.default_rng(67)
+    seen = Counter()
+    for _ in range(60):
+        _, g = random_feeder(rng, max_buses=20)
+        for mode in ("complete", "partial"):
+            buses = (g.bus_order if mode == "complete"
+                     else sorted(random_probing(rng, g)))
+            plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 2)
+            r_min = min(r for _, _, r, _ in g.edges)
+            clean = estimate_resistances(simulate_probing(
+                g, plan, NoiseModel(), mode=mode, rng=rng))
+            noisy = estimate_resistances(simulate_probing(
+                g, plan, NoiseModel(sigma_w=0.02 * r_min), mode=mode,
+                rng=rng))
+            for est in (clean, shuffled(clean, rng)):
+                assert_families_match(est, None, mode, seen, rng)
+            for est in (noisy, shuffled(noisy, rng)):
+                assert_families_match(est, r_min, mode, seen, rng)
+                assert_families_match(est, None, mode, seen, rng)
+    assert_coverage(seen, trials=300)
+
+
+def per_column_chain(estimate, r_min, mode):
+    """Group each column with the per-column functions, then check the
+    families with assemble_families, as `identify` did before."""
+    if r_min is None:
+        groupings = [group_column_exact(estimate.column(m), m, mode=mode)
+                     for m in estimate.col_nodes]
+        return assemble_families(groupings, value_tol=1e-9)
+    groupings = [group_column_noisy(estimate.column(m), m, r_min, mode=mode)
+                 for m in estimate.col_nodes]
+    return assemble_families(groupings, value_tol=r_min / 2)
+
+
+def test_group_estimate_errors_match_reference():
+    est = estimate_resistances(simulate_probing(
+        build_feeder(Y_EDGES), ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2),
+        NoiseModel()))
+    nan = est.values.copy()
+    nan[2, 1] = math.nan
+    cases = [
+        (est, 0.5, "bogus"), (est, "a", "complete"), (est, -1.0, "partial"),
+        # an owner without its own row, in the second column
+        (ResistanceEstimate((1, 2, 3), (1, 4), est.values[:, :2]), None,
+         "complete"),
+        (ResistanceEstimate((1, 2, 3), (1, 2, 3), nan), 0.5, "complete"),
+        (ResistanceEstimate((0, 1, 2), (1, 2), est.values[:, :2]), None,
+         "complete"),
+        (ResistanceEstimate((3, 1, 2), (2, 1), est.values[:, :2]), None,
+         "partial"),
+        (est, 100.0, "complete"), (est, None, "partial"),
+    ]
+    for estimate, r_min, mode in cases:
+        got = family_outcome(group_estimate, estimate, r_min, mode)
+        assert got == family_outcome(per_column_chain, estimate, r_min, mode)
+        # The pure copies predate the finiteness check.
+        if np.isfinite(estimate.values).all():
+            assert got == family_outcome(reference_group_estimate, estimate,
+                                         r_min, mode), (r_min, mode)
+
+
+@st.composite
+def small_estimates(draw):
+    """Small estimates full of ties, with negative values and -0.0, rows
+    and columns in any order, each owner mostly at the top of its own
+    column; sometimes a NaN, a column owner without a row, or a
+    substation row."""
+    buses = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6,
+                          unique=True))
+    owners = draw(st.lists(st.sampled_from(buses), min_size=1,
+                           max_size=len(buses), unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        buses.append(0)
+    if draw(st.integers(0, 7)) == 0:
+        owners.append(7)
+    rows = draw(st.permutations(buses))
+    level = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.25, 2.0])
+    values = np.array(draw(st.lists(
+        st.lists(level, min_size=len(owners), max_size=len(owners)),
+        min_size=len(rows), max_size=len(rows))))
+    for j, m in enumerate(owners):
+        if m in rows and draw(st.integers(0, 7)) > 0:
+            values[rows.index(m), j] = 2.5
+    if draw(st.integers(0, 7)) == 0:
+        values[draw(st.integers(0, len(rows) - 1)),
+               draw(st.integers(0, len(owners) - 1))] = math.nan
+    return ResistanceEstimate(tuple(rows), tuple(owners), values)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_estimates(), st.sampled_from([None, 0.3, 1.0]),
+       st.sampled_from(["complete", "partial"]))
+def test_group_estimate_matches_per_column_chain_on_small_estimates(
+        estimate, r_min, mode):
+    got = family_outcome(group_estimate, estimate, r_min, mode)
+    assert got == family_outcome(per_column_chain, estimate, r_min, mode)
+    if np.isfinite(estimate.values).all():
+        assert got == family_outcome(reference_group_estimate, estimate,
+                                     r_min, mode)
+
+
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
 
 
@@ -673,20 +857,19 @@ def write_y_config(tmp_path):
     return cfg
 
 
-STAGES = ("group_column_noisy", "assemble_families", "recover_full")
+STAGES = ("group_estimate", "group_column_noisy", "assemble_families",
+          "recover_full")
 
 
-def test_cli_and_sweep_call_the_stages_the_tracer_wraps(tmp_path,
-                                                        monkeypatch):
-    # perfbench/tracer.py swaps these names in gridprobe.experiments for
-    # timing wrappers, and counts grouping entries as len(args[0]).
-    calls, entries = Counter(), Counter()
+def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
+    # `identify` groups a whole estimate with group_estimate; the
+    # per-column stages that perfbench/tracer.py still wraps in
+    # gridprobe.experiments are no longer called on this path.
+    calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "group_column_noisy":
-                entries[name] += len(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -698,14 +881,11 @@ def test_cli_and_sweep_call_the_stages_the_tracer_wraps(tmp_path,
     assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
     assert cli.main(["recover", str(rec), "--r-min", "0.5",
                      "--out", str(tmp_path / "rep")]) == 0
-    assert calls == {"group_column_noisy": 3, "assemble_families": 1,
-                     "recover_full": 1}
-    assert entries["group_column_noisy"] == 9
+    assert calls == {"group_estimate": 1, "recover_full": 1}
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
-    assert calls == {"group_column_noisy": 6, "assemble_families": 2,
-                     "recover_full": 2}
+    assert calls == {"group_estimate": 2, "recover_full": 2}
 
 
 def test_tracer_targets_resolve():
