@@ -76,6 +76,11 @@ class ExperimentConfig:
         for key, least in (("trials", 1), ("seed", 0)):
             object.__setattr__(self, key, as_int(getattr(self, key),
                                                  ConfigError, key, least))
+        if not isinstance(self.noise, NoiseModel):
+            raise ConfigError(f"noise must be a NoiseModel, got {self.noise!r}")
+        if not isinstance(self.loads_kw, Mapping):
+            raise ConfigError(
+                f"loads_kw must be a mapping, got {self.loads_kw!r}")
         object.__setattr__(self, "loads_kw", {
             as_int(b, ConfigError, "loads_kw bus"):
                 as_float(kw, ConfigError, f"loads_kw value of bus {b}")

@@ -398,6 +398,17 @@ def metered_level_sets(g: FeederGraph, m: int,
 # -- resistance matrices ------------------------------------------------------
 
 
+def bus_index(nodes: tuple[int, ...], n: int) -> int:
+    """Position of bus n in a matrix's node order. A bool compares equal
+    to bus 0 or 1, so it is refused like a bus not in the order."""
+    try:
+        if type(n) is int or not isinstance(n, (bool, np.bool_)):
+            return nodes.index(n)
+    except ValueError:
+        pass
+    raise UnknownNode(f"bus {n!r} is not in the matrix")
+
+
 @dataclass(frozen=True)
 class ResistanceMatrix:
     """Dense bus-by-bus matrix with an explicit node ordering.
@@ -416,16 +427,16 @@ class ResistanceMatrix:
         self.values.setflags(write=False)
 
     def entry(self, m: int, n: int) -> float:
-        i, j = self.nodes.index(m), self.nodes.index(n)
+        i, j = bus_index(self.nodes, m), bus_index(self.nodes, n)
         return float(self.values[i, j])
 
     def column(self, n: int) -> dict[int, float]:
-        j = self.nodes.index(n)
+        j = bus_index(self.nodes, n)
         return dict(zip(self.nodes, self.values[:, j].tolist()))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        ri = [self.nodes.index(m) for m in rows]
-        ci = [self.nodes.index(n) for n in cols]
+        ri = [bus_index(self.nodes, m) for m in rows]
+        ci = [bus_index(self.nodes, n) for n in cols]
         return self.values[np.ix_(ri, ci)]
 
 

@@ -26,13 +26,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
-                     as_int)
+                     as_float, as_int)
 from .feeder import LevelSetFamily
 from .probing import ResistanceEstimate
 
 SUBSTATION = 0
-# Elements per temporary array in the blocked steps of the gap routine and
-# the family check, which bounds their memory on large feeders.
+# Elements per temporary array in the blocked pairwise step of the family
+# check (`_first_differences`), which bounds its memory on large feeders.
 _BLOCK = 1 << 18
 
 
@@ -99,8 +99,11 @@ def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
 
     A group value is the left-to-right sum of its sorted run, started
     from 0, divided by the run's length: bit for bit what Python's sum
-    gave before 3.12, on any Python. Pairwise summation (np.mean,
-    np.add.reduceat) rounds differently.
+    gave before 3.12, on any Python. One weighted bincount over the
+    entries, column by column in sorted order, gives exactly that, since
+    it adds each weight into its bin from 0.0 in index order. Pairwise or
+    compensated summation (np.mean, np.add.reduceat, math.fsum) rounds
+    differently.
     """
     n, m = values.shape
     cols = np.arange(m)
@@ -113,24 +116,11 @@ def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
     labels = np.empty((n, m), dtype=np.min_scalar_type(n))
     labels[order, cols] = group
     counts = group[-1] + 1
-
-    # Stack each group's run down the rows of a (1 + run, column, group)
-    # block: a leading 0.0 plays sum()'s start value and trailing -0.0
-    # pads, since x + -0.0 == x for every x. Add down the rows, a block
-    # of columns at a time.
-    rows = np.arange(n)[:, None]
-    place = rows - np.maximum.accumulate(np.where(starts, rows, 0), axis=0)
-    width, gmax = int(place.max()) + 2, int(counts.max())
-    sums = np.empty((m, gmax))
-    step = max(1, _BLOCK // (width * gmax))
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        block = np.full((width, b - a, gmax), -0.0)
-        block[0] = 0.0
-        block[place[:, a:b] + 1, cols[:b - a], group[:, a:b]] = ranked[:, a:b]
-        sums[a:b] = np.add.accumulate(block, axis=0)[-1]
-    sizes = np.bincount((group + cols * gmax).ravel(), minlength=m * gmax)
-    table = sums / np.maximum(sizes, 1).reshape(m, gmax)
+    gmax = int(counts.max())
+    target = (group + cols * gmax).T.ravel()
+    sums = np.bincount(target, weights=ranked.T.ravel(), minlength=m * gmax)
+    sizes = np.bincount(target, minlength=m * gmax)
+    table = (sums / np.maximum(sizes, 1)).reshape(m, gmax)
     return _Cut(order, ranked, starts, labels, counts, table)
 
 
@@ -281,18 +271,37 @@ def _check_mode(mode: str) -> None:
         raise InconsistentLevelSets(f"unknown mode {mode!r}")
 
 
-def _check_entries(owner: int, buses: Sequence[int], values: np.ndarray,
-                   mode: str) -> None:
-    """Every entry finite; no substation entry in a complete-mode column."""
-    bad = ~np.isfinite(values)
+def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
+             mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the columns of a rows x owners matrix, the first bad one in
+    column order: its owner must be one of the rows, its entries finite
+    and, in complete mode, no row the substation's. Returns the bus array
+    and values to cut, with the substation's zero row appended in
+    complete mode, and each owner's row."""
+    if not owners:
+        raise InconsistentLevelSets("no groupings supplied")
+    index = {n: i for i, n in enumerate(rows)}
+    owner_rows = np.array([index.get(m, -1) for m in owners])
+    finite = np.isfinite(values)
+    complete = mode == "complete"
+    bad = ((owner_rows < 0) | ~finite.all(axis=0)
+           | (complete and SUBSTATION in index))
     if bad.any():
-        i = int(bad.argmax())
-        raise InconsistentLevelSets(
-            f"column {owner}: entry of bus {buses[i]} is {float(values[i])}, "
-            f"not finite")
-    if mode == "complete" and SUBSTATION in buses:
+        j = int(bad.argmax())
+        if owner_rows[j] < 0:
+            raise InconsistentLevelSets(
+                f"column owner {owners[j]} missing from its own entries")
+        if not finite[:, j].all():
+            i = int(finite[:, j].argmin())
+            raise InconsistentLevelSets(
+                f"column {owners[j]}: entry of bus {rows[i]} is "
+                f"{float(values[i, j])}, not finite")
         raise InconsistentLevelSets(
             "complete-mode columns must not include the substation")
+    if complete:
+        rows = (*rows, SUBSTATION)
+        values = np.vstack([values, np.zeros((1, len(owners)))])
+    return np.array(rows), values, owner_rows
 
 
 def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
@@ -308,28 +317,13 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     """
     threshold = None if r_min is None else _threshold(r_min)
     _check_mode(mode)
-    owners, rows = estimate.col_nodes, estimate.row_nodes
-    if not owners:
-        raise InconsistentLevelSets("no groupings supplied")
-    index = {n: i for i, n in enumerate(rows)}
-    owner_rows = np.array([index.get(m, -1) for m in owners])
-    values = estimate.values
+    owners = estimate.col_nodes
+    buses, values, owner_rows = _columns(owners, estimate.row_nodes,
+                                         estimate.values, mode)
     complete = mode == "complete"
-    bad = ((owner_rows < 0) | ~np.isfinite(values).all(axis=0)
-           | (complete and SUBSTATION in index))
-    if bad.any():
-        j = int(bad.argmax())
-        if owner_rows[j] < 0:
-            raise InconsistentLevelSets(
-                f"column owner {owners[j]} missing from its own entries")
-        _check_entries(owners[j], rows, values[:, j], mode)
-    if complete:
-        rows = rows + (SUBSTATION,)
-        values = np.vstack([values, np.zeros((1, len(owners)))])
-    buses = np.array(rows)
     cut = _cut(buses, values, 0.0 if threshold is None else threshold)
     _check_columns(cut.labels, cut.counts, cut.values, owners, owner_rows,
-                   len(rows) - 1 if complete else None)
+                   len(buses) - 1 if complete else None)
     _check_pairs(cut.labels, cut.counts, cut.values, owners, owner_rows,
                  int(not complete), 1e-9 if threshold is None else threshold)
     probing = None if complete else frozenset(owners)
@@ -342,17 +336,15 @@ def _group(entries: Mapping[int, float], owner: int, mode: str,
     """Cut one column: the gap routine on a single-column matrix."""
     _check_mode(mode)
     owner = as_int(owner, InconsistentLevelSets, "column owner")
-    if owner not in entries:
-        raise InconsistentLevelSets(
-            f"column owner {owner} missing from its own entries")
-    buses = [as_int(n, InconsistentLevelSets, "bus ID") for n in entries]
-    values = np.array([float(v) for v in entries.values()])
-    _check_entries(owner, buses, values, mode)
-    if mode == "complete":
-        buses.append(SUBSTATION)
-        values = np.append(values, 0.0)
-    buses = np.array(buses)
-    cut = _cut(buses, values[:, None], 0.0 if threshold is None else threshold)
+    # Read no entry of a column without its owner: `_columns` names that
+    # first.
+    keys = list(entries) if owner in entries else []
+    rows = [as_int(n, InconsistentLevelSets, "bus ID") for n in keys]
+    values = np.array([as_float(entries[k], InconsistentLevelSets,
+                                f"column {owner}: entry of bus {n}")
+                       for k, n in zip(keys, rows)], dtype=float)[:, None]
+    buses, values, _ = _columns([owner], rows, values, mode)
+    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
     return _groupings([owner], buses, cut, mode == "partial", threshold)[0]
 
 

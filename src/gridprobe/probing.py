@@ -24,7 +24,8 @@ from .errors import (
     as_float,
     as_int,
 )
-from .feeder import FeederGraph, reactance_matrix, resistance_matrix
+from .feeder import (FeederGraph, bus_index, reactance_matrix,
+                     resistance_matrix)
 
 RANK_TOL = 1e-10
 
@@ -311,7 +312,7 @@ class ResistanceEstimate:
         object.__setattr__(self, "values", values)
 
     def column(self, n: int) -> dict[int, float]:
-        j = self.col_nodes.index(n)
+        j = bus_index(self.col_nodes, n)
         return dict(zip(self.row_nodes, self.values[:, j].tolist()))
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import replace
+from functools import reduce
 from numbers import Real
 
 import numpy as np
@@ -198,8 +200,11 @@ def _reference_sorted_entries(entries, owner, mode):
 
 
 def _reference_runs_out(runs, items):
+    # An explicit left fold from 0.0: Python's sum adds floats with
+    # compensation from 3.12 on, and rounds differently there.
     sets = tuple(frozenset(n for n, _ in run) for run in runs)
-    values = tuple(sum(v for _, v in run) / len(run) for run in runs)
+    values = tuple(reduce(operator.add, (v for _, v in run), 0.0) / len(run)
+                   for run in runs)
     return sets, values, tuple(items)
 
 

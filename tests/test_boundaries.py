@@ -256,6 +256,17 @@ def test_nonfinite_entry_names_column_and_bus(group, value):
         group({1: 1.0, 2: 3.0, 3: value}, 2)
 
 
+@pytest.mark.parametrize("entries", [{1: "x", 2: 0.1}, {1: None}],
+                         ids=repr)
+def test_non_number_entry_names_column_and_bus(entries):
+    with pytest.raises(InconsistentLevelSets,
+                       match=r"column 1: entry of bus 1 .* not a number"):
+        group_column_noisy(entries, 1, r_min=0.1)
+    with pytest.raises(InconsistentLevelSets,
+                       match="column owner 3 missing"):
+        group_column_exact(entries, 3)
+
+
 def test_nan_in_record_is_reported_by_recover(tmp_path, capsys):
     write_y_feeder(tmp_path)
     cfg = tmp_path / "cfg.yaml"
@@ -605,6 +616,9 @@ REPRODUCTIONS = [
     (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "trials": 2.5})),
     (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "seed": 1.5})),
     (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "trials": True})),
+    (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS,
+                                              "loads_kw": [1, 2]})),
+    (ConfigError, lambda: ExperimentConfig(**{**CONFIG_ARGS, "noise": None})),
     (ConfigError, lambda: NoiseModel(seed=1.5)),
     (ConfigError, lambda: NoiseModel(seed=True)),
     (ConfigError, lambda: ExperimentConfig.from_dict(
@@ -685,6 +699,28 @@ def test_line_and_lca_lookups_raise_unknown_node(call):
 # -- resistance estimates -----------------------------------------------------
 
 
+# Bus 1 is a row and column of both matrices; a bool compares equal to it.
+MATRIX_LOOKUPS = {
+    "entry": lambda r, e, n: r.entry(n, 2),
+    "entry_right": lambda r, e, n: r.entry(2, n),
+    "column": lambda r, e, n: r.column(n),
+    "submatrix rows": lambda r, e, n: r.submatrix([n], [2]),
+    "submatrix cols": lambda r, e, n: r.submatrix([2], [n]),
+    "estimate column": lambda r, e, n: e.column(n),
+}
+
+
+@pytest.mark.parametrize("bus", [9, np.int64(9), "a", True, np.True_],
+                         ids=repr)
+@pytest.mark.parametrize("lookup", MATRIX_LOOKUPS.values(), ids=MATRIX_LOOKUPS)
+def test_matrix_lookups_raise_unknown_node(lookup, bus):
+    rmat = resistance_matrix(y_feeder(2))
+    est = ResistanceEstimate((1, 2), (1, 2), np.eye(2))
+    lookup(rmat, est, 1)
+    with pytest.raises(UnknownNode, match="not in the matrix"):
+        lookup(rmat, est, bus)
+
+
 @pytest.mark.parametrize("rows, cols, values", [
     # one row short: `column` would zip the two rows with one value
     ((1, 2), (1,), np.array([[0.1]])),
@@ -750,6 +786,10 @@ REAL_SITES = {
                                             **CONFIG_ARGS,
                                             "delta_policy": "fixed",
                                             "delta_value_pu": v})),
+    "group_column_exact entry": (InconsistentLevelSets, lambda v:
+                                 group_column_exact({1: v, 2: 0.1}, 1)),
+    "group_column_noisy entry": (InconsistentLevelSets, lambda v:
+                                 group_column_noisy({1: 0.1, 2: v}, 2, 0.1)),
     "ProbingPlan delta": (ConfigError, lambda v: ProbingPlan(
         buses=(1,), delta=(v,), periods=(1,))),
     "ProbingPlan.blocks delta": (ConfigError, lambda v: ProbingPlan.blocks(

@@ -28,11 +28,13 @@ import importlib
 import importlib.util
 import json
 import math
+import operator
 import os
 import tempfile
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -136,6 +138,22 @@ def test_grouping_matches_reference_loops():
                                     mode="partial") == \
                 grouping_outcome(reference_group_noisy, col, m, r_min,
                                  mode="partial")
+
+
+def test_group_value_is_the_left_fold_of_its_sorted_run():
+    # One group of nine entries whose left-to-right sum from 0.0 differs
+    # from numpy's pairwise sum and from the exactly rounded fsum.
+    run = [0.1014, 0.1031, 0.1041, 0.1042, 0.1051, 0.1055, 0.1083, 0.1095,
+           0.1095]
+    fold = reduce(operator.add, run, 0.0)
+    assert fold != float(np.sum(run)) and fold != math.fsum(run)
+    entries = {9 - i: v for i, v in enumerate(run)}
+    estimate = ResistanceEstimate(list(entries), [1],
+                                  [[v] for v in entries.values()])
+    for grouping in (group_column_noisy(entries, 1, 1.0, mode="partial"),
+                     group_estimate(estimate, 1.0, "partial")[1]):
+        assert grouping.sets == (frozenset(entries),)
+        assert grouping.values == (fold / len(run),)
 
 
 def test_grouping_errors_match_reference():
