@@ -2,11 +2,12 @@
 
 `identify` turns a resistance estimate into a recovered grid; the
 `recover` command and every sweep trial call it. A sweep runs over a list
-of per-bus probing durations and, for each, repeatedly simulates probing
-on a known feeder, identifies the grid and scores it against ground
-truth. Trials that raise any pipeline error count as topology errors;
-per-trial seeds are derived from (seed, periods, trial) so results do not
-depend on execution order.
+of per-bus probing durations and, for each, repeatedly draws the
+resistance estimate of a probing campaign on a known feeder from its
+window sums (`sample_estimate`), identifies the grid and scores it
+against ground truth. Trials that raise any pipeline error count as
+topology errors; per-trial seeds are derived from (seed, periods, trial)
+so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ import numpy as np
 from . import fileio
 from .errors import ConfigError, GridProbeError, as_float, as_int
 from .feeder import FeederGraph
-# `identify` calls group_estimate; perfbench/tracer.py still wraps the
-# per-column stages here.
+# `identify` calls group_estimate and sweeps call sample_estimate;
+# perfbench/tracer.py still wraps the per-column stages and the record
+# path here.
 from .grouping import assemble_families, group_column_noisy, group_estimate
 from .probing import (NoiseModel, ProbingPlan, ResistanceEstimate,
-                      estimate_resistances, simulate_probing)
+                      estimate_resistances, sample_estimate,
+                      simulate_probing)
 from .recovery import (RecoveryReport, compare_graphs, recover_full,
                        recover_partial)
 from .reduction import reduce_grid
@@ -62,6 +65,9 @@ class ExperimentConfig:
     delta_value_pu: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.feeder_path, (str, os.PathLike)):
+            raise ConfigError(f"feeder_path must be a path, got "
+                              f"{self.feeder_path!r}")
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"mode must be complete or partial, "
                               f"got {self.mode!r}")
@@ -217,11 +223,14 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured sweep and aggregate error statistics.
 
-    Ground truth is the feeder itself in complete mode and its reduced
-    grid in partial mode. Every pipeline error raised inside a trial marks
-    it as a topology error; only exact topology matches contribute to the
-    MPE. Each sweep value's plan is built once, outside the trials, so a
-    plan defect raises ConfigError instead of failing every trial.
+    Each trial draws its estimate with `sample_estimate`, which gives
+    what simulating and estimating the block plan's record would give, in
+    distribution. Ground truth is the feeder itself in complete mode and
+    its reduced grid in partial mode. Every pipeline error raised inside a
+    trial marks it as a topology error; only exact topology matches
+    contribute to the MPE. Each sweep value's plan is built once, outside
+    the trials, so a plan defect raises ConfigError instead of failing
+    every trial.
     """
     g = fileio.load_feeder(config.feeder_path)
     buses = config.probing_buses(g)
@@ -237,10 +246,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for trial in range(config.trials):
             rng = np.random.default_rng((config.seed, periods, trial))
             try:
-                record = simulate_probing(g, plan, config.noise,
-                                          mode=config.mode, rng=rng)
-                report = identify(estimate_resistances(record),
-                                  config.r_min, config.mode)
+                estimate = sample_estimate(g, plan, config.noise,
+                                           mode=config.mode, rng=rng)
+                report = identify(estimate, config.r_min, config.mode)
                 outcome = compare_graphs(report.graph, truth, plan.buses)
             except GridProbeError:
                 continue

@@ -313,8 +313,10 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     Returns the groupings keyed by owner in column order, or raises the
     first error that grouping each column with `group_column_exact` or
     `group_column_noisy`, in column order, and then `assemble_families`
-    would raise.
+    would raise. Anything but a ResistanceEstimate raises ConfigError.
     """
+    if not isinstance(estimate, ResistanceEstimate):
+        raise ConfigError(f"expected a ResistanceEstimate, got {estimate!r}")
     threshold = None if r_min is None else _threshold(r_min)
     _check_mode(mode)
     owners = estimate.col_nodes
@@ -402,12 +404,16 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     s at depth k, s must see m at depth k with the same value (within
     value_tol), both must hold identical groups above depth k, and no
     depth-k group may hold two owners of depth k. Any violation means the
-    groupings cannot come from one feeder at the claimed noise level.
+    groupings cannot come from one feeder at the claimed noise level. An
+    item that is not a level-set family raises ConfigError.
     """
     if not (isinstance(value_tol, Real) and 0 <= value_tol < math.inf):
         raise ConfigError(
             f"value_tol must be finite and nonnegative, got {value_tol}")
     gl = list(groupings)
+    for g in gl:
+        if not isinstance(g, LevelSetFamily):
+            raise ConfigError(f"expected a level-set family, got {g!r}")
     if not gl:
         raise InconsistentLevelSets("no groupings supplied")
     metered, start = gl[0].metered, gl[0].start_depth

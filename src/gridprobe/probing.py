@@ -5,6 +5,8 @@ at a time and records the resulting bus voltage deviations. Under the
 linearized flow model the noiseless deviations are R_P @ D, where R_P
 holds the probed columns of the bus resistance matrix and D is the
 probing-injection matrix, so R_P is estimated by right-inverting D.
+For a block plan that estimate reads only each window's sum, so
+`sample_estimate` draws it directly without simulating every period.
 """
 
 from __future__ import annotations
@@ -229,6 +231,47 @@ class ProbingRecord:
         self.values.setflags(write=False)
 
 
+def _layout(g: FeederGraph, plan: ProbingPlan,
+            mode: str) -> tuple[list[int], list[int], list[int]]:
+    """Positions in bus_order of a campaign's probing buses, reported rows
+    and free (non-probing) buses; raises for a bus that cannot probe or an
+    unknown mode."""
+    order = g.bus_order
+    pos = {b: i for i, b in enumerate(order)}
+    for b in plan.buses:
+        if b not in pos:
+            raise UnknownProbingBus(f"bus {b} cannot probe")
+    if mode not in ("complete", "partial"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    cols = [pos[b] for b in plan.buses]
+    rows = cols if mode == "partial" else list(range(len(order)))
+    probing = set(cols)
+    free = [i for i in range(len(order)) if i not in probing]
+    return cols, rows, free
+
+
+def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
+               rows: list[int], free: list[int], out: np.ndarray,
+               rng: np.random.Generator) -> None:
+    """Add to `out` (reported rows x columns) the noise that reaches the
+    reported rows: sigma_p·R[rows, free]·Z_p, sigma_q·X[rows, free]·Z_q and
+    sigma_w·Z_w, i.i.d. standard normals with one column per column of
+    `out`, drawn in that order. Nothing is drawn at free buses when every
+    bus probes."""
+    width = out.shape[1]
+    if noise.sigma_p > 0 and free:
+        shake = rng.standard_normal((len(free), width))
+        out += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
+    if noise.sigma_q > 0:
+        # Raises for lines without reactance even when no bus is free.
+        xmat = reactance_matrix(g).values
+        if free:
+            shake = rng.standard_normal((len(free), width))
+            out += noise.sigma_q * (xmat[np.ix_(rows, free)] @ shake)
+    if noise.sigma_w > 0:
+        out += noise.sigma_w * rng.standard_normal(out.shape)
+
+
 def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
                      mode: str = "complete",
                      rng: np.random.Generator | None = None) -> ProbingRecord:
@@ -242,18 +285,9 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     The record carries noise.seed, or no seed when an explicit rng drew
     the noise.
     """
-    order = g.bus_order
-    pos = {b: i for i, b in enumerate(order)}
-    for b in plan.buses:
-        if b not in pos:
-            raise UnknownProbingBus(f"bus {b} cannot probe")
-    if mode not in ("complete", "partial"):
-        raise ConfigError(f"unknown mode {mode!r}")
-
+    cols, rows, free = _layout(g, plan, mode)
     seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g).values
-    cols = [pos[b] for b in plan.buses]
-    rows = cols if mode == "partial" else list(range(len(order)))
     if plan.is_block:
         # Each period has one nonzero injection, so this is bitwise the
         # product with the block injection matrix.
@@ -265,22 +299,9 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if not noise.silent:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
-        t = plan.total_periods
-        probing = set(cols)
-        free = [i for i in range(len(order)) if i not in probing]
-        if noise.sigma_p > 0 and free:
-            shake = rng.standard_normal((len(free), t))
-            v += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
-        if noise.sigma_q > 0:
-            # Raises for lines without reactance even when no bus is free.
-            xmat = reactance_matrix(g).values
-            if free:
-                shake = rng.standard_normal((len(free), t))
-                v += noise.sigma_q * (xmat[np.ix_(rows, free)] @ shake)
-        if noise.sigma_w > 0:
-            v += noise.sigma_w * rng.standard_normal(v.shape)
+        _add_noise(g, rmat, noise, rows, free, v, rng)
 
-    row_nodes = plan.buses if mode == "partial" else order
+    row_nodes = plan.buses if mode == "partial" else g.bus_order
     return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
 
@@ -342,3 +363,44 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
         est = record.values @ np.linalg.pinv(dmat, rcond=RANK_TOL)
     return ResistanceEstimate(row_nodes=record.row_nodes,
                               col_nodes=plan.buses, values=est)
+
+
+def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
+                    mode: str = "complete",
+                    rng: np.random.Generator | None = None
+                    ) -> ResistanceEstimate:
+    """Draw the estimate a block plan's record would give, from its window
+    sums.
+
+    `estimate_resistances(simulate_probing(g, plan, noise, mode, rng))`
+    reads a block plan's record only through each window's sum. Over
+    window j the noise reaching the reported rows is a sum of T_j i.i.d.
+    draws through fixed propagation matrices, so its sum is √T_j times
+    one such draw, and the estimate is, exactly in distribution,
+
+        R[rows, cols] + (sigma_p·R[rows, free]·Z_p
+                         + sigma_q·X[rows, free]·Z_q
+                         + sigma_w·Z_w) / (delta_j·√T_j)
+
+    with Z_p, Z_q of shape (free buses, probing buses) and Z_w of shape
+    (reported rows, probing buses), drawn in that order. This costs one
+    draw per window instead of one per period. It raises what
+    `simulate_probing` raises; general plans have no windows and raise
+    ConfigError.
+    """
+    cols, rows, free = _layout(g, plan, mode)
+    if not plan.is_block:
+        raise ConfigError("only block plans can be sampled from window "
+                          "sums; simulate general plans with "
+                          "simulate_probing")
+    rmat = resistance_matrix(g).values
+    est = rmat[np.ix_(rows, cols)]
+    if not noise.silent:
+        if rng is None:
+            rng = np.random.default_rng(noise.seed)
+        sums = np.zeros(est.shape)
+        _add_noise(g, rmat, noise, rows, free, sums, rng)
+        est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
+    row_nodes = plan.buses if mode == "partial" else g.bus_order
+    return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
+                              values=est)

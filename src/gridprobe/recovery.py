@@ -14,8 +14,10 @@ fresh bus ID above every input ID.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -28,6 +30,16 @@ from .errors import (
 )
 from .feeder import FeederGraph, LevelSetFamily
 from .reduction import ReducedGrid
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Sum from 0.0, left to right, rounding after every addition.
+
+    Builtin `sum` compensates float error from Python 3.12 on, so line
+    resistances and scores would depend on the Python version; this fold
+    rounds the same on every version (and as `sum` did before 3.12).
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ def _line_estimate(group: frozenset[int], families: Mapping[int, LevelSetFamily]
     """Average, over the group's columns, of the depth k-1 to k value step."""
     steps = [families[m].value_at(k) - families[m].value_at(k - 1)
              for m in group]
-    r = sum(steps) / len(steps)
+    r = _left_sum(steps) / len(steps)
     if r <= 0:
         raise InconsistentLevelSets(
             f"nonpositive line resistance {r} at depth {k}")
@@ -165,7 +177,8 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     root, edges, support = _walk(families, True, name,
                                  InconsistentMeteredSets)
     probing = frozenset(families)
-    upstream = sum(f.value_at(1) for f in families.values()) / len(families)
+    upstream = (_left_sum(f.value_at(1) for f in families.values())
+                / len(families))
     graph = ReducedGrid(root=root, edges=edges, probing=probing,
                         internal=internal, root_upstream_r=upstream)
     return RecoveryReport(mode="partial", graph=graph, probing=probing,
@@ -231,7 +244,8 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
     for u, v, r_rec, *_ in recovered.edges:
         r_ref = reference.line_r(mapping[u], mapping[v])
         rel_errors.append(abs(r_rec - r_ref) / r_ref)
-    mpe = 100.0 * sum(rel_errors) / len(rel_errors) if rel_errors else 0.0
+    mpe = (100.0 * _left_sum(rel_errors) / len(rel_errors) if rel_errors
+           else 0.0)
     max_rel = max(rel_errors) if rel_errors else 0.0
 
     upstream = None

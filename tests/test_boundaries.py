@@ -22,9 +22,9 @@ from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        ReducedGrid, ResistanceEstimate, UnknownNode,
                        assemble_families, build_feeder, cli, design_plan,
                        estimate_resistances, group_column_exact,
-                       group_column_noisy, identify, level_sets, load_record,
-                       metered_level_sets, reduce_grid, resistance_matrix,
-                       simulate_probing)
+                       group_column_noisy, group_estimate, identify,
+                       level_sets, load_record, metered_level_sets,
+                       reduce_grid, resistance_matrix, simulate_probing)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -639,6 +639,31 @@ REPRODUCTIONS = [
 @pytest.mark.parametrize("error, call", REPRODUCTIONS)
 def test_truncating_inputs_raise_typed_errors(error, call):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("path", [None, 5, b"y.csv", ["y.csv"]])
+def test_config_feeder_path_must_be_a_path(path):
+    with pytest.raises(ConfigError, match="feeder_path must be a path"):
+        ExperimentConfig(**{**CONFIG_ARGS, "feeder_path": path})
+
+
+def test_config_feeder_path_may_be_a_path_object(tmp_path):
+    path = tmp_path / "y.csv"
+    cfg = ExperimentConfig(**{**CONFIG_ARGS, "feeder_path": path})
+    assert cfg.feeder_path == path
+
+
+@pytest.mark.parametrize("call", [
+    lambda: identify("x", 0.1, "complete"),
+    lambda: identify(None, None, "partial"),
+    lambda: group_estimate(np.eye(2), 0.1, "complete"),
+    lambda: assemble_families([1]),
+    lambda: assemble_families([group_column_exact({1: 0.2}, 1), "x"]),
+])
+def test_stages_reject_inputs_of_another_type(call):
+    with pytest.raises(ConfigError, match="expected a (ResistanceEstimate|"
+                                          "level-set family), got "):
         call()
 
 

@@ -13,6 +13,10 @@ the record writer to the earlier one value-at-a-time writer byte for
 byte. The simulator, which now draws only the noise a record keeps, is
 held to the earlier one that drew every bus's noise: noise-free records
 bitwise, noisy ones in per-entry mean and variance of the estimate.
+`sample_estimate`, which draws a block plan's estimate from its window
+sums, is held to the record path the same way: noise-free estimates to
+1e-12 relative, noisy ones in per-entry mean and variance, and the same
+errors.
 `identify`, the one chain from an estimate to a recovered grid, is held to
 the stage chain the `recover` command spelled out before it: the same
 grid, lines and supports, or the same exception class and message.
@@ -44,10 +48,11 @@ from hypothesis import strategies as st
 from gridprobe import (ExperimentConfig, GridProbeError, NoiseModel,
                        ProbingPlan, ProbingRecord, ResistanceEstimate,
                        assemble_families, build_feeder, cli,
-                       estimate_resistances, experiments, fileio,
-                       group_column_exact, group_column_noisy, group_estimate,
-                       identify, level_sets, metered_level_sets, recover_full,
-                       recover_partial, resistance_matrix, run_experiment,
+                       compare_graphs, estimate_resistances, experiments,
+                       fileio, group_column_exact, group_column_noisy,
+                       group_estimate, identify, level_sets,
+                       metered_level_sets, recover_full, recover_partial,
+                       resistance_matrix, run_experiment, sample_estimate,
                        simulate_probing)
 
 from helpers import (random_feeder, random_probing,
@@ -154,6 +159,56 @@ def test_group_value_is_the_left_fold_of_its_sorted_run():
                      group_estimate(estimate, 1.0, "partial")[1]):
         assert grouping.sets == (frozenset(entries),)
         assert grouping.values == (fold / len(run),)
+
+
+# A star: bus 1 under the substation, leaves 2-10 under bus 1. Leaf m's
+# column reads STAR_U[m - 2] on every row but its own, which reads 1 more;
+# bus 1's column reads STAR_HUB throughout.
+STAR_LEAVES = tuple(range(2, 11))
+STAR_U = (0.509, 0.5058, 0.5004, 0.5071, 0.5057, 0.5083, 0.5053, 0.5081,
+          0.51)
+STAR_HUB = 0.5035
+
+
+def star_estimate(buses):
+    cols = []
+    for m in buses:
+        u = STAR_HUB if m == 1 else STAR_U[m - 2]
+        cols.append([u + 1.0 if n == m != 1 else u for n in buses])
+    return ResistanceEstimate(buses, buses, np.array(cols).T)
+
+
+def left_fold(values):
+    """The left-to-right sum from 0.0, for values whose exactly rounded
+    (and compensated) sum differs from it."""
+    values = list(values)
+    total = reduce(operator.add, values, 0.0)
+    assert total != math.fsum(values)
+    return total
+
+
+def test_line_resistances_and_scores_are_left_folds():
+    # Builtin sum compensates from Python 3.12 on; each of these three
+    # sums must round as the left fold on every Python.
+    complete = star_estimate((1,) + STAR_LEAVES)
+    families = group_estimate(complete, 0.1, "complete")
+    report = identify(complete, 0.1, "complete")
+    steps = [families[m].value_at(1) - families[m].value_at(0)
+             for m in sorted(families)]
+    assert report.graph.line_r(0, 1) == left_fold(steps) / len(steps)
+
+    partial = star_estimate(STAR_LEAVES)
+    families = group_estimate(partial, 0.1, "partial")
+    upstream = [f.value_at(1) for f in families.values()]
+    assert identify(partial, 0.1, "partial").graph.root_upstream_r == \
+        left_fold(upstream) / len(upstream)
+
+    truth = build_feeder([(0, 1, 0.5, 0.1)] + [(1, m, 1.0 + 0.0137 * m, 0.1)
+                                               for m in STAR_LEAVES])
+    rel = [abs(r - truth.line_r(u, v)) / truth.line_r(u, v)
+           for u, v, r, *_ in report.graph.edges]
+    assert compare_graphs(report.graph, truth, truth.bus_order
+                          ).resistance_mpe == 100.0 * left_fold(rel) / len(rel)
 
 
 def test_grouping_errors_match_reference():
@@ -521,6 +576,14 @@ def assert_same_record(got, want):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+def record_path(simulate):
+    """The estimate of a simulated record, as a function of the
+    simulator's arguments."""
+    def draw(*args, **kwargs):
+        return estimate_resistances(simulate(*args, **kwargs))
+    return draw
+
+
 def test_noise_free_records_match_reference_bitwise():
     rng = np.random.default_rng(71)
     for _ in range(200):
@@ -533,6 +596,14 @@ def test_noise_free_records_match_reference_bitwise():
                         simulate_probing(g, plan, noise, mode=mode),
                         reference_simulate_probing(g, plan, noise,
                                                    mode=mode))
+                if plan.is_block:
+                    got = sample_estimate(g, plan, NoiseModel(), mode=mode)
+                    want = record_path(simulate_probing)(
+                        g, plan, NoiseModel(), mode=mode)
+                    assert (got.row_nodes, got.col_nodes) == \
+                        (want.row_nodes, want.col_nodes)
+                    np.testing.assert_allclose(got.values, want.values,
+                                               rtol=1e-12, atol=0.0)
         every = ProbingPlan.blocks(g.bus_order, [0.1] * len(g.bus_order), 2)
         assert_same_record(simulate_probing(g, every, NoiseModel()),
                            reference_simulate_probing(g, every, NoiseModel()))
@@ -554,11 +625,12 @@ def test_simulator_errors_match_reference():
               NoiseModel(), "metered")]
     for plan, noise, mode in cases:
         outcomes = []
-        for simulate in (simulate_probing, reference_simulate_probing):
+        for simulate in (simulate_probing, reference_simulate_probing,
+                         sample_estimate):
             with pytest.raises(GridProbeError) as err:
                 simulate(g, plan, noise, mode=mode)
             outcomes.append((type(err.value), str(err.value)))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_complete_probing_draws_meter_noise_only():
@@ -578,11 +650,10 @@ def test_complete_probing_draws_meter_noise_only():
         assert_same_record(full, meter)
 
 
-def estimate_moments(simulate, g, plan, noise, mode, seed, trials):
+def estimate_moments(draw, g, plan, noise, mode, seed, trials):
     rng = np.random.default_rng(seed)
-    est = np.array([estimate_resistances(
-        simulate(g, plan, noise, mode=mode, rng=rng)).values
-        for _ in range(trials)])
+    est = np.array([draw(g, plan, noise, mode=mode, rng=rng).values
+                    for _ in range(trials)])
     return est.mean(axis=0), est.var(axis=0, ddof=1)
 
 
@@ -598,16 +669,21 @@ def test_noisy_estimates_match_reference_in_distribution(mode):
     plan = ProbingPlan.blocks([3, 5, 7, 8], [0.1, 0.2, 0.1, 0.3], [2, 3, 2, 4])
     noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
     trials = 4000
-    mean, var = estimate_moments(simulate_probing, g, plan, noise, mode, 73,
-                                 trials)
-    ref_mean, ref_var = estimate_moments(reference_simulate_probing, g,
-                                         plan, noise, mode, 74, trials)
-    # Five standard errors of the difference of two independent sample
-    # means, and of two sample variances (Gaussian entries).
-    assert np.all(np.abs(mean - ref_mean)
-                  <= 5 * np.sqrt((var + ref_var) / trials))
-    assert np.all(np.abs(var - ref_var)
-                  <= 5 * np.sqrt(2 / (trials - 1)) * np.hypot(var, ref_var))
+    mean, var = estimate_moments(record_path(simulate_probing), g, plan,
+                                 noise, mode, 73, trials)
+    # The earlier simulator's records, and estimates drawn from window
+    # sums, are each held to the records of the current simulator.
+    for draw, seed in ((record_path(reference_simulate_probing), 74),
+                       (sample_estimate, 76)):
+        ref_mean, ref_var = estimate_moments(draw, g, plan, noise, mode,
+                                             seed, trials)
+        # Five standard errors of the difference of two independent
+        # sample means, and of two sample variances (Gaussian entries).
+        assert np.all(np.abs(mean - ref_mean)
+                      <= 5 * np.sqrt((var + ref_var) / trials))
+        assert np.all(np.abs(var - ref_var)
+                      <= 5 * np.sqrt(2 / (trials - 1))
+                      * np.hypot(var, ref_var))
 
 
 # -- identification pipeline --------------------------------------------------

@@ -11,7 +11,7 @@ from gridprobe import (ConfigError, ExperimentConfig, NoiseModel,
                        UnknownProbingBus, build_feeder, design_plan,
                        estimate_resistances, fileio, noise_bound,
                        reactance_matrix, reduce_grid, resistance_matrix,
-                       simulate_probing)
+                       sample_estimate, simulate_probing)
 
 from helpers import random_feeder
 
@@ -289,3 +289,20 @@ def test_record_seed_is_only_claimed_when_it_drew_the_data():
     assert simulate_probing(g, plan, noise).seed == 5
     rec = simulate_probing(g, plan, noise, rng=np.random.default_rng(1))
     assert rec.seed is None
+
+
+def test_sampled_estimates_need_a_block_plan():
+    plan = ProbingPlan.general([2, 3], np.eye(2))
+    with pytest.raises(ConfigError, match="only block plans"):
+        sample_estimate(y_tree(), plan, NoiseModel(sigma_w=0.01))
+
+
+def test_sampled_estimates_follow_the_seed_or_the_rng():
+    g = y_tree()
+    plan = ProbingPlan.blocks([2, 3], [0.5, 0.5], 4)
+    noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.01, seed=5)
+    a = sample_estimate(g, plan, noise, mode="partial")
+    b = sample_estimate(g, plan, noise, mode="partial",
+                        rng=np.random.default_rng(5))
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.row_nodes, a.col_nodes) == ((2, 3), (2, 3))
