@@ -7,6 +7,8 @@ boundaries while tests can assert the precise failure mode.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -119,12 +121,39 @@ def as_int(value, error: type[GridProbeError], what: str,
     return value
 
 
-def as_float(value, error: type[GridProbeError], what: str) -> float:
+# The ranges a real input can be held to, by the words that name them.
+_RANGES = {
+    "finite": math.isfinite,
+    "finite and nonnegative": lambda x: 0 <= x < math.inf,
+    "positive and finite": lambda x: 0 < x < math.inf,
+}
+
+
+def as_float(value, error: type[GridProbeError], what: str,
+             within: str | None = None) -> float:
     """The one rule for real inputs: whatever `float()` takes comes back as
     a float; anything else (None, a non-numeric string, a container, an
-    integer too large for a float) raises `error`. Range checks, such as
-    finiteness, are the caller's."""
+    integer too large for a float) raises `error`. So does a float outside
+    `within`: "finite", "finite and nonnegative" or "positive and finite".
+    """
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} {value!r} is not a number") from None
+    if within is not None and not _RANGES[within](out):
+        raise error(f"{what} must be {within}, got {value}")
+    return out
+
+
+def as_float_array(values, error: type[GridProbeError],
+                   what: str) -> np.ndarray:
+    """The rule for arrays of reals: a float ndarray comes back as it is,
+    anything else as a new float array (numpy reads None as NaN); entries
+    that are not numbers, or rows of unequal length, raise `error`. Shape
+    and range checks are the caller's."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return values
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} entries must be numbers") from None

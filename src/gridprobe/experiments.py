@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import platform
 import time
@@ -89,15 +88,25 @@ class ExperimentConfig:
                 f"loads_kw must be a mapping, got {self.loads_kw!r}")
         object.__setattr__(self, "loads_kw", {
             as_int(b, ConfigError, "loads_kw bus"):
-                as_float(kw, ConfigError, f"loads_kw value of bus {b}")
+                as_float(kw, ConfigError, f"loads_kw value of bus {b}",
+                         "finite")
             for b, kw in self.loads_kw.items()})
-        for key, optional in (("r_min", False), ("s_base_kva", False),
-                              ("delta_multiple", False),
-                              ("delta_default_kw", True),
-                              ("delta_value_pu", True)):
+        if self.delta_policy not in ("rated", "fixed"):
+            raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
+        # The delta policy in use needs its own scales, and only those,
+        # positive.
+        rated = self.delta_policy == "rated"
+        pos, fin = "positive and finite", "finite"
+        for key, within, optional in (
+                ("r_min", pos, False),
+                ("s_base_kva", pos if rated else fin, False),
+                ("delta_multiple", pos if rated else fin, False),
+                ("delta_default_kw", fin, True),
+                ("delta_value_pu", fin if rated else pos, rated)):
             value = getattr(self, key)
             if not (optional and value is None):
-                object.__setattr__(self, key, as_float(value, ConfigError, key))
+                object.__setattr__(self, key, as_float(value, ConfigError,
+                                                       key, within))
         if isinstance(self.probing, str):
             if self.probing not in PROBING_POLICIES:
                 raise ConfigError(f"unknown probing policy {self.probing!r}")
@@ -107,23 +116,6 @@ class ExperimentConfig:
             raise ConfigError("explicit probing buses must be distinct")
         if not self.periods:
             raise ConfigError("periods sweep is empty")
-        reals = [self.r_min, self.s_base_kva, self.delta_multiple,
-                 *self.loads_kw.values()]
-        reals += [v for v in (self.delta_default_kw, self.delta_value_pu)
-                  if v is not None]
-        if not all(math.isfinite(v) for v in reals):
-            raise ConfigError("r_min, s_base_kva, delta and loads_kw values "
-                              "must be finite")
-        if self.r_min <= 0:
-            raise ConfigError("r_min must be positive")
-        if self.delta_policy not in ("rated", "fixed"):
-            raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
-        if self.delta_policy == "fixed" and not (self.delta_value_pu or 0) > 0:
-            raise ConfigError("fixed delta policy needs a positive value_pu")
-        if self.delta_policy == "rated" and self.s_base_kva <= 0:
-            raise ConfigError("s_base_kva must be positive")
-        if self.delta_policy == "rated" and self.delta_multiple <= 0:
-            raise ConfigError("delta multiple must be positive")
 
     @staticmethod
     def from_dict(raw: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -142,20 +134,18 @@ class ExperimentConfig:
                 mode=raw["mode"],
                 probing=raw.get("probing", "all-leaves"),
                 periods=raw["periods"],
-                noise=NoiseModel(sigma_p=float(nd.get("sigma_p", 0.0)),
-                                 sigma_q=float(nd.get("sigma_q", 0.0)),
-                                 sigma_w=float(nd.get("sigma_w", 0.0))),
-                r_min=float(raw["r_min"]),
+                noise=NoiseModel(sigma_p=nd.get("sigma_p", 0.0),
+                                 sigma_q=nd.get("sigma_q", 0.0),
+                                 sigma_w=nd.get("sigma_w", 0.0)),
+                r_min=raw["r_min"],
                 trials=raw.get("trials", 1000),
                 seed=raw.get("seed", 0),
-                s_base_kva=float(raw.get("s_base_kva", 1.0)),
+                s_base_kva=raw.get("s_base_kva", 1.0),
                 loads_kw=_section(raw, "loads_kw"),
                 delta_policy=dd.get("policy", "rated"),
-                delta_multiple=float(dd.get("multiple", 1.0)),
-                delta_default_kw=(None if dd.get("default_kw") is None
-                                  else float(dd["default_kw"])),
-                delta_value_pu=(None if dd.get("value_pu") is None
-                                else float(dd["value_pu"])),
+                delta_multiple=dd.get("multiple", 1.0),
+                delta_default_kw=dd.get("default_kw"),
+                delta_value_pu=dd.get("value_pu"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad experiment config: {exc!r}") from None

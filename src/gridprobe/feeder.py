@@ -10,19 +10,21 @@ kind of tree, rooted below the substation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CycleDetected,
     Disconnected,
     DuplicateNode,
     MissingRoot,
     NonpositiveImpedance,
     UnknownNode,
+    as_float,
+    as_float_array,
     as_int,
 )
 
@@ -56,17 +58,11 @@ class FeederGraph:
                 u, v, r, x = e
             u = as_int(u, UnknownNode, "bus ID")
             v = as_int(v, UnknownNode, "bus ID")
-            try:
-                r = float(r)
-                x = None if x is None else float(x)
-            except (TypeError, ValueError, OverflowError):
-                raise NonpositiveImpedance(
-                    f"line ({u},{v}) impedance r={r!r} x={x!r} is not a "
-                    f"number") from None
-            if not 0 < r < math.inf or (x is not None and not 0 < x < math.inf):
-                raise NonpositiveImpedance(
-                    f"line ({u},{v}) has nonpositive or non-finite "
-                    f"impedance r={r} x={x}")
+            r = as_float(r, NonpositiveImpedance, f"line ({u},{v}) r",
+                         "positive and finite")
+            if x is not None:
+                x = as_float(x, NonpositiveImpedance, f"line ({u},{v}) x",
+                             "positive and finite")
             parsed.append((u, v, r, x))
         parent: dict[int, int] = {}
         for u, v, _, _ in parsed:
@@ -314,7 +310,7 @@ class LevelSetFamily:
 
     def __post_init__(self):
         if len(self.sets) != len(self.values):
-            raise ValueError("sets and values must align")
+            raise ConfigError("sets and values must align")
 
     @property
     def depth(self) -> int:
@@ -422,9 +418,11 @@ class ResistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (len(self.nodes), len(self.nodes)):
-            raise ValueError("matrix shape does not match node order")
-        self.values.setflags(write=False)
+        values = as_float_array(self.values, ConfigError, "matrix")
+        if values.shape != (len(self.nodes), len(self.nodes)):
+            raise ConfigError("matrix shape does not match node order")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def entry(self, m: int, n: int) -> float:
         i, j = bus_index(self.nodes, m), bus_index(self.nodes, n)

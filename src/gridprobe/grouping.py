@@ -17,10 +17,8 @@ same two routines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -260,10 +258,8 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
 
 
 def _threshold(r_min) -> float:
-    if not (isinstance(r_min, Real) and 0 < r_min < math.inf):
-        raise NonpositiveRmin(
-            f"r_min must be positive and finite, got {r_min}")
-    return r_min / 2.0
+    return as_float(r_min, NonpositiveRmin, "r_min",
+                    "positive and finite") / 2.0
 
 
 def _check_mode(mode: str) -> None:
@@ -407,9 +403,8 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     groupings cannot come from one feeder at the claimed noise level. An
     item that is not a level-set family raises ConfigError.
     """
-    if not (isinstance(value_tol, Real) and 0 <= value_tol < math.inf):
-        raise ConfigError(
-            f"value_tol must be finite and nonnegative, got {value_tol}")
+    value_tol = as_float(value_tol, ConfigError, "value_tol",
+                         "finite and nonnegative")
     gl = list(groupings)
     for g in gl:
         if not isinstance(g, LevelSetFamily):

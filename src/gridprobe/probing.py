@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,20 +23,13 @@ from .errors import (
     RankDeficientProbing,
     UnknownProbingBus,
     as_float,
+    as_float_array,
     as_int,
 )
 from .feeder import (FeederGraph, bus_index, reactance_matrix,
                      resistance_matrix)
 
 RANK_TOL = 1e-10
-
-
-def _float_array(values, what: str) -> np.ndarray:
-    """values as a new float array; ConfigError if they are not numbers."""
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} entries must be numbers") from None
 
 
 @dataclass(frozen=True)
@@ -55,10 +47,10 @@ class NoiseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if not all(isinstance(s, Real) and 0 <= s < math.inf
-                   for s in (self.sigma_p, self.sigma_q, self.sigma_w)):
-            raise ConfigError("noise deviations must be finite and "
-                              "nonnegative")
+        for key in ("sigma_p", "sigma_q", "sigma_w"):
+            object.__setattr__(self, key, as_float(
+                getattr(self, key), ConfigError, key,
+                "finite and nonnegative"))
         if self.seed is not None:
             object.__setattr__(self, "seed",
                                as_int(self.seed, ConfigError, "seed", 0))
@@ -104,17 +96,16 @@ class ProbingPlan:
                 raise ConfigError("block plans need delta and periods")
             if len(self.delta) != len(self.buses) or len(self.periods) != len(self.buses):
                 raise ConfigError("delta/periods must align with buses")
-            delta = tuple(as_float(d, ConfigError, "probing magnitude")
-                          for d in self.delta)
-            if not all(0 < d < math.inf for d in delta):
-                raise ConfigError("probing magnitudes must be positive "
-                                  "and finite")
-            object.__setattr__(self, "delta", delta)
+            object.__setattr__(self, "delta", tuple(
+                as_float(d, ConfigError, "probing magnitude",
+                         "positive and finite") for d in self.delta))
             object.__setattr__(self, "periods", tuple(
                 as_int(t, ConfigError, "probing period", 1)
                 for t in self.periods))
         else:
-            matrix = _float_array(self.matrix, "injection matrix")
+            # The plan keeps its own read-only copy.
+            matrix = as_float_array(self.matrix, ConfigError,
+                                    "injection matrix").copy()
             if matrix.ndim != 2 or matrix.shape[0] != len(self.buses):
                 raise ConfigError("injection matrix needs one row per probing bus")
             if not np.isfinite(matrix).all():
@@ -186,17 +177,13 @@ def design_plan(r_min: float, sigma: float,
     of the smallest resistance separating two level sets, with probability
     better than 99.99% per entry.
     """
-    if not 0 < r_min < math.inf:
-        raise NonpositiveRmin(f"r_min must be positive and finite, got {r_min}")
-    if not 0 <= sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
+    r_min = as_float(r_min, NonpositiveRmin, "r_min", "positive and finite")
+    sigma = as_float(sigma, ConfigError, "sigma", "finite and nonnegative")
     buses = tuple(sorted(delta))
     periods = []
     for b in buses:
-        d = as_float(delta[b], ConfigError, f"probing magnitude for bus {b}")
-        if not 0 < d < math.inf:
-            raise ConfigError(f"probing magnitude for bus {b} must be "
-                              f"positive and finite")
+        d = as_float(delta[b], ConfigError, f"probing magnitude for bus {b}",
+                     "positive and finite")
         try:
             need = (16.0 * sigma / (r_min * d)) ** 2
             periods.append(max(1, math.ceil(need - 1e-12)))
@@ -226,9 +213,13 @@ class ProbingRecord:
         if self.seed is not None:
             object.__setattr__(self, "seed",
                                as_int(self.seed, ConfigError, "seed", 0))
-        if self.values.shape != (len(self.row_nodes), self.plan.total_periods):
+        values = as_float_array(self.values, ConfigError, "measurement")
+        if values.shape != (len(self.row_nodes), self.plan.total_periods):
             raise ConfigError("measurement shape does not match plan")
-        self.values.setflags(write=False)
+        if not np.isfinite(values).all():
+            raise ConfigError("measurement values must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def _layout(g: FeederGraph, plan: ProbingPlan,
@@ -321,9 +312,7 @@ class ResistanceEstimate:
             if len(set(buses)) != len(buses):
                 raise ConfigError(f"estimate {key} must be distinct buses")
             object.__setattr__(self, key, buses)
-        values = self.values
-        if not (isinstance(values, np.ndarray) and values.dtype == float):
-            values = _float_array(values, "estimate")
+        values = as_float_array(self.values, ConfigError, "estimate")
         if values.shape != (len(self.row_nodes), len(self.col_nodes)):
             raise ConfigError(
                 f"estimate values have shape {values.shape}, not "

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     AmbiguousIntersection,
+    ConfigError,
     EmptyPartition,
     GridProbeError,
     InconsistentLevelSets,
@@ -75,6 +76,16 @@ def _line_estimate(group: frozenset[int], families: Mapping[int, LevelSetFamily]
         raise InconsistentLevelSets(
             f"nonpositive line resistance {r} at depth {k}")
     return r
+
+
+def _check_families(families) -> None:
+    """ConfigError unless families maps buses to level-set families."""
+    if not isinstance(families, Mapping):
+        raise ConfigError(f"expected a level-set family, got {families!r} "
+                          f"(pass a mapping of bus to family)")
+    for fam in families.values():
+        if not isinstance(fam, LevelSetFamily):
+            raise ConfigError(f"expected a level-set family, got {fam!r}")
 
 
 def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
@@ -131,8 +142,10 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
 
     Requires one family per probing bus, indexed by true depth from 0, and
     probing buses covering every leaf. Recovers every bus under its
-    original ID together with every line resistance.
+    original ID together with every line resistance. Anything but a
+    mapping of bus to level-set family raises ConfigError.
     """
+    _check_families(families)
     seen: set[int] = set()
 
     def name(group, k):
@@ -159,7 +172,9 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
 
     Families are indexed by reduced-grid depth from 1. Junctions that are
     not probed get fresh IDs allocated above the largest probing ID.
+    Anything but a mapping of bus to level-set family raises ConfigError.
     """
+    _check_families(families)
     first_id = max(families, default=0) + 1
     internal: list[int] = []
 

@@ -12,7 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LeafNotProbed, UnknownNode, as_int
+from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_float,
+                     as_int)
 from .feeder import FeederGraph, effective_resistance
 
 
@@ -36,7 +37,8 @@ class ReducedGrid(FeederGraph):
                                  for b in probing)
         self.internal = frozenset(as_int(b, UnknownNode, "bus ID")
                                   for b in internal)
-        self.root_upstream_r = float(root_upstream_r)
+        self.root_upstream_r = as_float(root_upstream_r, ConfigError,
+                                        "root_upstream_r", "finite")
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:

@@ -16,7 +16,6 @@ import os
 from collections import deque
 from dataclasses import replace
 from functools import reduce
-from numbers import Real
 
 import numpy as np
 
@@ -450,10 +449,15 @@ def _reference_check_pairwise(families, value_tol):
 
 
 def reference_group_estimate(estimate, r_min, mode):
-    if r_min is not None and not (isinstance(r_min, Real)
-                                  and 0 < r_min < math.inf):
-        raise NonpositiveRmin(
-            f"r_min must be positive and finite, got {r_min}")
+    if r_min is not None:
+        try:
+            real = float(r_min)
+        except (TypeError, ValueError, OverflowError):
+            raise NonpositiveRmin(f"r_min {r_min!r} is not a number") from None
+        if not 0 < real < math.inf:
+            raise NonpositiveRmin(
+                f"r_min must be positive and finite, got {r_min}")
+        r_min = real
     tol = 1e-9 if r_min is None else r_min / 2
     groupings = []
     for m in estimate.col_nodes:

@@ -16,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
-                       FeederFormatError, InconsistentLevelSets,
-                       LevelSetFamily, NoiseModel, NonpositiveRmin,
-                       NonpositiveImpedance, ProbingPlan, ProbingRecord,
-                       ReducedGrid, ResistanceEstimate, UnknownNode,
-                       assemble_families, build_feeder, cli, design_plan,
-                       estimate_resistances, group_column_exact,
-                       group_column_noisy, group_estimate, identify,
-                       level_sets, load_record, metered_level_sets,
-                       reduce_grid, resistance_matrix, simulate_probing)
+                       FeederFormatError, GridProbeError,
+                       InconsistentLevelSets, LevelSetFamily, NoiseModel,
+                       NonpositiveRmin, NonpositiveImpedance, ProbingPlan,
+                       ProbingRecord, ReducedGrid, ResistanceEstimate,
+                       ResistanceMatrix, UnknownNode, assemble_families,
+                       build_feeder, cli, design_plan, estimate_resistances,
+                       group_column_exact, group_column_noisy, group_estimate,
+                       identify, level_sets, load_record, metered_level_sets,
+                       recover_full, recover_partial, reduce_grid,
+                       resistance_matrix, simulate_probing)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -633,6 +634,15 @@ REPRODUCTIONS = [
         estimate_resistances(simulate_probing(
             y_feeder(2), ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2),
             NoiseModel())), "a", "complete")),
+    # Constructors that hold arrays.
+    (ConfigError, lambda: ResistanceMatrix((1,), np.eye(2))),
+    (ConfigError, lambda: ResistanceMatrix((1,), [["a"]])),
+    (ConfigError, lambda: ProbingRecord("complete", (1,), [[NAN]], PLAN)),
+    (ConfigError, lambda: ProbingRecord("complete", (1,), np.array([[-INF]]),
+                                        PLAN)),
+    (ConfigError, lambda: ProbingRecord("complete", (1,), [["a"]], PLAN)),
+    (ConfigError, lambda: LevelSetFamily(1, 0, (frozenset({1}),), (),
+                                         metered=False)),
 ]
 
 
@@ -660,6 +670,9 @@ def test_config_feeder_path_may_be_a_path_object(tmp_path):
     lambda: group_estimate(np.eye(2), 0.1, "complete"),
     lambda: assemble_families([1]),
     lambda: assemble_families([group_column_exact({1: 0.2}, 1), "x"]),
+    lambda: recover_full([1]),
+    lambda: recover_full({1: 2}),
+    lambda: recover_partial({1: "x"}),
 ])
 def test_stages_reject_inputs_of_another_type(call):
     with pytest.raises(ConfigError, match="expected a (ResistanceEstimate|"
@@ -827,6 +840,22 @@ REAL_SITES = {
         [(0, 1, v, None)])),
     "build_feeder x": (NonpositiveImpedance, lambda v: build_feeder(
         [(0, 1, 1.0, v)])),
+    "NoiseModel sigma_p": (ConfigError, lambda v: NoiseModel(sigma_p=v)),
+    "NoiseModel sigma_q": (ConfigError, lambda v: NoiseModel(sigma_q=v)),
+    "NoiseModel sigma_w": (ConfigError, lambda v: NoiseModel(sigma_w=v)),
+    "group_column_noisy r_min": (NonpositiveRmin, lambda v:
+                                 group_column_noisy({1: 5.0}, 1, v)),
+    # One 5.0 line: any r_min up to 10 recovers it.
+    "identify r_min": (NonpositiveRmin, lambda v: identify(
+        ResistanceEstimate((1,), (1,), [[5.0]]), v, "complete")),
+    "assemble_families value_tol": (ConfigError, lambda v: assemble_families(
+        [group_column_exact({1: 0.2}, 1)], value_tol=v)),
+    "design_plan r_min": (NonpositiveRmin, lambda v: design_plan(
+        v, 1e-3, {1: 0.1})),
+    "design_plan sigma": (ConfigError, lambda v: design_plan(
+        0.5, v, {1: 0.1})),
+    "ReducedGrid root_upstream_r": (ConfigError, lambda v: ReducedGrid(
+        1, [(1, 2, 1.0)], probing=[2], internal=[], root_upstream_r=v)),
 }
 NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, object(), 10**400]
 
@@ -842,3 +871,77 @@ def test_non_number_inputs_raise_typed_errors(site, value):
 @pytest.mark.parametrize("site", sorted(REAL_SITES))
 def test_real_sites_accept_integers_as_floats(site):
     REAL_SITES[site][1](2)
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_sites_accept_numeric_strings(site):
+    REAL_SITES[site][1]("2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: group_column_noisy({1: 0.2}, 1, -1), "r_min must be positive "
+                                                  "and finite, got -1"),
+    (lambda: design_plan("0", 0.0, {1: 0.1}), "r_min must be positive and "
+                                               "finite, got 0"),
+    (lambda: NoiseModel(sigma_w=-1e-3), "sigma_w must be finite and "
+                                        "nonnegative, got -0.001"),
+    (lambda: assemble_families([group_column_exact({1: 0.2}, 1)],
+                               value_tol=INF),
+     "value_tol must be finite and nonnegative, got inf"),
+    (lambda: build_feeder([(0, 1, 0.0)]), r"line \(0,1\) r must be "
+                                         r"positive and finite, got 0.0"),
+    (lambda: ExperimentConfig(**{**CONFIG_ARGS, "s_base_kva": "-1"}),
+     "s_base_kva must be positive and finite, got -1"),
+])
+def test_out_of_range_reals_name_the_range_and_the_value(call, message):
+    with pytest.raises(GridProbeError, match=f"^{message}$"):
+        call()
+
+
+def test_upstream_resistance_is_finite_but_may_be_negative():
+    # A recovered upstream is a noisy mean, so only its finiteness is
+    # checked.
+    grid = ReducedGrid(1, [(1, 2, 1.0)], probing=[2], internal=[],
+                       root_upstream_r=np.float64(-0.25))
+    assert type(grid.root_upstream_r) is float
+    assert grid.root_upstream_r == -0.25
+    for value in (NAN, INF, -INF):
+        with pytest.raises(ConfigError, match="root_upstream_r must be "
+                                              "finite"):
+            ReducedGrid(1, [(1, 2, 1.0)], probing=[2], internal=[],
+                        root_upstream_r=value)
+
+
+def test_array_constructors_convert_lists_to_read_only_floats():
+    rmat = ResistanceMatrix((1, 2), [[1, 1], [1, 3]])
+    record = ProbingRecord("complete", (1,), [[2]], PLAN)
+    for values in (rmat.values, record.values):
+        assert isinstance(values, np.ndarray) and values.dtype == float
+        assert not values.flags.writeable
+    assert rmat.entry(2, 2) == 3.0 and record.values[0, 0] == 2.0
+    # A float array is kept as it is.
+    values = np.eye(2)
+    assert ResistanceMatrix((1, 2), values).values is values
+
+
+def test_yaml_exponents_without_a_dot_read_as_numbers(tmp_path, capsys):
+    # PyYAML reads 1e-3 and 1e-4 as strings; the real rule reads them as
+    # the numbers they spell.
+    raw = with_key(("r_min",), 0.001)
+    raw["noise"]["sigma_w"] = 0.0001
+    text = yaml.safe_dump(raw)
+    spelled = (text.replace("r_min: 0.001", "r_min: 1e-3")
+               .replace("sigma_w: 0.0001", "sigma_w: 1e-4"))
+    assert spelled.count("e-") == text.count("e-") + 2
+    assert yaml.safe_load(spelled)["r_min"] == "1e-3"
+    write_y_feeder(tmp_path)
+    outputs = []
+    for name, body in (("plain", text), ("spelled", spelled)):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(body)
+        out = tmp_path / name
+        assert cli.main(["montecarlo", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        outputs.append((out / "results.json").read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]

@@ -651,10 +651,21 @@ def test_complete_probing_draws_meter_noise_only():
 
 
 def estimate_moments(draw, g, plan, noise, mode, seed, trials):
+    """Per-entry mean and variance of the drawn estimates, and each
+    column's covariance across rows (column x row x row)."""
     rng = np.random.default_rng(seed)
     est = np.array([draw(g, plan, noise, mode=mode, rng=rng).values
                     for _ in range(trials)])
-    return est.mean(axis=0), est.var(axis=0, ddof=1)
+    dev = est - est.mean(axis=0)
+    cov = np.einsum("tij,tkj->jik", dev, dev) / (trials - 1)
+    return est.mean(axis=0), est.var(axis=0, ddof=1), cov
+
+
+def covariance_variance(cov, trials):
+    """Variance of each Gaussian sample covariance s_ik of `trials` draws:
+    (s_ii s_kk + s_ik^2) / (trials - 1)."""
+    d = np.diagonal(cov, axis1=1, axis2=2)
+    return (d[:, :, None] * d[:, None, :] + cov ** 2) / (trials - 1)
 
 
 @pytest.mark.parametrize("mode", ["complete", "partial"])
@@ -669,14 +680,14 @@ def test_noisy_estimates_match_reference_in_distribution(mode):
     plan = ProbingPlan.blocks([3, 5, 7, 8], [0.1, 0.2, 0.1, 0.3], [2, 3, 2, 4])
     noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
     trials = 4000
-    mean, var = estimate_moments(record_path(simulate_probing), g, plan,
-                                 noise, mode, 73, trials)
+    mean, var, cov = estimate_moments(record_path(simulate_probing), g,
+                                      plan, noise, mode, 73, trials)
     # The earlier simulator's records, and estimates drawn from window
     # sums, are each held to the records of the current simulator.
     for draw, seed in ((record_path(reference_simulate_probing), 74),
                        (sample_estimate, 76)):
-        ref_mean, ref_var = estimate_moments(draw, g, plan, noise, mode,
-                                             seed, trials)
+        ref_mean, ref_var, ref_cov = estimate_moments(draw, g, plan, noise,
+                                                      mode, seed, trials)
         # Five standard errors of the difference of two independent
         # sample means, and of two sample variances (Gaussian entries).
         assert np.all(np.abs(mean - ref_mean)
@@ -684,6 +695,11 @@ def test_noisy_estimates_match_reference_in_distribution(mode):
         assert np.all(np.abs(var - ref_var)
                       <= 5 * np.sqrt(2 / (trials - 1))
                       * np.hypot(var, ref_var))
+        # Rows share injection noise but not meter noise, so a column's
+        # covariance across rows tells the two apart; same band.
+        assert np.all(np.abs(cov - ref_cov)
+                      <= 5 * np.sqrt(covariance_variance(cov, trials)
+                                     + covariance_variance(ref_cov, trials)))
 
 
 # -- identification pipeline --------------------------------------------------
