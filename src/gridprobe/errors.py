@@ -145,15 +145,46 @@ def as_float(value, error: type[GridProbeError], what: str,
     return out
 
 
-def as_float_array(values, error: type[GridProbeError],
-                   what: str) -> np.ndarray:
+def as_float_array(values, error: type[GridProbeError], what: str,
+                   shape: tuple[int, ...] | None = None) -> np.ndarray:
     """The rule for arrays of reals: a float ndarray comes back as it is,
     anything else as a new float array (numpy reads None as NaN); entries
-    that are not numbers, or rows of unequal length, raise `error`. Shape
-    and range checks are the caller's."""
-    if isinstance(values, np.ndarray) and values.dtype == float:
-        return values
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} entries must be numbers") from None
+    that are not numbers, ragged rows or a shape other than `shape` raise
+    `error`. A shaped array comes back read-only; ranges are the caller's."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float):
+        try:
+            values = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise error(f"{what} entries must be numbers") from None
+    if shape is not None:
+        if values.shape != shape:
+            raise error(f"{what} values have shape {values.shape}, not "
+                        f"{shape}")
+        values.setflags(write=False)
+    return values
+
+
+def as_buses(values, error: type[GridProbeError],
+             what: str) -> tuple[int, ...]:
+    """The one rule for lists of bus IDs: any iterable but a string comes
+    back as a tuple of ints under `as_int`; a string, a non-iterable or a
+    repeated bus raises `error`."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise error(f"{what} must be a list of bus IDs, got {values!r}")
+    # Plain ints skip the call: each sweep trial checks three to five lists.
+    buses = tuple([b if type(b) is int else as_int(b, error, f"{what}: bus")
+                   for b in values])
+    if len(set(buses)) != len(buses):
+        raise error(f"{what} must be distinct, got {list(buses)}")
+    return buses
+
+
+def as_instance(value, kind: type | tuple[type, ...],
+                error: type[GridProbeError], what: str):
+    """The one type check at a stage boundary: `value` comes back as it
+    is if it is a `kind`, else `error` names the type it expected."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
+        raise error(f"{what} must be a {names}, got {value!r}")
+    return value

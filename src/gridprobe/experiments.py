@@ -23,7 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, GridProbeError, as_float, as_int
+from .errors import (ConfigError, GridProbeError, as_buses, as_float,
+                     as_instance, as_int)
 from .feeder import FeederGraph
 # `identify` calls group_estimate and sweeps call sample_estimate;
 # perfbench/tracer.py still wraps the per-column stages and the record
@@ -40,10 +41,7 @@ PROBING_POLICIES = ("all-buses", "all-leaves")
 
 
 def _section(raw: Mapping, key: str) -> Mapping:
-    value = raw.get(key, {})
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{key} must be a mapping, got {value!r}")
-    return value
+    return as_instance(raw.get(key, {}), Mapping, ConfigError, key)
 
 
 @dataclass(frozen=True)
@@ -64,28 +62,22 @@ class ExperimentConfig:
     delta_value_pu: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.feeder_path, (str, os.PathLike)):
-            raise ConfigError(f"feeder_path must be a path, got "
-                              f"{self.feeder_path!r}")
+        as_instance(self.feeder_path, (str, os.PathLike), ConfigError,
+                    "feeder_path")
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"mode must be complete or partial, "
                               f"got {self.mode!r}")
-        for key, least in (("probing", None), ("periods", 1)):
-            value = getattr(self, key)
-            if isinstance(value, str) and key == "probing":
-                continue
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {value!r}")
-            object.__setattr__(self, key, tuple(
-                as_int(v, ConfigError, key, least) for v in value))
+        if not isinstance(self.probing, str):
+            object.__setattr__(self, "probing", as_buses(
+                self.probing, ConfigError, "probing"))
+        object.__setattr__(self, "periods", tuple(
+            as_int(t, ConfigError, "periods", 1) for t in as_instance(
+                self.periods, (list, tuple), ConfigError, "periods")))
         for key, least in (("trials", 1), ("seed", 0)):
             object.__setattr__(self, key, as_int(getattr(self, key),
                                                  ConfigError, key, least))
-        if not isinstance(self.noise, NoiseModel):
-            raise ConfigError(f"noise must be a NoiseModel, got {self.noise!r}")
-        if not isinstance(self.loads_kw, Mapping):
-            raise ConfigError(
-                f"loads_kw must be a mapping, got {self.loads_kw!r}")
+        as_instance(self.noise, NoiseModel, ConfigError, "noise")
+        as_instance(self.loads_kw, Mapping, ConfigError, "loads_kw")
         object.__setattr__(self, "loads_kw", {
             as_int(b, ConfigError, "loads_kw bus"):
                 as_float(kw, ConfigError, f"loads_kw value of bus {b}",
@@ -112,8 +104,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown probing policy {self.probing!r}")
         elif not self.probing:
             raise ConfigError("explicit probing list is empty")
-        elif len(set(self.probing)) != len(self.probing):
-            raise ConfigError("explicit probing buses must be distinct")
         if not self.periods:
             raise ConfigError("periods sweep is empty")
 
@@ -124,8 +114,7 @@ class ExperimentConfig:
         Relative feeder paths resolve against base_dir (normally the
         directory the config file came from).
         """
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"config must be a mapping, got {raw!r}")
+        as_instance(raw, Mapping, ConfigError, "config")
         try:
             nd = _section(raw, "noise")
             dd = _section(raw, "delta")

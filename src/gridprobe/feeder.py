@@ -23,6 +23,7 @@ from .errors import (
     MissingRoot,
     NonpositiveImpedance,
     UnknownNode,
+    as_buses,
     as_float,
     as_float_array,
     as_int,
@@ -373,7 +374,7 @@ def metered_level_sets(g: FeederGraph, m: int,
     groups are renumbered consecutively from depth 1, matching the owner's
     ancestry in the reduced grid.
     """
-    p = frozenset(as_int(b, UnknownNode, "bus ID") for b in probing)
+    p = frozenset(as_buses(probing, UnknownNode, "probing buses"))
     for b in p:
         g._check(b)
     m = as_int(m, UnknownNode, "bus ID")
@@ -418,11 +419,11 @@ class ResistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = as_float_array(self.values, ConfigError, "matrix")
-        if values.shape != (len(self.nodes), len(self.nodes)):
-            raise ConfigError("matrix shape does not match node order")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nodes", as_buses(self.nodes, ConfigError,
+                                                   "matrix nodes"))
+        object.__setattr__(self, "values", as_float_array(
+            self.values, ConfigError, "matrix",
+            (len(self.nodes), len(self.nodes))))
 
     def entry(self, m: int, n: int) -> float:
         i, j = bus_index(self.nodes, m), bus_index(self.nodes, n)

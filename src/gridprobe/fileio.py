@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FeederFormatError, as_int
+from .errors import ConfigError, FeederFormatError, as_buses, as_int
 from .feeder import FeederGraph, build_feeder
 from .probing import ProbingPlan, ProbingRecord
 from .recovery import RecoveryReport
@@ -182,9 +182,8 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
         values = _parse_block(fh)
     if values is None:
         values = _read_rows(path)
-    bus, count = f"{path}: bus", f"{path}: period count"
     try:
-        buses = [as_int(b, FeederFormatError, bus) for b in header["buses"]]
+        buses = as_buses(header["buses"], FeederFormatError, f"{path}: buses")
         # Numbers are converted here, so a bad one is a format error.
         if header["matrix"] is not None:
             plan = ProbingPlan.general(
@@ -192,7 +191,7 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
         else:
             plan = ProbingPlan.blocks(
                 buses, dict(zip(buses, map(float, header["delta"]))),
-                [as_int(t, FeederFormatError, count)
+                [as_int(t, FeederFormatError, f"{path}: period count")
                  for t in header["periods"]])
         return ProbingRecord(mode=header["mode"],
                              row_nodes=tuple(header["row_nodes"]),

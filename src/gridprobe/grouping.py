@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
-                     as_float, as_int)
+                     as_buses, as_float, as_instance, as_int)
 from .feeder import LevelSetFamily
 from .probing import ResistanceEstimate
 
@@ -311,8 +311,7 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     `group_column_noisy`, in column order, and then `assemble_families`
     would raise. Anything but a ResistanceEstimate raises ConfigError.
     """
-    if not isinstance(estimate, ResistanceEstimate):
-        raise ConfigError(f"expected a ResistanceEstimate, got {estimate!r}")
+    as_instance(estimate, ResistanceEstimate, ConfigError, "estimate")
     threshold = None if r_min is None else _threshold(r_min)
     _check_mode(mode)
     owners = estimate.col_nodes
@@ -334,10 +333,11 @@ def _group(entries: Mapping[int, float], owner: int, mode: str,
     """Cut one column: the gap routine on a single-column matrix."""
     _check_mode(mode)
     owner = as_int(owner, InconsistentLevelSets, "column owner")
+    as_instance(entries, Mapping, InconsistentLevelSets, "column entries")
     # Read no entry of a column without its owner: `_columns` names that
     # first.
     keys = list(entries) if owner in entries else []
-    rows = [as_int(n, InconsistentLevelSets, "bus ID") for n in keys]
+    rows = as_buses(keys, InconsistentLevelSets, "column entries")
     values = np.array([as_float(entries[k], InconsistentLevelSets,
                                 f"column {owner}: entry of bus {n}")
                        for k, n in zip(keys, rows)], dtype=float)[:, None]
@@ -407,8 +407,7 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
                          "finite and nonnegative")
     gl = list(groupings)
     for g in gl:
-        if not isinstance(g, LevelSetFamily):
-            raise ConfigError(f"expected a level-set family, got {g!r}")
+        as_instance(g, LevelSetFamily, ConfigError, "grouping")
     if not gl:
         raise InconsistentLevelSets("no groupings supplied")
     metered, start = gl[0].metered, gl[0].start_depth

@@ -22,8 +22,10 @@ from .errors import (
     NonpositiveRmin,
     RankDeficientProbing,
     UnknownProbingBus,
+    as_buses,
     as_float,
     as_float_array,
+    as_instance,
     as_int,
 )
 from .feeder import (FeederGraph, bus_index, reactance_matrix,
@@ -87,10 +89,8 @@ class ProbingPlan:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(
-            as_int(b, ConfigError, "probing bus") for b in self.buses))
-        if len(set(self.buses)) != len(self.buses):
-            raise ConfigError("probing buses must be distinct")
+        object.__setattr__(self, "buses", as_buses(self.buses, ConfigError,
+                                                   "probing buses"))
         if self.matrix is None:
             if self.delta is None or self.periods is None:
                 raise ConfigError("block plans need delta and periods")
@@ -116,7 +116,7 @@ class ProbingPlan:
     @staticmethod
     def blocks(buses: Sequence[int], delta: Mapping[int, float] | Sequence[float],
                periods: int | Mapping[int, int] | Sequence[int]) -> "ProbingPlan":
-        buses = tuple(as_int(b, ConfigError, "probing bus") for b in buses)
+        buses = as_buses(buses, ConfigError, "probing buses")
 
         def per_bus(table: Mapping, what: str) -> list:
             for b in buses:
@@ -135,7 +135,7 @@ class ProbingPlan:
 
     @staticmethod
     def general(buses: Sequence[int], matrix: np.ndarray) -> "ProbingPlan":
-        return ProbingPlan(buses=tuple(buses), matrix=matrix)
+        return ProbingPlan(buses=buses, matrix=matrix)
 
     @property
     def is_block(self) -> bool:
@@ -179,7 +179,7 @@ def design_plan(r_min: float, sigma: float,
     """
     r_min = as_float(r_min, NonpositiveRmin, "r_min", "positive and finite")
     sigma = as_float(sigma, ConfigError, "sigma", "finite and nonnegative")
-    buses = tuple(sorted(delta))
+    buses = tuple(sorted(as_instance(delta, Mapping, ConfigError, "delta")))
     periods = []
     for b in buses:
         d = as_float(delta[b], ConfigError, f"probing magnitude for bus {b}",
@@ -206,27 +206,27 @@ class ProbingRecord:
     def __post_init__(self):
         if self.mode not in ("complete", "partial"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "row_nodes", tuple(
-            as_int(n, ConfigError, "record row bus") for n in self.row_nodes))
-        if len(set(self.row_nodes)) != len(self.row_nodes):
-            raise ConfigError("record rows must be distinct buses")
+        as_instance(self.plan, ProbingPlan, ConfigError, "plan")
+        object.__setattr__(self, "row_nodes", as_buses(
+            self.row_nodes, ConfigError, "record rows"))
         if self.seed is not None:
             object.__setattr__(self, "seed",
                                as_int(self.seed, ConfigError, "seed", 0))
-        values = as_float_array(self.values, ConfigError, "measurement")
-        if values.shape != (len(self.row_nodes), self.plan.total_periods):
-            raise ConfigError("measurement shape does not match plan")
+        values = as_float_array(self.values, ConfigError, "measurement",
+                                (len(self.row_nodes), self.plan.total_periods))
         if not np.isfinite(values).all():
             raise ConfigError("measurement values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
-def _layout(g: FeederGraph, plan: ProbingPlan,
+def _layout(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
             mode: str) -> tuple[list[int], list[int], list[int]]:
     """Positions in bus_order of a campaign's probing buses, reported rows
-    and free (non-probing) buses; raises for a bus that cannot probe or an
-    unknown mode."""
+    and free (non-probing) buses; raises for an input of another type, a
+    bus that cannot probe or an unknown mode."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
+    as_instance(plan, ProbingPlan, ConfigError, "plan")
+    as_instance(noise, NoiseModel, ConfigError, "noise")
     order = g.bus_order
     pos = {b: i for i, b in enumerate(order)}
     for b in plan.buses:
@@ -276,7 +276,7 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     The record carries noise.seed, or no seed when an explicit rng drew
     the noise.
     """
-    cols, rows, free = _layout(g, plan, mode)
+    cols, rows, free = _layout(g, plan, noise, mode)
     seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g).values
     if plan.is_block:
@@ -307,19 +307,11 @@ class ResistanceEstimate:
 
     def __post_init__(self):
         for key in ("row_nodes", "col_nodes"):
-            buses = tuple(as_int(n, ConfigError, "estimate bus")
-                          for n in getattr(self, key))
-            if len(set(buses)) != len(buses):
-                raise ConfigError(f"estimate {key} must be distinct buses")
-            object.__setattr__(self, key, buses)
-        values = as_float_array(self.values, ConfigError, "estimate")
-        if values.shape != (len(self.row_nodes), len(self.col_nodes)):
-            raise ConfigError(
-                f"estimate values have shape {values.shape}, not "
-                f"{(len(self.row_nodes), len(self.col_nodes))} (rows x "
-                f"columns)")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+            object.__setattr__(self, key, as_buses(
+                getattr(self, key), ConfigError, f"estimate {key}"))
+        object.__setattr__(self, "values", as_float_array(
+            self.values, ConfigError, "estimate",
+            (len(self.row_nodes), len(self.col_nodes))))
 
     def column(self, n: int) -> dict[int, float]:
         j = bus_index(self.col_nodes, n)
@@ -334,7 +326,7 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
     matrix. General plans right-invert explicitly and refuse to proceed
     when the injection matrix is row-rank deficient.
     """
-    plan = record.plan
+    plan = as_instance(record, ProbingRecord, ConfigError, "record").plan
     if plan.is_block:
         est = np.empty((len(record.row_nodes), len(plan.buses)))
         for j, (a, b) in enumerate(plan.windows()):
@@ -377,7 +369,7 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     `simulate_probing` raises; general plans have no windows and raise
     ConfigError.
     """
-    cols, rows, free = _layout(g, plan, mode)
+    cols, rows, free = _layout(g, plan, noise, mode)
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "

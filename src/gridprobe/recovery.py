@@ -28,6 +28,8 @@ from .errors import (
     InconsistentLevelSets,
     InconsistentMeteredSets,
     LabelMismatch,
+    as_buses,
+    as_instance,
 )
 from .feeder import FeederGraph, LevelSetFamily
 from .reduction import ReducedGrid
@@ -78,29 +80,13 @@ def _line_estimate(group: frozenset[int], families: Mapping[int, LevelSetFamily]
     return r
 
 
-def _check_families(families) -> None:
-    """ConfigError unless families maps buses to level-set families."""
-    if not isinstance(families, Mapping):
-        raise ConfigError(f"expected a level-set family, got {families!r} "
-                          f"(pass a mapping of bus to family)")
-    for fam in families.values():
-        if not isinstance(fam, LevelSetFamily):
-            raise ConfigError(f"expected a level-set family, got {fam!r}")
-
-
-def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
-          name: Callable[[frozenset[int], int], tuple[int, bool]],
-          error: type[GridProbeError]) -> tuple:
-    """Check level-set families, then rebuild their tree root-down.
-
-    name(group, k) picks the group's common depth-k ancestor and says
-    whether that ancestor must split the group in two or more parts.
-    A member without a depth-k group, or an ancestor that must split but
-    does not, raises error with the recursion state. Returns the root,
-    the (parent, child, r) lines and the number of columns behind each.
-    """
-    if not families:
-        raise EmptyPartition("no level-set families supplied")
+def _check_families(families, metered: bool) -> None:
+    """ConfigError unless families maps buses to level-set families, then
+    InconsistentLevelSets unless each family is indexed for the data
+    (`metered` or complete) and owned by the bus it is keyed by."""
+    as_instance(families, Mapping, ConfigError, "families")
+    for m, fam in families.items():
+        as_instance(fam, LevelSetFamily, ConfigError, f"family of bus {m}")
     start = int(metered)
     for m, fam in families.items():
         if fam.metered != metered or fam.start_depth != start:
@@ -110,10 +96,25 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
         if fam.owner != m:
             raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
 
+
+def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
+          name: Callable[[frozenset[int], int], tuple[int, bool]],
+          error: type[GridProbeError]) -> tuple:
+    """Rebuild the tree of checked level-set families root-down.
+
+    name(group, k) picks the group's common depth-k ancestor and says
+    whether that ancestor must split the group in two or more parts.
+    A member without a depth-k group, or an ancestor that must split but
+    does not, raises error with the recursion state. Returns the root,
+    the (parent, child, r) lines and the number of columns behind each.
+    """
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+
     root: int | None = None
     edges: list[tuple[int, int, float]] = []
     support: dict[tuple[int, int], int] = {}
-    queue: deque = deque([(frozenset(families), None, start)])
+    queue: deque = deque([(frozenset(families), None, int(metered))])
     while queue:
         group, parent, k = queue.popleft()
         for m in group:
@@ -145,7 +146,7 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     original ID together with every line resistance. Anything but a
     mapping of bus to level-set family raises ConfigError.
     """
-    _check_families(families)
+    _check_families(families, False)
     seen: set[int] = set()
 
     def name(group, k):
@@ -174,7 +175,7 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     not probed get fresh IDs allocated above the largest probing ID.
     Anything but a mapping of bus to level-set family raises ConfigError.
     """
-    _check_families(families)
+    _check_families(families, True)
     first_id = max(families, default=0) + 1
     internal: list[int] = []
 
@@ -223,8 +224,9 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
     them, which is unique among siblings whenever every subtree contains a
     probed bus. Resistance errors are reported relative to the reference.
     """
-    probing = frozenset(probing)
+    probing = frozenset(as_buses(probing, LabelMismatch, "probing buses"))
     for g in (recovered, reference):
+        as_instance(g, FeederGraph, ConfigError, "graph")
         missing = probing - g.nodes
         if missing:
             raise LabelMismatch(f"probing buses {sorted(missing)} absent")

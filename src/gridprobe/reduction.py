@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_float,
-                     as_int)
+from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_buses,
+                     as_float, as_instance, as_int)
 from .feeder import FeederGraph, effective_resistance
 
 
@@ -33,10 +33,8 @@ class ReducedGrid(FeederGraph):
                  probing: Iterable[int], internal: Iterable[int],
                  root_upstream_r: float):
         self._build(as_int(root, UnknownNode, "bus ID"), edges)
-        self.probing = frozenset(as_int(b, UnknownNode, "bus ID")
-                                 for b in probing)
-        self.internal = frozenset(as_int(b, UnknownNode, "bus ID")
-                                  for b in internal)
+        self.probing = frozenset(as_buses(probing, UnknownNode, "probing"))
+        self.internal = frozenset(as_buses(internal, UnknownNode, "internal"))
         self.root_upstream_r = as_float(root_upstream_r, ConfigError,
                                         "root_upstream_r", "finite")
 
@@ -73,7 +71,8 @@ def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
     Requires every leaf to be probed; otherwise parts of the tree leave no
     trace in probing data and the reduction is not well defined.
     """
-    p = frozenset(as_int(b, UnknownNode, "bus ID") for b in probing)
+    as_instance(g, FeederGraph, ConfigError, "feeder")
+    p = frozenset(as_buses(probing, UnknownNode, "probing buses"))
     for b in p:
         g._check(b)
         if b == g.root:

@@ -8,6 +8,7 @@ the command line must turn those into exit code 1 with a JSON message.
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,15 +18,16 @@ from hypothesis import strategies as st
 
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        FeederFormatError, GridProbeError,
-                       InconsistentLevelSets, LevelSetFamily, NoiseModel,
-                       NonpositiveRmin, NonpositiveImpedance, ProbingPlan,
-                       ProbingRecord, ReducedGrid, ResistanceEstimate,
-                       ResistanceMatrix, UnknownNode, assemble_families,
-                       build_feeder, cli, design_plan, estimate_resistances,
-                       group_column_exact, group_column_noisy, group_estimate,
-                       identify, level_sets, load_record, metered_level_sets,
+                       InconsistentLevelSets, LabelMismatch, LevelSetFamily,
+                       NoiseModel, NonpositiveRmin, NonpositiveImpedance,
+                       ProbingPlan, ProbingRecord, ReducedGrid,
+                       ResistanceEstimate, ResistanceMatrix, UnknownNode,
+                       assemble_families, build_feeder, cli, compare_graphs,
+                       design_plan, estimate_resistances, group_column_exact,
+                       group_column_noisy, group_estimate, identify,
+                       level_sets, load_record, metered_level_sets,
                        recover_full, recover_partial, reduce_grid,
-                       resistance_matrix, simulate_probing)
+                       resistance_matrix, sample_estimate, simulate_probing)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -643,6 +645,14 @@ REPRODUCTIONS = [
     (ConfigError, lambda: ProbingRecord("complete", (1,), [["a"]], PLAN)),
     (ConfigError, lambda: LevelSetFamily(1, 0, (frozenset({1}),), (),
                                          metered=False)),
+    # A matrix's node order is a bus list too.
+    (ConfigError, lambda: ResistanceMatrix((1, 1), np.eye(2))),
+    (ConfigError, lambda: ResistanceMatrix(("a",), np.eye(1))),
+    # Family keys are checked before either recovery uses them.
+    (InconsistentLevelSets, lambda: recover_full(
+        {"a": level_sets(y_feeder(2), 2)})),
+    (InconsistentLevelSets, lambda: recover_partial(
+        {"a": metered_level_sets(y_feeder(2), 2, [2, 3])})),
 ]
 
 
@@ -654,7 +664,8 @@ def test_truncating_inputs_raise_typed_errors(error, call):
 
 @pytest.mark.parametrize("path", [None, 5, b"y.csv", ["y.csv"]])
 def test_config_feeder_path_must_be_a_path(path):
-    with pytest.raises(ConfigError, match="feeder_path must be a path"):
+    with pytest.raises(ConfigError,
+                       match="feeder_path must be a str or PathLike, got "):
         ExperimentConfig(**{**CONFIG_ARGS, "feeder_path": path})
 
 
@@ -673,11 +684,111 @@ def test_config_feeder_path_may_be_a_path_object(tmp_path):
     lambda: recover_full([1]),
     lambda: recover_full({1: 2}),
     lambda: recover_partial({1: "x"}),
+    lambda: estimate_resistances("x"),
+    lambda: simulate_probing("x", PLAN, NoiseModel()),
+    lambda: simulate_probing(y_feeder(2), "x", NoiseModel()),
+    lambda: simulate_probing(y_feeder(2), PLAN, None),
+    lambda: sample_estimate(y_feeder(2), PLAN, None),
+    lambda: compare_graphs("x", y_feeder(2), [1]),
+    lambda: compare_graphs(y_feeder(2), "x", [1]),
+    lambda: reduce_grid("x", [1]),
+    lambda: ProbingRecord("complete", (1,), [[1.0]], plan=None),
+    lambda: design_plan(0.1, 0.1, [0.1]),
 ])
 def test_stages_reject_inputs_of_another_type(call):
-    with pytest.raises(ConfigError, match="expected a (ResistanceEstimate|"
-                                          "level-set family), got "):
+    with pytest.raises(ConfigError, match="must be a (ResistanceEstimate|"
+                                          "LevelSetFamily|Mapping|FeederGraph|"
+                                          "ProbingPlan|ProbingRecord|"
+                                          "NoiseModel), got "):
         call()
+
+
+def test_recover_partial_checks_family_keys_before_using_them():
+    full = level_sets(y_feeder(2), 2)
+    metered = metered_level_sets(y_feeder(2), 2, [2, 3])
+    # Each recovery first checks that a family is indexed for its data.
+    for recover, family in ((recover_full, metered),
+                            (recover_partial, full)):
+        with pytest.raises(InconsistentLevelSets, match="indexed"):
+            recover({2: family})
+    with pytest.raises(InconsistentLevelSets,
+                       match="^family keyed a owned by 2$"):
+        recover_partial({"a": metered})
+
+
+# -- bus lists ----------------------------------------------------------------
+#
+# Every list of bus IDs goes through one rule: any iterable but a string,
+# each entry an integer by the integer rule, no bus twice.
+
+NOT_BUS_LISTS = [5, "12", [2, 2]]
+
+# name -> (typed error, build with v where the bus list goes)
+BUS_LIST_SITES = {
+    "ProbingPlan": (ConfigError, lambda v: ProbingPlan(
+        buses=v, delta=(0.1, 0.1), periods=(1, 1))),
+    "ProbingPlan.blocks": (ConfigError, lambda v: ProbingPlan.blocks(
+        v, [0.1, 0.1], 1)),
+    "ProbingPlan.general": (ConfigError, lambda v: ProbingPlan.general(
+        v, np.eye(2))),
+    "ProbingRecord rows": (ConfigError, lambda v: ProbingRecord(
+        "partial", v, np.zeros((2, 1)), PLAN)),
+    "ResistanceEstimate rows": (ConfigError, lambda v: ResistanceEstimate(
+        v, (3,), np.zeros((2, 1)))),
+    "ResistanceEstimate columns": (ConfigError, lambda v: ResistanceEstimate(
+        (3,), v, np.zeros((1, 2)))),
+    "ResistanceMatrix": (ConfigError, lambda v: ResistanceMatrix(
+        v, np.eye(2))),
+    "ExperimentConfig probing": (ConfigError, lambda v: ExperimentConfig(
+        **{**CONFIG_ARGS, "probing": v})),
+    "ReducedGrid probing": (UnknownNode, lambda v: ReducedGrid(
+        1, [(1, 2, 1.0), (1, 3, 1.0)], probing=v, internal=[1],
+        root_upstream_r=0.0)),
+    "ReducedGrid internal": (UnknownNode, lambda v: ReducedGrid(
+        1, [(1, 2, 1.0)], probing=[2], internal=v, root_upstream_r=0.0)),
+    "reduce_grid": (UnknownNode, lambda v: reduce_grid(y_feeder(2), v)),
+    "metered_level_sets": (UnknownNode, lambda v: metered_level_sets(
+        y_feeder(2), 2, v)),
+    "compare_graphs": (LabelMismatch, lambda v: compare_graphs(
+        y_feeder(2), y_feeder(2), v)),
+    # A column's buses are its entries' keys.
+    "grouping entries": (InconsistentLevelSets, lambda v: group_column_exact(
+        v, 2, mode="partial")),
+}
+
+
+@pytest.mark.parametrize("value", NOT_BUS_LISTS, ids=repr)
+@pytest.mark.parametrize("site", sorted(BUS_LIST_SITES))
+def test_bus_list_rule_rejects(site, value):
+    error, build = BUS_LIST_SITES[site]
+    with pytest.raises(error):
+        build(value)
+
+
+@pytest.mark.parametrize("value", NOT_BUS_LISTS, ids=repr)
+def test_bus_list_rule_in_record_headers_exits_1(tmp_path, capsys, value):
+    code, err = recover_with_header(tmp_path, capsys, "buses",
+                                    lambda v: value)
+    assert code == 1
+    assert err["error"] == "FeederFormatError"
+
+
+def test_bus_lists_accept_any_iterable_and_store_ints():
+    plan = ProbingPlan.blocks(np.array([1, 2]), [0.1, 0.1], 1)
+    assert plan.buses == (1, 2) and all(type(b) is int for b in plan.buses)
+    grid = reduce_grid(y_feeder(2), (b for b in [2.0, 3]))
+    assert grid.probing == {2, 3}
+
+
+def test_repeated_bus_in_reduce_exits_1_without_traceback(capsys):
+    feeder = os.path.join(os.path.dirname(__file__), "..", "src",
+                          "gridprobe", "data", "ieee37.csv")
+    assert cli.main(["reduce", "--probing", "2,2", feeder]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "UnknownNode"
+    assert "distinct" in err["message"]
+    assert "Traceback" not in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("call", [
