@@ -171,9 +171,8 @@ def as_buses(values, error: type[GridProbeError],
     repeated bus raises `error`."""
     if isinstance(values, (str, bytes)) or not np.iterable(values):
         raise error(f"{what} must be a list of bus IDs, got {values!r}")
-    # Plain ints skip the call: each sweep trial checks three to five lists.
-    buses = tuple([b if type(b) is int else as_int(b, error, f"{what}: bus")
-                   for b in values])
+    name = f"{what}: bus"
+    buses = tuple([as_int(b, error, name) for b in values])
     if len(set(buses)) != len(buses):
         raise error(f"{what} must be distinct, got {list(buses)}")
     return buses

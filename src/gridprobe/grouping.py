@@ -333,7 +333,6 @@ def _group(entries: Mapping[int, float], owner: int, mode: str,
     """Cut one column: the gap routine on a single-column matrix."""
     _check_mode(mode)
     owner = as_int(owner, InconsistentLevelSets, "column owner")
-    as_instance(entries, Mapping, InconsistentLevelSets, "column entries")
     # Read no entry of a column without its owner: `_columns` names that
     # first.
     keys = list(entries) if owner in entries else []

@@ -219,14 +219,13 @@ class ProbingRecord:
         object.__setattr__(self, "values", values)
 
 
-def _layout(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
+def _layout(g: FeederGraph, plan: ProbingPlan,
             mode: str) -> tuple[list[int], list[int], list[int]]:
     """Positions in bus_order of a campaign's probing buses, reported rows
     and free (non-probing) buses; raises for an input of another type, a
     bus that cannot probe or an unknown mode."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
     as_instance(plan, ProbingPlan, ConfigError, "plan")
-    as_instance(noise, NoiseModel, ConfigError, "noise")
     order = g.bus_order
     pos = {b: i for i, b in enumerate(order)}
     for b in plan.buses:
@@ -276,7 +275,8 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     The record carries noise.seed, or no seed when an explicit rng drew
     the noise.
     """
-    cols, rows, free = _layout(g, plan, noise, mode)
+    cols, rows, free = _layout(g, plan, mode)
+    as_instance(noise, NoiseModel, ConfigError, "noise")
     seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g).values
     if plan.is_block:
@@ -369,7 +369,8 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     `simulate_probing` raises; general plans have no windows and raise
     ConfigError.
     """
-    cols, rows, free = _layout(g, plan, noise, mode)
+    cols, rows, free = _layout(g, plan, mode)
+    as_instance(noise, NoiseModel, ConfigError, "noise")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "

@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -721,7 +722,10 @@ def test_recover_partial_checks_family_keys_before_using_them():
 # Every list of bus IDs goes through one rule: any iterable but a string,
 # each entry an integer by the integer rule, no bus twice.
 
-NOT_BUS_LISTS = [5, "12", [2, 2]]
+# value -> the rule's message for it
+NOT_BUS_LISTS = [(5, "must be a list of bus IDs, got 5"),
+                 ("12", "must be a list of bus IDs, got '12'"),
+                 ([2, 2], r"must be distinct, got \[2, 2\]")]
 
 # name -> (typed error, build with v where the bus list goes)
 BUS_LIST_SITES = {
@@ -751,26 +755,30 @@ BUS_LIST_SITES = {
         y_feeder(2), 2, v)),
     "compare_graphs": (LabelMismatch, lambda v: compare_graphs(
         y_feeder(2), y_feeder(2), v)),
-    # A column's buses are its entries' keys.
-    "grouping entries": (InconsistentLevelSets, lambda v: group_column_exact(
-        v, 2, mode="partial")),
 }
 
 
-@pytest.mark.parametrize("value", NOT_BUS_LISTS, ids=repr)
+@pytest.mark.parametrize("value, message", NOT_BUS_LISTS,
+                         ids=[repr(v) for v, _ in NOT_BUS_LISTS])
 @pytest.mark.parametrize("site", sorted(BUS_LIST_SITES))
-def test_bus_list_rule_rejects(site, value):
+def test_bus_list_rule_rejects(site, value, message):
     error, build = BUS_LIST_SITES[site]
-    with pytest.raises(error):
+    if site == "ExperimentConfig probing" and isinstance(value, str):
+        # A config's probing string names a policy, not a bus list.
+        message = "^unknown probing policy '12'$"
+    with pytest.raises(error, match=message):
         build(value)
 
 
-@pytest.mark.parametrize("value", NOT_BUS_LISTS, ids=repr)
-def test_bus_list_rule_in_record_headers_exits_1(tmp_path, capsys, value):
+@pytest.mark.parametrize("value, message", NOT_BUS_LISTS,
+                         ids=[repr(v) for v, _ in NOT_BUS_LISTS])
+def test_bus_list_rule_in_record_headers_exits_1(tmp_path, capsys, value,
+                                                 message):
     code, err = recover_with_header(tmp_path, capsys, "buses",
                                     lambda v: value)
     assert code == 1
     assert err["error"] == "FeederFormatError"
+    assert re.search(message, err["message"])
 
 
 def test_bus_lists_accept_any_iterable_and_store_ints():
