@@ -8,6 +8,7 @@ boundaries while tests can assert the precise failure mode.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -185,5 +186,23 @@ def as_instance(value, kind: type | tuple[type, ...],
     if not isinstance(value, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         names = " or ".join(k.__name__ for k in kinds)
-        raise error(f"{what} must be a {names}, got {value!r}")
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise error(f"{what} must be {article} {names}, got {value!r}")
     return value
+
+
+def as_choice(value, choices: tuple[str, ...], error: type[GridProbeError],
+              what: str) -> str:
+    """The one rule for named settings (observation modes, delta and
+    probing policies): a string equal to one of `choices` comes back as
+    that choice; anything else raises `error`."""
+    if isinstance(value, str) and value in choices:
+        return choices[choices.index(value)]
+    raise error(f"unknown {what} {value!r}")
+
+
+def as_path(value, error: type[GridProbeError], what: str):
+    """The one rule for file and directory paths: a `str` or an
+    `os.PathLike` comes back as it is. Anything else raises `error`; so
+    does an integer, which `open` would read as a file descriptor."""
+    return as_instance(value, (str, os.PathLike), error, what)

@@ -23,14 +23,14 @@ from typing import Mapping
 import numpy as np
 
 from . import fileio
-from .errors import (ConfigError, GridProbeError, as_buses, as_float,
-                     as_instance, as_int)
+from .errors import (ConfigError, GridProbeError, as_buses, as_choice,
+                     as_float, as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # `identify` calls group_estimate and sweeps call sample_estimate;
 # perfbench/tracer.py still wraps the per-column stages and the record
 # path here.
 from .grouping import assemble_families, group_column_noisy, group_estimate
-from .probing import (NoiseModel, ProbingPlan, ResistanceEstimate,
+from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       estimate_resistances, sample_estimate,
                       simulate_probing)
 from .recovery import (RecoveryReport, compare_graphs, recover_full,
@@ -38,6 +38,7 @@ from .recovery import (RecoveryReport, compare_graphs, recover_full,
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
+DELTA_POLICIES = ("rated", "fixed")
 
 
 def _section(raw: Mapping, key: str) -> Mapping:
@@ -62,11 +63,9 @@ class ExperimentConfig:
     delta_value_pu: float | None = None
 
     def __post_init__(self):
-        as_instance(self.feeder_path, (str, os.PathLike), ConfigError,
-                    "feeder_path")
-        if self.mode not in ("complete", "partial"):
-            raise ConfigError(f"mode must be complete or partial, "
-                              f"got {self.mode!r}")
+        as_path(self.feeder_path, ConfigError, "feeder_path")
+        object.__setattr__(self, "mode", as_choice(self.mode, MODES,
+                                                   ConfigError, "mode"))
         if not isinstance(self.probing, str):
             object.__setattr__(self, "probing", as_buses(
                 self.probing, ConfigError, "probing"))
@@ -83,8 +82,8 @@ class ExperimentConfig:
                 as_float(kw, ConfigError, f"loads_kw value of bus {b}",
                          "finite")
             for b, kw in self.loads_kw.items()})
-        if self.delta_policy not in ("rated", "fixed"):
-            raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
+        object.__setattr__(self, "delta_policy", as_choice(
+            self.delta_policy, DELTA_POLICIES, ConfigError, "delta policy"))
         # The delta policy in use needs its own scales, and only those,
         # positive.
         rated = self.delta_policy == "rated"
@@ -100,8 +99,8 @@ class ExperimentConfig:
                 object.__setattr__(self, key, as_float(value, ConfigError,
                                                        key, within))
         if isinstance(self.probing, str):
-            if self.probing not in PROBING_POLICIES:
-                raise ConfigError(f"unknown probing policy {self.probing!r}")
+            object.__setattr__(self, "probing", as_choice(
+                self.probing, PROBING_POLICIES, ConfigError, "probing policy"))
         elif not self.probing:
             raise ConfigError("explicit probing list is empty")
         if not self.periods:
@@ -211,6 +210,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the trials, so a plan defect raises ConfigError instead of failing
     every trial.
     """
+    as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
     buses = config.probing_buses(g)
     delta = config.delta_map(buses)
@@ -274,9 +274,10 @@ def write_results(result: ExperimentResult, out_dir: str | os.PathLike) -> None:
     The JSON file is byte-stable for a fixed config and seed; the CSV
     repeats the same statistics plus a wall-time column.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="",
-              encoding="utf-8") as fh:
+    as_instance(result, ExperimentResult, ConfigError, "result")
+    os.makedirs(as_path(out_dir, ConfigError, "out_dir"), exist_ok=True)
+    with fileio._write_text(os.path.join(out_dir, "results.csv"),
+                            newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["T_m", "error_pct", "mpe_pct", "trials", "seconds"])
         for row in result.rows:
@@ -289,7 +290,6 @@ def write_results(result: ExperimentResult, out_dir: str | os.PathLike) -> None:
                      ("periods", "error_pct", "mpe_pct", "mpe_se", "trials")}
                     for row in result.rows],
     }
-    with open(os.path.join(out_dir, "results.json"), "w",
-              encoding="utf-8") as fh:
+    with fileio._write_text(os.path.join(out_dir, "results.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -77,22 +77,32 @@ class FeederGraph:
         if root in parent:
             raise MissingRoot(f"root bus {root} must not have a parent")
 
-        # Walk each parent chain; a revisited bus means a cycle, a chain
+        self._r = {(u, v): r for u, v, r, _ in parsed}
+        self._x = {(u, v): x for u, v, _, x in parsed}
+
+        # Walk each parent chain up to a bus already placed, then place the
+        # chain top-down: root-to-bus ancestry and cumulative path
+        # impedances. A bus met twice on one chain closes a cycle; a chain
         # ending anywhere but the root means a second component.
-        state: dict[int, int] = {root: 1}  # 1 = reaches root
-        for start in nodes:
+        anc: dict[int, tuple[int, ...] | None] = {root: (root,)}
+        rho: dict[int, float] = {root: 0.0}
+        rho_x: dict[int, float | None] = {root: 0.0}
+        for n in nodes:
             chain = []
-            n = start
-            while state.get(n) is None:
+            while n not in anc:
+                anc[n] = None  # on the chain being walked
                 chain.append(n)
-                state[n] = 0  # on current chain
                 if n not in parent:
                     raise Disconnected(f"bus {n} is not connected to the root")
                 n = parent[n]
-            if state[n] == 0:  # landed back on the chain we are walking
+            if anc[n] is None:
                 raise CycleDetected(f"cycle through bus {n}")
-            for c in chain:
-                state[c] = 1
+            for v in reversed(chain):
+                u = parent[v]
+                anc[v] = anc[u] + (v,)
+                rho[v] = rho[u] + self._r[(u, v)]
+                xe, up = self._x[(u, v)], rho_x[u]
+                rho_x[v] = None if (xe is None or up is None) else up + xe
 
         self._root = root
         self._edges: tuple[Edge, ...] = tuple(
@@ -103,23 +113,6 @@ class FeederGraph:
         for v, u in parent.items():
             children[u].append(v)
         self._children = {n: tuple(sorted(c)) for n, c in children.items()}
-        self._r = {(u, v): r for u, v, r, _ in parsed}
-        self._x = {(u, v): x for u, v, _, x in parsed}
-
-        # Root-to-bus ancestries and cumulative path impedances, by DFS.
-        anc: dict[int, tuple[int, ...]] = {root: (root,)}
-        rho: dict[int, float] = {root: 0.0}
-        rho_x: dict[int, float | None] = {root: 0.0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in self._children[u]:
-                anc[v] = anc[u] + (v,)
-                rho[v] = rho[u] + self._r[(u, v)]
-                xe = self._x[(u, v)]
-                up = rho_x[u]
-                rho_x[v] = None if (xe is None or up is None) else up + xe
-                stack.append(v)
         self._ancestry = anc
         self._rho = rho
         self._rho_x = rho_x

@@ -25,7 +25,8 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FeederFormatError, as_buses, as_int
+from .errors import (ConfigError, FeederFormatError, as_buses, as_instance,
+                     as_int, as_path)
 from .feeder import FeederGraph, build_feeder
 from .probing import ProbingPlan, ProbingRecord
 from .recovery import RecoveryReport
@@ -36,12 +37,21 @@ FEEDER_HEADER = "from,to,r_pu,x_pu"
 
 @contextlib.contextmanager
 def _read_text(path, error: type[Exception]):
-    """Open a file as UTF-8 text; bytes that do not decode raise `error`."""
+    """Open a file as UTF-8 text; a path the path rule rejects raises
+    ConfigError, bytes that do not decode raise `error`."""
+    as_path(path, ConfigError, "path")
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _write_text(path, newline: str | None = None):
+    """Open a file for writing as UTF-8 text; a path the path rule
+    rejects raises ConfigError."""
+    return open(as_path(path, ConfigError, "path"), "w", encoding="utf-8",
+                newline=newline)
 
 
 def load_feeder(path: str | os.PathLike) -> FeederGraph:
@@ -85,7 +95,8 @@ def load_feeder(path: str | os.PathLike) -> FeederGraph:
 def save_feeder(g: FeederGraph, path: str | os.PathLike,
                 comment: str | None = None) -> None:
     """Write a tree (or reduced grid) in the feeder CSV format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    as_instance(g, FeederGraph, ConfigError, "feeder")
+    with _write_text(path) as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")
@@ -101,7 +112,7 @@ def save_feeder(g: FeederGraph, path: str | os.PathLike,
 
 def save_record(record: ProbingRecord, path: str | os.PathLike) -> None:
     """Write a probing record: one JSON header line, then CSV matrix rows."""
-    plan = record.plan
+    plan = as_instance(record, ProbingRecord, ConfigError, "record").plan
     header = {
         "kind": "probing-record",
         "mode": record.mode,
@@ -112,7 +123,7 @@ def save_record(record: ProbingRecord, path: str | os.PathLike) -> None:
         "matrix": None if plan.matrix is None else plan.matrix.tolist(),
         "seed": record.seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_text(path) as fh:
         json.dump(header, fh)
         fh.write("\n")
         for row in record.values:
@@ -204,7 +215,8 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
 
 def save_report(report: RecoveryReport, out_dir: str | os.PathLike) -> None:
     """Write recovered edges as a feeder CSV plus a JSON summary."""
-    os.makedirs(out_dir, exist_ok=True)
+    as_instance(report, RecoveryReport, ConfigError, "report")
+    os.makedirs(as_path(out_dir, ConfigError, "out_dir"), exist_ok=True)
     save_feeder(report.graph, os.path.join(out_dir, "recovered.csv"),
                 comment=f"recovered from {report.mode} probing data")
     meta: dict = {
@@ -217,7 +229,7 @@ def save_report(report: RecoveryReport, out_dir: str | os.PathLike) -> None:
         meta["root"] = report.graph.root
         meta["internal_nodes"] = sorted(report.graph.internal)
         meta["root_upstream_r"] = report.graph.root_upstream_r
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with _write_text(os.path.join(out_dir, "report.json")) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -24,9 +24,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ConfigError, InconsistentLevelSets, NonpositiveRmin,
-                     as_buses, as_float, as_instance, as_int)
+                     as_buses, as_choice, as_float, as_instance, as_int)
 from .feeder import LevelSetFamily
-from .probing import ResistanceEstimate
+from .probing import MODES, ResistanceEstimate
 
 SUBSTATION = 0
 # Elements per temporary array in the blocked pairwise step of the family
@@ -262,11 +262,6 @@ def _threshold(r_min) -> float:
                     "positive and finite") / 2.0
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("complete", "partial"):
-        raise InconsistentLevelSets(f"unknown mode {mode!r}")
-
-
 def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
              mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check the columns of a rows x owners matrix, the first bad one in
@@ -313,7 +308,7 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     """
     as_instance(estimate, ResistanceEstimate, ConfigError, "estimate")
     threshold = None if r_min is None else _threshold(r_min)
-    _check_mode(mode)
+    mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
     owners = estimate.col_nodes
     buses, values, owner_rows = _columns(owners, estimate.row_nodes,
                                          estimate.values, mode)
@@ -331,7 +326,7 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
 def _group(entries: Mapping[int, float], owner: int, mode: str,
            threshold: float | None) -> ColumnGrouping:
     """Cut one column: the gap routine on a single-column matrix."""
-    _check_mode(mode)
+    mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
     owner = as_int(owner, InconsistentLevelSets, "column owner")
     # Read no entry of a column without its owner: `_columns` names that
     # first.

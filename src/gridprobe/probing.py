@@ -23,6 +23,7 @@ from .errors import (
     RankDeficientProbing,
     UnknownProbingBus,
     as_buses,
+    as_choice,
     as_float,
     as_float_array,
     as_instance,
@@ -32,6 +33,9 @@ from .feeder import (FeederGraph, bus_index, reactance_matrix,
                      resistance_matrix)
 
 RANK_TOL = 1e-10
+
+# Observation modes: every bus metered, or only the probing buses.
+MODES = ("complete", "partial")
 
 
 @dataclass(frozen=True)
@@ -204,8 +208,8 @@ class ProbingRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("complete", "partial"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "mode", as_choice(self.mode, MODES,
+                                                   ConfigError, "mode"))
         as_instance(self.plan, ProbingPlan, ConfigError, "plan")
         object.__setattr__(self, "row_nodes", as_buses(
             self.row_nodes, ConfigError, "record rows"))
@@ -219,11 +223,12 @@ class ProbingRecord:
         object.__setattr__(self, "values", values)
 
 
-def _layout(g: FeederGraph, plan: ProbingPlan,
-            mode: str) -> tuple[list[int], list[int], list[int]]:
+def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
+            ) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
     """Positions in bus_order of a campaign's probing buses, reported rows
-    and free (non-probing) buses; raises for an input of another type, a
-    bus that cannot probe or an unknown mode."""
+    and free (non-probing) buses, then the reported rows' buses; raises
+    for an input of another type, a bus that cannot probe or an unknown
+    mode."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
     as_instance(plan, ProbingPlan, ConfigError, "plan")
     order = g.bus_order
@@ -231,13 +236,12 @@ def _layout(g: FeederGraph, plan: ProbingPlan,
     for b in plan.buses:
         if b not in pos:
             raise UnknownProbingBus(f"bus {b} cannot probe")
-    if mode not in ("complete", "partial"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    partial = as_choice(mode, MODES, ConfigError, "mode") == "partial"
     cols = [pos[b] for b in plan.buses]
-    rows = cols if mode == "partial" else list(range(len(order)))
+    rows = cols if partial else list(range(len(order)))
     probing = set(cols)
     free = [i for i in range(len(order)) if i not in probing]
-    return cols, rows, free
+    return cols, rows, free, plan.buses if partial else order
 
 
 def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
@@ -275,7 +279,7 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     The record carries noise.seed, or no seed when an explicit rng drew
     the noise.
     """
-    cols, rows, free = _layout(g, plan, mode)
+    cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
     seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g).values
@@ -292,7 +296,6 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
             rng = np.random.default_rng(noise.seed)
         _add_noise(g, rmat, noise, rows, free, v, rng)
 
-    row_nodes = plan.buses if mode == "partial" else g.bus_order
     return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
 
@@ -369,7 +372,7 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     `simulate_probing` raises; general plans have no windows and raise
     ConfigError.
     """
-    cols, rows, free = _layout(g, plan, mode)
+    cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
@@ -383,6 +386,5 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
         sums = np.zeros(est.shape)
         _add_noise(g, rmat, noise, rows, free, sums, rng)
         est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
-    row_nodes = plan.buses if mode == "partial" else g.bus_order
     return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
                               values=est)

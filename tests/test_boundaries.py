@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
-                       FeederFormatError, GridProbeError,
+                       ExperimentResult, FeederFormatError, GridProbeError,
                        InconsistentLevelSets, LabelMismatch, LevelSetFamily,
                        NoiseModel, NonpositiveRmin, NonpositiveImpedance,
                        ProbingPlan, ProbingRecord, ReducedGrid,
@@ -26,9 +26,11 @@ from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        assemble_families, build_feeder, cli, compare_graphs,
                        design_plan, estimate_resistances, group_column_exact,
                        group_column_noisy, group_estimate, identify,
-                       level_sets, load_record, metered_level_sets,
-                       recover_full, recover_partial, reduce_grid,
-                       resistance_matrix, sample_estimate, simulate_probing)
+                       level_sets, load_config, load_feeder, load_record,
+                       metered_level_sets, recover_full, recover_partial,
+                       reduce_grid, resistance_matrix, run_experiment,
+                       sample_estimate, save_feeder, save_record,
+                       save_report, simulate_probing, write_results)
 
 NAN, INF = float("nan"), float("inf")
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -1064,3 +1066,181 @@ def test_yaml_exponents_without_a_dot_read_as_numbers(tmp_path, capsys):
         outputs.append((out / "results.json").read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+# -- named settings -----------------------------------------------------------
+#
+# Every observation mode, delta policy and probing policy goes through one
+# rule: a string equal to one of the names the setting takes; anything else
+# raises `unknown <what> ..` with the entry point's typed error.
+
+NOT_CHOICES = ["sideways", None, ["complete"]]
+MODES = ("complete", "partial")
+Y3_ESTIMATE = ResistanceEstimate((1, 2, 3), (1, 2, 3), [[1.0, 1.0, 1.0],
+                                                        [1.0, 3.0, 1.0],
+                                                        [1.0, 1.0, 4.0]])
+
+# name -> (typed error, what the message calls it, the names it takes,
+#          build with v as the name)
+CHOICE_SITES = {
+    "ExperimentConfig mode": (ConfigError, "mode", MODES,
+                              lambda v: ExperimentConfig(
+                                  **{**CONFIG_ARGS, "mode": v})),
+    "ExperimentConfig delta policy": (
+        ConfigError, "delta policy", ("rated", "fixed"),
+        lambda v: ExperimentConfig(**{**CONFIG_ARGS, "delta_policy": v,
+                                      "delta_value_pu": 0.1})),
+    "ExperimentConfig probing policy": (
+        ConfigError, "probing policy", ("all-buses", "all-leaves"),
+        lambda v: ExperimentConfig(**{**CONFIG_ARGS, "probing": v})),
+    "ProbingRecord": (ConfigError, "mode", MODES, lambda v: ProbingRecord(
+        v, (1,), [[1.0]], PLAN)),
+    "simulate_probing": (ConfigError, "mode", MODES,
+                         lambda v: simulate_probing(y_feeder(2), PLAN,
+                                                    NoiseModel(), mode=v)),
+    "sample_estimate": (ConfigError, "mode", MODES,
+                        lambda v: sample_estimate(y_feeder(2), PLAN,
+                                                  NoiseModel(), mode=v)),
+    "group_estimate": (InconsistentLevelSets, "mode", MODES,
+                       lambda v: group_estimate(Y3_ESTIMATE, None, v)),
+    "group_column_exact": (InconsistentLevelSets, "mode", MODES,
+                           lambda v: group_column_exact({1: 1.0}, 1, v)),
+    "group_column_noisy": (InconsistentLevelSets, "mode", MODES,
+                           lambda v: group_column_noisy({1: 1.0}, 1, 0.5, v)),
+    "identify": (InconsistentLevelSets, "mode", MODES,
+                 lambda v: identify(Y3_ESTIMATE, 0.5, v)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_CHOICES, ids=repr)
+@pytest.mark.parametrize("site", sorted(CHOICE_SITES))
+def test_choice_rule_rejects(site, value):
+    error, what, _, build = CHOICE_SITES[site]
+    message = f"unknown {what} {value!r}"
+    if site == "ExperimentConfig probing policy" and not isinstance(value,
+                                                                    str):
+        # A config's probing that is not a string is a bus list.
+        message = ("probing must be a list of bus IDs, got None"
+                   if value is None else
+                   "probing: bus 'complete' is not an integer")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", sorted(CHOICE_SITES))
+def test_choice_rule_accepts_each_name(site):
+    _, _, names, build = CHOICE_SITES[site]
+    for name in names:
+        build(name)
+
+
+def test_choice_rule_stores_plain_strings():
+    cfg = ExperimentConfig(**{**CONFIG_ARGS, "mode": np.str_("partial"),
+                              "probing": np.str_("all-leaves"),
+                              "delta_policy": np.str_("rated")})
+    for stored in (cfg.mode, cfg.probing, cfg.delta_policy):
+        assert type(stored) is str
+
+
+def test_config_mode_check_keeps_its_place():
+    # The mode is still checked before the probing list and the scales.
+    with pytest.raises(ConfigError, match="^unknown mode 'x'$"):
+        ExperimentConfig(**{**CONFIG_ARGS, "mode": "x", "probing": 5,
+                            "r_min": -1.0})
+    # ..and the probing policy after them.
+    with pytest.raises(ConfigError, match="^r_min must be positive"):
+        ExperimentConfig(**{**CONFIG_ARGS, "probing": "x", "r_min": -1.0})
+
+
+# -- paths --------------------------------------------------------------------
+#
+# Every file the package reads or writes is named by a str or an
+# os.PathLike. An integer is not a path: `open` would read it as a file
+# descriptor and close the caller's descriptor afterwards.
+
+def y_report():
+    plan = ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2)
+    record = simulate_probing(y_feeder(2), plan, NoiseModel())
+    return record, identify(estimate_resistances(record), None, "complete")
+
+
+READERS = {"load_feeder": load_feeder, "load_record": load_record,
+           "load_config": load_config}
+# name -> (writer, build what it writes)
+WRITERS = {
+    "save_feeder": (save_feeder, lambda: y_feeder(2)),
+    "save_record": (save_record, lambda: y_report()[0]),
+    "save_report": (save_report, lambda: y_report()[1]),
+    "write_results": (write_results,
+                      lambda: ExperimentResult("complete", (), {})),
+}
+
+
+def write_or_read(name, path):
+    if name in READERS:
+        return READERS[name](path)
+    write, build = WRITERS[name]
+    return write(build(), path)
+
+
+@pytest.mark.parametrize("name", sorted(READERS) + sorted(WRITERS))
+def test_file_functions_reject_descriptors(name):
+    r, w = os.pipe()
+    os.set_blocking(r, False)  # a reader that reads fails, not hangs
+    try:
+        with pytest.raises(ConfigError,
+                           match="must be a str or PathLike, got "):
+            write_or_read(name, r if name in READERS else w)
+        os.fstat(r), os.fstat(w)  # both ends still open
+        with pytest.raises(BlockingIOError):  # and nothing written
+            os.read(r, 1)
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+@pytest.mark.parametrize("path", [b"y.csv", 1.5, None])
+@pytest.mark.parametrize("name", sorted(READERS) + sorted(WRITERS))
+def test_file_functions_reject_other_paths(name, path):
+    with pytest.raises(ConfigError, match="must be a str or PathLike, got "):
+        write_or_read(name, path)
+
+
+def test_file_functions_take_path_objects(tmp_path):
+    record, report = y_report()
+    save_feeder(y_feeder(2), tmp_path / "y.csv")
+    assert load_feeder(tmp_path / "y.csv") == y_feeder(2)
+    save_record(record, tmp_path / "y.rec")
+    assert load_record(tmp_path / "y.rec").plan == record.plan
+    save_report(report, tmp_path / "report")
+    assert load_feeder(tmp_path / "report" / "recovered.csv").nodes == {
+        0, 1, 2, 3}
+    write_results(ExperimentResult("complete", (), {}), tmp_path / "sweep")
+    assert json.loads((tmp_path / "sweep" / "results.json").read_text()) == {
+        "provenance": {}, "results": []}
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(BASE_CFG))
+    assert load_config(tmp_path / "cfg.yaml") == BASE_CFG
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_check_their_object_before_touching_files(tmp_path, name):
+    write, _ = WRITERS[name]
+    target = tmp_path / "out"
+    file_writer = name in ("save_feeder", "save_record")
+    if file_writer:
+        target.write_text("keep\n")
+    with pytest.raises(ConfigError, match="must be an? "
+                                          "(FeederGraph|ProbingRecord|"
+                                          "RecoveryReport|ExperimentResult), "
+                                          "got 5$"):
+        write(5, target)
+    if file_writer:
+        assert target.read_text() == "keep\n"
+    else:  # the output directory is not created
+        assert not target.exists()
+
+
+def test_run_experiment_checks_its_config():
+    with pytest.raises(ConfigError,
+                       match="^config must be an ExperimentConfig, got 5$"):
+        run_experiment(5)

@@ -92,6 +92,26 @@ def test_partial_mode_rejects_all_buses(tmp_path):
                     probing="all-leaves").probing_buses(g) == (2, 3)
 
 
+def test_config_rejects_empty_probing_list(tmp_path):
+    with pytest.raises(ConfigError, match="^explicit probing list is empty$"):
+        y_config(tmp_path, mode="partial", probing=[])
+
+
+def test_complete_mode_rejects_all_leaves(tmp_path):
+    g = build_feeder([(0, 1, 1.0), (1, 2, 2.0), (1, 3, 3.0)])
+    cfg = y_config(tmp_path, probing="all-leaves")
+    with pytest.raises(ConfigError, match="^complete mode probes every bus; "
+                                          "set probing: all-buses$"):
+        cfg.probing_buses(g)
+
+
+def test_partial_mode_sorts_an_explicit_list(tmp_path):
+    g = build_feeder([(0, 1, 1.0), (1, 2, 2.0), (1, 3, 3.0)])
+    cfg = y_config(tmp_path, mode="partial", probing=[3, 2])
+    assert cfg.probing == (3, 2)
+    assert cfg.probing_buses(g) == (2, 3)
+
+
 def test_rated_delta_map(tmp_path):
     cfg = y_config(tmp_path,
                    s_base_kva=1000.0,

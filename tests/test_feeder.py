@@ -65,6 +65,26 @@ def test_cycle_rejected():
         build_feeder([(0, 4, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
 
 
+@pytest.mark.parametrize("edges, error, message", [
+    ([(0, 1, 1.0), (2, 3, 1.0)], Disconnected,
+     "bus 2 is not connected to the root"),
+    # The chain from bus 2 ends at bus 9, which has no parent.
+    ([(0, 1, 1.0), (9, 2, 1.0), (2, 3, 1.0)], Disconnected,
+     "bus 9 is not connected to the root"),
+    ([(0, 4, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)], CycleDetected,
+     "cycle through bus 1"),
+    # The chain from bus 2 runs into the loop 3 -> 4 -> 3.
+    ([(0, 1, 1.0), (3, 2, 1.0), (4, 3, 1.0), (3, 4, 1.0)], CycleDetected,
+     "cycle through bus 3"),
+    # A cycle in one component beside a bus cut off in another.
+    ([(0, 1, 1.0), (2, 3, 1.0), (5, 6, 1.0), (6, 5, 1.0)], Disconnected,
+     "bus 2 is not connected to the root"),
+])
+def test_broken_edge_lists_name_the_bus(edges, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build_feeder(edges)
+
+
 def test_duplicate_parent_rejected():
     with pytest.raises(DuplicateNode):
         build_feeder([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
@@ -119,6 +139,22 @@ def test_ancestry_conventions():
     assert g.lca(2, 3) == 1
     assert g.lca(2, 2) == 2
     assert g.lca(0, 3) == 0
+
+
+def test_ancestor_at_outside_the_path():
+    g = y_tree()
+    for k in (3, -1):
+        with pytest.raises(UnknownNode,
+                           match=f"^bus 2 has no depth-{k} ancestor$"):
+            g.ancestor_at(2, k)
+
+
+def test_feeders_compare_hash_and_print_by_their_lines():
+    g = y_tree()
+    same = build_feeder(list(reversed(Y_EDGES)))
+    assert g == same and hash(g) == hash(same)
+    assert g != build_feeder(Y_EDGES[:2]) and g != Y_EDGES
+    assert repr(g) == "FeederGraph(4 buses, 3 lines)"
 
 
 def test_path_resistance_accumulates():

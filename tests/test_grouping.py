@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from gridprobe import (InconsistentLevelSets, NonpositiveRmin, assemble_families,
-                       build_feeder, fileio, group_column_exact,
-                       group_column_noisy, grouping_diagnostics, level_sets,
+from gridprobe import (InconsistentLevelSets, NonpositiveRmin,
+                       ResistanceEstimate, assemble_families, build_feeder,
+                       fileio, group_column_exact, group_column_noisy,
+                       group_estimate, grouping_diagnostics, level_sets,
                        resistance_matrix)
 
 from helpers import random_feeder
@@ -206,6 +207,15 @@ def test_assemble_partial_families():
 def test_assemble_rejects_empty_input():
     with pytest.raises(InconsistentLevelSets):
         assemble_families([])
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_group_estimate_rejects_an_estimate_without_columns(mode):
+    empty = ResistanceEstimate((1, 2), (), np.zeros((2, 0)))
+    for r_min in (None, 0.5):
+        with pytest.raises(InconsistentLevelSets,
+                           match="^no groupings supplied$"):
+            group_estimate(empty, r_min, mode)
 
 
 def test_assemble_rejects_mixed_modes():

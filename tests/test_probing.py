@@ -56,6 +56,26 @@ def test_block_plan_windows():
     assert np.array_equal(inj[1], [0.0, 0.0, 0.0, 0.2, 0.2])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "block plans need delta and periods"),
+    ({"delta": (0.1,)}, "block plans need delta and periods"),
+    ({"delta": (0.1,), "periods": (1, 1)},
+     "delta/periods must align with buses"),
+    ({"delta": (0.1, 0.1, 0.1), "periods": (1, 1)},
+     "delta/periods must align with buses"),
+])
+def test_block_plan_needs_aligned_delta_and_periods(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ProbingPlan(buses=(1, 2), **kwargs)
+
+
+def test_general_plan_has_no_windows():
+    plan = ProbingPlan.general([1, 2], np.eye(2))
+    with pytest.raises(ConfigError,
+                       match="^general plans have no per-bus windows$"):
+        plan.windows()
+
+
 def test_block_plan_scalar_periods():
     plan = ProbingPlan.blocks([1, 2, 3], {1: 0.1, 2: 0.1, 3: 0.1}, 4)
     assert plan.periods == (4, 4, 4)

@@ -267,6 +267,17 @@ def test_compare_detects_rewiring():
     assert cmp.resistance_mpe is None
 
 
+def test_compare_detects_roots_that_disagree_on_probing():
+    truth = reduce_grid(y_tree(), {2, 3})  # rooted at junction 1
+    # recovered grid rooted at probed bus 2, with bus 3 below it
+    wrong = ReducedGrid(root=2, edges=[(2, 3, 5.0)], probing={2, 3},
+                        internal=(), root_upstream_r=3.0)
+    for a, b in ((wrong, truth), (truth, wrong)):
+        cmp = compare_graphs(a, b, probing={2, 3})
+        assert not cmp.topology_correct
+        assert cmp.resistance_mpe is None and cmp.node_map is None
+
+
 def test_compare_requires_shared_probing_labels():
     g = y_tree()
     truth = reduce_grid(g, {2, 3})

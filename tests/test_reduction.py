@@ -162,6 +162,11 @@ def test_reduced_grid_never_equals_a_feeder():
     assert rg == reduce_grid(g, {1, 2})
 
 
+def test_reduced_grid_repr_names_its_root():
+    rg = reduce_grid(build_feeder(Y_EDGES), {2, 3})
+    assert repr(rg) == "ReducedGrid(root=1, 3 buses, 2 lines)"
+
+
 def test_reduced_grid_validates_like_a_feeder():
     def grid(root, edges):
         return ReducedGrid(root=root, edges=edges, probing=[2],
