@@ -1,44 +1,55 @@
 """The identification pipeline and the Monte Carlo sweeps built on it.
 
 `identify` turns a resistance estimate into a recovered grid; the
-`recover` command and every sweep trial call it. A sweep runs over a list
-of per-bus probing durations and, for each, repeatedly draws the
-resistance estimate of a probing campaign on a known feeder from its
-window sums (`sample_estimate`), identifies the grid and scores it
-against ground truth. Trials that raise any pipeline error count as
-topology errors; per-trial seeds are derived from (seed, periods, trial)
-so results do not depend on execution order.
+`recover` command calls it. A sweep runs over a list of per-bus probing
+durations and, for each, repeatedly draws the resistance estimate of a
+probing campaign on a known feeder from its window sums
+(`sample_estimate`), identifies the grid and scores it against ground
+truth; for a labelling it has already accepted it replays that recovery
+instead of calling `identify` again. Trials that raise any pipeline
+error count as topology errors; per-trial seeds are derived from (seed,
+periods, trial) so results do not depend on execution order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import fileio
-from .errors import (ConfigError, GridProbeError, as_buses, as_choice,
-                     as_float, as_instance, as_int, as_path)
+from .errors import (ConfigError, GridProbeError, InconsistentLevelSets,
+                     as_buses, as_choice, as_float, as_instance, as_int,
+                     as_path)
 from .feeder import FeederGraph
-# `identify` calls group_estimate and sweeps call sample_estimate;
-# perfbench/tracer.py still wraps the per-column stages and the record
-# path here.
-from .grouping import assemble_families, group_column_noisy, group_estimate
+# perfbench/tracer.py wraps stages by their names in this module and
+# fails if one is missing. `identify` and `run_experiment` call
+# recover_full, recover_partial, compare_graphs and reduce_grid through
+# these globals, so each call is timed; simulate_probing,
+# estimate_resistances, group_column_noisy and assemble_families are no
+# longer called here and stay only as the tracer's targets.
+from .grouping import (_label, _Labelling, assemble_families,
+                       group_column_noisy, group_estimate)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       estimate_resistances, sample_estimate,
                       simulate_probing)
-from .recovery import (RecoveryReport, compare_graphs, recover_full,
+from .recovery import (GraphComparison, RecoveryPlan, RecoveryReport,
+                       _line_values, _plan_full, _plan_partial, _score,
+                       _upstream, compare_graphs, recover_full,
                        recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
 DELTA_POLICIES = ("rated", "fixed")
+# The keys `write_results` reads from every row.
+_ROW_KEYS = ("periods", "error_pct", "mpe_pct", "mpe_se", "trials", "seconds")
 
 
 def _section(raw: Mapping, key: str) -> Mapping:
@@ -172,9 +183,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A sweep's rows, one per sweep value in sweep order, and its
+    provenance. A mode other than "complete" or "partial", rows that are
+    not a list or tuple of mappings or a provenance that is not a mapping
+    raise ConfigError."""
+
     mode: str
-    rows: tuple[dict, ...]  # one per sweep value, in sweep order
+    rows: tuple[dict, ...]
     provenance: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", as_choice(self.mode, MODES,
+                                                   ConfigError, "mode"))
+        object.__setattr__(self, "rows", tuple(
+            as_instance(row, Mapping, ConfigError, "row") for row in
+            as_instance(self.rows, (list, tuple), ConfigError, "rows")))
+        as_instance(self.provenance, Mapping, ConfigError, "provenance")
 
     def row(self, periods: int) -> dict:
         for r in self.rows:
@@ -198,6 +222,56 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
     return recover(families)
 
 
+class _Replay(NamedTuple):
+    """What an accepted labelling fixes for every later trial of a sweep
+    that cuts its estimate the same way: the recovery plan, the order in
+    which the recovered graph lists the plan's lines, and the truth's
+    resistance of each line in that order (None for a wrong topology)."""
+
+    plan: RecoveryPlan
+    order: tuple[int, ...]
+    refs: tuple[float, ...] | None
+
+
+def _remember(labelling: _Labelling, report: RecoveryReport,
+              outcome: GraphComparison, truth: FeederGraph) -> _Replay:
+    """The replay of a labelling that `identify` and `compare_graphs`
+    just accepted. Its plan comes from the same families, so it wires the
+    same lines in the same order."""
+    families = labelling.families()
+    plan = (_plan_full if labelling.complete else _plan_partial)(families)
+    lines = plan.lines
+    order = tuple(sorted(range(len(lines)), key=lambda i: lines[i][::-1]))
+    refs = None
+    if outcome.topology_correct:
+        node = outcome.node_map
+        refs = tuple(truth.line_r(node[u], node[v])
+                     for u, v, *_ in report.graph.edges)
+    return _Replay(plan, order, refs)
+
+
+def _replay(replay: _Replay,
+            labelling: _Labelling) -> tuple[bool, float | None] | None:
+    """A trial's topology verdict and MPE from a remembered labelling: the
+    family check's value rules, the value step and the score. None where
+    a value breaks a rule that `identify` would raise on."""
+    if not labelling.values_hold():
+        return None
+    table = labelling.cut.values.tolist()
+    try:
+        values = _line_values(replay.plan, table)
+    except InconsistentLevelSets:
+        return None
+    if not labelling.complete:
+        values.append(_upstream(table))
+    # The grids `identify` builds take finite values only.
+    if not all(map(math.isfinite, values)):
+        return None
+    if replay.refs is None:
+        return False, None
+    return True, _score([values[i] for i in replay.order], replay.refs)[0]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured sweep and aggregate error statistics.
 
@@ -209,6 +283,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     contribute to the MPE. Each sweep value's plan is built once, outside
     the trials, so a plan defect raises ConfigError instead of failing
     every trial.
+
+    A recovery's topology depends only on the estimate's labelling (the
+    group each entry falls in), and its line resistances on the group
+    values. So a call keeps, for each labelling that `identify` and
+    `compare_graphs` accepted, its recovery plan and the truth's
+    resistance of each matched line. A later trial with that labelling
+    runs only the value rules, the value step and the score. A trial with
+    a new or rejected labelling, or whose values fail, takes the full
+    path.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
@@ -216,6 +299,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
 
+    replays: dict[bytes, _Replay] = {}
     rows = []
     for periods in config.periods:
         t0 = time.perf_counter()
@@ -227,13 +311,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 estimate = sample_estimate(g, plan, config.noise,
                                            mode=config.mode, rng=rng)
-                report = identify(estimate, config.r_min, config.mode)
-                outcome = compare_graphs(report.graph, truth, plan.buses)
+                labelling = _label(estimate, config.r_min, config.mode)
+                known = replays.get(labelling.key)
+                scored = None if known is None else _replay(known, labelling)
+                if scored is None:
+                    report = identify(estimate, config.r_min, config.mode)
+                    outcome = compare_graphs(report.graph, truth, plan.buses)
+                    if known is None:
+                        replays[labelling.key] = _remember(
+                            labelling, report, outcome, truth)
+                    scored = outcome.topology_correct, outcome.resistance_mpe
             except GridProbeError:
                 continue
-            if outcome.topology_correct:
+            if scored[0]:
                 correct += 1
-                mpes.append(outcome.resistance_mpe)
+                mpes.append(scored[1])
         rows.append({
             "periods": periods,
             "error_pct": 100.0 * (config.trials - correct) / config.trials,
@@ -275,6 +367,10 @@ def write_results(result: ExperimentResult, out_dir: str | os.PathLike) -> None:
     repeats the same statistics plus a wall-time column.
     """
     as_instance(result, ExperimentResult, ConfigError, "result")
+    for row in result.rows:
+        missing = sorted(set(_ROW_KEYS) - set(row))
+        if missing:
+            raise ConfigError(f"result row lacks {missing}")
     os.makedirs(as_path(out_dir, ConfigError, "out_dir"), exist_ok=True)
     with fileio._write_text(os.path.join(out_dir, "results.csv"),
                             newline="") as fh:

@@ -154,6 +154,13 @@ def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
 # -- the family check ---------------------------------------------------------
 
 
+def _flat(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per column: do two successive group values fail to increase?"""
+    steps = np.arange(values.shape[1] - 1)
+    return ((values[:, 1:] <= values[:, :-1])
+            & (steps < counts[:, None] - 1)).any(axis=1)
+
+
 def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
                    owners: Sequence[int], owner_rows: np.ndarray,
                    substation_row: int | None) -> None:
@@ -161,9 +168,7 @@ def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     in the deepest group and (complete mode) the substation in the
     shallowest. A row of -1 means the bus is in no group."""
     m = len(owners)
-    steps = np.arange(values.shape[1] - 1)
-    flat = ((values[:, 1:] <= values[:, :-1])
-            & (steps < counts[:, None] - 1)).any(axis=1)
+    flat = _flat(counts, values)
     deep = owner_rows >= 0
     deep[deep] = (labels[owner_rows[deep], np.flatnonzero(deep)]
                   == counts[deep] - 1)
@@ -207,9 +212,25 @@ def _first_differences(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _seen(labels: np.ndarray, owners: Sequence[int],
+          owner_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns in ascending owner order, and seen[a, b]: the group
+    that owner a's column puts owner b in, owners ascending."""
+    cols = np.argsort(np.asarray(owners), kind="stable")
+    return cols, labels[owner_rows[cols], cols[:, None]].astype(np.intp)
+
+
+def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
+                 value_tol: float) -> np.ndarray:
+    """split_value[a, b]: owners a and b, ascending, give the groups that
+    hold each other values further apart than value_tol."""
+    at = values[cols[:, None], seen]
+    return np.abs(at - at.T) > value_tol
+
+
 def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
                  owners: Sequence[int], owner_rows: np.ndarray, start: int,
-                 value_tol: float) -> None:
+                 value_tol: float, every_bus: bool) -> None:
     """The cross-column checks, owners taken in ascending order.
 
     Needs every owner in its own deepest group and every column to label
@@ -217,25 +238,41 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     must put m at depth k with the same value (within value_tol), and the
     two must hold identical groups above depth k. A depth-k group may hold
     at most one owner of depth k.
+
+    In complete mode with every non-substation bus an owner (`every_bus`),
+    each group of column m must also hold exactly one bus of its own
+    depth, the substation being the one bus of depth 0; this is checked
+    after every other rule. On such families the rules hold exactly when
+    `recover_full` rebuilds a tree without error. For other owner sets
+    (partial mode, or complete mode where a junction need not be an
+    owner) some families pass and still fail in recovery, so recovery's
+    own errors still apply there.
     """
     m = len(owners)
-    cols = np.argsort(np.asarray(owners), kind="stable")
+    cols, seen = _seen(labels, owners, owner_rows)
     ascending = [owners[c] for c in cols.tolist()]
-    # seen[a, b]: the group that owner a's column puts owner b in.
-    seen = labels[owner_rows[cols], cols[:, None]].astype(np.intp)
     deep = counts[cols] - 1
     anchor = seen == deep
     gmax = values.shape[1]
     tally = np.bincount((np.arange(m)[:, None] * gmax + deep)[anchor],
-                        minlength=m * gmax)
-    crowded = tally.reshape(m, gmax) > 1
-    at = values[cols[:, None], seen]
+                        minlength=m * gmax).reshape(m, gmax)
+    crowded = tally > 1
     split_depth = seen != seen.T
-    split_value = np.abs(at - at.T) > value_tol
+    split_value = _split_value(values, cols, seen, value_tol)
     above = _first_differences(labels[:, cols]) < seen
     bad = np.triu(split_depth | split_value | above, 1)
     stop = crowded.any(axis=1) | bad.any(axis=1)
     if not stop.any():
+        if every_bus:
+            # Checked last, so families the rules above reject keep their
+            # message. Here start is 0 and the substation sits in group 0.
+            tally[:, 0] += 1
+            lone = (tally != 1) & (np.arange(gmax) <= deep[:, None])
+            if lone.any():
+                a, k = divmod(int(lone.argmax()), gmax)
+                raise InconsistentLevelSets(
+                    f"column {ascending[a]}: depth-{k} group does not hold "
+                    f"exactly one depth-{k} bus")
         return
     a = int(stop.argmax())
     if crowded[a].any():
@@ -295,6 +332,70 @@ def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
     return np.array(rows), values, owner_rows
 
 
+class _Labelling(NamedTuple):
+    """An estimate cut into groups, before the family check.
+
+    For fixed owners, rows, mode and r_min, `key` fixes every level set
+    and depth: two estimates with equal keys pass or fail every check but
+    the value rules alike, and recover to the same topology.
+    """
+
+    owners: tuple[int, ...]
+    buses: np.ndarray
+    owner_rows: np.ndarray
+    cut: _Cut
+    complete: bool
+    threshold: float | None
+
+    @property
+    def key(self) -> bytes:
+        return self.cut.labels.tobytes()
+
+    @property
+    def value_tol(self) -> float:
+        return 1e-9 if self.threshold is None else self.threshold
+
+    def check(self) -> None:
+        """The family check: every rule, the first failure raised."""
+        cut, n = self.cut, len(self.buses)
+        _check_columns(cut.labels, cut.counts, cut.values, self.owners,
+                       self.owner_rows, n - 1 if self.complete else None)
+        _check_pairs(cut.labels, cut.counts, cut.values, self.owners,
+                     self.owner_rows, int(not self.complete), self.value_tol,
+                     self.complete and len(self.owners) == n - 1)
+
+    def values_hold(self) -> bool:
+        """The family check's value rules alone: group values increase in
+        every column, and owners that see each other agree on the value of
+        their split."""
+        cut = self.cut
+        if _flat(cut.counts, cut.values).any():
+            return False
+        cols, seen = _seen(cut.labels, self.owners, self.owner_rows)
+        return not _split_value(cut.values, cols, seen, self.value_tol).any()
+
+    def families(self) -> dict[int, ColumnGrouping]:
+        """One ColumnGrouping per column, keyed by owner in column order."""
+        probing = None if self.complete else frozenset(self.owners)
+        return {g.owner: g for g in _groupings(
+            self.owners, self.buses, self.cut, not self.complete,
+            self.threshold, probing)}
+
+
+def _label(estimate: ResistanceEstimate, r_min: float | None,
+           mode: str) -> _Labelling:
+    """Check an estimate's arguments and columns, then cut it."""
+    as_instance(estimate, ResistanceEstimate, ConfigError, "estimate")
+    threshold = None if r_min is None else _threshold(r_min)
+    mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
+    owners = estimate.col_nodes
+    buses, values, owner_rows = _columns(owners, estimate.row_nodes,
+                                         estimate.values, mode)
+    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
+    return _Labelling(owners, buses, owner_rows, cut, mode == "complete",
+                      threshold)
+
+
 def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
                    mode: str) -> dict[int, ColumnGrouping]:
     """Group every column of an estimate and check the families agree.
@@ -306,21 +407,9 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     `group_column_noisy`, in column order, and then `assemble_families`
     would raise. Anything but a ResistanceEstimate raises ConfigError.
     """
-    as_instance(estimate, ResistanceEstimate, ConfigError, "estimate")
-    threshold = None if r_min is None else _threshold(r_min)
-    mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
-    owners = estimate.col_nodes
-    buses, values, owner_rows = _columns(owners, estimate.row_nodes,
-                                         estimate.values, mode)
-    complete = mode == "complete"
-    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
-    _check_columns(cut.labels, cut.counts, cut.values, owners, owner_rows,
-                   len(buses) - 1 if complete else None)
-    _check_pairs(cut.labels, cut.counts, cut.values, owners, owner_rows,
-                 int(not complete), 1e-9 if threshold is None else threshold)
-    probing = None if complete else frozenset(owners)
-    return {g.owner: g for g in _groupings(owners, buses, cut, not complete,
-                                           threshold, probing)}
+    labelling = _label(estimate, r_min, mode)
+    labelling.check()
+    return labelling.families()
 
 
 def _group(entries: Mapping[int, float], owner: int, mode: str,
@@ -393,9 +482,11 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     an observed bus cannot be read and is rejected. If owner m sees owner
     s at depth k, s must see m at depth k with the same value (within
     value_tol), both must hold identical groups above depth k, and no
-    depth-k group may hold two owners of depth k. Any violation means the
-    groupings cannot come from one feeder at the claimed noise level. An
-    item that is not a level-set family raises ConfigError.
+    depth-k group may hold two owners of depth k. In complete mode with
+    every non-substation bus an owner, each depth-k group must also hold
+    exactly one bus of depth k, the substation at depth 0. Any violation
+    means the groupings cannot come from one feeder at the claimed noise
+    level. An item that is not a level-set family raises ConfigError.
     """
     value_tol = as_float(value_tol, ConfigError, "value_tol",
                          "finite and nonnegative")
@@ -435,7 +526,8 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
         labels[[index[n] for n in label], j] = list(label.values())
         values[j, :len(g.values)] = g.values
     _check_columns(labels, counts, values, owners, owner_rows, substation_row)
-    _check_pairs(labels, counts, values, owners, owner_rows, start, value_tol)
+    _check_pairs(labels, counts, values, owners, owner_rows, start, value_tol,
+                 not metered and set(owners) == universe - {SUBSTATION})
 
     if metered:
         probing = frozenset(owners)

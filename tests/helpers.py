@@ -411,6 +411,11 @@ def reference_assemble_families(groupings, value_tol=1e-9):
 
 def _reference_check_pairwise(families, value_tol):
     owners = sorted(families)
+    # Complete mode with every non-substation bus an owner: last, each
+    # group holds exactly one bus of its own depth, the substation at 0.
+    first = families[owners[0]]
+    every_bus = (not first.metered
+                 and set(owners) == frozenset().union(*first.sets) - {0})
     for i, m in enumerate(owners):
         fm = families[m]
         for k in fm.depths:
@@ -434,6 +439,14 @@ def _reference_check_pairwise(families, value_tol):
                 if fm.at(j) != fs.at(j):
                     raise InconsistentLevelSets(
                         f"columns {m} and {s} disagree above depth {k_ms}")
+    for m in owners if every_bus else ():
+        for k in families[m].depths:
+            anchors = [s for s in families[m].at(k) if s in families
+                       and families[s].depth == k]
+            if len(anchors) + (k == 0) != 1:
+                raise InconsistentLevelSets(
+                    f"column {m}: depth-{k} group does not hold exactly one "
+                    f"depth-{k} bus")
 
 
 # -- reference identification chain -------------------------------------------

@@ -21,8 +21,9 @@ from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
                        ExperimentResult, FeederFormatError, GridProbeError,
                        InconsistentLevelSets, LabelMismatch, LevelSetFamily,
                        NoiseModel, NonpositiveRmin, NonpositiveImpedance,
-                       ProbingPlan, ProbingRecord, ReducedGrid,
-                       ResistanceEstimate, ResistanceMatrix, UnknownNode,
+                       ProbingPlan, ProbingRecord, RecoveryReport,
+                       ReducedGrid, ResistanceEstimate, ResistanceMatrix,
+                       UnknownNode,
                        assemble_families, build_feeder, cli, compare_graphs,
                        design_plan, estimate_resistances, group_column_exact,
                        group_column_noisy, group_estimate, identify,
@@ -1109,6 +1110,10 @@ CHOICE_SITES = {
                            lambda v: group_column_noisy({1: 1.0}, 1, 0.5, v)),
     "identify": (InconsistentLevelSets, "mode", MODES,
                  lambda v: identify(Y3_ESTIMATE, 0.5, v)),
+    "RecoveryReport": (ConfigError, "mode", MODES,
+                       lambda v: RecoveryReport(v, y_feeder(2), {1, 2, 3})),
+    "ExperimentResult": (ConfigError, "mode", MODES,
+                         lambda v: ExperimentResult(v, (), {})),
 }
 
 
@@ -1244,3 +1249,52 @@ def test_run_experiment_checks_its_config():
     with pytest.raises(ConfigError,
                        match="^config must be an ExperimentConfig, got 5$"):
         run_experiment(5)
+
+
+# -- reports ------------------------------------------------------------------
+#
+# A recovery report and a sweep result check their fields when made, so
+# the writers never put a mode, a graph or a row they cannot read on disk.
+
+ROW = {"periods": 3, "error_pct": 0.0, "mpe_pct": 1.0, "mpe_se": None,
+       "trials": 2, "seconds": 0.1}
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(graph=5), "graph must be a FeederGraph, got 5"),
+    (dict(probing=[1, 1]), "probing must be distinct, got [1, 1]"),
+    (dict(probing="123"), "probing must be a list of bus IDs, got '123'"),
+    (dict(line_support=5), "line_support must be a Mapping, got 5"),
+])
+def test_recovery_report_checks_its_fields(fields, message):
+    args = {"mode": "complete", "graph": y_feeder(2), "probing": {1, 2, 3},
+            **fields}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RecoveryReport(**args)
+
+
+def test_recovery_report_stores_a_frozen_probing_set():
+    report = RecoveryReport("complete", y_feeder(2), [3, 1, 2])
+    assert report.probing == frozenset({1, 2, 3})
+    assert type(report.probing) is frozenset
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(rows=5), "rows must be a list or tuple, got 5"),
+    (dict(rows=(5,)), "row must be a Mapping, got 5"),
+    (dict(provenance=[]), "provenance must be a Mapping, got []"),
+])
+def test_experiment_result_checks_its_fields(fields, message):
+    args = {"mode": "complete", "rows": (ROW,), "provenance": {}, **fields}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentResult(**args)
+
+
+def test_write_results_checks_every_row_before_writing(tmp_path):
+    short = {k: v for k, v in ROW.items() if k != "mpe_pct"}
+    result = ExperimentResult("complete", [ROW, short], {})
+    assert result.rows == (ROW, short)
+    with pytest.raises(ConfigError,
+                       match=r"^result row lacks \['mpe_pct'\]$"):
+        write_results(result, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()

@@ -26,6 +26,11 @@ same families bit for bit, or the same first error. The library's own
 per-column functions are adapters over the same core, so they serve as a
 second reference only for the entry checks (NaN entries) that the copies
 predate.
+A sweep trial that replays a remembered labelling's recovery plan is held
+to `identify` and `compare_graphs` on every trial of both bundled sweeps:
+the same lines, resistances, supports, verdict and MPE, or, where the
+replay falls back, an error on the full path; and the sweep's rows to a
+loop that runs the full path on every trial.
 """
 
 import importlib
@@ -45,15 +50,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridprobe import (ExperimentConfig, GridProbeError, NoiseModel,
-                       ProbingPlan, ProbingRecord, ResistanceEstimate,
-                       assemble_families, build_feeder, cli,
-                       compare_graphs, estimate_resistances, experiments,
-                       fileio, group_column_exact, group_column_noisy,
+from gridprobe import (ExperimentConfig, GridProbeError,
+                       InconsistentLevelSets, NoiseModel, ProbingPlan,
+                       ProbingRecord, ResistanceEstimate, assemble_families,
+                       build_feeder, cli, compare_graphs,
+                       estimate_resistances, experiments, fileio, grouping,
+                       group_column_exact, group_column_noisy,
                        group_estimate, identify, level_sets,
                        metered_level_sets, recover_full, recover_partial,
-                       resistance_matrix, run_experiment, sample_estimate,
-                       simulate_probing)
+                       reduce_grid, resistance_matrix, run_experiment,
+                       sample_estimate, simulate_probing)
+from gridprobe.recovery import _line_values, _upstream
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
@@ -327,8 +334,8 @@ def random_groupings(rng, g, mode, noisy):
 
 REASONS = ("no groupings", "duplicate", "mixed", "two groups",
            "does not cover", "not increasing", "deepest group",
-           "shallowest group", "several depth", "split depth", "split value",
-           "above depth")
+           "shallowest group", "several depth", "exactly one", "split depth",
+           "split value", "above depth")
 
 
 def reason(outcome):
@@ -360,6 +367,7 @@ def test_family_check_matches_reference_scans():
     for r in ("two groups", "does not cover", "not increasing",
               "several depth", "split depth", "split value", "above depth"):
         assert seen[r] > 10, seen
+    assert seen["exactly one"] > 0, seen
 
 
 def test_family_check_errors_match_reference():
@@ -995,7 +1003,86 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
-    assert calls == {"group_estimate": 2, "recover_full": 2}
+    # The second trial cuts its estimate as the first did, so the sweep
+    # replays the first trial's recovery plan instead of calling them.
+    assert calls == {"group_estimate": 1, "recover_full": 1}
+
+
+REPLAY_TRIALS = 200
+REPLAY_SEEDS = (0, 1, 2)
+ROW_KEYS = ("periods", "error_pct", "mpe_pct", "mpe_se", "trials")
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_sweep_replays_match_the_full_path(name, seed):
+    raw = fileio.load_config(os.path.join(DATA, name))
+    cfg = ExperimentConfig.from_dict(
+        {**raw, "trials": REPLAY_TRIALS, "seed": seed}, base_dir=DATA)
+    g = fileio.load_feeder(cfg.feeder_path)
+    buses = cfg.probing_buses(g)
+    delta = cfg.delta_map(buses)
+    truth = g if cfg.mode == "complete" else reduce_grid(g, buses)
+    replays = {}
+    seen = Counter()
+    rows = []
+    for periods in cfg.periods:
+        plan = ProbingPlan.blocks(buses, delta, periods)
+        mpes = []
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng((seed, periods, trial))
+            estimate = sample_estimate(g, plan, cfg.noise, mode=cfg.mode,
+                                       rng=rng)
+            report = outcome = error = None
+            try:
+                report = identify(estimate, cfg.r_min, cfg.mode)
+                outcome = compare_graphs(report.graph, truth, plan.buses)
+            except GridProbeError as exc:
+                error = type(exc)
+            if outcome is not None and outcome.topology_correct:
+                mpes.append(outcome.resistance_mpe)
+
+            labelling = grouping._label(estimate, cfg.r_min, cfg.mode)
+            known = replays.get(labelling.key)
+            if known is None:
+                if error is None:
+                    replays[labelling.key] = experiments._remember(
+                        labelling, report, outcome, truth)
+                seen["full"] += 1
+                continue
+            scored = experiments._replay(known, labelling)
+            # A replay falls back exactly where the full path raises, and
+            # only a value rule can reject a remembered labelling.
+            assert (scored is None) == (error is not None)
+            if scored is None:
+                assert error is InconsistentLevelSets
+                seen["fallback"] += 1
+                continue
+            seen["replayed"] += 1
+            assert scored == (outcome.topology_correct,
+                              outcome.resistance_mpe)
+            table = labelling.cut.values.tolist()
+            lines = [(u, v, r) for (u, v), r in
+                     zip(known.plan.lines, _line_values(known.plan, table))]
+            assert sorted(lines, key=lambda e: (e[1], e[0])) == [
+                tuple(e[:3]) for e in report.graph.edges]
+            assert known.plan.support == report.line_support
+            if cfg.mode == "partial":
+                assert _upstream(table) == report.graph.root_upstream_r
+                assert known.plan.root == report.graph.root
+                assert set(known.plan.internal) == report.graph.internal
+        correct = len(mpes)
+        rows.append({
+            "periods": periods,
+            "error_pct": 100.0 * (cfg.trials - correct) / cfg.trials,
+            "mpe_pct": float(np.mean(mpes)) if mpes else None,
+            "mpe_se": (float(np.std(mpes, ddof=1) / np.sqrt(len(mpes)))
+                       if len(mpes) > 1 else None),
+            "trials": cfg.trials,
+        })
+    assert seen["replayed"] > seen["full"] and seen["fallback"], seen
+    got = run_experiment(cfg)
+    assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == rows
 
 
 def test_tracer_targets_resolve():

@@ -5,12 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridprobe import (InconsistentLevelSets, NonpositiveRmin,
-                       ResistanceEstimate, assemble_families, build_feeder,
-                       fileio, group_column_exact, group_column_noisy,
-                       group_estimate, grouping_diagnostics, level_sets,
-                       resistance_matrix)
+from gridprobe import (AmbiguousIntersection, InconsistentLevelSets,
+                       NonpositiveRmin, ResistanceEstimate, assemble_families,
+                       build_feeder, fileio, group_column_exact,
+                       group_column_noisy, group_estimate,
+                       grouping_diagnostics, identify, level_sets,
+                       recover_full, resistance_matrix)
 
 from helpers import random_feeder
 
@@ -264,3 +267,83 @@ def test_assembled_families_on_random_feeders():
         families = assemble_families(groupings)
         for m in probing:
             assert families[m].sets == level_sets(g, m).sets
+
+
+# -- one bus of each depth per group ------------------------------------------
+#
+# Chain 0 -> 1 -> 2, every bus an owner, cut 0.5. Noise put bus 2's entry
+# in column 1 (true 2.0) 0.55 below bus 1's own, so column 1 claims depth 2
+# for bus 1 and puts bus 2 alone at depth 1. Column 2 agrees on the split
+# depth and, within 0.5, on its value, but its depth-1 group holds bus 1,
+# which claims depth 2: no bus of depth 1 there, and the depth-1
+# intersection of the walk is empty.
+GAP_ESTIMATE = ResistanceEstimate((1, 2), (1, 2), [[2.0, 1.6], [1.45, 3.0]])
+GAP_MESSAGE = "column 1: depth-1 group does not hold exactly one depth-1 bus"
+
+
+def test_a_group_without_a_bus_of_its_depth_is_rejected():
+    with pytest.raises(InconsistentLevelSets, match=f"^{GAP_MESSAGE}$"):
+        group_estimate(GAP_ESTIMATE, 1.0, "complete")
+    with pytest.raises(InconsistentLevelSets, match=f"^{GAP_MESSAGE}$"):
+        identify(GAP_ESTIMATE, 1.0, "complete")
+    columns = [group_column_noisy(GAP_ESTIMATE.column(m), m, 1.0)
+               for m in (1, 2)]
+    with pytest.raises(InconsistentLevelSets, match=f"^{GAP_MESSAGE}$"):
+        assemble_families(columns, value_tol=0.5)
+    # Without the rule these families reach recovery, which cannot name
+    # the depth-1 bus.
+    with pytest.raises(AmbiguousIntersection, match="has 0 buses"):
+        recover_full({g.owner: g for g in columns})
+
+
+def test_an_owner_in_the_substation_group_is_rejected():
+    # One line shorter than the cut: bus 1's column is one group, so bus 1
+    # claims depth 0, beside the substation.
+    estimate = ResistanceEstimate((1,), (1,), [[0.3]])
+    with pytest.raises(InconsistentLevelSets,
+                       match="^column 1: depth-0 group does not hold "
+                             "exactly one depth-0 bus$"):
+        group_estimate(estimate, 1.0, "complete")
+
+
+def test_the_rule_waits_for_every_other_rule():
+    # The same columns, with a split value off by more than the tolerance:
+    # the pair rule, checked first, keeps its message.
+    estimate = ResistanceEstimate((1, 2), (1, 2), [[2.0, 1.6], [1.0, 3.0]])
+    with pytest.raises(InconsistentLevelSets,
+                       match="^columns 1 and 2 disagree on their split "
+                             "value$"):
+        group_estimate(estimate, 1.0, "complete")
+
+
+def test_the_rule_needs_every_bus_an_owner():
+    # Bus 2 alone as owner, with bus 1 unprobed: its column may hold
+    # groups with no owner, and recovery keeps its own errors.
+    g = build_feeder([(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
+    rmat = resistance_matrix(g)
+    estimate = ResistanceEstimate((1, 2, 3), (2, 3),
+                                  rmat.submatrix((1, 2, 3), (2, 3)))
+    families = group_estimate(estimate, 1.0, "complete")
+    assert recover_full(families).graph == g
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lo=st.sampled_from([0.05, 0.5, 0.9]),
+       noise=st.sampled_from([0.1, 0.2, 0.3]))
+def test_accepted_complete_families_always_recover(seed, lo, noise):
+    # Random feeders, every bus probed, Gaussian noise on every entry of a
+    # fraction of r_min; line resistances from [lo, 1], so with lo near 1
+    # every line is near r_min and entries cross groups often.
+    rng = np.random.default_rng(seed)
+    _, g = random_feeder(rng, max_buses=12, lo=lo)
+    r_min = min(r for _, _, r, _ in g.edges)
+    buses = g.bus_order
+    values = (resistance_matrix(g).submatrix(buses, buses)
+              + rng.normal(0.0, noise * r_min, (len(buses), len(buses))))
+    try:
+        families = group_estimate(ResistanceEstimate(buses, buses, values),
+                                  r_min, "complete")
+    except InconsistentLevelSets:
+        return
+    recover_full(families)

@@ -92,6 +92,25 @@ def test_missing_leaf_breaks_intersection():
     assert err.value.buses == frozenset({2})
 
 
+def test_value_errors_before_the_walk_error_come_first():
+    # Chain 0-1-2 with leaves 3 and 4 under bus 2, bus 4 unprobed: the
+    # walk wires line (0, 1), then cannot name the depth-2 bus.
+    g = build_feeder([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)])
+    families = exact_families(g, {1, 2, 3})
+    with pytest.raises(AmbiguousIntersection,
+                       match="^depth-2 intersection of \\[2, 3\\] has 2 "
+                             "buses$") as err:
+        recover_full(families)
+    assert (err.value.depth, err.value.buses) == (2, frozenset({2, 3}))
+    # A nonpositive line (0, 1), met before that error, is raised first.
+    fam = families[1]
+    families[1] = LevelSetFamily(fam.owner, fam.start_depth, fam.sets,
+                                 (0.0, -5.0), fam.metered)
+    with pytest.raises(InconsistentLevelSets,
+                       match="^nonpositive line resistance -1.0 at depth 1$"):
+        recover_full(families)
+
+
 def test_recover_full_random_feeders():
     rng = np.random.default_rng(51)
     for _ in range(50):
