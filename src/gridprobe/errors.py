@@ -132,15 +132,18 @@ _RANGES = {
 
 def as_float(value, error: type[GridProbeError], what: str,
              within: str | None = None) -> float:
-    """The one rule for real inputs: whatever `float()` takes comes back as
-    a float; anything else (None, a non-numeric string, a container, an
-    integer too large for a float) raises `error`. So does a float outside
-    `within`: "finite", "finite and nonnegative" or "positive and finite".
+    """The one rule for real inputs: whatever `float()` takes but a bool
+    comes back as a float; anything else (a bool, None, a non-numeric
+    string, a container, an integer too large for a float) raises `error`.
+    So does a float outside `within`: "finite", "finite and nonnegative"
+    or "positive and finite".
     """
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} {value!r} is not a number") from None
+        out = None
+    if out is None or isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} {value!r} is not a number")
     if within is not None and not _RANGES[within](out):
         raise error(f"{what} must be {within}, got {value}")
     return out

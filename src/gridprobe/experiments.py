@@ -4,11 +4,11 @@
 `recover` command calls it. A sweep runs over a list of per-bus probing
 durations and, for each, repeatedly draws the resistance estimate of a
 probing campaign on a known feeder from its window sums
-(`sample_estimate`), identifies the grid and scores it against ground
-truth; for a labelling it has already accepted it replays that recovery
-instead of calling `identify` again. Trials that raise any pipeline
-error count as topology errors; per-trial seeds are derived from (seed,
-periods, trial) so results do not depend on execution order.
+(`sample_estimate`), cuts it into a labelling and scores it against
+ground truth by replaying the recovery learned once for that labelling.
+Trials that raise any pipeline error count as topology errors;
+per-trial seeds are derived from (seed, periods, trial) so results do
+not depend on execution order.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .errors import (ConfigError, GridProbeError, InconsistentLevelSets,
                      as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing. `identify` and `run_experiment` call
-# recover_full, recover_partial, compare_graphs and reduce_grid through
-# these globals, so each call is timed; simulate_probing,
+# fails if one is missing. `identify` calls recover_full and
+# recover_partial through these globals, and `run_experiment` calls
+# compare_graphs and reduce_grid, so each call is timed; simulate_probing,
 # estimate_resistances, group_column_noisy and assemble_families are no
 # longer called here and stay only as the tracer's targets.
 from .grouping import (_label, _Labelling, assemble_families,
@@ -40,10 +40,9 @@ from .grouping import (_label, _Labelling, assemble_families,
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       estimate_resistances, sample_estimate,
                       simulate_probing)
-from .recovery import (GraphComparison, RecoveryPlan, RecoveryReport,
-                       _line_values, _plan_full, _plan_partial, _score,
-                       _upstream, compare_graphs, recover_full,
-                       recover_partial)
+from .recovery import (RecoveryPlan, RecoveryReport, _graph, _line_values,
+                       _plan_full, _plan_partial, _score, _upstream,
+                       compare_graphs, recover_full, recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -223,39 +222,39 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
 
 class _Replay(NamedTuple):
-    """What an accepted labelling fixes for every later trial of a sweep
-    that cuts its estimate the same way: the recovery plan, the order in
-    which the recovered graph lists the plan's lines, and the truth's
-    resistance of each line in that order (None for a wrong topology)."""
+    """What an accepted labelling fixes for every trial of a sweep that
+    cuts its estimate the same way: the recovery plan, the order in which
+    the recovered graph lists the plan's lines, and the truth's resistance
+    of each line in that order (None for a wrong topology)."""
 
     plan: RecoveryPlan
     order: tuple[int, ...]
     refs: tuple[float, ...] | None
 
 
-def _remember(labelling: _Labelling, report: RecoveryReport,
-              outcome: GraphComparison, truth: FeederGraph) -> _Replay:
-    """The replay of a labelling that `identify` and `compare_graphs`
-    just accepted. Its plan comes from the same families, so it wires the
-    same lines in the same order."""
+def _learn(labelling: _Labelling, truth: FeederGraph,
+           buses: tuple[int, ...]) -> _Replay:
+    """The replay of a new labelling: the family check, the families, one
+    recovery walk and value step, and the comparison with the truth, each
+    raising what `identify` and `compare_graphs` raise."""
+    labelling.check()
     families = labelling.families()
     plan = (_plan_full if labelling.complete else _plan_partial)(families)
+    graph = _graph(plan, families)
+    outcome = compare_graphs(graph, truth, buses)
     lines = plan.lines
     order = tuple(sorted(range(len(lines)), key=lambda i: lines[i][::-1]))
-    refs = None
-    if outcome.topology_correct:
-        node = outcome.node_map
-        refs = tuple(truth.line_r(node[u], node[v])
-                     for u, v, *_ in report.graph.edges)
+    node = outcome.node_map
+    refs = None if node is None else tuple(
+        truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges)
     return _Replay(plan, order, refs)
 
 
-def _replay(replay: _Replay,
-            labelling: _Labelling) -> tuple[bool, float | None] | None:
-    """A trial's topology verdict and MPE from a remembered labelling: the
-    family check's value rules, the value step and the score. None where
-    a value breaks a rule that `identify` would raise on."""
-    if not labelling.values_hold():
+def _replay(replay: _Replay, labelling: _Labelling) -> float | None:
+    """A trial's MPE from its labelling's replay: the family check's value
+    rules, the value step and the score. None for a wrong topology, or
+    where a value breaks a rule that `identify` would raise on."""
+    if replay.refs is None or not labelling.values_hold():
         return None
     table = labelling.cut.values.tolist()
     try:
@@ -267,9 +266,7 @@ def _replay(replay: _Replay,
     # The grids `identify` builds take finite values only.
     if not all(map(math.isfinite, values)):
         return None
-    if replay.refs is None:
-        return False, None
-    return True, _score([values[i] for i in replay.order], replay.refs)[0]
+    return _score([values[i] for i in replay.order], replay.refs)[0]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -286,12 +283,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     A recovery's topology depends only on the estimate's labelling (the
     group each entry falls in), and its line resistances on the group
-    values. So a call keeps, for each labelling that `identify` and
-    `compare_graphs` accepted, its recovery plan and the truth's
-    resistance of each matched line. A later trial with that labelling
-    runs only the value rules, the value step and the score. A trial with
-    a new or rejected labelling, or whose values fail, takes the full
-    path.
+    values. So each trial cuts its estimate once, and a call learns each
+    new labelling once (`_learn`): the family check, one recovery walk
+    and value step, and the comparison with the truth, keeping the
+    recovery plan and the truth's resistance of each matched line. A
+    labelling that raises is not kept. Every accepted trial is scored by
+    `_replay`: the value rules, the value step and the score, which count
+    the trial correct exactly when `identify` and `compare_graphs` would.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
@@ -304,7 +302,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for periods in config.periods:
         t0 = time.perf_counter()
         plan = ProbingPlan.blocks(buses, delta, periods)
-        correct = 0
         mpes = []
         for trial in range(config.trials):
             rng = np.random.default_rng((config.seed, periods, trial))
@@ -313,19 +310,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                            mode=config.mode, rng=rng)
                 labelling = _label(estimate, config.r_min, config.mode)
                 known = replays.get(labelling.key)
-                scored = None if known is None else _replay(known, labelling)
-                if scored is None:
-                    report = identify(estimate, config.r_min, config.mode)
-                    outcome = compare_graphs(report.graph, truth, plan.buses)
-                    if known is None:
-                        replays[labelling.key] = _remember(
-                            labelling, report, outcome, truth)
-                    scored = outcome.topology_correct, outcome.resistance_mpe
+                if known is None:
+                    known = replays[labelling.key] = _learn(
+                        labelling, truth, plan.buses)
             except GridProbeError:
                 continue
-            if scored[0]:
-                correct += 1
-                mpes.append(scored[1])
+            mpe = _replay(known, labelling)
+            if mpe is not None:
+                mpes.append(mpe)
+        correct = len(mpes)
         rows.append({
             "periods": periods,
             "error_pct": 100.0 * (config.trials - correct) / config.trials,

@@ -10,8 +10,8 @@ kind of tree, rooted below the substation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     as_buses,
     as_float,
     as_float_array,
+    as_instance,
     as_int,
 )
 
@@ -44,14 +45,18 @@ class FeederGraph:
     ROOT_DEPTH = 0
 
     def __init__(self, edges: Iterable[Sequence]):
-        edges = list(edges)
+        edges = list(as_instance(edges, Iterable, ConfigError, "lines"))
         if not edges:
             raise MissingRoot("a feeder needs at least one line")
         self._build(0, edges)
 
     def _build(self, root: int, edges: Iterable[Sequence]) -> None:
         parsed: list[Edge] = []
-        for e in edges:
+        for e in as_instance(edges, Iterable, ConfigError, "lines"):
+            as_instance(e, (list, tuple), ConfigError, "line")
+            if len(e) not in (3, 4):
+                raise ConfigError(f"line {e!r} must be (parent, child, r) "
+                                  f"or (parent, child, r, x)")
             if len(e) == 3:
                 u, v, r = e
                 x = None
@@ -169,9 +174,14 @@ class FeederGraph:
 
     def _check(self, m: int) -> None:
         # A bool hashes and compares equal to 0 or 1, so test it apart;
-        # the type test first keeps plain ints, the hot case, cheap.
-        if m not in self._nodes or (type(m) is not int
-                                    and isinstance(m, (bool, np.bool_))):
+        # the type test first keeps plain ints, the hot case, cheap. An
+        # unhashable bus (a list) is in no feeder.
+        try:
+            known = m in self._nodes
+        except TypeError:
+            known = False
+        if not known or (type(m) is not int
+                         and isinstance(m, (bool, np.bool_))):
             raise UnknownNode(f"bus {m} is not in the feeder")
 
     # -- ancestry ----------------------------------------------------------
@@ -192,6 +202,7 @@ class FeederGraph:
     def ancestor_at(self, m: int, k: int) -> int:
         """The depth-k bus on the root-to-m path."""
         self._check(m)
+        k = as_int(k, UnknownNode, "depth")
         path = self._ancestry[m]
         if not 0 <= k - self.ROOT_DEPTH < len(path):
             raise UnknownNode(f"bus {m} has no depth-{k} ancestor")
@@ -303,6 +314,9 @@ class LevelSetFamily:
     probing: frozenset[int] | None = None
 
     def __post_init__(self):
+        as_int(self.owner, ConfigError, "family owner")
+        for key in ("sets", "values"):
+            as_instance(getattr(self, key), (tuple, list), ConfigError, key)
         if len(self.sets) != len(self.values):
             raise ConfigError("sets and values must align")
 
@@ -344,6 +358,7 @@ def level_sets(g: FeederGraph, m: int) -> LevelSetFamily:
     subtree of its depth-(k+1) ancestor; the last group is m's own subtree.
     For m = 0 this is the single group holding every bus.
     """
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     g._check(m)
     path = g._ancestry[m]
     sets = []
@@ -367,6 +382,7 @@ def metered_level_sets(g: FeederGraph, m: int,
     groups are renumbered consecutively from depth 1, matching the owner's
     ancestry in the reduced grid.
     """
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     p = frozenset(as_buses(probing, UnknownNode, "probing buses"))
     for b in p:
         g._check(b)
@@ -447,11 +463,13 @@ def resistance_matrix(g: FeederGraph) -> ResistanceMatrix:
     """Bus resistance matrix: the inverse of the grounded (root-deleted)
     conductance Laplacian, computed here by shared-path sums. Built once
     per feeder; later calls return the same read-only object."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     return _cached_matrix(g, "r", g._rho)
 
 
 def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
     """Bus reactance matrix; requires every line to carry a reactance."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     for (u, v), x in g._x.items():
         if x is None:
             raise NonpositiveImpedance(
@@ -461,4 +479,5 @@ def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
 
 def effective_resistance(g: FeederGraph, m: int, n: int) -> float:
     """Resistance of the unique m-n path (the two-point effective resistance)."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     return g.path_r(m) + g.path_r(n) - 2.0 * g.path_r(g.lca(m, n))

@@ -42,6 +42,9 @@ class LevelGroup:
     nodes: frozenset[int]
     value: float
 
+    def __post_init__(self):
+        as_int(self.depth, ConfigError, "group depth")
+
 
 @dataclass(frozen=True)
 class ColumnGrouping(LevelSetFamily):
@@ -415,6 +418,7 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
 def _group(entries: Mapping[int, float], owner: int, mode: str,
            threshold: float | None) -> ColumnGrouping:
     """Cut one column: the gap routine on a single-column matrix."""
+    as_instance(entries, Mapping, ConfigError, "column entries")
     mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
     owner = as_int(owner, InconsistentLevelSets, "column owner")
     # Read no entry of a column without its owner: `_columns` names that
@@ -453,6 +457,7 @@ def group_column_noisy(entries: Mapping[int, float], owner: int,
 
 def grouping_diagnostics(grouping: ColumnGrouping) -> dict:
     """JSON-ready dump of one column's sorted entries, gaps and boundaries."""
+    as_instance(grouping, ColumnGrouping, ConfigError, "grouping")
     values = [v for _, v in grouping.sorted_entries]
     gaps = [b - a for a, b in zip(values, values[1:])]
     sizes = [len(grp.nodes) for grp in grouping.groups]
@@ -490,7 +495,7 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
     """
     value_tol = as_float(value_tol, ConfigError, "value_tol",
                          "finite and nonnegative")
-    gl = list(groupings)
+    gl = list(as_instance(groupings, Iterable, ConfigError, "groupings"))
     for g in gl:
         as_instance(g, LevelSetFamily, ConfigError, "grouping")
     if not gl:

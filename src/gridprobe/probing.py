@@ -12,8 +12,8 @@ For a block plan that estimate reads only each window's sum, so
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +72,7 @@ def noise_bound(noise: NoiseModel, rho_r: float, rho_x: float) -> float:
     Combines the injection noise, amplified at worst by the spectral radii
     of the resistance and reactance matrices, with the measurement noise.
     """
+    as_instance(noise, NoiseModel, ConfigError, "noise")
     return math.sqrt((noise.sigma_p * rho_r) ** 2
                      + (noise.sigma_q * rho_x) ** 2
                      + noise.sigma_w ** 2)
@@ -98,14 +99,18 @@ class ProbingPlan:
         if self.matrix is None:
             if self.delta is None or self.periods is None:
                 raise ConfigError("block plans need delta and periods")
-            if len(self.delta) != len(self.buses) or len(self.periods) != len(self.buses):
+            delta = tuple(as_instance(self.delta, Iterable, ConfigError,
+                                      "delta"))
+            periods = tuple(as_instance(self.periods, Iterable, ConfigError,
+                                        "periods"))
+            if len(delta) != len(self.buses) or len(periods) != len(self.buses):
                 raise ConfigError("delta/periods must align with buses")
             object.__setattr__(self, "delta", tuple(
                 as_float(d, ConfigError, "probing magnitude",
-                         "positive and finite") for d in self.delta))
+                         "positive and finite") for d in delta))
             object.__setattr__(self, "periods", tuple(
                 as_int(t, ConfigError, "probing period", 1)
-                for t in self.periods))
+                for t in periods))
         else:
             # The plan keeps its own read-only copy.
             matrix = as_float_array(self.matrix, ConfigError,
@@ -134,8 +139,7 @@ class ProbingPlan:
             periods = per_bus(periods, "period count")
         elif not isinstance(periods, Iterable):
             periods = [periods] * len(buses)
-        return ProbingPlan(buses=buses, delta=tuple(delta),
-                           periods=tuple(periods))
+        return ProbingPlan(buses=buses, delta=delta, periods=periods)
 
     @staticmethod
     def general(buses: Sequence[int], matrix: np.ndarray) -> "ProbingPlan":
@@ -281,6 +285,8 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     """
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
+    if rng is not None:
+        as_instance(rng, np.random.Generator, ConfigError, "rng")
     seed = noise.seed if rng is None else None
     rmat = resistance_matrix(g).values
     if plan.is_block:
@@ -374,6 +380,8 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     """
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
+    if rng is not None:
+        as_instance(rng, np.random.Generator, ConfigError, "rng")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "

@@ -262,8 +262,18 @@ def _upstream(table: Sequence[Sequence[float]]) -> float:
     return _left_sum([values[0] for values in table]) / len(table)
 
 
-def _value_table(families: Mapping[int, LevelSetFamily]) -> list[tuple]:
-    return [fam.values for fam in families.values()]
+def _graph(plan: RecoveryPlan,
+           families: Mapping[int, LevelSetFamily]) -> FeederGraph:
+    """The value step: the grid a plan wires, its line resistances from the
+    families' group values. A metered plan's grid is a ReducedGrid whose
+    upstream resistance is the mean first-group value."""
+    table = [fam.values for fam in families.values()]
+    edges = [(u, v, r) for (u, v), r in zip(plan.lines,
+                                            _line_values(plan, table))]
+    if not plan.start:
+        return FeederGraph(edges)
+    return ReducedGrid(plan.root, edges, frozenset(families), plan.internal,
+                       _upstream(table))
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -275,10 +285,7 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     mapping of bus to level-set family raises ConfigError.
     """
     plan = _plan_full(families)
-    values = _line_values(plan, _value_table(families))
-    graph = FeederGraph([(u, v, r, None)
-                         for (u, v), r in zip(plan.lines, values)])
-    return RecoveryReport(mode="complete", graph=graph,
+    return RecoveryReport(mode="complete", graph=_graph(plan, families),
                           probing=frozenset(families),
                           line_support=plan.support)
 
@@ -291,15 +298,8 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     Anything but a mapping of bus to level-set family raises ConfigError.
     """
     plan = _plan_partial(families)
-    table = _value_table(families)
-    values = _line_values(plan, table)
-    probing = frozenset(families)
-    graph = ReducedGrid(root=plan.root,
-                        edges=[(u, v, r) for (u, v), r in zip(plan.lines,
-                                                              values)],
-                        probing=probing, internal=plan.internal,
-                        root_upstream_r=_upstream(table))
-    return RecoveryReport(mode="partial", graph=graph, probing=probing,
+    return RecoveryReport(mode="partial", graph=_graph(plan, families),
+                          probing=frozenset(families),
                           line_support=plan.support)
 
 
@@ -315,6 +315,9 @@ class GraphComparison:
     max_rel_error: float | None
     node_map: Mapping[int, int] | None
     upstream_rel_error: float | None = None
+
+    def __post_init__(self):
+        as_instance(self.topology_correct, bool, ConfigError, "verdict")
 
 
 def compare_graphs(recovered: FeederGraph, reference: FeederGraph,

@@ -61,6 +61,7 @@ class ReducedGrid(FeederGraph):
 
 def identifiable_junctions(g: FeederGraph, probing: frozenset[int]) -> frozenset[int]:
     """Buses with at least two children whose subtrees each hold a probed bus."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
     return frozenset(n for n in g.nodes if sum(
         bool(g.descendants(c) & probing) for c in g.children(n)) >= 2)
 

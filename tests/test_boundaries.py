@@ -1,11 +1,14 @@
 """Input boundaries: typed errors for non-finite and mistyped values.
 
 Library constructors and the config reader must reject NaN, infinities,
-fractional counts and wrongly shaped sections with a GridProbeError, and
-the command line must turn those into exit code 1 with a JSON message.
+fractional counts, bools as reals and wrongly shaped sections with a
+GridProbeError, every public function and constructor a first argument
+of another type, and the command line must turn those into exit code 1
+with a JSON message.
 """
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -17,18 +20,24 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridprobe
 from gridprobe import (ColumnGrouping, ConfigError, ExperimentConfig,
-                       ExperimentResult, FeederFormatError, GridProbeError,
-                       InconsistentLevelSets, LabelMismatch, LevelSetFamily,
+                       ExperimentResult, FeederFormatError, FeederGraph,
+                       GraphComparison, GridProbeError,
+                       InconsistentLevelSets, LabelMismatch, LevelGroup,
+                       LevelSetFamily,
                        NoiseModel, NonpositiveRmin, NonpositiveImpedance,
                        ProbingPlan, ProbingRecord, RecoveryReport,
                        ReducedGrid, ResistanceEstimate, ResistanceMatrix,
                        UnknownNode,
                        assemble_families, build_feeder, cli, compare_graphs,
-                       design_plan, estimate_resistances, group_column_exact,
-                       group_column_noisy, group_estimate, identify,
+                       design_plan, effective_resistance,
+                       estimate_resistances, group_column_exact,
+                       group_column_noisy, group_estimate,
+                       grouping_diagnostics, identifiable_junctions, identify,
                        level_sets, load_config, load_feeder, load_record,
-                       metered_level_sets, recover_full, recover_partial,
+                       metered_level_sets, noise_bound, reactance_matrix,
+                       recover_full, recover_partial,
                        reduce_grid, resistance_matrix, run_experiment,
                        sample_estimate, save_feeder, save_record,
                        save_report, simulate_probing, write_results)
@@ -105,6 +114,9 @@ def test_base_config_runs(tmp_path, capsys):
     (("delta", "default_kw"), NAN),
     (("loads_kw", 2), NAN),
     (("loads_kw", 3), INF),
+    (("r_min",), True),
+    (("noise", "sigma_w"), True),
+    (("s_base_kva",), True),
 ])
 def test_bad_config_value_exits_with_config_error(tmp_path, capsys, path,
                                                   value):
@@ -657,6 +669,15 @@ REPRODUCTIONS = [
         {"a": level_sets(y_feeder(2), 2)})),
     (InconsistentLevelSets, lambda: recover_partial(
         {"a": metered_level_sets(y_feeder(2), 2, [2, 3])})),
+    # Containers of another shape.
+    (ConfigError, lambda: FeederGraph([5])),
+    (ConfigError, lambda: FeederGraph([(0, 1)])),
+    (ConfigError, lambda: ReducedGrid(1, 5, probing=[1], internal=[],
+                                      root_upstream_r=0.0)),
+    (ConfigError, lambda: LevelSetFamily(5, 0, 5, 5, False)),
+    (ConfigError, lambda: ProbingPlan(buses=[1], delta=5, periods=[1])),
+    (ConfigError, lambda: ProbingPlan(buses=[1], delta=[0.1], periods=5)),
+    (ConfigError, lambda: ProbingPlan.blocks([1], 5, 1)),
 ]
 
 
@@ -694,6 +715,13 @@ def test_config_feeder_path_may_be_a_path_object(tmp_path):
     lambda: simulate_probing(y_feeder(2), PLAN, None),
     lambda: sample_estimate(y_feeder(2), PLAN, None),
     lambda: compare_graphs("x", y_feeder(2), [1]),
+    # An rng that is not a Generator, with or without noise to draw.
+    lambda: simulate_probing(y_feeder(2), PLAN, NoiseModel(), rng=5),
+    lambda: simulate_probing(y_feeder(2), PLAN, NoiseModel(sigma_w=1e-3),
+                             rng=5),
+    lambda: sample_estimate(y_feeder(2), PLAN, NoiseModel(), rng=5),
+    lambda: sample_estimate(y_feeder(2), PLAN, NoiseModel(sigma_w=1e-3),
+                            rng=5),
     lambda: compare_graphs(y_feeder(2), "x", [1]),
     lambda: reduce_grid("x", [1]),
     lambda: ProbingRecord("complete", (1,), [[1.0]], plan=None),
@@ -703,7 +731,7 @@ def test_stages_reject_inputs_of_another_type(call):
     with pytest.raises(ConfigError, match="must be a (ResistanceEstimate|"
                                           "LevelSetFamily|Mapping|FeederGraph|"
                                           "ProbingPlan|ProbingRecord|"
-                                          "NoiseModel), got "):
+                                          "NoiseModel|Generator), got "):
         call()
 
 
@@ -848,6 +876,11 @@ def test_tree_lookups_reject_bools(lookup, flag):
     lambda g: g.line_r(0, True),
     lambda g: g.line_x(1, np.int64(9)),
     lambda g: g.line_x(0, np.True_),
+    # A list is no bus, and a depth is an integer.
+    lambda g: g.lca([1], 2),
+    lambda g: g.line_r([1], 2),
+    lambda g: level_sets(g, [1]),
+    lambda g: g.ancestor_at(1, "x"),
 ])
 def test_line_and_lca_lookups_raise_unknown_node(call):
     g = y_feeder(2)
@@ -979,7 +1012,7 @@ REAL_SITES = {
     "ReducedGrid root_upstream_r": (ConfigError, lambda v: ReducedGrid(
         1, [(1, 2, 1.0)], probing=[2], internal=[], root_upstream_r=v)),
 }
-NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, object(), 10**400]
+NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, object(), 10**400, True, np.True_]
 
 
 @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
@@ -1298,3 +1331,119 @@ def test_write_results_checks_every_row_before_writing(tmp_path):
                        match=r"^result row lacks \['mpe_pct'\]$"):
         write_results(result, tmp_path / "sweep")
     assert not (tmp_path / "sweep").exists()
+
+
+# -- first arguments ----------------------------------------------------------
+#
+# Every public function and constructor raises a GridProbeError, never a
+# raw Python error, when its first argument is of another type: 5, and "x"
+# where a string is not a valid first argument.
+
+# name -> call with v as the first argument and valid other arguments
+FIRST_ARGUMENTS = {
+    "ColumnGrouping": lambda v: ColumnGrouping(
+        v, 0, (frozenset({0, 1}),), (0.0,), False),
+    "ExperimentConfig": lambda v: ExperimentConfig(
+        **{**CONFIG_ARGS, "feeder_path": v}),
+    "ExperimentResult": lambda v: ExperimentResult(v, (ROW,), {}),
+    "FeederGraph": FeederGraph,
+    "GraphComparison": lambda v: GraphComparison(v, None, None, None),
+    "LevelGroup": lambda v: LevelGroup(v, frozenset({1}), 0.0),
+    "LevelSetFamily": lambda v: LevelSetFamily(
+        v, 0, (frozenset({0, 1}),), (0.0,), False),
+    "NoiseModel": NoiseModel,
+    "ProbingPlan": lambda v: ProbingPlan(v, (0.1,), (1,)),
+    "ProbingRecord": lambda v: ProbingRecord(v, (1,), [[1.0]], PLAN),
+    "RecoveryReport": lambda v: RecoveryReport(v, y_feeder(2), {1, 2, 3}),
+    "ReducedGrid": lambda v: ReducedGrid(v, [(v, 2, 1.0)], probing=[2],
+                                         internal=[v], root_upstream_r=0.0),
+    "ResistanceEstimate": lambda v: ResistanceEstimate(v, (1,), [[1.0]]),
+    "ResistanceMatrix": lambda v: ResistanceMatrix(v, [[1.0]]),
+    "assemble_families": assemble_families,
+    "build_feeder": build_feeder,
+    "compare_graphs": lambda v: compare_graphs(v, y_feeder(2), [1, 2, 3]),
+    "design_plan": lambda v: design_plan(v, 1e-3, {1: 0.1}),
+    "effective_resistance": lambda v: effective_resistance(v, 1, 2),
+    "estimate_resistances": estimate_resistances,
+    "group_column_exact": lambda v: group_column_exact(v, 1),
+    "group_column_noisy": lambda v: group_column_noisy(v, 1, 0.1),
+    "group_estimate": lambda v: group_estimate(v, 0.1, "complete"),
+    "grouping_diagnostics": grouping_diagnostics,
+    "identifiable_junctions": lambda v: identifiable_junctions(
+        v, frozenset({2, 3})),
+    "identify": lambda v: identify(v, 0.1, "complete"),
+    "level_sets": lambda v: level_sets(v, 1),
+    "load_config": load_config,
+    "load_feeder": load_feeder,
+    "load_record": load_record,
+    "metered_level_sets": lambda v: metered_level_sets(v, 2, [2, 3]),
+    "noise_bound": lambda v: noise_bound(v, 1.0, 1.0),
+    "reactance_matrix": reactance_matrix,
+    "recover_full": recover_full,
+    "recover_partial": recover_partial,
+    "reduce_grid": lambda v: reduce_grid(v, [2, 3]),
+    "resistance_matrix": resistance_matrix,
+    "run_experiment": run_experiment,
+    "sample_estimate": lambda v: sample_estimate(v, PLAN, NoiseModel()),
+    "save_feeder": lambda v: save_feeder(v, "y.csv"),
+    "save_record": lambda v: save_record(v, "y.rec"),
+    "save_report": lambda v: save_report(v, "report"),
+    "simulate_probing": lambda v: simulate_probing(v, PLAN, NoiseModel()),
+    "write_results": lambda v: write_results(v, "sweep"),
+}
+# First arguments that may be an integer (a bus, a depth or a real) or a
+# string (a path).
+TAKES_5 = {"ColumnGrouping", "LevelGroup", "LevelSetFamily", "NoiseModel",
+           "ReducedGrid", "design_plan"}
+TAKES_X = {"ExperimentConfig", "load_config", "load_feeder", "load_record"}
+
+
+def test_first_argument_table_covers_every_public_callable():
+    public = {name for name in gridprobe.__all__
+              if callable(getattr(gridprobe, name))
+              and not (inspect.isclass(getattr(gridprobe, name))
+                       and issubclass(getattr(gridprobe, name), Exception))}
+    assert public == set(FIRST_ARGUMENTS)
+
+
+def test_first_argument_calls_take_a_valid_first_argument(tmp_path,
+                                                          monkeypatch):
+    # So each call below fails on its first argument alone.
+    monkeypatch.chdir(tmp_path)
+    record, report = y_report()
+    estimate = estimate_resistances(record)
+    grouping = group_column_exact({1: 0.2}, 1)
+    save_feeder(y_feeder(2), "y.csv")
+    save_record(record, "y.rec")
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(BASE_CFG))
+    valid = {
+        "ExperimentConfig": "y.csv", "ExperimentResult": "complete",
+        "FeederGraph": Y_EDGES, "GraphComparison": True,
+        "ProbingPlan": (1,), "ProbingRecord": "complete",
+        "RecoveryReport": "complete", "ResistanceEstimate": (1,),
+        "ResistanceMatrix": (1,), "assemble_families": [grouping],
+        "build_feeder": Y_EDGES, "estimate_resistances": record,
+        "group_column_exact": {1: 0.2}, "group_column_noisy": {1: 0.2},
+        "group_estimate": estimate, "grouping_diagnostics": grouping,
+        "identify": estimate, "load_config": "cfg.yaml",
+        "load_feeder": "y.csv", "load_record": "y.rec",
+        "noise_bound": NoiseModel(), "recover_full": {1: grouping},
+        "recover_partial": {2: metered_level_sets(y_feeder(2), 2, [2])},
+        "run_experiment": ExperimentConfig(**CONFIG_ARGS),
+        "save_record": record, "save_report": report,
+        "write_results": ExperimentResult("complete", (ROW,), {}),
+        **{name: 5 for name in TAKES_5},
+    }
+    for name, call in FIRST_ARGUMENTS.items():
+        call(valid.get(name, y_feeder(2)))
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in sorted(FIRST_ARGUMENTS) for value in (5, "x")
+    if name not in (TAKES_5 if value == 5 else TAKES_X)])
+def test_first_argument_of_another_type_raises_typed_error(
+        tmp_path, monkeypatch, name, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(GridProbeError):
+        FIRST_ARGUMENTS[name](value)
+    assert not os.listdir(tmp_path)

@@ -26,10 +26,12 @@ same families bit for bit, or the same first error. The library's own
 per-column functions are adapters over the same core, so they serve as a
 second reference only for the entry checks (NaN entries) that the copies
 predate.
-A sweep trial that replays a remembered labelling's recovery plan is held
-to `identify` and `compare_graphs` on every trial of both bundled sweeps:
-the same lines, resistances, supports, verdict and MPE, or, where the
-replay falls back, an error on the full path; and the sweep's rows to a
+A sweep learns each new labelling once and scores every accepted trial
+by replaying its recovery plan; both are held to `identify` and
+`compare_graphs` on every trial of both bundled sweeps: learning raises
+the same error where the full path raises, a replay gives the same lines,
+resistances, supports and MPE, or None where the full path finds a wrong
+topology or a value rule rejects the trial; and the sweep's rows to a
 loop that runs the full path on every trial.
 """
 
@@ -976,7 +978,7 @@ def write_y_config(tmp_path):
 
 
 STAGES = ("group_estimate", "group_column_noisy", "assemble_families",
-          "recover_full")
+          "recover_full", "_learn")
 
 
 def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
@@ -1003,9 +1005,10 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
-    # The second trial cuts its estimate as the first did, so the sweep
-    # replays the first trial's recovery plan instead of calling them.
-    assert calls == {"group_estimate": 1, "recover_full": 1}
+    # The sweep never calls `identify`: it learns the first trial's
+    # labelling once, and the second trial cuts its estimate the same way,
+    # so it only replays that labelling's recovery plan.
+    assert calls == {"_learn": 1}
 
 
 REPLAY_TRIALS = 200
@@ -1038,29 +1041,35 @@ def test_sweep_replays_match_the_full_path(name, seed):
                 report = identify(estimate, cfg.r_min, cfg.mode)
                 outcome = compare_graphs(report.graph, truth, plan.buses)
             except GridProbeError as exc:
-                error = type(exc)
+                error = exc
+            expected = None
             if outcome is not None and outcome.topology_correct:
-                mpes.append(outcome.resistance_mpe)
+                expected = outcome.resistance_mpe
+                mpes.append(expected)
 
             labelling = grouping._label(estimate, cfg.r_min, cfg.mode)
             known = replays.get(labelling.key)
             if known is None:
-                if error is None:
-                    replays[labelling.key] = experiments._remember(
-                        labelling, report, outcome, truth)
-                seen["full"] += 1
+                # A new labelling is learned exactly where the full path
+                # accepts it, and otherwise raises the same error.
+                try:
+                    known = experiments._learn(labelling, truth, plan.buses)
+                except GridProbeError as exc:
+                    assert (type(exc), str(exc)) == (type(error), str(error))
+                    seen["rejected"] += 1
+                    continue
+                assert error is None, error
+                replays[labelling.key] = known
+                seen["learned"] += 1
+            elif error is not None:
+                # Only a value rule can reject a remembered labelling.
+                assert type(error) is InconsistentLevelSets
+                seen["value_rejected"] += 1
+            else:
+                seen["replayed"] += 1
+            assert experiments._replay(known, labelling) == expected
+            if error is not None:
                 continue
-            scored = experiments._replay(known, labelling)
-            # A replay falls back exactly where the full path raises, and
-            # only a value rule can reject a remembered labelling.
-            assert (scored is None) == (error is not None)
-            if scored is None:
-                assert error is InconsistentLevelSets
-                seen["fallback"] += 1
-                continue
-            seen["replayed"] += 1
-            assert scored == (outcome.topology_correct,
-                              outcome.resistance_mpe)
             table = labelling.cut.values.tolist()
             lines = [(u, v, r) for (u, v), r in
                      zip(known.plan.lines, _line_values(known.plan, table))]
@@ -1080,7 +1089,7 @@ def test_sweep_replays_match_the_full_path(name, seed):
                        if len(mpes) > 1 else None),
             "trials": cfg.trials,
         })
-    assert seen["replayed"] > seen["full"] and seen["fallback"], seen
+    assert seen["replayed"] > seen["learned"] and seen["value_rejected"], seen
     got = run_experiment(cfg)
     assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == rows
 
