@@ -4,10 +4,10 @@
 `recover` command calls it. A sweep runs over a list of per-bus probing
 durations and, for each, repeatedly draws the resistance estimate of a
 probing campaign on a known feeder from its window sums
-(`sample_estimate`), cuts it into a labelling and scores it against
-ground truth by replaying the recovery learned once for that labelling.
-Trials that raise any pipeline error count as topology errors;
-per-trial seeds are derived from (seed, periods, trial) so results do
+(`sample_estimate`) and cuts it into a labelling. A trial is correct
+exactly when that is the noise-free labelling and its values pass the
+value rules; it is scored by replaying the noise-free recovery.
+Per-trial seeds are derived from (seed, periods, trial) so results do
 not depend on execution order.
 """
 
@@ -222,39 +222,37 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
 
 class _Replay(NamedTuple):
-    """What an accepted labelling fixes for every trial of a sweep that
+    """What the noise-free labelling fixes for every trial of a sweep that
     cuts its estimate the same way: the recovery plan, the order in which
     the recovered graph lists the plan's lines, and the truth's resistance
-    of each line in that order (None for a wrong topology)."""
+    of each line in that order."""
 
     plan: RecoveryPlan
     order: tuple[int, ...]
-    refs: tuple[float, ...] | None
+    refs: tuple[float, ...]
 
 
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
-    """The replay of a new labelling: the family check, the families, one
-    recovery walk and value step, and the comparison with the truth, each
-    raising what `identify` and `compare_graphs` raise."""
+    """The replay of the noise-free labelling: the family check, the
+    families, one recovery walk and value step, and the comparison with
+    the truth, each raising what `identify` and `compare_graphs` raise."""
     labelling.check()
     families = labelling.families()
     plan = (_plan_full if labelling.complete else _plan_partial)(families)
     graph = _graph(plan, families)
-    outcome = compare_graphs(graph, truth, buses)
+    node = compare_graphs(graph, truth, buses).node_map
     lines = plan.lines
     order = tuple(sorted(range(len(lines)), key=lambda i: lines[i][::-1]))
-    node = outcome.node_map
-    refs = None if node is None else tuple(
-        truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges)
+    refs = tuple(truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges)
     return _Replay(plan, order, refs)
 
 
 def _replay(replay: _Replay, labelling: _Labelling) -> float | None:
-    """A trial's MPE from its labelling's replay: the family check's value
-    rules, the value step and the score. None for a wrong topology, or
-    where a value breaks a rule that `identify` would raise on."""
-    if replay.refs is None or not labelling.values_hold():
+    """The MPE of a trial whose labelling is the noise-free one: the
+    family check's value rules, the value step and the score. None where
+    a value breaks a rule that `identify` would raise on."""
+    if not labelling.values_hold():
         return None
     table = labelling.cut.values.tolist()
     try:
@@ -275,47 +273,45 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Each trial draws its estimate with `sample_estimate`, which gives
     what simulating and estimating the block plan's record would give, in
     distribution. Ground truth is the feeder itself in complete mode and
-    its reduced grid in partial mode. Every pipeline error raised inside a
-    trial marks it as a topology error; only exact topology matches
-    contribute to the MPE. Each sweep value's plan is built once, outside
-    the trials, so a plan defect raises ConfigError instead of failing
-    every trial.
+    its reduced grid in partial mode. Each sweep value's plan is built
+    once, outside the trials, so a plan defect raises ConfigError instead
+    of failing every trial; a draw that raises stops the sweep too.
 
-    A recovery's topology depends only on the estimate's labelling (the
-    group each entry falls in), and its line resistances on the group
-    values. So each trial cuts its estimate once, and a call learns each
-    new labelling once (`_learn`): the family check, one recovery walk
-    and value step, and the comparison with the truth, keeping the
-    recovery plan and the truth's resistance of each matched line. A
-    labelling that raises is not kept. Every accepted trial is scored by
-    `_replay`: the value rules, the value step and the score, which count
-    the trial correct exactly when `identify` and `compare_graphs` would.
+    A trial recovers the truth exactly when the gap rule cuts its estimate
+    into the noise-free labelling and its group values pass the value
+    rules, since a correct recovery fixes each label as the depth of a
+    common ancestor. So a call learns the noise-free labelling once
+    (`_learn`, whose errors stop the sweep: no trial could pass where
+    noise-free data fail) and scores each trial with that labelling by
+    `_replay`, which counts it correct, with the same MPE bit for bit,
+    exactly when `identify` and `compare_graphs` would. Any other trial
+    is a topology error.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
     buses = config.probing_buses(g)
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
+    plans = [ProbingPlan.blocks(buses, delta, t) for t in config.periods]
+    exact = _label(sample_estimate(g, plans[0], NoiseModel(), config.mode),
+                   None, config.mode)
+    replay = _learn(exact, truth, plans[0].buses)
 
-    replays: dict[bytes, _Replay] = {}
     rows = []
-    for periods in config.periods:
+    for periods, plan in zip(config.periods, plans):
         t0 = time.perf_counter()
-        plan = ProbingPlan.blocks(buses, delta, periods)
         mpes = []
         for trial in range(config.trials):
             rng = np.random.default_rng((config.seed, periods, trial))
+            estimate = sample_estimate(g, plan, config.noise,
+                                       mode=config.mode, rng=rng)
             try:
-                estimate = sample_estimate(g, plan, config.noise,
-                                           mode=config.mode, rng=rng)
                 labelling = _label(estimate, config.r_min, config.mode)
-                known = replays.get(labelling.key)
-                if known is None:
-                    known = replays[labelling.key] = _learn(
-                        labelling, truth, plan.buses)
             except GridProbeError:
                 continue
-            mpe = _replay(known, labelling)
+            if labelling.key != exact.key:
+                continue
+            mpe = _replay(replay, labelling)
             if mpe is not None:
                 mpes.append(mpe)
         correct = len(mpes)

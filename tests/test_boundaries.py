@@ -1012,7 +1012,17 @@ REAL_SITES = {
     "ReducedGrid root_upstream_r": (ConfigError, lambda v: ReducedGrid(
         1, [(1, 2, 1.0)], probing=[2], internal=[], root_upstream_r=v)),
 }
-NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, object(), 10**400, True, np.True_]
+
+
+class Opaque:
+    """A plain object whose repr, unlike object()'s, holds no memory
+    address, so the test ids it appears in are the same in every run."""
+
+    def __repr__(self):
+        return "<object object at 0x...>"
+
+
+NOT_NUMBERS = ["abc", [0.1], {1: 0.1}, Opaque(), 10**400, True, np.True_]
 
 
 @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)

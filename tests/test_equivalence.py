@@ -26,13 +26,14 @@ same families bit for bit, or the same first error. The library's own
 per-column functions are adapters over the same core, so they serve as a
 second reference only for the entry checks (NaN entries) that the copies
 predate.
-A sweep learns each new labelling once and scores every accepted trial
-by replaying its recovery plan; both are held to `identify` and
-`compare_graphs` on every trial of both bundled sweeps: learning raises
-the same error where the full path raises, a replay gives the same lines,
-resistances, supports and MPE, or None where the full path finds a wrong
-topology or a value rule rejects the trial; and the sweep's rows to a
-loop that runs the full path on every trial.
+A sweep learns the recovery of the noise-free labelling once and scores
+only the trials that cut their estimate into that labelling, by replaying
+its recovery plan. The rule is held to `identify` and `compare_graphs`,
+on random feeders and on every trial of both bundled sweeps: a trial
+recovers the truth only with the noise-free labelling, and with it
+exactly when its replay scores it, with the same MPE, lines, resistances
+and supports; and the sweep's rows to a loop that runs the full path on
+every trial.
 """
 
 import importlib
@@ -1005,10 +1006,71 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
-    # The sweep never calls `identify`: it learns the first trial's
-    # labelling once, and the second trial cuts its estimate the same way,
-    # so it only replays that labelling's recovery plan.
+    # The sweep never calls `identify`: it learns the noise-free labelling
+    # once and only replays that labelling's recovery plan.
     assert calls == {"_learn": 1}
+
+
+def noise_free(g, plan, mode, truth):
+    """A plan's noise-free labelling and the replay the sweep learns
+    from it."""
+    exact = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
+                            None, mode)
+    return exact, experiments._learn(exact, truth, plan.buses)
+
+
+def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
+    """Hold one trial to the sweep's rule. `identify` and `compare_graphs`
+    find the truth only where the gap rule cuts the estimate into the
+    noise-free labelling, and then exactly where `_replay` scores the
+    trial, with the same MPE. Returns the report, labelling and MPE of a
+    correct trial, else None."""
+    outcome = None
+    try:
+        report = identify(estimate, r_min, mode)
+        outcome = compare_graphs(report.graph, truth, exact.owners)
+    except GridProbeError:
+        pass
+    correct = outcome is not None and outcome.topology_correct
+    labelling = grouping._label(estimate, r_min, mode)
+    if labelling.key != exact.key:
+        assert not correct
+        seen["cut differs"] += 1
+        return None
+    mpe = experiments._replay(replay, labelling)
+    assert correct == (mpe is not None)
+    if not correct:
+        seen["value rejected"] += 1
+        return None
+    assert mpe == outcome.resistance_mpe
+    seen["correct"] += 1
+    return report, labelling, mpe
+
+
+OUTCOMES = ("correct", "cut differs", "value rejected")
+
+
+def test_sweep_rule_holds_on_random_feeders():
+    # Meter noise from 0.05 to 0.6 r_min per entry, on random feeders and
+    # probing sets, so some trials cut exactly, some do not, and some cut
+    # exactly but break a value rule.
+    rng = np.random.default_rng(1804)
+    seen = Counter()
+    for _ in range(40):
+        _, g = random_feeder(rng, max_buses=14)
+        for mode in ("complete", "partial"):
+            buses = tuple(sorted(g.bus_order if mode == "complete"
+                                 else random_probing(rng, g)))
+            truth = g if mode == "complete" else reduce_grid(g, buses)
+            r_min = min((r for _, _, r, *_ in truth.edges), default=1.0)
+            plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 4)
+            exact, replay = noise_free(g, plan, mode, truth)
+            for _ in range(25):
+                sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
+                estimate = sample_estimate(g, plan, NoiseModel(sigma_w=sigma),
+                                           mode=mode, rng=rng)
+                check_trial(estimate, r_min, mode, truth, exact, replay, seen)
+    assert all(seen[k] for k in OUTCOMES), seen
 
 
 REPLAY_TRIALS = 200
@@ -1026,60 +1088,32 @@ def test_sweep_replays_match_the_full_path(name, seed):
     buses = cfg.probing_buses(g)
     delta = cfg.delta_map(buses)
     truth = g if cfg.mode == "complete" else reduce_grid(g, buses)
-    replays = {}
     seen = Counter()
     rows = []
     for periods in cfg.periods:
         plan = ProbingPlan.blocks(buses, delta, periods)
+        exact, replay = noise_free(g, plan, cfg.mode, truth)
         mpes = []
         for trial in range(cfg.trials):
             rng = np.random.default_rng((seed, periods, trial))
             estimate = sample_estimate(g, plan, cfg.noise, mode=cfg.mode,
                                        rng=rng)
-            report = outcome = error = None
-            try:
-                report = identify(estimate, cfg.r_min, cfg.mode)
-                outcome = compare_graphs(report.graph, truth, plan.buses)
-            except GridProbeError as exc:
-                error = exc
-            expected = None
-            if outcome is not None and outcome.topology_correct:
-                expected = outcome.resistance_mpe
-                mpes.append(expected)
-
-            labelling = grouping._label(estimate, cfg.r_min, cfg.mode)
-            known = replays.get(labelling.key)
-            if known is None:
-                # A new labelling is learned exactly where the full path
-                # accepts it, and otherwise raises the same error.
-                try:
-                    known = experiments._learn(labelling, truth, plan.buses)
-                except GridProbeError as exc:
-                    assert (type(exc), str(exc)) == (type(error), str(error))
-                    seen["rejected"] += 1
-                    continue
-                assert error is None, error
-                replays[labelling.key] = known
-                seen["learned"] += 1
-            elif error is not None:
-                # Only a value rule can reject a remembered labelling.
-                assert type(error) is InconsistentLevelSets
-                seen["value_rejected"] += 1
-            else:
-                seen["replayed"] += 1
-            assert experiments._replay(known, labelling) == expected
-            if error is not None:
+            found = check_trial(estimate, cfg.r_min, cfg.mode, truth, exact,
+                                replay, seen)
+            if found is None:
                 continue
+            report, labelling, mpe = found
             table = labelling.cut.values.tolist()
             lines = [(u, v, r) for (u, v), r in
-                     zip(known.plan.lines, _line_values(known.plan, table))]
+                     zip(replay.plan.lines, _line_values(replay.plan, table))]
             assert sorted(lines, key=lambda e: (e[1], e[0])) == [
                 tuple(e[:3]) for e in report.graph.edges]
-            assert known.plan.support == report.line_support
+            assert replay.plan.support == report.line_support
             if cfg.mode == "partial":
                 assert _upstream(table) == report.graph.root_upstream_r
-                assert known.plan.root == report.graph.root
-                assert set(known.plan.internal) == report.graph.internal
+                assert replay.plan.root == report.graph.root
+                assert set(replay.plan.internal) == report.graph.internal
+            mpes.append(mpe)
         correct = len(mpes)
         rows.append({
             "periods": periods,
@@ -1089,7 +1123,7 @@ def test_sweep_replays_match_the_full_path(name, seed):
                        if len(mpes) > 1 else None),
             "trials": cfg.trials,
         })
-    assert seen["replayed"] > seen["learned"] and seen["value_rejected"], seen
+    assert all(seen[k] for k in OUTCOMES), seen
     got = run_experiment(cfg)
     assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == rows
 

@@ -5,8 +5,8 @@ import json
 import pytest
 
 import gridprobe.experiments
-from gridprobe import (ConfigError, ExperimentConfig, build_feeder, fileio,
-                       run_experiment, write_results)
+from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
+                       build_feeder, fileio, run_experiment, write_results)
 
 Y_TEXT = ("from,to,r_pu,x_pu\n"
           "0,1,1.0,1.0\n"
@@ -169,6 +169,22 @@ def test_plan_defect_is_a_config_error_not_a_topology_error(tmp_path,
                         staticmethod(broken_blocks))
     with pytest.raises(ConfigError, match="broken plan"):
         run_experiment(y_config(tmp_path))
+
+
+def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(
+        tmp_path):
+    """Line (1, 2) is too small to change its path resistance in floating
+    point, so even noise-free data put buses 1 and 2 in one group. Every
+    trial is scored against that labelling, so the sweep raises its
+    error instead of reading 100% error."""
+    (tmp_path / "y.csv").write_text(Y_TEXT.replace("1,2,2.0", "1,2,1e-20"))
+    cfg = ExperimentConfig.from_dict({
+        "feeder": "y.csv", "mode": "complete", "probing": "all-buses",
+        "periods": [1], "r_min": 0.5, "trials": 3,
+        "delta": {"policy": "fixed", "value_pu": 0.1}},
+        base_dir=str(tmp_path))
+    with pytest.raises(InconsistentLevelSets, match="depth-1 buses"):
+        run_experiment(cfg)
 
 
 def test_overwhelming_noise_breaks_recovery(tmp_path):

@@ -419,6 +419,23 @@ def test_cli_montecarlo_overrides(tmp_path):
     assert payload["provenance"]["seed"] == 99
 
 
+def test_cli_montecarlo_fails_on_a_draw_error_like_probe(tmp_path, capsys):
+    # Load noise at the unprobed bus 1 needs every line's reactance. A
+    # sweep must stop with probe's error, not count every trial wrong.
+    write_y_feeder(tmp_path, x_on_line_2=False)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(PARTIAL_CFG + "noise:\n  sigma_q: 0.001\n")
+    errors = []
+    for command in ("probe", "montecarlo"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / command)]) == 1
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0]["error"] == "NonpositiveImpedance"
+    assert errors[1] == errors[0]
+    assert not (tmp_path / "montecarlo").exists()
+
+
 def test_console_script_matches_module():
     proc = subprocess.run([sys.executable, "-c",
                            "from gridprobe.cli import main; "
