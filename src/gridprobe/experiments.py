@@ -25,9 +25,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import fileio
-from .errors import (ConfigError, GridProbeError, InconsistentLevelSets,
-                     as_buses, as_choice, as_float, as_instance, as_int,
-                     as_path)
+from .errors import (ConfigError, InconsistentLevelSets, as_buses, as_choice,
+                     as_float, as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
 # fails if one is missing. `identify` calls recover_full and
@@ -40,9 +39,9 @@ from .grouping import (_label, _Labelling, assemble_families,
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       estimate_resistances, sample_estimate,
                       simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _graph, _line_values,
-                       _plan_full, _plan_partial, _score, _upstream,
-                       compare_graphs, recover_full, recover_partial)
+from .recovery import (RecoveryPlan, RecoveryReport, _line_values, _recover,
+                       _score, _upstream, compare_graphs, recover_full,
+                       recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -173,9 +172,12 @@ class ExperimentConfig:
         out = {}
         for m in buses:
             kw = self.loads_kw.get(m, self.delta_default_kw)
-            if kw is None or kw <= 0:
+            if kw is None:
                 raise ConfigError(f"bus {m} has no rated load and no "
                                   f"default_kw is set")
+            if kw <= 0:
+                raise ConfigError(f"bus {m} rated load {kw} kW is not "
+                                  f"positive")
             out[m] = self.delta_multiple * kw / self.s_base_kva
         return out
 
@@ -235,12 +237,11 @@ class _Replay(NamedTuple):
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
     """The replay of the noise-free labelling: the family check, the
-    families, one recovery walk and value step, and the comparison with
-    the truth, each raising what `identify` and `compare_graphs` raise."""
+    families, the recovery `identify` runs, and the comparison with the
+    truth, each raising what `identify` and `compare_graphs` raise."""
     labelling.check()
-    families = labelling.families()
-    plan = (_plan_full if labelling.complete else _plan_partial)(families)
-    graph = _graph(plan, families)
+    plan, report = _recover(labelling.families(), not labelling.complete)
+    graph = report.graph
     node = compare_graphs(graph, truth, buses).node_map
     lines = plan.lines
     order = tuple(sorted(range(len(lines)), key=lambda i: lines[i][::-1]))
@@ -275,7 +276,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     distribution. Ground truth is the feeder itself in complete mode and
     its reduced grid in partial mode. Each sweep value's plan is built
     once, outside the trials, so a plan defect raises ConfigError instead
-    of failing every trial; a draw that raises stops the sweep too.
+    of failing every trial; a draw that raises, or that is not finite,
+    stops the sweep too.
 
     A trial recovers the truth exactly when the gap rule cuts its estimate
     into the noise-free labelling and its group values pass the value
@@ -305,10 +307,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             rng = np.random.default_rng((config.seed, periods, trial))
             estimate = sample_estimate(g, plan, config.noise,
                                        mode=config.mode, rng=rng)
-            try:
-                labelling = _label(estimate, config.r_min, config.mode)
-            except GridProbeError:
-                continue
+            labelling = _label(estimate, config.r_min, config.mode)
             if labelling.key != exact.key:
                 continue
             mpe = _replay(replay, labelling)

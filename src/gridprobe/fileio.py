@@ -25,8 +25,8 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .errors import (ConfigError, FeederFormatError, as_buses, as_instance,
-                     as_int, as_path)
+from .errors import (ConfigError, FeederFormatError, as_buses, as_float,
+                     as_instance, as_int, as_path)
 from .feeder import FeederGraph, build_feeder
 from .probing import ProbingPlan, ProbingRecord
 from .recovery import RecoveryReport
@@ -201,7 +201,9 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
                 buses, np.array(header["matrix"], dtype=float))
         else:
             plan = ProbingPlan.blocks(
-                buses, dict(zip(buses, map(float, header["delta"]))),
+                buses, {b: as_float(d, FeederFormatError,
+                                    f"{path}: probing magnitude")
+                        for b, d in zip(buses, header["delta"])},
                 [as_int(t, FeederFormatError, f"{path}: period count")
                  for t in header["periods"]])
         return ProbingRecord(mode=header["mode"],

@@ -11,11 +11,12 @@ either the member whose depth-k metered set equals the whole group (then
 it is a probed bus) or a junction invisible to the data, which gets a
 fresh bus ID above every input ID.
 
-The walk reads only level sets and depths, so recovery runs in two
-steps: a topology step (`RecoveryPlan`: root, junction IDs, and each
-line with its depth and the columns behind it) and a value step, which
-turns a table of group values into line resistances. Comparison splits
-the same way: a node-map match, then a resistance score.
+The walk values each line from the families' group values as it wires
+it, and raises each error where it meets it. What it reads off level sets
+and depths alone is its `RecoveryPlan` (root, junction IDs, and each line
+with its depth and the columns behind it), which a sweep replays on the
+group values of another trial with the same labelling. Comparison splits
+in two: a node-map match, then a resistance score.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousIntersection,
     ConfigError,
     EmptyPartition,
-    GridProbeError,
     InconsistentLevelSets,
     InconsistentMeteredSets,
     LabelMismatch,
@@ -78,7 +78,7 @@ class RecoveryReport:
         as_instance(self.line_support, Mapping, ConfigError, "line_support")
 
 
-# -- the topology step --------------------------------------------------------
+# -- the walk -----------------------------------------------------------------
 
 
 class RecoveryPlan(NamedTuple):
@@ -87,9 +87,7 @@ class RecoveryPlan(NamedTuple):
     start is the depth of every family's first group. lines[i] is the
     (parent, child) of the i-th line in walk order, depths[i] its child's
     depth k and members[i] the columns behind it, as positions in the
-    families' mapping order, in the order the walk met them. error is the
-    walk's first topology error, or None; lines holds the lines wired
-    before it.
+    families' mapping order, in the order the walk met them.
     """
 
     start: int
@@ -98,7 +96,6 @@ class RecoveryPlan(NamedTuple):
     lines: tuple[tuple[int, int], ...]
     depths: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    error: GridProbeError | None
 
     @property
     def support(self) -> dict[tuple[int, int], int]:
@@ -133,128 +130,114 @@ def _check_families(families, metered: bool) -> None:
             raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
 
 
-def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
-          name: Callable[[frozenset[int], int], tuple[int, bool]],
-          error: type[GridProbeError],
-          internal: Sequence[int] = ()) -> RecoveryPlan:
-    """Rebuild the tree of checked level-set families root-down.
+def _common_bus(families: Mapping[int, LevelSetFamily],
+                group: frozenset[int], k: int) -> int:
+    """A group's depth-k ancestor with complete data: the one bus common
+    to its members' depth-k level sets."""
+    inter = frozenset.intersection(*(families[m].at(k) for m in group))
+    if len(inter) != 1:
+        raise AmbiguousIntersection(
+            f"depth-{k} intersection of {sorted(group)} has "
+            f"{len(inter)} buses", depth=k, buses=group)
+    (n,) = inter
+    return n
 
-    name(group, k) picks the group's common depth-k ancestor and says
-    whether that ancestor must split the group in two or more parts.
-    A member without a depth-k group, or an ancestor that must split but
-    does not, is an `error` with the recursion state. The first error,
-    `name`'s own included, ends the walk and goes into the plan.
-    `internal` is the list `name` appends fresh junction IDs to.
+
+def _claimant(families: Mapping[int, LevelSetFamily],
+              group: frozenset[int], k: int) -> int | None:
+    """A group's depth-k ancestor with metered data: the member whose
+    depth-k metered set is the whole group, or None for a junction
+    invisible to the data."""
+    claimants = sorted(m for m in group if families[m].at(k) == group)
+    if len(claimants) > 1:
+        raise InconsistentMeteredSets(
+            f"buses {claimants} both claim to root {sorted(group)}",
+            depth=k, buses=group)
+    return claimants[0] if claimants else None
+
+
+def _line_r(table: Sequence[Sequence[float]], rows: Sequence[int], k: int,
+            start: int) -> float:
+    """A line's resistance: the mean, over its member columns in walk
+    order, of the value step from depth k-1 to k. table[j][i] is the value
+    of the group at depth start + i in the j-th family. Raises
+    InconsistentLevelSets unless it is positive."""
+    i = k - start
+    r = _left_sum([table[j][i] - table[j][i - 1] for j in rows]) / len(rows)
+    if r <= 0:
+        raise InconsistentLevelSets(
+            f"nonpositive line resistance {r} at depth {k}")
+    return r
+
+
+def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
+          table: Sequence[Sequence[float]]
+          ) -> tuple[RecoveryPlan, list[float]]:
+    """Rebuild the tree of checked level-set families root-down, valuing
+    each line from the families' value table as it is wired.
+
+    `_common_bus` (complete data) or `_claimant` (metered data) names
+    each group's common depth-k ancestor; a junction gets a fresh ID above
+    every probing bus and must split its group in two or more parts. Each
+    error is raised where the walk meets it: a member without a depth-k
+    group, an ancestor that cannot be named, is named twice or must split
+    but does not (each with the recursion state), or a nonpositive line.
     """
     if not families:
         raise EmptyPartition("no level-set families supplied")
-
+    ancestor = _claimant if metered else _common_bus
+    error = InconsistentMeteredSets if metered else AmbiguousIntersection
+    start, first_id = int(metered), max(families) + 1
     row = {m: j for j, m in enumerate(families)}
+    named: set[int] = set()
     root: int | None = None
+    internal: list[int] = []
     lines: list[tuple[int, int]] = []
     depths: list[int] = []
     members: list[tuple[int, ...]] = []
-    stop = None
-    queue: deque = deque([(frozenset(families), None, int(metered))])
-    try:
-        while queue:
-            group, parent, k = queue.popleft()
-            for m in group:
-                if k > families[m].depth:
-                    raise error(f"column {m} has no depth-{k} group",
-                                depth=k, buses=group)
-            n, must_split = name(group, k)
-            if parent is None:
-                root = n
-            else:
-                lines.append((parent, n))
-                depths.append(k)
-                members.append(tuple([row[m] for m in group]))
-            rest = group - {n}
-            if rest:
-                parts = _partition(rest, families, k)
-                if must_split and len(parts) == 1:
-                    raise error(f"ancestor {n} at depth {k} does not "
-                                f"separate {sorted(group)}", depth=k,
-                                buses=group)
-                for part in parts:
-                    queue.append((part, n, k + 1))
-    except GridProbeError as exc:
-        stop = exc
-    return RecoveryPlan(int(metered), root, tuple(internal),
-                        tuple(lines), tuple(depths), tuple(members), stop)
-
-
-def _plan_full(families: Mapping[int, LevelSetFamily]) -> RecoveryPlan:
-    """The topology step of `recover_full`: a group's ancestor is the one
-    bus common to its members' depth-k level sets."""
-    _check_families(families, False)
-    seen: set[int] = set()
-
-    def name(group, k):
-        inter = frozenset.intersection(*(families[m].at(k) for m in group))
-        if len(inter) != 1:
-            raise AmbiguousIntersection(
-                f"depth-{k} intersection of {sorted(group)} has "
-                f"{len(inter)} buses", depth=k, buses=group)
-        (n,) = inter
-        if n in seen:
-            raise AmbiguousIntersection(
-                f"bus {n} identified twice", depth=k, buses=group)
-        seen.add(n)
-        return n, False
-
-    return _walk(families, False, name, AmbiguousIntersection)
-
-
-def _plan_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryPlan:
-    """The topology step of `recover_partial`: a group's ancestor is the
-    member whose depth-k metered set is the whole group, or else a fresh
-    junction numbered above every probing bus, which must split it."""
-    _check_families(families, True)
-    first_id = max(families, default=0) + 1
-    internal: list[int] = []
-
-    def name(group, k):
-        claimants = sorted(m for m in group if families[m].at(k) == group)
-        if len(claimants) > 1:
-            raise InconsistentMeteredSets(
-                f"buses {claimants} both claim to root {sorted(group)}",
-                depth=k, buses=group)
-        if claimants:
-            return claimants[0], False
-        internal.append(first_id + len(internal))
-        return internal[-1], True
-
-    return _walk(families, True, name, InconsistentMeteredSets, internal)
-
-
-# -- the value step -----------------------------------------------------------
+    values: list[float] = []
+    queue: deque = deque([(frozenset(families), None, start)])
+    while queue:
+        group, parent, k = queue.popleft()
+        for m in group:
+            if k > families[m].depth:
+                raise error(f"column {m} has no depth-{k} group",
+                            depth=k, buses=group)
+        n = ancestor(families, group, k)
+        junction = n is None
+        if junction:
+            n = first_id + len(internal)
+            internal.append(n)
+        elif n in named:
+            raise error(f"bus {n} identified twice", depth=k, buses=group)
+        named.add(n)
+        if parent is None:
+            root = n
+        else:
+            rows = tuple([row[m] for m in group])
+            values.append(_line_r(table, rows, k, start))
+            lines.append((parent, n))
+            depths.append(k)
+            members.append(rows)
+        rest = group - {n}
+        if rest:
+            parts = _partition(rest, families, k)
+            if junction and len(parts) == 1:
+                raise error(f"ancestor {n} at depth {k} does not "
+                            f"separate {sorted(group)}", depth=k, buses=group)
+            for part in parts:
+                queue.append((part, n, k + 1))
+    plan = RecoveryPlan(start, root, tuple(internal), tuple(lines),
+                        tuple(depths), tuple(members))
+    return plan, values
 
 
 def _line_values(plan: RecoveryPlan,
                  table: Sequence[Sequence[float]]) -> list[float]:
-    """Line resistances, in walk order, from a table of group values.
-
-    table[j][i] is the value of the group at depth plan.start + i in the
-    j-th family, in the mapping order the plan was made from. A line's
-    resistance is the mean, over its member columns in walk order, of the
-    value step from depth k-1 to k. Raises InconsistentLevelSets at the
-    first nonpositive line, then the walk's own error, so errors come in
-    the order the walk met them.
-    """
-    out = []
-    for rows, k in zip(plan.members, plan.depths):
-        i = k - plan.start
-        steps = [table[j][i] - table[j][i - 1] for j in rows]
-        r = _left_sum(steps) / len(steps)
-        if r <= 0:
-            raise InconsistentLevelSets(
-                f"nonpositive line resistance {r} at depth {k}")
-        out.append(r)
-    if plan.error is not None:
-        raise plan.error.with_traceback(None)
-    return out
+    """The walk's line values, in walk order, replayed on another table of
+    group values; InconsistentLevelSets at the first nonpositive line."""
+    return [_line_r(table, rows, k, plan.start)
+            for rows, k in zip(plan.members, plan.depths)]
 
 
 def _upstream(table: Sequence[Sequence[float]]) -> float:
@@ -262,18 +245,22 @@ def _upstream(table: Sequence[Sequence[float]]) -> float:
     return _left_sum([values[0] for values in table]) / len(table)
 
 
-def _graph(plan: RecoveryPlan,
-           families: Mapping[int, LevelSetFamily]) -> FeederGraph:
-    """The value step: the grid a plan wires, its line resistances from the
-    families' group values. A metered plan's grid is a ReducedGrid whose
-    upstream resistance is the mean first-group value."""
+def _recover(families: Mapping[int, LevelSetFamily],
+             metered: bool) -> tuple[RecoveryPlan, RecoveryReport]:
+    """Check the families, walk them and report the grid the walk wires,
+    with its plan. A metered grid is a ReducedGrid whose upstream
+    resistance is the mean first-group value."""
+    _check_families(families, metered)
     table = [fam.values for fam in families.values()]
-    edges = [(u, v, r) for (u, v), r in zip(plan.lines,
-                                            _line_values(plan, table))]
-    if not plan.start:
-        return FeederGraph(edges)
-    return ReducedGrid(plan.root, edges, frozenset(families), plan.internal,
-                       _upstream(table))
+    plan, values = _walk(families, metered, table)
+    edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
+    graph = (ReducedGrid(plan.root, edges, frozenset(families),
+                         plan.internal, _upstream(table))
+             if metered else FeederGraph(edges))
+    return plan, RecoveryReport(mode="partial" if metered else "complete",
+                                graph=graph,
+                                probing=frozenset(families),
+                                line_support=plan.support)
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -284,10 +271,7 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     original ID together with every line resistance. Anything but a
     mapping of bus to level-set family raises ConfigError.
     """
-    plan = _plan_full(families)
-    return RecoveryReport(mode="complete", graph=_graph(plan, families),
-                          probing=frozenset(families),
-                          line_support=plan.support)
+    return _recover(families, False)[1]
 
 
 def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -297,10 +281,7 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     not probed get fresh IDs allocated above the largest probing ID.
     Anything but a mapping of bus to level-set family raises ConfigError.
     """
-    plan = _plan_partial(families)
-    return RecoveryReport(mode="partial", graph=_graph(plan, families),
-                          probing=frozenset(families),
-                          line_support=plan.support)
+    return _recover(families, True)[1]
 
 
 # -- comparison ---------------------------------------------------------------

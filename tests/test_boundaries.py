@@ -330,6 +330,7 @@ def recover_with_header(tmp_path, capsys, key, edit):
     ("buses", lambda v: [1.5] + v[1:]),
     ("buses", lambda v: "123"),
     ("delta", lambda v: ["a"] + v[1:]),
+    pytest.param("delta", lambda v: [True] + v[1:], id="delta-bool"),
     ("periods", lambda v: [2.5] + v[1:]),
     ("periods", lambda v: [INF] + v[1:]),
     ("matrix", lambda v: "abc"),

@@ -128,6 +128,14 @@ def test_rated_delta_needs_some_load(tmp_path):
         cfg.delta_map((1,))
 
 
+def test_rated_delta_names_a_load_that_is_not_positive(tmp_path):
+    cfg = y_config(tmp_path, loads_kw={2: -630.0},
+                   delta={"policy": "rated", "default_kw": 100.0})
+    with pytest.raises(ConfigError, match="^bus 2 rated load -630.0 kW is "
+                                          "not positive$"):
+        cfg.delta_map((1, 2))
+
+
 # -- runs ---------------------------------------------------------------------
 
 
@@ -184,6 +192,15 @@ def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(
         "delta": {"policy": "fixed", "value_pu": 0.1}},
         base_dir=str(tmp_path))
     with pytest.raises(InconsistentLevelSets, match="depth-1 buses"):
+        run_experiment(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
+    """Meter noise this large overflows the draw to an infinite estimate,
+    which is a data error, not a topology error."""
+    cfg = y_config(tmp_path, noise={"sigma_w": 1e308})
+    with pytest.raises(InconsistentLevelSets, match="not finite"):
         run_experiment(cfg)
 
 

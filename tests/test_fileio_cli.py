@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from gridprobe import (ConfigError, FeederFormatError, NoiseModel,
                        ProbingPlan, build_feeder, cli, fileio, recover_full,
@@ -433,6 +434,25 @@ def test_cli_montecarlo_fails_on_a_draw_error_like_probe(tmp_path, capsys):
         errors.append(json.loads(capsys.readouterr().err))
     assert errors[0]["error"] == "NonpositiveImpedance"
     assert errors[1] == errors[0]
+    assert not (tmp_path / "montecarlo").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_montecarlo_fails_on_a_draw_that_overflows(tmp_path, capsys):
+    # The bundled complete sweep with meter noise that overflows: both
+    # commands stop on the non-finite data; neither reports an error rate.
+    raw = fileio.load_config(os.path.join(DATA, "table_complete.yaml"))
+    raw.update(feeder=os.path.abspath(IEEE37), noise={"sigma_w": 1e308},
+               trials=2)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    for command, error in (("probe", "ConfigError"),
+                           ("montecarlo", "InconsistentLevelSets")):
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / command)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and "finite" in err["message"], err
     assert not (tmp_path / "montecarlo").exists()
 
 

@@ -200,6 +200,30 @@ def test_nonseparating_junction_detected():
         recover_partial(families)
 
 
+def test_partial_value_errors_before_the_walk_error_come_first():
+    # Feeder 0-1-{2, 5}, 5-{3, 4}, buses 3 and 4 probed with 2: the walk
+    # names junction 1 as 5 and wires line (5, 2); with buses 3 and 4 both
+    # claiming {3, 4} at depth 2, it then cannot name that group's root.
+    g = build_feeder([(0, 1, 1.0), (1, 2, 1.0), (1, 5, 1.0), (5, 3, 1.0),
+                      (5, 4, 1.0)])
+    probing = {2, 3, 4}
+    families = {m: metered_level_sets(g, m, probing) for m in sorted(probing)}
+    for m in (3, 4):
+        fam = families[m]
+        families[m] = metered_family(
+            m, [fam.sets[0], {3, 4}, fam.sets[2]], fam.values, probing)
+    with pytest.raises(InconsistentMeteredSets,
+                       match="^buses \\[3, 4\\] both claim to root "
+                             "\\[3, 4\\]$") as err:
+        recover_partial(families)
+    assert (err.value.depth, err.value.buses) == (2, frozenset({3, 4}))
+    # A nonpositive line (5, 2), met before that error, is raised first.
+    families[2] = metered_family(2, families[2].sets, (1.0, 0.0), probing)
+    with pytest.raises(InconsistentLevelSets,
+                       match="^nonpositive line resistance -1.0 at depth 2$"):
+        recover_partial(families)
+
+
 def test_recover_partial_random_feeders():
     rng = np.random.default_rng(53)
     for _ in range(50):
