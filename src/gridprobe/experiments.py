@@ -243,8 +243,8 @@ def _learn(labelling: _Labelling, truth: FeederGraph,
     plan, report = _recover(labelling.families(), not labelling.complete)
     graph = report.graph
     node = compare_graphs(graph, truth, buses).node_map
-    lines = plan.lines
-    order = tuple(sorted(range(len(lines)), key=lambda i: lines[i][::-1]))
+    row = {line: i for i, line in enumerate(plan.lines)}
+    order = tuple(row[u, v] for u, v, *_ in graph.edges)
     refs = tuple(truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges)
     return _Replay(plan, order, refs)
 

@@ -121,7 +121,6 @@ class FeederGraph:
         self._ancestry = anc
         self._rho = rho
         self._rho_x = rho_x
-        self._descendants: dict[int, frozenset[int]] = {}
         self._matrices: dict[str, ResistanceMatrix] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -158,10 +157,8 @@ class FeederGraph:
         return self._line(self._x, u, v)
 
     def _line(self, table: dict, u: int, v: int):
-        # compare_graphs reads every line, so plain ints skip _check.
-        if type(u) is not int or type(v) is not int:
-            self._check(u)
-            self._check(v)
+        self._check(u)
+        self._check(v)
         try:
             return table[(u, v)]
         except KeyError:
@@ -211,17 +208,13 @@ class FeederGraph:
     def descendants(self, m: int) -> frozenset[int]:
         """Buses in the subtree hanging from m, m included."""
         self._check(m)
-        cached = self._descendants.get(m)
-        if cached is None:
-            out = []
-            stack = [m]
-            while stack:
-                u = stack.pop()
-                out.append(u)
-                stack.extend(self._children[u])
-            cached = frozenset(out)
-            self._descendants[m] = cached
-        return cached
+        out = []
+        stack = [m]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(self._children[u])
+        return frozenset(out)
 
     def lca(self, m: int, n: int) -> int:
         """Deepest common bus of the two root paths."""
@@ -281,6 +274,12 @@ class FeederGraph:
 
     def __repr__(self) -> str:
         return f"FeederGraph({len(self._nodes)} buses, {len(self._edges)} lines)"
+
+
+def _probed_below(g: FeederGraph,
+                  probing: frozenset[int]) -> dict[int, frozenset[int]]:
+    """Probed-bus content of every subtree."""
+    return {u: g.descendants(u) & probing for u in g.nodes}
 
 
 def build_feeder(edges: Iterable[Sequence]) -> FeederGraph:

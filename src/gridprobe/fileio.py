@@ -200,12 +200,15 @@ def load_record(path: str | os.PathLike) -> ProbingRecord:
             plan = ProbingPlan.general(
                 buses, np.array(header["matrix"], dtype=float))
         else:
+            delta, periods = header["delta"], header["periods"]
+            if len(delta) != len(buses) or len(periods) != len(buses):
+                raise FeederFormatError(
+                    f"{path}: delta/periods must align with buses")
             plan = ProbingPlan.blocks(
-                buses, {b: as_float(d, FeederFormatError,
-                                    f"{path}: probing magnitude")
-                        for b, d in zip(buses, header["delta"])},
+                buses, [as_float(d, FeederFormatError,
+                                 f"{path}: probing magnitude") for d in delta],
                 [as_int(t, FeederFormatError, f"{path}: period count")
-                 for t in header["periods"]])
+                 for t in periods])
         return ProbingRecord(mode=header["mode"],
                              row_nodes=tuple(header["row_nodes"]),
                              values=values,

@@ -36,6 +36,8 @@ RANK_TOL = 1e-10
 
 # Observation modes: every bus metered, or only the probing buses.
 MODES = ("complete", "partial")
+# The largest count numpy holds in an index or a byte size.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
             ) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
     """Positions in bus_order of a campaign's probing buses, reported rows
     and free (non-probing) buses, then the reported rows' buses; raises
-    for an input of another type, a bus that cannot probe or an unknown
-    mode."""
+    for an input of another type, a bus that cannot probe, a period count
+    numpy cannot hold or an unknown mode."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
     as_instance(plan, ProbingPlan, ConfigError, "plan")
     order = g.bus_order
@@ -240,6 +242,10 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
     for b in plan.buses:
         if b not in pos:
             raise UnknownProbingBus(f"bus {b} cannot probe")
+    for b, t in zip(plan.buses, plan.periods or ()):
+        if t > _INT64_MAX:
+            raise ConfigError(f"probing window for bus {b} is too long to "
+                              f"represent")
     partial = as_choice(mode, MODES, ConfigError, "mode") == "partial"
     cols = [pos[b] for b in plan.buses]
     rows = cols if partial else list(range(len(order)))
@@ -288,6 +294,10 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if rng is not None:
         as_instance(rng, np.random.Generator, ConfigError, "rng")
     seed = noise.seed if rng is None else None
+    if len(rows) * plan.total_periods > _INT64_MAX // 8:
+        raise ConfigError(f"probing record of {len(rows)} rows by "
+                          f"{plan.total_periods} periods is too long to "
+                          f"represent")
     rmat = resistance_matrix(g).values
     if plan.is_block:
         # Each period has one nonzero injection, so this is bitwise the
@@ -394,5 +404,7 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
         sums = np.zeros(est.shape)
         _add_noise(g, rmat, noise, rows, free, sums, rng)
         est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
+    if not np.isfinite(est).all():
+        raise ConfigError("measurement values must be finite")
     return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
                               values=est)

@@ -38,7 +38,7 @@ from .errors import (
     as_choice,
     as_instance,
 )
-from .feeder import FeederGraph, LevelSetFamily
+from .feeder import FeederGraph, LevelSetFamily, _probed_below
 from .probing import MODES
 from .reduction import ReducedGrid
 
@@ -369,8 +369,3 @@ def _score(recovered: Sequence[float],
     if not rel:
         return 0.0, 0.0
     return 100.0 * _left_sum(rel) / len(rel), max(rel)
-
-
-def _probed_below(g: FeederGraph, probing: frozenset[int]) -> dict[int, frozenset[int]]:
-    """Probed-bus content of every subtree."""
-    return {u: g.descendants(u) & probing for u in g.nodes}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_buses,
                      as_float, as_instance, as_int)
-from .feeder import FeederGraph, effective_resistance
+from .feeder import FeederGraph, _probed_below, effective_resistance
 
 
 class ReducedGrid(FeederGraph):
@@ -62,8 +62,9 @@ class ReducedGrid(FeederGraph):
 def identifiable_junctions(g: FeederGraph, probing: frozenset[int]) -> frozenset[int]:
     """Buses with at least two children whose subtrees each hold a probed bus."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
+    below = _probed_below(g, probing)
     return frozenset(n for n in g.nodes if sum(
-        bool(g.descendants(c) & probing) for c in g.children(n)) >= 2)
+        bool(below[c]) for c in g.children(n)) >= 2)
 
 
 def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:

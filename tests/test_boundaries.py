@@ -337,6 +337,8 @@ def recover_with_header(tmp_path, capsys, key, edit):
     ("matrix", lambda v: [[1.0, "a"]]),
     ("matrix", lambda v: [[1.0], [1.0, 2.0]]),
     ("row_nodes", lambda v: 7),
+    pytest.param("delta", lambda v: v + [-7.0], id="delta-extra"),
+    pytest.param("periods", lambda v: v + [v[0]], id="periods-extra"),
 ])
 def test_malformed_record_header_is_a_format_error(tmp_path, capsys, key,
                                                    edit):

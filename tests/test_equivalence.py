@@ -620,6 +620,7 @@ def test_noise_free_records_match_reference_bitwise():
                            reference_simulate_probing(g, every, NoiseModel()))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_simulator_errors_match_reference():
     # Lines without reactance: sigma_q > 0 needs the reactance matrix even
     # when every bus probes and no injection noise is drawn.
@@ -633,7 +634,12 @@ def test_simulator_errors_match_reference():
              (ProbingPlan.blocks([2, 9], [0.1, 0.1], 2),
               NoiseModel(), "complete"),
              (ProbingPlan.blocks([2, 3], [0.1, 0.1], 2),
-              NoiseModel(), "metered")]
+              NoiseModel(), "metered"),
+             # Meter noise this large overflows: a record of 150 periods
+             # holds an infinite value, and so does a window sum divided
+             # by 0.001·√50, for all but a vanishing share of seeds.
+             (ProbingPlan.blocks([1, 2, 3], [1e-3] * 3, 50),
+              NoiseModel(sigma_w=1e308, seed=0), "complete")]
     for plan, noise, mode in cases:
         outcomes = []
         for simulate in (simulate_probing, reference_simulate_probing,
@@ -1071,6 +1077,32 @@ def test_sweep_rule_holds_on_random_feeders():
                                            mode=mode, rng=rng)
                 check_trial(estimate, r_min, mode, truth, exact, replay, seen)
     assert all(seen[k] for k in OUTCOMES), seen
+
+
+def test_replay_rejects_group_values_that_do_not_increase():
+    # Bus 4's path resistance is 0.1 plus two ulps. With bus 4's own entry
+    # one ulp above 0.1, the gap rule at r_min = 1e-17 cuts the noise-free
+    # labelling, but column 4's group of three entries of 0.1 averages to
+    # 0.10000000000000002 by the left fold, which ties bus 4's entry.
+    r = math.nextafter(math.nextafter(0.1, 1), 1) - 0.1
+    g = build_feeder([(0, 1, 0.1), (1, 2, 0.05), (1, 3, 0.05), (1, 4, r)])
+    assert g.path_r(4) == 0.10000000000000003
+    plan = ProbingPlan.blocks(g.bus_order, [1.0] * 4, 1)
+    exact, replay = noise_free(g, plan, "complete", g)
+    values = resistance_matrix(g).values.copy()
+    i = g.bus_order.index(4)
+    values[i, i] = math.nextafter(0.1, 1)
+    estimate = ResistanceEstimate(g.bus_order, g.bus_order, values)
+    labelling = grouping._label(estimate, 1e-17, "complete")
+    assert labelling.key == exact.key and not labelling.values_hold()
+    assert experiments._replay(replay, labelling) is None
+    with pytest.raises(InconsistentLevelSets,
+                       match="column 4: group values not increasing"):
+        identify(estimate, 1e-17, "complete")
+    seen = Counter()
+    assert check_trial(estimate, 1e-17, "complete", g, exact, replay,
+                       seen) is None
+    assert seen == {"value rejected": 1}
 
 
 REPLAY_TRIALS = 200

@@ -198,9 +198,10 @@ def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
     """Meter noise this large overflows the draw to an infinite estimate,
-    which is a data error, not a topology error."""
+    which is a data error, as simulating the record is, not a topology
+    error."""
     cfg = y_config(tmp_path, noise={"sigma_w": 1e308})
-    with pytest.raises(InconsistentLevelSets, match="not finite"):
+    with pytest.raises(ConfigError, match="must be finite"):
         run_experiment(cfg)
 
 

@@ -440,20 +440,46 @@ def test_cli_montecarlo_fails_on_a_draw_error_like_probe(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_montecarlo_fails_on_a_draw_that_overflows(tmp_path, capsys):
     # The bundled complete sweep with meter noise that overflows: both
-    # commands stop on the non-finite data; neither reports an error rate.
+    # commands stop on the non-finite data with one error; neither
+    # reports an error rate.
     raw = fileio.load_config(os.path.join(DATA, "table_complete.yaml"))
     raw.update(feeder=os.path.abspath(IEEE37), noise={"sigma_w": 1e308},
                trials=2)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    for command, error in (("probe", "ConfigError"),
-                           ("montecarlo", "InconsistentLevelSets")):
+    for command in ("probe", "montecarlo"):
         capsys.readouterr()
         assert cli.main([command, "--config", str(cfg), "--out",
                          str(tmp_path / command)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == error and "finite" in err["message"], err
+        assert err["error"] == "ConfigError", err
+        assert "finite" in err["message"], err
     assert not (tmp_path / "montecarlo").exists()
+
+
+@pytest.mark.parametrize("command, periods", [
+    ("probe", 10**20),  # a count above what numpy holds
+    ("probe", 10**15),  # counts numpy holds, a record it cannot size
+    ("montecarlo", 10**20),
+])
+def test_cli_refuses_period_counts_numpy_cannot_hold(tmp_path, capsys,
+                                                      command, periods):
+    # The bundled complete sweep: each command stops with one JSON error
+    # before numpy sees the count or sizes the record.
+    raw = fileio.load_config(os.path.join(DATA, "table_complete.yaml"))
+    raw.update(feeder=os.path.abspath(IEEE37), trials=2)
+    argv = [command, "--out", str(tmp_path / command)]
+    if command == "probe":
+        argv += ["--periods", str(periods)]
+    else:
+        raw.update(periods=[periods])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError", err
+    assert "too long to represent" in err["message"], err
 
 
 def test_console_script_matches_module():
