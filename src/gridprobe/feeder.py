@@ -466,13 +466,18 @@ def resistance_matrix(g: FeederGraph) -> ResistanceMatrix:
     return _cached_matrix(g, "r", g._rho)
 
 
-def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
-    """Bus reactance matrix; requires every line to carry a reactance."""
-    as_instance(g, FeederGraph, ConfigError, "feeder")
+def _require_reactance(g: FeederGraph) -> None:
+    """NonpositiveImpedance unless every line carries a reactance."""
     for (u, v), x in g._x.items():
         if x is None:
             raise NonpositiveImpedance(
                 f"line ({u},{v}) has no reactance; reactance matrix undefined")
+
+
+def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
+    """Bus reactance matrix; requires every line to carry a reactance."""
+    as_instance(g, FeederGraph, ConfigError, "feeder")
+    _require_reactance(g)
     return _cached_matrix(g, "x", g._rho_x)
 
 

@@ -94,35 +94,59 @@ class _Cut(NamedTuple):
     values: np.ndarray
 
 
-def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
-    """Sort every column, ties by bus ID, and start a new group wherever
-    the gap to the previous entry exceeds cut (zero for exact grouping).
+def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
+              ) -> tuple[np.ndarray, ...]:
+    """Cut a stack of matrices (trials x rows x columns) at once: sort
+    every column, ties by bus ID, and start a new group wherever the gap
+    to the previous entry exceeds cut (zero for exact grouping).
+
+    Returns, each trials x rows x columns, the rows of every column by
+    value (order), their values (ranked), the sorted rows that open a
+    group (starts), each sorted row's group index (group) and each row's
+    group index (labels).
+    """
+    by_bus = np.argsort(buses, kind="stable")
+    values = values[:, by_bus]
+    rank = np.argsort(values, axis=1, kind="stable")
+    order = by_bus[rank]
+    ranked = np.take_along_axis(values, rank, axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    np.greater(ranked[:, 1:] - ranked[:, :-1], cut, out=starts[:, 1:])
+    group = np.cumsum(starts, axis=1) - 1
+    labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
+    np.put_along_axis(labels, order, group, axis=1)
+    return order, ranked, starts, group, labels
+
+
+def _group_values(ranked: np.ndarray, group: np.ndarray,
+                  gmax: int) -> np.ndarray:
+    """The value of every group of a stack of sorted columns (trials x
+    columns x gmax, 0.0 past a column's last group).
 
     A group value is the left-to-right sum of its sorted run, started
     from 0, divided by the run's length: bit for bit what Python's sum
     gave before 3.12, on any Python. One weighted bincount over the
-    entries, column by column in sorted order, gives exactly that, since
-    it adds each weight into its bin from 0.0 in index order. Pairwise or
-    compensated summation (np.mean, np.add.reduceat, math.fsum) rounds
-    differently.
+    entries, trial by trial and column by column in sorted order, gives
+    exactly that, since it adds each weight into its bin from 0.0 in
+    index order. Pairwise or compensated summation (np.mean,
+    np.add.reduceat, math.fsum) rounds differently.
     """
-    n, m = values.shape
-    cols = np.arange(m)
-    by_bus = np.argsort(buses, kind="stable")
-    order = by_bus[np.argsort(values[by_bus], axis=0, kind="stable")]
-    ranked = values[order, cols]
-    starts = np.ones((n, m), dtype=bool)
-    np.greater(ranked[1:] - ranked[:-1], cut, out=starts[1:])
-    group = np.cumsum(starts, axis=0) - 1
-    labels = np.empty((n, m), dtype=np.min_scalar_type(n))
-    labels[order, cols] = group
-    counts = group[-1] + 1
-    gmax = int(counts.max())
-    target = (group + cols * gmax).T.ravel()
-    sums = np.bincount(target, weights=ranked.T.ravel(), minlength=m * gmax)
-    sizes = np.bincount(target, minlength=m * gmax)
-    table = (sums / np.maximum(sizes, 1)).reshape(m, gmax)
-    return _Cut(order, ranked, starts, labels, counts, table)
+    trials, _, m = ranked.shape
+    bins = np.arange(trials * m).reshape(trials, 1, m) * gmax
+    target = (group + bins).transpose(0, 2, 1).ravel()
+    size = trials * m * gmax
+    sums = np.bincount(target, weights=ranked.transpose(0, 2, 1).ravel(),
+                       minlength=size)
+    sizes = np.bincount(target, minlength=size)
+    return (sums / np.maximum(sizes, 1)).reshape(trials, m, gmax)
+
+
+def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
+    """Cut the columns of one rows x columns matrix by the gap rule."""
+    order, ranked, starts, group, labels = _sort_cut(buses, values[None], cut)
+    counts = group[0, -1] + 1
+    table = _group_values(ranked, group, int(counts.max()))
+    return _Cut(order[0], ranked[0], starts[0], labels[0], counts, table[0])
 
 
 def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
@@ -158,10 +182,11 @@ def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
 
 
 def _flat(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per column: do two successive group values fail to increase?"""
-    steps = np.arange(values.shape[1] - 1)
-    return ((values[:, 1:] <= values[:, :-1])
-            & (steps < counts[:, None] - 1)).any(axis=1)
+    """Per column: do two successive group values fail to increase?
+    values may stack trials on its leading axes."""
+    steps = np.arange(values.shape[-1] - 1)
+    return ((values[..., 1:] <= values[..., :-1])
+            & (steps < counts[:, None] - 1)).any(axis=-1)
 
 
 def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
@@ -225,10 +250,11 @@ def _seen(labels: np.ndarray, owners: Sequence[int],
 
 def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
                  value_tol: float) -> np.ndarray:
-    """split_value[a, b]: owners a and b, ascending, give the groups that
-    hold each other values further apart than value_tol."""
-    at = values[cols[:, None], seen]
-    return np.abs(at - at.T) > value_tol
+    """split_value[..., a, b]: owners a and b, ascending, give the groups
+    that hold each other values further apart than value_tol. values may
+    stack trials on its leading axes."""
+    at = values[..., cols[:, None], seen]
+    return np.abs(at - np.swapaxes(at, -1, -2)) > value_tol
 
 
 def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
@@ -338,9 +364,10 @@ def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
 class _Labelling(NamedTuple):
     """An estimate cut into groups, before the family check.
 
-    For fixed owners, rows, mode and r_min, `key` fixes every level set
-    and depth: two estimates with equal keys pass or fail every check but
-    the value rules alike, and recover to the same topology.
+    For fixed owners, rows, mode and r_min, the label matrix fixes every
+    level set and depth: two estimates with equal labels pass or fail
+    every check but the value rules alike, and recover to the same
+    topology.
     """
 
     owners: tuple[int, ...]
@@ -349,10 +376,6 @@ class _Labelling(NamedTuple):
     cut: _Cut
     complete: bool
     threshold: float | None
-
-    @property
-    def key(self) -> bytes:
-        return self.cut.labels.tobytes()
 
     @property
     def value_tol(self) -> float:
@@ -366,16 +389,6 @@ class _Labelling(NamedTuple):
         _check_pairs(cut.labels, cut.counts, cut.values, self.owners,
                      self.owner_rows, int(not self.complete), self.value_tol,
                      self.complete and len(self.owners) == n - 1)
-
-    def values_hold(self) -> bool:
-        """The family check's value rules alone: group values increase in
-        every column, and owners that see each other agree on the value of
-        their split."""
-        cut = self.cut
-        if _flat(cut.counts, cut.values).any():
-            return False
-        cols, seen = _seen(cut.labels, self.owners, self.owner_rows)
-        return not _split_value(cut.values, cols, seen, self.value_tol).any()
 
     def families(self) -> dict[int, ColumnGrouping]:
         """One ColumnGrouping per column, keyed by owner in column order."""
@@ -397,6 +410,23 @@ def _label(estimate: ResistanceEstimate, r_min: float | None,
     cut = _cut(buses, values, 0.0 if threshold is None else threshold)
     return _Labelling(owners, buses, owner_rows, cut, mode == "complete",
                       threshold)
+
+
+def _cut_trials(labelling: _Labelling, values: np.ndarray,
+                threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a stack of estimates (trials x rows x owners) with the rows and
+    owners of `labelling` by the gap rule at `threshold`, all trials at
+    once. Returns which trials cut into the labelling's labels and, for
+    those trials, the group values (trials x owners x groups), bit for
+    bit what `_label` gives each."""
+    if labelling.complete:
+        trials, _, m = values.shape
+        values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
+    _, ranked, _, group, labels = _sort_cut(labelling.buses, values,
+                                            threshold)
+    same = (labels == labelling.cut.labels).all(axis=(1, 2))
+    return same, _group_values(ranked[same], group[same],
+                               labelling.cut.values.shape[1])
 
 
 def group_estimate(estimate: ResistanceEstimate, r_min: float | None,

@@ -29,8 +29,8 @@ from .errors import (
     as_instance,
     as_int,
 )
-from .feeder import (FeederGraph, bus_index, reactance_matrix,
-                     resistance_matrix)
+from .feeder import (FeederGraph, _require_reactance, bus_index,
+                     reactance_matrix, resistance_matrix)
 
 RANK_TOL = 1e-10
 
@@ -256,24 +256,37 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
 
 def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
                rows: list[int], free: list[int], out: np.ndarray,
-               rng: np.random.Generator) -> None:
-    """Add to `out` (reported rows x columns) the noise that reaches the
-    reported rows: sigma_p·R[rows, free]·Z_p, sigma_q·X[rows, free]·Z_q and
-    sigma_w·Z_w, i.i.d. standard normals with one column per column of
-    `out`, drawn in that order. Nothing is drawn at free buses when every
-    bus probes."""
-    width = out.shape[1]
+               rngs: Sequence[np.random.Generator]) -> None:
+    """Add to `out` (trials x reported rows x columns) the noise that
+    reaches the reported rows: sigma_p·R[rows, free]·Z_p,
+    sigma_q·X[rows, free]·Z_q and sigma_w·Z_w, i.i.d. standard normals
+    with one column per column of `out`. Trial t draws its own from
+    rngs[t], in that order, into its slice of one stacked array per
+    source, which one stacked product carries to the rows. Nothing is
+    drawn at free buses when every bus probes."""
+    sources = []
     if noise.sigma_p > 0 and free:
-        shake = rng.standard_normal((len(free), width))
-        out += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
+        sources.append((noise.sigma_p, rmat[np.ix_(rows, free)]))
     if noise.sigma_q > 0:
-        # Raises for lines without reactance even when no bus is free.
-        xmat = reactance_matrix(g).values
         if free:
-            shake = rng.standard_normal((len(free), width))
-            out += noise.sigma_q * (xmat[np.ix_(rows, free)] @ shake)
+            sources.append((noise.sigma_q,
+                            reactance_matrix(g).values[np.ix_(rows, free)]))
+        else:
+            # Lines without reactance raise even when no bus is free.
+            _require_reactance(g)
     if noise.sigma_w > 0:
-        out += noise.sigma_w * rng.standard_normal(out.shape)
+        sources.append((noise.sigma_w, None))
+    trials, height, width = out.shape
+    for sigma, through in sources:
+        shake = np.empty((trials, height if through is None else len(free),
+                          width))
+        for rng, part in zip(rngs, shake):
+            rng.standard_normal(out=part)
+        if through is not None:
+            shake = np.matmul(through, shake)
+        # Scaled in place: a record's noise is as large as the record.
+        shake *= sigma
+        out += shake
 
 
 def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
@@ -310,7 +323,7 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if not noise.silent:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
-        _add_noise(g, rmat, noise, rows, free, v, rng)
+        _add_noise(g, rmat, noise, rows, free, v[None], [rng])
 
     return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
@@ -388,9 +401,24 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     `simulate_probing` raises; general plans have no windows and raise
     ConfigError.
     """
+    values, row_nodes = _draw(g, plan, noise, mode,
+                              None if rng is None else [rng])
+    return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
+                              values=values[0])
+
+
+def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
+          rngs: Sequence[np.random.Generator] | None
+          ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The estimates `sample_estimate` draws, one per generator in rngs
+    (one from noise.seed for None), stacked trials x reported rows x
+    probing buses, and the reported rows' buses. Each trial's estimate is
+    bitwise the one `sample_estimate` draws with its generator."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
-    if rng is not None:
+    if rngs is None:
+        rngs = [np.random.default_rng(noise.seed)]
+    for rng in rngs:
         as_instance(rng, np.random.Generator, ConfigError, "rng")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
@@ -398,13 +426,10 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
                           "simulate_probing")
     rmat = resistance_matrix(g).values
     est = rmat[np.ix_(rows, cols)]
+    sums = np.zeros((len(rngs), *est.shape))
     if not noise.silent:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        sums = np.zeros(est.shape)
-        _add_noise(g, rmat, noise, rows, free, sums, rng)
-        est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
+        _add_noise(g, rmat, noise, rows, free, sums, rngs)
+    est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
     if not np.isfinite(est).all():
         raise ConfigError("measurement values must be finite")
-    return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
-                              values=est)
+    return est, row_nodes

@@ -232,14 +232,6 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
     return plan, values
 
 
-def _line_values(plan: RecoveryPlan,
-                 table: Sequence[Sequence[float]]) -> list[float]:
-    """The walk's line values, in walk order, replayed on another table of
-    group values; InconsistentLevelSets at the first nonpositive line."""
-    return [_line_r(table, rows, k, plan.start)
-            for rows, k in zip(plan.members, plan.depths)]
-
-
 def _upstream(table: Sequence[Sequence[float]]) -> float:
     """The mean first-group value: a reduced grid's upstream resistance."""
     return _left_sum([values[0] for values in table]) / len(table)

@@ -59,10 +59,22 @@ class ReducedGrid(FeederGraph):
                 f"{len(self.edges)} lines)")
 
 
-def identifiable_junctions(g: FeederGraph, probing: frozenset[int]) -> frozenset[int]:
-    """Buses with at least two children whose subtrees each hold a probed bus."""
+def _probing(g: FeederGraph, probing: Iterable[int]) -> frozenset[int]:
+    """A feeder's probing buses as a set; UnknownNode for anything but a
+    feeder's buses other than the substation."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
-    below = _probed_below(g, probing)
+    p = frozenset(as_buses(probing, UnknownNode, "probing buses"))
+    for b in p:
+        g._check(b)
+        if b == g.root:
+            raise UnknownNode("the substation cannot be a probing bus")
+    return p
+
+
+def identifiable_junctions(g: FeederGraph,
+                           probing: Iterable[int]) -> frozenset[int]:
+    """Buses with at least two children whose subtrees each hold a probed bus."""
+    below = _probed_below(g, _probing(g, probing))
     return frozenset(n for n in g.nodes if sum(
         bool(below[c]) for c in g.children(n)) >= 2)
 
@@ -73,12 +85,7 @@ def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
     Requires every leaf to be probed; otherwise parts of the tree leave no
     trace in probing data and the reduction is not well defined.
     """
-    as_instance(g, FeederGraph, ConfigError, "feeder")
-    p = frozenset(as_buses(probing, UnknownNode, "probing buses"))
-    for b in p:
-        g._check(b)
-        if b == g.root:
-            raise UnknownNode("the substation cannot be a probing bus")
+    p = _probing(g, probing)
     unprobed = g.leaves - p
     if unprobed:
         raise LeafNotProbed(

@@ -785,6 +785,8 @@ BUS_LIST_SITES = {
     "ReducedGrid internal": (UnknownNode, lambda v: ReducedGrid(
         1, [(1, 2, 1.0)], probing=[2], internal=v, root_upstream_r=0.0)),
     "reduce_grid": (UnknownNode, lambda v: reduce_grid(y_feeder(2), v)),
+    "identifiable_junctions": (UnknownNode, lambda v: identifiable_junctions(
+        y_feeder(2), v)),
     "metered_level_sets": (UnknownNode, lambda v: metered_level_sets(
         y_feeder(2), 2, v)),
     "compare_graphs": (LabelMismatch, lambda v: compare_graphs(
@@ -820,6 +822,17 @@ def test_bus_lists_accept_any_iterable_and_store_ints():
     assert plan.buses == (1, 2) and all(type(b) is int for b in plan.buses)
     grid = reduce_grid(y_feeder(2), (b for b in [2.0, 3]))
     assert grid.probing == {2, 3}
+    assert identifiable_junctions(y_feeder(2), [2, 3.0]) == {1}
+
+
+@pytest.mark.parametrize("probing, message", [
+    ([2, 9], "bus 9 is not in the feeder"),
+    ([0, 2, 3], "the substation cannot be a probing bus"),
+    ([2.5, 3], "probing buses: bus 2.5 is not an integer")])
+def test_junctions_take_only_the_feeder_s_probing_buses(probing, message):
+    # As reduce_grid does: a list of the feeder's non-substation buses.
+    with pytest.raises(UnknownNode, match=message):
+        identifiable_junctions(y_feeder(2), probing)
 
 
 def test_repeated_bus_in_reduce_exits_1_without_traceback(capsys):

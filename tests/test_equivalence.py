@@ -28,12 +28,15 @@ second reference only for the entry checks (NaN entries) that the copies
 predate.
 A sweep learns the recovery of the noise-free labelling once and scores
 only the trials that cut their estimate into that labelling, by replaying
-its recovery plan. The rule is held to `identify` and `compare_graphs`,
-on random feeders and on every trial of both bundled sweeps: a trial
-recovers the truth only with the noise-free labelling, and with it
-exactly when its replay scores it, with the same MPE, lines, resistances
-and supports; and the sweep's rows to a loop that runs the full path on
-every trial.
+its recovery plan on their group values, all of a chunk's trials as one
+stack. The rule is held to `identify` and `compare_graphs`, on random
+feeders and on every trial of both bundled sweeps: a trial recovers the
+truth only with the noise-free labelling, and with it exactly when the
+stacked replay scores it, with the same MPE, lines, resistances and
+supports; and the sweep's rows to a loop that runs the full path on
+every trial. The stacked draw is held to one `sample_estimate` call per
+trial bit for bit, and the sweep's rows to themselves at every chunk
+size.
 """
 
 import importlib
@@ -60,10 +63,11 @@ from gridprobe import (ExperimentConfig, GridProbeError,
                        estimate_resistances, experiments, fileio, grouping,
                        group_column_exact, group_column_noisy,
                        group_estimate, identify, level_sets,
-                       metered_level_sets, recover_full, recover_partial,
-                       reduce_grid, resistance_matrix, run_experiment,
+                       metered_level_sets, reactance_matrix, recover_full,
+                       recover_partial, reduce_grid, resistance_matrix,
+                       run_experiment,
                        sample_estimate, simulate_probing)
-from gridprobe.recovery import _line_values, _upstream
+from gridprobe.probing import _draw
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
@@ -1028,9 +1032,11 @@ def noise_free(g, plan, mode, truth):
 def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
     """Hold one trial to the sweep's rule. `identify` and `compare_graphs`
     find the truth only where the gap rule cuts the estimate into the
-    noise-free labelling, and then exactly where `_replay` scores the
-    trial, with the same MPE. Returns the report, labelling and MPE of a
-    correct trial, else None."""
+    noise-free labelling, which the stacked cut must tell from the
+    trial's own labels, and then exactly where the stacked replay scores
+    the trial, with the same MPE. Returns the report, line values in the
+    recovered graph's order, upstream resistance and MPE of a correct
+    trial, else None."""
     outcome = None
     try:
         report = identify(estimate, r_min, mode)
@@ -1039,18 +1045,23 @@ def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
         pass
     correct = outcome is not None and outcome.topology_correct
     labelling = grouping._label(estimate, r_min, mode)
-    if labelling.key != exact.key:
+    (same,), table = grouping._cut_trials(exact, estimate.values[None],
+                                          labelling.threshold)
+    assert same == np.array_equal(labelling.cut.labels, exact.cut.labels)
+    if not same:
         assert not correct
         seen["cut differs"] += 1
         return None
-    mpe = experiments._replay(replay, labelling)
-    assert correct == (mpe is not None)
+    assert table.tobytes() == labelling.cut.values.tobytes()
+    (ok,), (mpe,), (lines,), (upstream,) = experiments._replay(
+        replay, table, labelling.value_tol)
+    assert correct == ok
     if not correct:
         seen["value rejected"] += 1
         return None
     assert mpe == outcome.resistance_mpe
     seen["correct"] += 1
-    return report, labelling, mpe
+    return report, lines.tolist(), float(upstream), float(mpe)
 
 
 OUTCOMES = ("correct", "cut differs", "value rejected")
@@ -1094,8 +1105,10 @@ def test_replay_rejects_group_values_that_do_not_increase():
     values[i, i] = math.nextafter(0.1, 1)
     estimate = ResistanceEstimate(g.bus_order, g.bus_order, values)
     labelling = grouping._label(estimate, 1e-17, "complete")
-    assert labelling.key == exact.key and not labelling.values_hold()
-    assert experiments._replay(replay, labelling) is None
+    (same,), table = grouping._cut_trials(exact, values[None], 1e-17 / 2)
+    assert same and np.array_equal(labelling.cut.labels, exact.cut.labels)
+    (ok,), *_ = experiments._replay(replay, table, labelling.value_tol)
+    assert not ok
     with pytest.raises(InconsistentLevelSets,
                        match="column 4: group values not increasing"):
         identify(estimate, 1e-17, "complete")
@@ -1134,15 +1147,13 @@ def test_sweep_replays_match_the_full_path(name, seed):
                                 replay, seen)
             if found is None:
                 continue
-            report, labelling, mpe = found
-            table = labelling.cut.values.tolist()
-            lines = [(u, v, r) for (u, v), r in
-                     zip(replay.plan.lines, _line_values(replay.plan, table))]
-            assert sorted(lines, key=lambda e: (e[1], e[0])) == [
+            report, lines, upstream, mpe = found
+            assert [(*replay.plan.lines[i], r) for i, r in
+                    zip(replay.order, lines)] == [
                 tuple(e[:3]) for e in report.graph.edges]
             assert replay.plan.support == report.line_support
             if cfg.mode == "partial":
-                assert _upstream(table) == report.graph.root_upstream_r
+                assert upstream == report.graph.root_upstream_r
                 assert replay.plan.root == report.graph.root
                 assert set(replay.plan.internal) == report.graph.internal
             mpes.append(mpe)
@@ -1158,6 +1169,87 @@ def test_sweep_replays_match_the_full_path(name, seed):
     assert all(seen[k] for k in OUTCOMES), seen
     got = run_experiment(cfg)
     assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == rows
+
+
+EIGHT_BUSES = [(0, 1, 0.3, 0.2), (1, 2, 0.2, 0.4), (2, 3, 0.5, 0.3),
+               (1, 4, 0.4, 0.1), (4, 5, 0.1, 0.3), (2, 6, 0.3, 0.3),
+               (6, 7, 0.2, 0.2), (4, 8, 0.6, 0.5)]
+
+
+def one_trial_estimate(g, plan, noise, mode, rng):
+    """The window-sum estimate of one trial as it was drawn one trial at a
+    time: each source's normals, then its product, added in order."""
+    order = g.bus_order
+    cols = [order.index(b) for b in plan.buses]
+    rows = cols if mode == "partial" else list(range(len(order)))
+    free = [i for i in range(len(order)) if i not in cols]
+    rmat = resistance_matrix(g).values
+    sums = np.zeros((len(rows), len(cols)))
+    if noise.sigma_p > 0 and free:
+        shake = rng.standard_normal((len(free), len(cols)))
+        sums += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
+    if noise.sigma_q > 0 and free:
+        shake = rng.standard_normal((len(free), len(cols)))
+        sums += noise.sigma_q * (
+            reactance_matrix(g).values[np.ix_(rows, free)] @ shake)
+    if noise.sigma_w > 0:
+        sums += noise.sigma_w * rng.standard_normal(sums.shape)
+    return rmat[np.ix_(rows, cols)] + sums / (
+        np.array(plan.delta) * np.sqrt(plan.periods))
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
+    # Four of eight buses probing puts all three sources through; every
+    # bus probing leaves meter noise alone.
+    g = build_feeder(EIGHT_BUSES)
+    noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
+    for buses in ([3, 5, 7, 8], g.bus_order):
+        plan = ProbingPlan.blocks(buses, [0.1 * (1 + b % 3) for b in buses],
+                                  [2 + b % 4 for b in buses])
+        seeds = [(5, trials, t) for t in range(trials)]
+        got, row_nodes = _draw(g, plan, noise, mode,
+                               [np.random.default_rng(s) for s in seeds])
+        assert got.shape[0] == trials
+        for values, seed in zip(got, seeds):
+            one = sample_estimate(g, plan, noise, mode,
+                                  rng=np.random.default_rng(seed))
+            assert one.row_nodes == row_nodes
+            assert values.tobytes() == one.values.tobytes()
+            want = one_trial_estimate(g, plan, noise, mode,
+                                      np.random.default_rng(seed))
+            assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(14, 22, 14), (37, 60, 37),
+                                   (100, 200, 100)])
+def test_stacked_product_matches_one_product_per_trial(shape):
+    # The draw carries every trial's injection noise to the reported rows
+    # with one stacked matmul; on this BLAS each slice must round as the
+    # trial's own product did. One wide product over all trials need not.
+    rows, free, cols = shape
+    rng = np.random.default_rng(rows)
+    through = rng.standard_normal((rows, free))
+    shake = rng.standard_normal((5, free, cols))
+    stacked = np.matmul(through, shake)
+    for t in range(len(shake)):
+        assert stacked[t].tobytes() == (through @ shake[t]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+def test_sweep_rows_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    # Budgets of 1, 600 and 4000 entries give chunks of 1, 1 and 3 trials
+    # on the complete table (37 x 36 labels) and of 1, 3 and 20 on the
+    # partial one (14 x 14), against 7 trials in one chunk.
+    raw = fileio.load_config(os.path.join(DATA, name))
+    cfg = ExperimentConfig.from_dict({**raw, "trials": 7, "seed": 3},
+                                     base_dir=DATA)
+    want = [{k: row[k] for k in ROW_KEYS} for row in run_experiment(cfg).rows]
+    for block in (1, 600, 4000):
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        got = run_experiment(cfg)
+        assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == want
 
 
 def test_tracer_targets_resolve():

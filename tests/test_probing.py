@@ -12,6 +12,7 @@ from gridprobe import (ConfigError, ExperimentConfig, NoiseModel,
                        estimate_resistances, fileio, noise_bound,
                        reactance_matrix, reduce_grid, resistance_matrix,
                        sample_estimate, simulate_probing)
+from gridprobe import probing
 
 from helpers import random_feeder
 
@@ -315,6 +316,22 @@ def test_sampled_estimates_need_a_block_plan():
     plan = ProbingPlan.general([2, 3], np.eye(2))
     with pytest.raises(ConfigError, match="only block plans"):
         sample_estimate(y_tree(), plan, NoiseModel(sigma_w=0.01))
+
+
+def test_draws_build_the_reactance_matrix_only_for_free_buses(monkeypatch):
+    # With every bus probing no load noise is drawn, so the reactance
+    # matrix is never read; it is built once a bus is free.
+    built = []
+    monkeypatch.setattr(probing, "reactance_matrix",
+                        lambda g: built.append(g) or reactance_matrix(g))
+    g = build_feeder([(0, 1, 0.1, 0.1), (1, 2, 0.2, 0.1), (1, 3, 0.3, 0.1)])
+    noise = NoiseModel(sigma_q=0.01, sigma_w=0.01, seed=3)
+    every = ProbingPlan.blocks([1, 2, 3], [0.5] * 3, 4)
+    sample_estimate(g, every, noise)
+    simulate_probing(g, every, noise)
+    assert built == []
+    sample_estimate(g, ProbingPlan.blocks([2, 3], [0.5, 0.5], 4), noise)
+    assert built == [g]
 
 
 def test_sampled_estimates_follow_the_seed_or_the_rng():
