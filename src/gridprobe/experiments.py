@@ -5,12 +5,12 @@
 durations and, for each, repeatedly draws the resistance estimate of a
 probing campaign on a known feeder from its window sums and cuts it into
 a labelling. A trial is correct exactly when that is the noise-free
-labelling and its values pass the value rules; it is scored by replaying
-the noise-free recovery on its group values. A sweep value's trials are
-drawn, cut, compared and scored as stacked arrays, in chunks of bounded
-size, each bit for bit what the trial alone would give. Per-trial seeds
-are derived from (seed, periods, trial) so results do not depend on
-execution order or chunking.
+labelling and its values pass the value rules; it is scored by running
+the noise-free recovery plan through recovery's value step and score on
+its group values. A sweep value's trials are drawn, cut, compared and
+scored as stacked arrays, in chunks of bounded size, each bit for bit
+what the trial alone would give. Per-trial seeds are derived from (seed,
+periods, trial) so results do not depend on execution order or chunking.
 """
 
 from __future__ import annotations
@@ -30,21 +30,18 @@ from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing. `identify` calls recover_full and
+# fails if one is missing: `identify` calls recover_full and
 # recover_partial through these globals, and `run_experiment` calls
-# compare_graphs and reduce_grid, so each call is timed; simulate_probing,
-# estimate_resistances, group_column_noisy and assemble_families are no
-# longer called here and stay only as the tracer's targets. The sweep's
-# trial stages (`_draw`, `_cut_trials`, `_replay`) run once per chunk of
-# trials and are not among those targets.
+# compare_graphs and reduce_grid. simulate_probing, estimate_resistances,
+# group_column_noisy and assemble_families are only the tracer's targets.
 from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
                        _split_value, _threshold, assemble_families,
                        group_column_noisy, group_estimate)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       _draw, estimate_resistances, sample_estimate,
                       simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _recover,
-                       compare_graphs, recover_full, recover_partial)
+from .recovery import (RecoveryPlan, RecoveryReport, _line_values, _recover,
+                       _score, compare_graphs, recover_full, recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -233,11 +230,9 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 class _Replay(NamedTuple):
     """What the noise-free labelling fixes for every trial of a sweep that
     cuts its estimate the same way: the recovery plan, the order in which
-    the recovered graph lists the plan's lines and the truth's resistance
-    of each line in that order; for the value rules each column's group
-    count and `_seen`'s pairs; and, per line in walk order, its member
-    columns (padded with column 0 where `pad`) and the group index of its
-    child's depth. `metered` values the upstream resistance too."""
+    the recovered graph lists the plan's lines, the truth's resistance of
+    each line in that order, and each column's group count and `_seen`'s
+    pairs for the value rules. `metered` checks the upstream resistance."""
 
     plan: RecoveryPlan
     order: np.ndarray
@@ -245,9 +240,6 @@ class _Replay(NamedTuple):
     counts: np.ndarray
     cols: np.ndarray
     seen: np.ndarray
-    members: np.ndarray
-    pad: np.ndarray
-    step: np.ndarray
     metered: bool
 
 
@@ -263,57 +255,33 @@ def _learn(labelling: _Labelling, truth: FeederGraph,
     row = {line: i for i, line in enumerate(plan.lines)}
     order = [row[u, v] for u, v, *_ in graph.edges]
     refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
-    members = np.zeros((len(plan.lines), max(map(len, plan.members),
-                                             default=0)), dtype=np.intp)
-    pad = np.ones(members.shape, dtype=bool)
-    for i, rows in enumerate(plan.members):
-        members[i, :len(rows)] = rows
-        pad[i, :len(rows)] = False
     cut = labelling.cut
     cols, seen = _seen(cut.labels, labelling.owners, labelling.owner_rows)
     return _Replay(plan, np.array(order, dtype=np.intp), np.array(refs),
-                   cut.counts, cols, seen, members, pad,
-                   np.array(plan.depths, dtype=np.intp) - plan.start,
-                   not labelling.complete)
-
-
-def _left_sums(values: np.ndarray) -> np.ndarray:
-    """`recovery._left_sum` along the last axis: from 0.0, left to right,
-    rounding after every addition, as `np.cumsum` adds."""
-    start = np.zeros((*values.shape[:-1], 1))
-    return np.cumsum(np.concatenate([start, values], axis=-1),
-                     axis=-1)[..., -1]
+                   cut.counts, cols, seen, not labelling.complete)
 
 
 def _replay(replay: _Replay, table: np.ndarray, value_tol: float
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Replay the noise-free recovery on the group values of trials whose
-    labelling is the noise-free one (trials x columns x groups).
+    labelling is the noise-free one (trials x columns x groups), through
+    the value step and score `identify` and `compare_graphs` use.
 
     Returns, per trial, whether its values pass every rule `identify`
     applies to them (group values increase, owners agree on their split
     values within value_tol, every line is positive and every value
-    finite), its MPE, its line values in the order the recovered graph
-    lists them, and its upstream resistance: each bit for bit what
-    `identify` and `compare_graphs` give a trial that passes.
-    """
+    finite), its MPE, its line values in the recovered graph's order and
+    its upstream resistance."""
     with np.errstate(over="ignore", invalid="ignore"):
         held = ~(_flat(replay.counts, table).any(axis=-1)
                  | _split_value(table, replay.cols, replay.seen,
                                 value_tol).any(axis=(-2, -1)))
-        step = replay.step[:, None]
-        diffs = (table[:, replay.members, step]
-                 - table[:, replay.members, step - 1])
-        diffs[:, replay.pad] = 0.0
-        walk = _left_sums(diffs) / (~replay.pad).sum(axis=1)
-        lines = walk[:, replay.order]
-        upstream = _left_sums(table[..., 0]) / table.shape[1]
-        finite = np.isfinite(lines).all(axis=1)
-        if replay.metered:
-            finite &= np.isfinite(upstream)
-        ok = held & ~(walk <= 0).any(axis=1) & finite
-        rel = np.abs(lines - replay.refs) / replay.refs
-        mpe = 100.0 * _left_sums(rel) / max(len(replay.refs), 1)
+    walk, upstream = _line_values(replay.plan, table)
+    lines = walk[:, replay.order]
+    ok = held & ((walk > 0) & np.isfinite(walk)).all(axis=1)
+    if replay.metered:
+        ok &= np.isfinite(upstream)
+    mpe, _ = _score(lines, replay.refs)
     return ok, mpe, lines, upstream
 
 
@@ -330,15 +298,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     A trial recovers the truth exactly when the gap rule cuts its estimate
     into the noise-free labelling and its group values pass the value
-    rules, since a correct recovery fixes each label as the depth of a
-    common ancestor. So a call learns the noise-free labelling once
-    (`_learn`, whose errors stop the sweep: no trial could pass where
-    noise-free data fail). Each sweep value's trials, in chunks of at
-    most `_BLOCK` estimate entries, are then drawn as one stack, cut as
-    one stack, compared with that labelling by one array equality, and
-    those that match are scored by `_replay`, which counts a trial
-    correct, with the same MPE bit for bit, exactly when `identify` and
-    `compare_graphs` would. Any other trial is a topology error.
+    rules. So a call learns the noise-free labelling once (`_learn`, whose
+    errors stop the sweep: no trial could pass where noise-free data
+    fail). Each sweep value's trials, in chunks of at most `_BLOCK`
+    estimate entries, are drawn and cut as one stack and compared with
+    that labelling by one array equality; `_replay` scores those that
+    match, as `identify` and `compare_graphs` would. Any other trial is a
+    topology error.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
@@ -362,8 +328,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                        min(first + chunk, config.trials))]
             draws, _ = _draw(g, plan, config.noise, config.mode, rngs)
             _, table = _cut_trials(exact, draws, threshold)
-            ok, mpe, _, _ = _replay(replay, table, threshold)
-            mpes += mpe[ok].tolist()
+            if len(table):
+                ok, mpe, _, _ = _replay(replay, table, threshold)
+                mpes += mpe[ok].tolist()
         correct = len(mpes)
         rows.append({
             "periods": periods,

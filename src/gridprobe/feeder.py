@@ -318,6 +318,24 @@ class LevelSetFamily:
             as_instance(getattr(self, key), (tuple, list), ConfigError, key)
         if len(self.sets) != len(self.values):
             raise ConfigError("sets and values must align")
+        # Groupings hold frozensets and floats already: only another type
+        # is checked and converted.
+        sets, values = self.sets, self.values
+        for s in sets:
+            if type(s) is not frozenset:
+                sets = [frozenset(as_instance(
+                    s, (set, frozenset), ConfigError,
+                    f"level set of bus {self.owner}")) for s in sets]
+                break
+        for v in values:
+            if type(v) is not float:
+                values = [as_float(v, ConfigError,
+                                   f"level-set value of bus {self.owner}")
+                          for v in values]
+                break
+        if type(sets) is not tuple or type(values) is not tuple:
+            object.__setattr__(self, "sets", tuple(sets))
+            object.__setattr__(self, "values", tuple(values))
 
     @property
     def depth(self) -> int:

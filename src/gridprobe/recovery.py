@@ -11,26 +11,27 @@ either the member whose depth-k metered set equals the whole group (then
 it is a probed bus) or a junction invisible to the data, which gets a
 fresh bus ID above every input ID.
 
-The walk values each line from the families' group values as it wires
-it, and raises each error where it meets it. What it reads off level sets
-and depths alone is its `RecoveryPlan` (root, junction IDs, and each line
-with its depth and the columns behind it), which a sweep replays on the
-group values of another trial with the same labelling. Comparison splits
-in two: a node-map match, then a resistance score.
+The walk reads topology only: its `RecoveryPlan` holds the root, the
+junction IDs, and each line with its depth and the columns behind it.
+One value step, `_line_values`, values a plan's lines and upstream
+resistance on a stack of group-value tables, one per trial. Comparison
+is a node-map match, then a resistance score of a stack of trials.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     AmbiguousIntersection,
     ConfigError,
     EmptyPartition,
+    GridProbeError,
     InconsistentLevelSets,
     InconsistentMeteredSets,
     LabelMismatch,
@@ -43,14 +44,14 @@ from .probing import MODES
 from .reduction import ReducedGrid
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """Sum from 0.0, left to right, rounding after every addition.
-
-    Builtin `sum` compensates float error from Python 3.12 on, so line
-    resistances and scores would depend on the Python version; this fold
-    rounds the same on every version (and as `sum` did before 3.12).
-    """
-    return reduce(operator.add, values, 0.0)
+def _left_sums(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis from 0.0, left to right, rounding after
+    every addition, as `np.add.accumulate` adds. Builtin `sum` compensates
+    from Python 3.12 on and `np.sum` adds pairwise; this rounds the same
+    on every version (and as `sum` did before 3.12)."""
+    zero = np.zeros((*values.shape[:-1], 1))
+    return np.add.accumulate(np.concatenate([zero, values], axis=-1),
+                             axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -84,24 +85,25 @@ class RecoveryReport:
 class RecoveryPlan(NamedTuple):
     """What the root-down walk reads off level sets and depths alone.
 
-    start is the depth of every family's first group. lines[i] is the
-    (parent, child) of the i-th line in walk order, depths[i] its child's
-    depth k and members[i] the columns behind it, as positions in the
-    families' mapping order, in the order the walk met them.
+    lines[i] is the (parent, child) of the i-th line in walk order. Entry
+    e is a column behind line line[e], at position members[e] in the
+    families' mapping order (a line's entries in the order the walk met
+    them); step[e] indexes, among each family's value steps, the step
+    from that line's parent's depth to its child's.
     """
 
-    start: int
     root: int | None
     internal: tuple[int, ...]
     lines: tuple[tuple[int, int], ...]
-    depths: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    members: np.ndarray
+    line: np.ndarray
+    step: np.ndarray
 
     @property
     def support(self) -> dict[tuple[int, int], int]:
         """How many columns are behind each line."""
-        return {line: len(rows)
-                for line, rows in zip(self.lines, self.members)}
+        return dict(zip(self.lines, np.bincount(
+            self.line, minlength=len(self.lines)).tolist()))
 
 
 def _partition(group: frozenset[int], families: Mapping[int, LevelSetFamily],
@@ -156,35 +158,20 @@ def _claimant(families: Mapping[int, LevelSetFamily],
     return claimants[0] if claimants else None
 
 
-def _line_r(table: Sequence[Sequence[float]], rows: Sequence[int], k: int,
-            start: int) -> float:
-    """A line's resistance: the mean, over its member columns in walk
-    order, of the value step from depth k-1 to k. table[j][i] is the value
-    of the group at depth start + i in the j-th family. Raises
-    InconsistentLevelSets unless it is positive."""
-    i = k - start
-    r = _left_sum([table[j][i] - table[j][i - 1] for j in rows]) / len(rows)
-    if r <= 0:
-        raise InconsistentLevelSets(
-            f"nonpositive line resistance {r} at depth {k}")
-    return r
-
-
-def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
-          table: Sequence[Sequence[float]]
-          ) -> tuple[RecoveryPlan, list[float]]:
-    """Rebuild the tree of checked level-set families root-down, valuing
-    each line from the families' value table as it is wired.
+def _walk(families: Mapping[int, LevelSetFamily], metered: bool, lines: list,
+          depths: list, members: list) -> tuple[int | None, list[int]]:
+    """Rebuild the tree of checked level-set families root-down, topology
+    only: append each line to `lines` as it is wired, its child's depth to
+    `depths` and the positions of its columns to `members`. Returns the
+    root and the junctions.
 
     `_common_bus` (complete data) or `_claimant` (metered data) names
     each group's common depth-k ancestor; a junction gets a fresh ID above
     every probing bus and must split its group in two or more parts. Each
-    error is raised where the walk meets it: a member without a depth-k
-    group, an ancestor that cannot be named, is named twice or must split
-    but does not (each with the recursion state), or a nonpositive line.
+    error carries the recursion state: a member without a depth-k group,
+    or an ancestor that cannot be named, is named twice or must split but
+    does not.
     """
-    if not families:
-        raise EmptyPartition("no level-set families supplied")
     ancestor = _claimant if metered else _common_bus
     error = InconsistentMeteredSets if metered else AmbiguousIntersection
     start, first_id = int(metered), max(families) + 1
@@ -192,10 +179,6 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
     named: set[int] = set()
     root: int | None = None
     internal: list[int] = []
-    lines: list[tuple[int, int]] = []
-    depths: list[int] = []
-    members: list[tuple[int, ...]] = []
-    values: list[float] = []
     queue: deque = deque([(frozenset(families), None, start)])
     while queue:
         group, parent, k = queue.popleft()
@@ -214,11 +197,9 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
         if parent is None:
             root = n
         else:
-            rows = tuple([row[m] for m in group])
-            values.append(_line_r(table, rows, k, start))
             lines.append((parent, n))
             depths.append(k)
-            members.append(rows)
+            members.append([row[m] for m in group])
         rest = group - {n}
         if rest:
             parts = _partition(rest, families, k)
@@ -227,32 +208,80 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool,
                             f"separate {sorted(group)}", depth=k, buses=group)
             for part in parts:
                 queue.append((part, n, k + 1))
-    plan = RecoveryPlan(start, root, tuple(internal), tuple(lines),
-                        tuple(depths), tuple(members))
-    return plan, values
+    return root, internal
 
 
-def _upstream(table: Sequence[Sequence[float]]) -> float:
-    """The mean first-group value: a reduced grid's upstream resistance."""
-    return _left_sum([values[0] for values in table]) / len(table)
+def _line_values(plan: RecoveryPlan, table: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The one value step, on a stack of group-value tables (trials x
+    columns x groups, the i-th group of each family at index i): each
+    line's value, the mean over its member columns in walk order of the
+    step from its parent's group value to its child's (trials x lines),
+    and the upstream resistance, the mean first-group value (per trial).
+    A weighted `np.bincount` sums each bin from 0.0 in index order, as
+    `_left_sums` does. Non-finite values give inf and NaN silently.
+    """
+    trials, lines = len(table), len(plan.lines)
+    bins = plan.line + lines * np.arange(trials)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = table[..., 1:] - table[..., :-1]
+        sums = np.bincount(bins.ravel(), minlength=trials * lines,
+                           weights=steps[:, plan.members, plan.step].ravel())
+        values = (sums.reshape(trials, lines)
+                  / np.bincount(plan.line, minlength=lines))
+        upstream = _left_sums(table[..., 0]) / table.shape[1]
+    return values, upstream
+
+
+def _valued(families: Mapping[int, LevelSetFamily], metered: bool, root,
+            internal, lines: list, depths: list, members: list
+            ) -> tuple[RecoveryPlan, list[float], float]:
+    """The plan of what the walk wired, valued on the families' own group
+    values: the plan, its line values and the upstream resistance, or
+    InconsistentLevelSets at the first line in walk order not positive."""
+    sizes = list(map(len, members))
+    step = np.array(depths, dtype=np.intp) - int(metered) - 1
+    plan = RecoveryPlan(root, tuple(internal), tuple(lines),
+                        np.fromiter(chain.from_iterable(members), np.intp),
+                        np.repeat(np.arange(len(lines)), sizes),
+                        np.repeat(step, sizes))
+    groups = [len(fam.values) for fam in families.values()]
+    held = np.arange(max(groups)) < np.array(groups)[:, None]
+    table = np.zeros((1, *held.shape))
+    table[0, held] = list(chain.from_iterable(
+        fam.values for fam in families.values()))
+    (values,), (upstream,) = _line_values(plan, table)
+    values = values.tolist()
+    for r, k in zip(values, depths):
+        if r <= 0:
+            raise InconsistentLevelSets(
+                f"nonpositive line resistance {r} at depth {k}")
+    return plan, values, float(upstream)
 
 
 def _recover(families: Mapping[int, LevelSetFamily],
              metered: bool) -> tuple[RecoveryPlan, RecoveryReport]:
-    """Check the families, walk them and report the grid the walk wires,
-    with its plan. A metered grid is a ReducedGrid whose upstream
-    resistance is the mean first-group value."""
+    """Check the families, walk them, value what the walk wired and report
+    the grid (a ReducedGrid when metered), with its plan. A nonpositive
+    line wired before a walk error is raised instead, as the walk met it."""
     _check_families(families, metered)
-    table = [fam.values for fam in families.values()]
-    plan, values = _walk(families, metered, table)
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+    wired = ([], [], [])
+    try:
+        root, internal = _walk(families, metered, *wired)
+    except GridProbeError:
+        if wired[0]:
+            _valued(families, metered, None, [], *wired)
+        raise
+    plan, values, upstream = _valued(families, metered, root, internal,
+                                     *wired)
     edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
     graph = (ReducedGrid(plan.root, edges, frozenset(families),
-                         plan.internal, _upstream(table))
+                         plan.internal, upstream)
              if metered else FeederGraph(edges))
-    return plan, RecoveryReport(mode="partial" if metered else "complete",
-                                graph=graph,
-                                probing=frozenset(families),
-                                line_support=plan.support)
+    return plan, RecoveryReport("partial" if metered else "complete", graph,
+                                frozenset(families), plan.support)
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -315,15 +344,17 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
 
     edges = recovered.edges
     mpe, max_rel = _score(
-        [r for _, _, r, *_ in edges],
-        [reference.line_r(mapping[u], mapping[v]) for u, v, *_ in edges])
+        np.array([[r for _, _, r, *_ in edges]]),
+        np.array([reference.line_r(mapping[u], mapping[v])
+                  for u, v, *_ in edges]))
 
     upstream = None
     if isinstance(recovered, ReducedGrid) and isinstance(reference, ReducedGrid):
         ref = reference.root_upstream_r
         upstream = abs(recovered.root_upstream_r - ref) / (ref if ref > 0 else 1)
 
-    return GraphComparison(True, mpe, max_rel, mapping, upstream)
+    return GraphComparison(True, float(mpe[0]), float(max_rel[0]),
+                           mapping, upstream)
 
 
 def _match(recovered: FeederGraph, reference: FeederGraph,
@@ -352,12 +383,13 @@ def _match(recovered: FeederGraph, reference: FeederGraph,
     return mapping
 
 
-def _score(recovered: Sequence[float],
-           reference: Sequence[float]) -> tuple[float, float]:
-    """The value half of a comparison: mean and largest relative error,
-    in percent and as a fraction, of matched line resistances (0.0 for
+def _score(lines: np.ndarray,
+           refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value half of a comparison, on a stack of trials: each trial's
+    mean and largest relative error, in percent and as a fraction, of its
+    matched line values (trials x lines) against the reference's (0.0 for
     no lines)."""
-    rel = [abs(a - b) / b for a, b in zip(recovered, reference)]
-    if not rel:
-        return 0.0, 0.0
-    return 100.0 * _left_sum(rel) / len(rel), max(rel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.abs(lines - refs) / refs
+        mpe = 100.0 * _left_sums(rel) / max(refs.size, 1)
+    return mpe, rel.max(axis=-1, initial=0.0)

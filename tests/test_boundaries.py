@@ -621,6 +621,7 @@ def test_integer_rule_rejects_numpy_bools():
         build_feeder([(0, np.True_, 1.0)])
 
 
+TWO_SETS = (frozenset({0}), frozenset({1}))
 REPRODUCTIONS = [
     (UnknownNode, lambda: build_feeder([(0, True, 1.0), (True, 2, 1.0)])),
     (ConfigError, lambda: ProbingPlan.blocks([1.5], [0.1], [2.5])),
@@ -681,6 +682,17 @@ REPRODUCTIONS = [
     (ConfigError, lambda: ProbingPlan(buses=[1], delta=5, periods=[1])),
     (ConfigError, lambda: ProbingPlan(buses=[1], delta=[0.1], periods=5)),
     (ConfigError, lambda: ProbingPlan.blocks([1], 5, 1)),
+    # Level-set families hold sets and numbers, checked when built.
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, TWO_SETS, ("a", "b"), False)})),
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, TWO_SETS, (0.0, 10**400), False)})),
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, TWO_SETS, (0.0, True), False)})),
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, (5, 6), (0.0, 1.0), False)})),
+    (ConfigError, lambda: assemble_families([LevelSetFamily(
+        1, 1, (5, 6), (0.0, 1.0), True)])),
 ]
 
 
@@ -688,6 +700,23 @@ REPRODUCTIONS = [
 def test_truncating_inputs_raise_typed_errors(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_family_of_plain_sets_recovers_as_frozensets():
+    g = y_feeder(2)
+    for recover, family in ((recover_full, lambda m: level_sets(g, m)),
+                            (recover_partial, lambda m: metered_level_sets(
+                                g, m, [2, 3]))):
+        frozen = {m: family(m) for m in (2, 3)}
+        plain = {m: LevelSetFamily(f.owner, f.start_depth,
+                                   [set(s) for s in f.sets], list(f.values),
+                                   f.metered, f.probing)
+                 for m, f in frozen.items()}
+        assert all(type(s) is frozenset and type(v) is float
+                   for f in plain.values() for s, v in zip(f.sets, f.values))
+        assert recover(plain) == recover(frozen)
+        assert assemble_families(plain.values()) == \
+            assemble_families(frozen.values())
 
 
 @pytest.mark.parametrize("path", [None, 5, b"y.csv", ["y.csv"]])

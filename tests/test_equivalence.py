@@ -26,11 +26,16 @@ same families bit for bit, or the same first error. The library's own
 per-column functions are adapters over the same core, so they serve as a
 second reference only for the entry checks (NaN entries) that the copies
 predate.
+Both recoveries value lines through one stacked value step; a family
+value that is NaN or infinite gives the reference walk's error and
+message, without a numpy warning.
 A sweep learns the recovery of the noise-free labelling once and scores
-only the trials that cut their estimate into that labelling, by replaying
-its recovery plan on their group values, all of a chunk's trials as one
-stack. The rule is held to `identify` and `compare_graphs`, on random
-feeders and on every trial of both bundled sweeps: a trial recovers the
+only the trials that cut their estimate into that labelling, by running
+its recovery plan through the same value step and score on their group
+values, all of a chunk's trials as one stack. The rule is held to
+`identify` and `compare_graphs`, on random feeders (complete mode with
+every bus or leaf-covering owners, and partial mode) and on every trial
+of both bundled sweeps: a trial recovers the
 truth only with the noise-free labelling, and with it exactly when the
 stacked replay scores it, with the same MPE, lines, resistances and
 supports; and the sweep's rows to a loop that runs the full path on
@@ -268,6 +273,52 @@ def test_partial_recovery_matches_reference():
             assert got == recovery_outcome(reference_recover_partial, fams)
             seen[got[0] if isinstance(got[0], type) else "ok"] += 1
     assert seen["ok"] > 300 and len(seen) > 2, seen
+
+
+@pytest.mark.parametrize("bad", [(math.nan,), (math.inf,), (-math.inf,),
+                                 (-1.7e308, 1.7e308)],
+                         ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_non_finite_family_values_match_reference(mode, bad):
+    # NaN or an infinity in one group of one family, or two adjacent group
+    # values whose step overflows: a line or the upstream resistance is
+    # then not finite, or a line is nonpositive. Both walks must raise the
+    # same error, message included, and the value step must not warn.
+    rng = np.random.default_rng(65)
+    recover, reference = ((recover_full, reference_recover_full)
+                          if mode == "complete" else
+                          (recover_partial, reference_recover_partial))
+    seen = Counter()
+    for _ in range(60):
+        _, g = random_feeder(rng, max_buses=14)
+        probing = random_probing(rng, g)
+        families = {m: level_sets(g, m) if mode == "complete"
+                    else metered_level_sets(g, m, probing) for m in probing}
+        fits = [m for m in sorted(families)
+                if len(families[m].values) >= len(bad)]
+        if not fits:
+            continue
+        m = fits[int(rng.integers(len(fits)))]
+        values = list(families[m].values)
+        i = int(rng.integers(len(values) - len(bad) + 1))
+        values[i:i + len(bad)] = bad
+        families[m] = replace(families[m], values=tuple(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = recovery_outcome(recover, families)
+            assert got == recovery_outcome(reference, families)
+            assert error_message(recover, families) == \
+                error_message(reference, families)
+        seen[got[0] if isinstance(got[0], type) else "ok"] += 1
+    assert seen and "ok" not in seen, seen
+
+
+def error_message(fn, families):
+    try:
+        fn(families)
+    except GridProbeError as exc:
+        return str(exc)
+    return None
 
 
 def assemble_outcome(fn, groupings, value_tol):
@@ -1067,16 +1118,22 @@ def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
 OUTCOMES = ("correct", "cut differs", "value rejected")
 
 
+# Complete mode with every bus an owner, where the family check is
+# complete; complete mode with leaf-covering owners (leaves plus a random
+# sprinkle), where recovery's own errors apply; and partial mode.
+SWEEP_CASES = (("complete", True), ("complete", False), ("partial", False))
+
+
 def test_sweep_rule_holds_on_random_feeders():
     # Meter noise from 0.05 to 0.6 r_min per entry, on random feeders and
     # probing sets, so some trials cut exactly, some do not, and some cut
     # exactly but break a value rule.
     rng = np.random.default_rng(1804)
-    seen = Counter()
+    seen = {case: Counter() for case in SWEEP_CASES}
     for _ in range(40):
         _, g = random_feeder(rng, max_buses=14)
-        for mode in ("complete", "partial"):
-            buses = tuple(sorted(g.bus_order if mode == "complete"
+        for mode, every_bus in SWEEP_CASES:
+            buses = tuple(sorted(g.bus_order if every_bus
                                  else random_probing(rng, g)))
             truth = g if mode == "complete" else reduce_grid(g, buses)
             r_min = min((r for _, _, r, *_ in truth.edges), default=1.0)
@@ -1086,8 +1143,9 @@ def test_sweep_rule_holds_on_random_feeders():
                 sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
                 estimate = sample_estimate(g, plan, NoiseModel(sigma_w=sigma),
                                            mode=mode, rng=rng)
-                check_trial(estimate, r_min, mode, truth, exact, replay, seen)
-    assert all(seen[k] for k in OUTCOMES), seen
+                check_trial(estimate, r_min, mode, truth, exact, replay,
+                            seen[mode, every_bus])
+    assert all(counts[k] for counts in seen.values() for k in OUTCOMES), seen
 
 
 def test_replay_rejects_group_values_that_do_not_increase():
