@@ -7,7 +7,9 @@ probing campaign on a known feeder from its window sums and cuts it into
 a labelling. A trial is correct exactly when that is the noise-free
 labelling and its values pass the value rules; it is scored by running
 the noise-free recovery plan through recovery's value step and score on
-its group values. A sweep value's trials are drawn, cut, compared and
+its group values. That plan is learned once per call, by a recovery walk
+on the noise-free cut's own level sets and group values, with no family
+objects in between. A sweep value's trials are drawn, cut, compared and
 scored as stacked arrays, in chunks of bounded size, each bit for bit
 what the trial alone would give. Per-trial seeds are derived from (seed,
 periods, trial) so results do not depend on execution order or chunking.
@@ -34,7 +36,7 @@ from .feeder import FeederGraph
 # recover_partial through these globals, and `run_experiment` calls
 # compare_graphs and reduce_grid. simulate_probing, estimate_resistances,
 # group_column_noisy and assemble_families are only the tracer's targets.
-from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
+from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen, _sets,
                        _split_value, _threshold, assemble_families,
                        group_column_noisy, group_estimate)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
@@ -246,16 +248,19 @@ class _Replay(NamedTuple):
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
     """The replay of the noise-free labelling: the family check, the
-    families, the recovery `identify` runs, and the comparison with the
-    truth, each raising what `identify` and `compare_graphs` raise."""
+    recovery `identify` runs, on the cut's own level sets and group
+    values, and the comparison with the truth, each raising what
+    `identify` and `compare_graphs` raise."""
     labelling.check()
-    plan, report = _recover(labelling.families(), not labelling.complete)
+    cut = labelling.cut
+    plan, report = _recover(
+        dict(zip(labelling.owners, _sets(labelling.buses, cut))),
+        cut.values[None], not labelling.complete)
     graph = report.graph
     node = compare_graphs(graph, truth, buses).node_map
     row = {line: i for i, line in enumerate(plan.lines)}
     order = [row[u, v] for u, v, *_ in graph.edges]
     refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
-    cut = labelling.cut
     cols, seen = _seen(cut.labels, labelling.owners, labelling.owner_rows)
     return _Replay(plan, np.array(order, dtype=np.intp), np.array(refs),
                    cut.counts, cols, seen, not labelling.complete)

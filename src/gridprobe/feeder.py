@@ -303,6 +303,11 @@ class LevelSetFamily:
     Complete families start at depth 0 (the substation's own group) and are
     indexed by true feeder depth. Metered families carry only probed buses,
     start at depth 1, and are indexed by depth in the reduced grid.
+
+    Fields keep their checked types: owner and start_depth are ints under
+    the integer rule, metered a bool, probing None or a frozenset of bus
+    IDs, sets a tuple of frozensets and values a tuple of floats. Anything
+    else raises ConfigError.
     """
 
     owner: int
@@ -313,7 +318,16 @@ class LevelSetFamily:
     probing: frozenset[int] | None = None
 
     def __post_init__(self):
-        as_int(self.owner, ConfigError, "family owner")
+        for key, what in (("owner", "family owner"),
+                          ("start_depth", "family start depth")):
+            object.__setattr__(self, key, as_int(getattr(self, key),
+                                                 ConfigError, what))
+        if not isinstance(self.metered, (bool, np.bool_)):
+            raise ConfigError(f"metered must be a bool, got {self.metered!r}")
+        object.__setattr__(self, "metered", bool(self.metered))
+        if self.probing is not None:
+            object.__setattr__(self, "probing", frozenset(as_buses(
+                self.probing, ConfigError, "probing")))
         for key in ("sets", "values"):
             as_instance(getattr(self, key), (tuple, list), ConfigError, key)
         if len(self.sets) != len(self.values):

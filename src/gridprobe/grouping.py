@@ -43,7 +43,8 @@ class LevelGroup:
     value: float
 
     def __post_init__(self):
-        as_int(self.depth, ConfigError, "group depth")
+        object.__setattr__(self, "depth",
+                           as_int(self.depth, ConfigError, "group depth"))
 
 
 @dataclass(frozen=True)
@@ -149,33 +150,31 @@ def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
     return _Cut(order[0], ranked[0], starts[0], labels[0], counts, table[0])
 
 
+def _sets(buses: np.ndarray, cut: _Cut) -> list[tuple[frozenset[int], ...]]:
+    """Each cut column's level sets, in column order."""
+    n = len(buses)
+    firsts = (np.flatnonzero(cut.starts.T.ravel()) % n).tolist()
+    out = []
+    k = 0
+    for col, count in zip(buses[cut.order].T.tolist(), cut.counts.tolist()):
+        bounds = firsts[k:k + count] + [n]
+        k += count
+        out.append(tuple(frozenset(col[a:b])
+                         for a, b in zip(bounds, bounds[1:])))
+    return out
+
+
 def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
                metered: bool, threshold: float | None,
                probing: frozenset[int] | None = None) -> list[ColumnGrouping]:
     """One ColumnGrouping per cut column."""
-    n = len(buses)
-    bus_cols = buses[cut.order].T.tolist()
-    value_cols = cut.ranked.T.tolist()
-    group_values = cut.values.tolist()
-    firsts = (np.flatnonzero(cut.starts.T.ravel()) % n).tolist()
-    out = []
-    k = 0
-    for j, (owner, count) in enumerate(zip(owners, cut.counts.tolist())):
-        bounds = firsts[k:k + count] + [n]
-        k += count
-        col = bus_cols[j]
-        out.append(ColumnGrouping(
-            owner=owner,
-            start_depth=int(metered),
-            sets=tuple(frozenset(col[a:b])
-                       for a, b in zip(bounds, bounds[1:])),
-            values=tuple(group_values[j][:count]),
-            metered=metered,
-            probing=probing,
-            sorted_entries=tuple(zip(col, value_cols[j])),
-            threshold=threshold,
-        ))
-    return out
+    entries = zip(buses[cut.order].T.tolist(), cut.ranked.T.tolist())
+    return [ColumnGrouping(owner=owner, start_depth=int(metered), sets=sets,
+                           values=tuple(values[:len(sets)]), metered=metered,
+                           probing=probing, sorted_entries=tuple(zip(*col)),
+                           threshold=threshold)
+            for owner, sets, values, col in zip(
+                owners, _sets(buses, cut), cut.values.tolist(), entries)]
 
 
 # -- the family check ---------------------------------------------------------

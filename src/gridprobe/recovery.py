@@ -11,11 +11,14 @@ either the member whose depth-k metered set equals the whole group (then
 it is a probed bus) or a junction invisible to the data, which gets a
 fresh bus ID above every input ID.
 
-The walk reads topology only: its `RecoveryPlan` holds the root, the
-junction IDs, and each line with its depth and the columns behind it.
-One value step, `_line_values`, values a plan's lines and upstream
-resistance on a stack of group-value tables, one per trial. Comparison
-is a node-map match, then a resistance score of a stack of trials.
+Level-set families are read once, at the boundary (`_read`), into each
+owner's level sets and a group-value table; a sweep passes those straight
+from its cut. The walk reads topology only, off the sets: its
+`RecoveryPlan` holds the root, the junction IDs, and each line with its
+depth and the columns behind it. One value step, `_line_values`, values a
+plan's lines and upstream resistance on a stack of group-value tables,
+one per trial. Comparison is a node-map match, then a resistance score of
+a stack of trials.
 """
 
 from __future__ import annotations
@@ -86,10 +89,10 @@ class RecoveryPlan(NamedTuple):
     """What the root-down walk reads off level sets and depths alone.
 
     lines[i] is the (parent, child) of the i-th line in walk order. Entry
-    e is a column behind line line[e], at position members[e] in the
-    families' mapping order (a line's entries in the order the walk met
-    them); step[e] indexes, among each family's value steps, the step
-    from that line's parent's depth to its child's.
+    e is a column behind line line[e], at position members[e] in owner
+    order (a line's entries in the order the walk met them); step[e]
+    indexes, among each column's value steps, the step from that line's
+    parent's depth to its child's.
     """
 
     root: int | None
@@ -106,19 +109,16 @@ class RecoveryPlan(NamedTuple):
             self.line, minlength=len(self.lines)).tolist()))
 
 
-def _partition(group: frozenset[int], families: Mapping[int, LevelSetFamily],
-               k: int) -> list[frozenset[int]]:
-    """Split a bus group by identical depth-k level sets, smallest ID first."""
-    blocks: dict[frozenset[int], set[int]] = {}
-    for m in group:
-        blocks.setdefault(families[m].at(k), set()).add(m)
-    return sorted((frozenset(b) for b in blocks.values()), key=min)
+def _read(families, metered: bool
+          ) -> tuple[dict[int, tuple[frozenset[int], ...]], np.ndarray]:
+    """The one read of level-set families, at recovery's boundary.
 
-
-def _check_families(families, metered: bool) -> None:
-    """ConfigError unless families maps buses to level-set families, then
-    InconsistentLevelSets unless each family is indexed for the data
-    (`metered` or complete) and owned by the bus it is keyed by."""
+    ConfigError unless families maps buses to level-set families, then,
+    family by family, InconsistentLevelSets unless each is indexed for the
+    data (`metered` or complete) and owned by the bus it is keyed by, then
+    EmptyPartition for no families. Returns each owner's level sets, in
+    mapping order, and the one-trial group-value table (1 x owners x
+    groups, 0.0 past a family's last group)."""
     as_instance(families, Mapping, ConfigError, "families")
     for m, fam in families.items():
         as_instance(fam, LevelSetFamily, ConfigError, f"family of bus {m}")
@@ -130,63 +130,61 @@ def _check_families(families, metered: bool) -> None:
                 f"{'metered' if metered else 'complete'}-data indexed")
         if fam.owner != m:
             raise InconsistentLevelSets(f"family keyed {m} owned by {fam.owner}")
+    if not families:
+        raise EmptyPartition("no level-set families supplied")
+    sets = {fam.owner: fam.sets for fam in families.values()}
+    groups = list(map(len, sets.values()))
+    held = np.arange(max(groups)) < np.array(groups)[:, None]
+    table = np.zeros((1, *held.shape))
+    table[0, held] = list(chain.from_iterable(
+        fam.values for fam in families.values()))
+    return sets, table
 
 
-def _common_bus(families: Mapping[int, LevelSetFamily],
-                group: frozenset[int], k: int) -> int:
-    """A group's depth-k ancestor with complete data: the one bus common
-    to its members' depth-k level sets."""
-    inter = frozenset.intersection(*(families[m].at(k) for m in group))
-    if len(inter) != 1:
-        raise AmbiguousIntersection(
-            f"depth-{k} intersection of {sorted(group)} has "
-            f"{len(inter)} buses", depth=k, buses=group)
-    (n,) = inter
-    return n
+def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool,
+          lines: list, depths: list, members: list
+          ) -> tuple[int | None, list[int]]:
+    """Rebuild the tree of checked level sets (each owner's, indexed from
+    depth `metered`) root-down, topology only: append each line to `lines`
+    as it is wired, its child's depth to `depths` and the positions of its
+    columns to `members`. Returns the root and the junctions.
 
-
-def _claimant(families: Mapping[int, LevelSetFamily],
-              group: frozenset[int], k: int) -> int | None:
-    """A group's depth-k ancestor with metered data: the member whose
-    depth-k metered set is the whole group, or None for a junction
-    invisible to the data."""
-    claimants = sorted(m for m in group if families[m].at(k) == group)
-    if len(claimants) > 1:
-        raise InconsistentMeteredSets(
-            f"buses {claimants} both claim to root {sorted(group)}",
-            depth=k, buses=group)
-    return claimants[0] if claimants else None
-
-
-def _walk(families: Mapping[int, LevelSetFamily], metered: bool, lines: list,
-          depths: list, members: list) -> tuple[int | None, list[int]]:
-    """Rebuild the tree of checked level-set families root-down, topology
-    only: append each line to `lines` as it is wired, its child's depth to
-    `depths` and the positions of its columns to `members`. Returns the
-    root and the junctions.
-
-    `_common_bus` (complete data) or `_claimant` (metered data) names
-    each group's common depth-k ancestor; a junction gets a fresh ID above
-    every probing bus and must split its group in two or more parts. Each
-    error carries the recursion state: a member without a depth-k group,
-    or an ancestor that cannot be named, is named twice or must split but
-    does not.
+    With complete data a group's depth-k ancestor is the one bus common to
+    its members' depth-k sets; with metered data it is the member whose
+    depth-k set is the whole group, or else a junction, which gets a fresh
+    ID above every probing bus and must split its group in two or more
+    parts. The rest of the group splits by identical depth-k sets,
+    smallest ID first. Each error carries the recursion state: a member
+    without a depth-k group, or an ancestor that cannot be named, is named
+    twice or must split but does not.
     """
-    ancestor = _claimant if metered else _common_bus
     error = InconsistentMeteredSets if metered else AmbiguousIntersection
-    start, first_id = int(metered), max(families) + 1
-    row = {m: j for j, m in enumerate(families)}
+    start, first_id = int(metered), max(sets) + 1
+    row = {m: j for j, m in enumerate(sets)}
     named: set[int] = set()
     root: int | None = None
     internal: list[int] = []
-    queue: deque = deque([(frozenset(families), None, start)])
+    queue: deque = deque([(frozenset(sets), None, start)])
     while queue:
         group, parent, k = queue.popleft()
-        for m in group:
-            if k > families[m].depth:
-                raise error(f"column {m} has no depth-{k} group",
-                            depth=k, buses=group)
-        n = ancestor(families, group, k)
+        try:
+            at = {m: sets[m][k - start] for m in group}
+        except IndexError:
+            m = next(m for m in group if k - start >= len(sets[m]))
+            raise error(f"column {m} has no depth-{k} group",
+                        depth=k, buses=group) from None
+        if metered:
+            claimants = sorted(m for m in group if at[m] == group)
+            if len(claimants) > 1:
+                raise error(f"buses {claimants} both claim to root "
+                            f"{sorted(group)}", depth=k, buses=group)
+            n = claimants[0] if claimants else None
+        else:
+            inter = frozenset.intersection(*at.values())
+            if len(inter) != 1:
+                raise error(f"depth-{k} intersection of {sorted(group)} has "
+                            f"{len(inter)} buses", depth=k, buses=group)
+            (n,) = inter
         junction = n is None
         if junction:
             n = first_id + len(internal)
@@ -202,11 +200,13 @@ def _walk(families: Mapping[int, LevelSetFamily], metered: bool, lines: list,
             members.append([row[m] for m in group])
         rest = group - {n}
         if rest:
-            parts = _partition(rest, families, k)
-            if junction and len(parts) == 1:
+            blocks: dict[frozenset[int], set[int]] = {}
+            for m in rest:
+                blocks.setdefault(at[m], set()).add(m)
+            if junction and len(blocks) == 1:
                 raise error(f"ancestor {n} at depth {k} does not "
                             f"separate {sorted(group)}", depth=k, buses=group)
-            for part in parts:
+            for part in sorted(map(frozenset, blocks.values()), key=min):
                 queue.append((part, n, k + 1))
     return root, internal
 
@@ -233,11 +233,11 @@ def _line_values(plan: RecoveryPlan, table: np.ndarray
     return values, upstream
 
 
-def _valued(families: Mapping[int, LevelSetFamily], metered: bool, root,
-            internal, lines: list, depths: list, members: list
+def _valued(table: np.ndarray, metered: bool, root, internal, lines: list,
+            depths: list, members: list
             ) -> tuple[RecoveryPlan, list[float], float]:
-    """The plan of what the walk wired, valued on the families' own group
-    values: the plan, its line values and the upstream resistance, or
+    """The plan of what the walk wired, valued on a one-trial group-value
+    table: the plan, its line values and the upstream resistance, or
     InconsistentLevelSets at the first line in walk order not positive."""
     sizes = list(map(len, members))
     step = np.array(depths, dtype=np.intp) - int(metered) - 1
@@ -245,11 +245,6 @@ def _valued(families: Mapping[int, LevelSetFamily], metered: bool, root,
                         np.fromiter(chain.from_iterable(members), np.intp),
                         np.repeat(np.arange(len(lines)), sizes),
                         np.repeat(step, sizes))
-    groups = [len(fam.values) for fam in families.values()]
-    held = np.arange(max(groups)) < np.array(groups)[:, None]
-    table = np.zeros((1, *held.shape))
-    table[0, held] = list(chain.from_iterable(
-        fam.values for fam in families.values()))
     (values,), (upstream,) = _line_values(plan, table)
     values = values.tolist()
     for r, k in zip(values, depths):
@@ -259,29 +254,27 @@ def _valued(families: Mapping[int, LevelSetFamily], metered: bool, root,
     return plan, values, float(upstream)
 
 
-def _recover(families: Mapping[int, LevelSetFamily],
-             metered: bool) -> tuple[RecoveryPlan, RecoveryReport]:
-    """Check the families, walk them, value what the walk wired and report
-    the grid (a ReducedGrid when metered), with its plan. A nonpositive
-    line wired before a walk error is raised instead, as the walk met it."""
-    _check_families(families, metered)
-    if not families:
-        raise EmptyPartition("no level-set families supplied")
+def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
+             table: np.ndarray, metered: bool
+             ) -> tuple[RecoveryPlan, RecoveryReport]:
+    """Walk read level sets (what `_read` returns), value what the walk
+    wired on the group-value table and report the grid (a ReducedGrid when
+    metered), with its plan. A nonpositive line wired before a walk error
+    is raised instead, as the walk met it."""
     wired = ([], [], [])
     try:
-        root, internal = _walk(families, metered, *wired)
+        root, internal = _walk(sets, metered, *wired)
     except GridProbeError:
         if wired[0]:
-            _valued(families, metered, None, [], *wired)
+            _valued(table, metered, None, [], *wired)
         raise
-    plan, values, upstream = _valued(families, metered, root, internal,
-                                     *wired)
+    plan, values, upstream = _valued(table, metered, root, internal, *wired)
     edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
-    graph = (ReducedGrid(plan.root, edges, frozenset(families),
-                         plan.internal, upstream)
+    graph = (ReducedGrid(plan.root, edges, frozenset(sets), plan.internal,
+                         upstream)
              if metered else FeederGraph(edges))
     return plan, RecoveryReport("partial" if metered else "complete", graph,
-                                frozenset(families), plan.support)
+                                frozenset(sets), plan.support)
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -292,7 +285,7 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     original ID together with every line resistance. Anything but a
     mapping of bus to level-set family raises ConfigError.
     """
-    return _recover(families, False)[1]
+    return _recover(*_read(families, False), False)[1]
 
 
 def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -302,7 +295,7 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     not probed get fresh IDs allocated above the largest probing ID.
     Anything but a mapping of bus to level-set family raises ConfigError.
     """
-    return _recover(families, True)[1]
+    return _recover(*_read(families, True), True)[1]
 
 
 # -- comparison ---------------------------------------------------------------

@@ -542,6 +542,12 @@ INTEGER_SITES = {
         ResistanceEstimate((v, 3), (3,), np.zeros((2, 1))).row_nodes, k)),
     "ResistanceEstimate columns": (ConfigError, lambda v, k: member(
         ResistanceEstimate((3,), (v, 3), np.zeros((1, 2))).col_nodes, k)),
+    "LevelSetFamily owner": (ConfigError, lambda v, k: LevelSetFamily(
+        v, 0, (frozenset({0, k}),), (0.0,), False).owner),
+    "LevelSetFamily start_depth": (ConfigError, lambda v, k: LevelSetFamily(
+        1, v, (frozenset({1}),), (1.0,), True).start_depth),
+    "LevelGroup depth": (ConfigError, lambda v, k: LevelGroup(
+        v, frozenset({1}), 0.0).depth),
 }
 SEED_SITES = {"NoiseModel seed", "ProbingRecord seed"}  # None: no seed
 
@@ -693,6 +699,20 @@ REPRODUCTIONS = [
         1, 0, (5, 6), (0.0, 1.0), False)})),
     (ConfigError, lambda: assemble_families([LevelSetFamily(
         1, 1, (5, 6), (0.0, 1.0), True)])),
+    # Family fields keep their checked types.
+    (ConfigError, lambda: LevelSetFamily(True, 0, TWO_SETS, (0.0, 1.0),
+                                         False)),
+    (ConfigError, lambda: recover_partial({1: LevelSetFamily(
+        1, 1.5, TWO_SETS, (0.0, 1.0), True)})),
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, TWO_SETS, (0.0, 1.0), 0)})),
+    (ConfigError, lambda: LevelSetFamily(1, 1, TWO_SETS, (0.0, 1.0), "yes")),
+    (ConfigError, lambda: LevelSetFamily(1, 1, TWO_SETS, (0.0, 1.0), True,
+                                         probing=5)),
+    (ConfigError, lambda: LevelSetFamily(1, 1, TWO_SETS, (0.0, 1.0), True,
+                                         probing=[1, "a"])),
+    (ConfigError, lambda: LevelSetFamily(1, 1, TWO_SETS, (0.0, 1.0), True,
+                                         probing=[1, 1])),
 ]
 
 
@@ -700,6 +720,20 @@ REPRODUCTIONS = [
 def test_truncating_inputs_raise_typed_errors(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_family_fields_keep_their_checked_types():
+    # An integral float owner or start depth is stored as an int, a numpy
+    # bool as a bool and a probing list as a frozenset, so the family
+    # recovers as the one built from those.
+    loose = LevelSetFamily(1.0, 1.0, (frozenset({1}),), [1.0], np.True_,
+                           probing=[1.0])
+    plain = LevelSetFamily(1, 1, (frozenset({1}),), (1.0,), True,
+                           probing=frozenset({1}))
+    assert loose == plain
+    assert [type(v) for v in (loose.owner, loose.start_depth, loose.metered,
+                              loose.probing)] == [int, int, bool, frozenset]
+    assert recover_partial({1: loose}) == recover_partial({1: plain})
 
 
 def test_family_of_plain_sets_recovers_as_frozensets():

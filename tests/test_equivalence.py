@@ -69,8 +69,8 @@ from gridprobe import (ExperimentConfig, GridProbeError,
                        group_column_exact, group_column_noisy,
                        group_estimate, identify, level_sets,
                        metered_level_sets, reactance_matrix, recover_full,
-                       recover_partial, reduce_grid, resistance_matrix,
-                       run_experiment,
+                       recover_partial, recovery, reduce_grid,
+                       resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
 from gridprobe.probing import _draw
 
@@ -1074,10 +1074,26 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
 
 def noise_free(g, plan, mode, truth):
     """A plan's noise-free labelling and the replay the sweep learns
-    from it."""
+    from it. The sweep reads the cut's own level sets and group values;
+    reading the labelling's families through recovery's boundary, as
+    `identify` does, must give the same plan and the same recovered lines,
+    bit for bit."""
     exact = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
                             None, mode)
-    return exact, experiments._learn(exact, truth, plan.buses)
+    replay = experiments._learn(exact, truth, plan.buses)
+    metered = not exact.complete
+    read, report = recovery._recover(
+        *recovery._read(exact.families(), metered), metered)
+    assert (read.root, read.internal, read.lines) == (
+        replay.plan.root, replay.plan.internal, replay.plan.lines)
+    for key in ("members", "line", "step"):
+        assert np.array_equal(getattr(read, key), getattr(replay.plan, key))
+    # The lines of the report `_learn` got, in its graph's order.
+    (values,), _ = recovery._line_values(replay.plan, exact.cut.values[None])
+    assert [(u, v, r.hex()) for u, v, r, *_ in report.graph.edges] == [
+        (*replay.plan.lines[i], float(values[i]).hex())
+        for i in replay.order]
+    return exact, replay
 
 
 def check_trial(estimate, r_min, mode, truth, exact, replay, seen):

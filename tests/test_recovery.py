@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridprobe import (AmbiguousIntersection, EmptyPartition,
-                       InconsistentLevelSets, InconsistentMeteredSets,
+                       GridProbeError, InconsistentLevelSets,
+                       InconsistentMeteredSets,
                        LabelMismatch, LevelSetFamily, ReducedGrid,
                        assemble_families, build_feeder, compare_graphs,
                        fileio, group_column_exact, metered_level_sets,
@@ -268,6 +269,87 @@ def test_recover_partial_from_metered_level_sets():
         rec = recover_partial(families)
         assert compare_graphs(rec.graph, reduce_grid(g, probing),
                               probing=probing).topology_correct
+
+
+# -- recovery errors ----------------------------------------------------------
+
+
+def complete_family(owner, sets, values):
+    return LevelSetFamily(owner=owner, start_depth=0,
+                          sets=tuple(frozenset(s) for s in sets),
+                          values=tuple(values), metered=False)
+
+
+# recover, families, error class, message, depth, buses; depth and buses
+# are None for an error that carries no recursion state.
+RECOVERY_ERRORS = [
+    pytest.param(recover_full, lambda: {
+        1: complete_family(1, [{0}, {1}], [0.0, 1.0]),
+        2: complete_family(2, [{0}], [0.0])},
+        AmbiguousIntersection, "column 2 has no depth-1 group",
+        1, {1, 2}, id="complete-no-group"),
+    pytest.param(recover_partial, lambda: {
+        2: metered_family(2, [{3}], [1.0], {2, 3}),
+        3: metered_family(3, [{2}, {3}], [1.0, 2.0], {2, 3})},
+        InconsistentMeteredSets, "column 2 has no depth-2 group",
+        2, {2}, id="partial-no-group"),
+    pytest.param(recover_full, lambda: {
+        1: complete_family(1, [{0}, {1}], [0.0, 1.0]),
+        2: complete_family(2, [{0}, {1}, {0}], [0.0, 1.0, 2.0])},
+        AmbiguousIntersection, "bus 0 identified twice",
+        2, {2}, id="complete-twice"),
+    pytest.param(recover_partial, lambda: {
+        2: metered_family(2, [{3}, {2}], [1.0, 3.0], {2, 3}),
+        3: metered_family(3, [{3}], [1.0], {2, 3})},
+        InconsistentMeteredSets,
+        "ancestor 4 at depth 1 does not separate [2, 3]",
+        1, {2, 3}, id="partial-no-split"),
+    pytest.param(recover_full, lambda: {
+        2: complete_family(2, [{0}, {1, 3}, {2}], [0.0, 1.0, 3.0])},
+        AmbiguousIntersection, "depth-1 intersection of [2] has 2 buses",
+        1, {2}, id="complete-ambiguous"),
+    pytest.param(recover_partial, lambda: {
+        2: metered_family(2, [{2, 3}], [3.0], {2, 3}),
+        3: metered_family(3, [{2, 3}], [3.0], {2, 3})},
+        InconsistentMeteredSets, "buses [2, 3] both claim to root [2, 3]",
+        1, {2, 3}, id="partial-claimants"),
+    pytest.param(recover_full, lambda: {
+        2: metered_family(2, [{2}], [1.0], {2})},
+        InconsistentLevelSets,
+        "family of bus 2 is not complete-data indexed",
+        None, None, id="complete-indexing"),
+    pytest.param(recover_partial, lambda: {
+        2: complete_family(2, [{0}, {2}], [0.0, 1.0])},
+        InconsistentLevelSets, "family of bus 2 is not metered-data indexed",
+        None, None, id="partial-indexing"),
+    pytest.param(recover_full, lambda: {
+        3: complete_family(2, [{0}, {2}], [0.0, 1.0])},
+        InconsistentLevelSets, "family keyed 3 owned by 2",
+        None, None, id="complete-owner"),
+    pytest.param(recover_partial, lambda: {
+        3: metered_family(2, [{2}], [1.0], {2})},
+        InconsistentLevelSets, "family keyed 3 owned by 2",
+        None, None, id="partial-owner"),
+    pytest.param(recover_full, dict, EmptyPartition,
+                 "no level-set families supplied", None, None,
+                 id="complete-empty"),
+    pytest.param(recover_partial, dict, EmptyPartition,
+                 "no level-set families supplied", None, None,
+                 id="partial-empty"),
+]
+
+
+@pytest.mark.parametrize("recover, families, error, message, depth, buses",
+                         RECOVERY_ERRORS)
+def test_recovery_error_messages(recover, families, error, message, depth,
+                                 buses):
+    with pytest.raises(GridProbeError) as err:
+        recover(families())
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "depth", None) == depth
+    want = None if buses is None else frozenset(buses)
+    assert getattr(err.value, "buses", None) == want
 
 
 # -- comparison ---------------------------------------------------------------
