@@ -8,7 +8,7 @@ a labelling. A trial is correct exactly when that is the noise-free
 labelling and its values pass the value rules; it is scored by running
 the noise-free recovery plan through recovery's value step and score on
 its group values. That plan is learned once per call, by a recovery walk
-on the noise-free cut's own level sets and group values, with no family
+on what the noise-free labelling reads out for recovery, with no family
 objects in between. A sweep value's trials are drawn, cut, compared and
 scored as stacked arrays, in chunks of bounded size, each bit for bit
 what the trial alone would give. Per-trial seeds are derived from (seed,
@@ -36,7 +36,7 @@ from .feeder import FeederGraph
 # recover_partial through these globals, and `run_experiment` calls
 # compare_graphs and reduce_grid. simulate_probing, estimate_resistances,
 # group_column_noisy and assemble_families are only the tracer's targets.
-from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen, _sets,
+from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
                        _split_value, _threshold, assemble_families,
                        group_column_noisy, group_estimate)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
@@ -248,22 +248,20 @@ class _Replay(NamedTuple):
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
     """The replay of the noise-free labelling: the family check, the
-    recovery `identify` runs, on the cut's own level sets and group
-    values, and the comparison with the truth, each raising what
-    `identify` and `compare_graphs` raise."""
+    recovery `identify` runs, on the labelling's read, and the comparison
+    with the truth, each raising what `identify` and `compare_graphs`
+    raise."""
     labelling.check()
-    cut = labelling.cut
-    plan, report = _recover(
-        dict(zip(labelling.owners, _sets(labelling.buses, cut))),
-        cut.values[None], not labelling.complete)
+    plan, report = _recover(*labelling.read(), not labelling.complete)
     graph = report.graph
     node = compare_graphs(graph, truth, buses).node_map
     row = {line: i for i, line in enumerate(plan.lines)}
     order = [row[u, v] for u, v, *_ in graph.edges]
     refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
-    cols, seen = _seen(cut.labels, labelling.owners, labelling.owner_rows)
+    cols, seen = _seen(labelling.labels, labelling.owners,
+                       labelling.owner_rows)
     return _Replay(plan, np.array(order, dtype=np.intp), np.array(refs),
-                   cut.counts, cols, seen, not labelling.complete)
+                   labelling.counts, cols, seen, not labelling.complete)
 
 
 def _replay(replay: _Replay, table: np.ndarray, value_tol: float
@@ -321,7 +319,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                    None, config.mode)
     replay = _learn(exact, truth, plans[0].buses)
     threshold = _threshold(config.r_min)
-    chunk = max(1, _BLOCK // exact.cut.labels.size)
+    chunk = max(1, _BLOCK // exact.labels.size)
 
     rows = []
     for periods, plan in zip(config.periods, plans):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -290,6 +291,13 @@ def build_feeder(edges: Iterable[Sequence]) -> FeederGraph:
 # -- level sets -------------------------------------------------------------
 
 
+def _bus_sets(sets) -> bool:
+    """Whether sets are all frozensets of plain ints, which a family keeps
+    as they are."""
+    return ({*map(type, sets)} <= {frozenset}
+            and {*map(type, chain.from_iterable(sets))} <= {int})
+
+
 @dataclass(frozen=True)
 class LevelSetFamily:
     """The ancestry of a bus sliced into per-depth bus groups.
@@ -306,8 +314,8 @@ class LevelSetFamily:
 
     Fields keep their checked types: owner and start_depth are ints under
     the integer rule, metered a bool, probing None or a frozenset of bus
-    IDs, sets a tuple of frozensets and values a tuple of floats. Anything
-    else raises ConfigError.
+    IDs, sets a tuple of frozensets of bus IDs and values a tuple of
+    floats. Anything else raises ConfigError.
     """
 
     owner: int
@@ -325,22 +333,22 @@ class LevelSetFamily:
         if not isinstance(self.metered, (bool, np.bool_)):
             raise ConfigError(f"metered must be a bool, got {self.metered!r}")
         object.__setattr__(self, "metered", bool(self.metered))
-        if self.probing is not None:
+        # Groupings hold frozensets of ints and floats already: only
+        # another type is checked and converted.
+        if self.probing is not None and not _bus_sets((self.probing,)):
             object.__setattr__(self, "probing", frozenset(as_buses(
                 self.probing, ConfigError, "probing")))
         for key in ("sets", "values"):
             as_instance(getattr(self, key), (tuple, list), ConfigError, key)
         if len(self.sets) != len(self.values):
             raise ConfigError("sets and values must align")
-        # Groupings hold frozensets and floats already: only another type
-        # is checked and converted.
         sets, values = self.sets, self.values
-        for s in sets:
-            if type(s) is not frozenset:
-                sets = [frozenset(as_instance(
-                    s, (set, frozenset), ConfigError,
-                    f"level set of bus {self.owner}")) for s in sets]
-                break
+        if not _bus_sets(sets):
+            what = f"level set of bus {self.owner}"
+            sets = [frozenset(as_int(n, ConfigError, f"{what}: bus")
+                              for n in as_instance(s, (set, frozenset),
+                                                   ConfigError, what))
+                    for s in sets]
         for v in values:
             if type(v) is not float:
                 values = [as_float(v, ConfigError,

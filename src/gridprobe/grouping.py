@@ -9,10 +9,12 @@ resistance marks a boundary between groups.
 
 One gap routine cuts any number of columns at once into a label matrix
 (bus x column owner, each entry the index of the bus's group), and one
-family check runs on that matrix. `group_estimate` feeds them a whole
-resistance estimate; `group_column_exact`, `group_column_noisy` and
-`assemble_families` adapt single columns and ready-made groupings to the
-same two routines.
+family check runs on that matrix. Grouping's one product is a labelling
+(`_Labelling`): the checked columns of a whole estimate
+(`group_estimate`) or of one column (`group_column_exact`,
+`group_column_noisy`), cut, and read out in one place, as the level sets
+and value table recovery reads or as `ColumnGrouping`s.
+`assemble_families` reads ready-made groupings into the same check.
 """
 
 from __future__ import annotations
@@ -55,12 +57,29 @@ class ColumnGrouping(LevelSetFamily):
     synthetic zero entry for the substation, and are indexed from depth 0.
     Partial-mode groupings cover probed buses only, are indexed from
     depth 1 (depth in the reduced grid) and are metered. Besides the
-    family, a grouping keeps the sorted column and the gap threshold
-    (None for exact grouping) for diagnostics.
+    family, a grouping keeps the sorted column, a tuple of (bus ID, real)
+    pairs, and the gap threshold, positive and finite or None for exact
+    grouping, for diagnostics; anything else raises ConfigError.
     """
 
     sorted_entries: tuple[tuple[int, float], ...] = ()
     threshold: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", as_float(
+                self.threshold, ConfigError, "grouping threshold",
+                "positive and finite"))
+        # Grouping builds (int, float) tuples: only another type is
+        # checked and converted.
+        entries = as_instance(self.sorted_entries, (tuple, list),
+                              ConfigError, "sorted_entries")
+        if type(entries) is not tuple or not all(
+                type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                and type(e[1]) is float for e in entries):
+            object.__setattr__(self, "sorted_entries", tuple(
+                _entry(e, self.owner) for e in entries))
 
     @property
     def mode(self) -> str:
@@ -74,25 +93,17 @@ class ColumnGrouping(LevelSetFamily):
     nodes_at = LevelSetFamily.at
 
 
+def _entry(entry, owner: int) -> tuple[int, float]:
+    """One sorted entry of column `owner` as a (bus ID, real) pair."""
+    what = f"sorted entry of column {owner}"
+    if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+        raise ConfigError(f"{what} must be a (bus, value) pair, got "
+                          f"{entry!r}")
+    return (as_int(entry[0], ConfigError, f"{what}: bus"),
+            as_float(entry[1], ConfigError, f"{what}: value"))
+
+
 # -- the gap routine ----------------------------------------------------------
-
-
-class _Cut(NamedTuple):
-    """Columns cut into groups by the gap rule.
-
-    order[:, j] lists the rows of column j by value, ties by bus ID, and
-    ranked[:, j] their values; starts[i, j] marks the sorted row that
-    opens a group. labels[i, j] is the index of the group holding row i
-    in column j, counts[j] the number of groups in column j and
-    values[j, :counts[j]] their values.
-    """
-
-    order: np.ndarray
-    ranked: np.ndarray
-    starts: np.ndarray
-    labels: np.ndarray
-    counts: np.ndarray
-    values: np.ndarray
 
 
 def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
@@ -140,41 +151,6 @@ def _group_values(ranked: np.ndarray, group: np.ndarray,
                        minlength=size)
     sizes = np.bincount(target, minlength=size)
     return (sums / np.maximum(sizes, 1)).reshape(trials, m, gmax)
-
-
-def _cut(buses: np.ndarray, values: np.ndarray, cut: float) -> _Cut:
-    """Cut the columns of one rows x columns matrix by the gap rule."""
-    order, ranked, starts, group, labels = _sort_cut(buses, values[None], cut)
-    counts = group[0, -1] + 1
-    table = _group_values(ranked, group, int(counts.max()))
-    return _Cut(order[0], ranked[0], starts[0], labels[0], counts, table[0])
-
-
-def _sets(buses: np.ndarray, cut: _Cut) -> list[tuple[frozenset[int], ...]]:
-    """Each cut column's level sets, in column order."""
-    n = len(buses)
-    firsts = (np.flatnonzero(cut.starts.T.ravel()) % n).tolist()
-    out = []
-    k = 0
-    for col, count in zip(buses[cut.order].T.tolist(), cut.counts.tolist()):
-        bounds = firsts[k:k + count] + [n]
-        k += count
-        out.append(tuple(frozenset(col[a:b])
-                         for a, b in zip(bounds, bounds[1:])))
-    return out
-
-
-def _groupings(owners: Sequence[int], buses: np.ndarray, cut: _Cut,
-               metered: bool, threshold: float | None,
-               probing: frozenset[int] | None = None) -> list[ColumnGrouping]:
-    """One ColumnGrouping per cut column."""
-    entries = zip(buses[cut.order].T.tolist(), cut.ranked.T.tolist())
-    return [ColumnGrouping(owner=owner, start_depth=int(metered), sets=sets,
-                           values=tuple(values[:len(sets)]), metered=metered,
-                           probing=probing, sorted_entries=tuple(zip(*col)),
-                           threshold=threshold)
-            for owner, sets, values, col in zip(
-                owners, _sets(buses, cut), cut.values.tolist(), entries)]
 
 
 # -- the family check ---------------------------------------------------------
@@ -323,8 +299,13 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
 
 
 def _threshold(r_min) -> float:
-    return as_float(r_min, NonpositiveRmin, "r_min",
-                    "positive and finite") / 2.0
+    """The gap rule's cut r_min / 2, which must be positive: a subnormal
+    r_min can halve to zero."""
+    cut = as_float(r_min, NonpositiveRmin, "r_min",
+                   "positive and finite") / 2.0
+    if not cut:
+        raise NonpositiveRmin(f"r_min {r_min!r} halves to zero")
+    return cut
 
 
 def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
@@ -361,7 +342,15 @@ def _columns(owners: Sequence[int], rows: Sequence[int], values: np.ndarray,
 
 
 class _Labelling(NamedTuple):
-    """An estimate cut into groups, before the family check.
+    """Columns cut by the gap rule, before the family check.
+
+    owners lists the column owners, buses the rows (the substation's zero
+    row last in complete mode) and owner_rows each owner's row.
+    order[:, j] lists the rows of column j by value, ties by bus ID, and
+    ranked[:, j] their values; starts[i, j] marks the sorted row that
+    opens a group. labels[i, j] is the index of the group holding row i
+    in column j, counts[j] the number of groups in column j and
+    values[j, :counts[j]] their values (0.0 past the last group).
 
     For fixed owners, rows, mode and r_min, the label matrix fixes every
     level set and depth: two estimates with equal labels pass or fail
@@ -372,9 +361,29 @@ class _Labelling(NamedTuple):
     owners: tuple[int, ...]
     buses: np.ndarray
     owner_rows: np.ndarray
-    cut: _Cut
     complete: bool
     threshold: float | None
+    order: np.ndarray
+    ranked: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, owners: tuple[int, ...], rows: Sequence[int],
+           values: np.ndarray, mode: str,
+           threshold: float | None) -> "_Labelling":
+        """Check the columns of a rows x owners matrix (`_columns`), then
+        cut them at threshold (None cuts exactly)."""
+        buses, values, owner_rows = _columns(owners, rows, values, mode)
+        order, ranked, starts, group, labels = _sort_cut(
+            buses, values[None], 0.0 if threshold is None else threshold)
+        counts = group[0, -1] + 1
+        table = _group_values(ranked, group, int(counts.max()))
+        return cls(owners, buses, owner_rows, mode == "complete", threshold,
+                   order[0], ranked[0], starts[0], labels[0], counts,
+                   table[0])
 
     @property
     def value_tol(self) -> float:
@@ -382,19 +391,46 @@ class _Labelling(NamedTuple):
 
     def check(self) -> None:
         """The family check: every rule, the first failure raised."""
-        cut, n = self.cut, len(self.buses)
-        _check_columns(cut.labels, cut.counts, cut.values, self.owners,
+        n = len(self.buses)
+        _check_columns(self.labels, self.counts, self.values, self.owners,
                        self.owner_rows, n - 1 if self.complete else None)
-        _check_pairs(cut.labels, cut.counts, cut.values, self.owners,
+        _check_pairs(self.labels, self.counts, self.values, self.owners,
                      self.owner_rows, int(not self.complete), self.value_tol,
                      self.complete and len(self.owners) == n - 1)
 
-    def families(self) -> dict[int, ColumnGrouping]:
-        """One ColumnGrouping per column, keyed by owner in column order."""
-        probing = None if self.complete else frozenset(self.owners)
-        return {g.owner: g for g in _groupings(
-            self.owners, self.buses, self.cut, not self.complete,
-            self.threshold, probing)}
+    def read(self) -> tuple[dict[int, tuple[frozenset[int], ...]],
+                            np.ndarray]:
+        """What `recovery._read` gives for the labelling's families: each
+        owner's level sets, in column order, and the one-trial group-value
+        table (1 x owners x groups)."""
+        n = len(self.buses)
+        firsts = (np.flatnonzero(self.starts.T.ravel()) % n).tolist()
+        sets = {}
+        k = 0
+        for owner, col, count in zip(self.owners,
+                                     self.buses[self.order].T.tolist(),
+                                     self.counts.tolist()):
+            bounds = firsts[k:k + count] + [n]
+            k += count
+            sets[owner] = tuple(frozenset(col[a:b])
+                                for a, b in zip(bounds, bounds[1:]))
+        return sets, self.values[None]
+
+    def families(self, probing: frozenset[int] | None = None
+                 ) -> dict[int, ColumnGrouping]:
+        """One ColumnGrouping per column, keyed by owner in column order;
+        partial-mode ones carry `probing`."""
+        sets, _ = self.read()
+        metered = not self.complete
+        entries = zip(self.buses[self.order].T.tolist(),
+                      self.ranked.T.tolist())
+        return {owner: ColumnGrouping(
+                    owner=owner, start_depth=int(metered), sets=s,
+                    values=tuple(values[:len(s)]), metered=metered,
+                    probing=probing, sorted_entries=tuple(zip(*col)),
+                    threshold=self.threshold)
+                for (owner, s), values, col in zip(
+                    sets.items(), self.values.tolist(), entries)}
 
 
 def _label(estimate: ResistanceEstimate, r_min: float | None,
@@ -403,12 +439,8 @@ def _label(estimate: ResistanceEstimate, r_min: float | None,
     as_instance(estimate, ResistanceEstimate, ConfigError, "estimate")
     threshold = None if r_min is None else _threshold(r_min)
     mode = as_choice(mode, MODES, InconsistentLevelSets, "mode")
-    owners = estimate.col_nodes
-    buses, values, owner_rows = _columns(owners, estimate.row_nodes,
-                                         estimate.values, mode)
-    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
-    return _Labelling(owners, buses, owner_rows, cut, mode == "complete",
-                      threshold)
+    return _Labelling.of(estimate.col_nodes, estimate.row_nodes,
+                         estimate.values, mode, threshold)
 
 
 def _cut_trials(labelling: _Labelling, values: np.ndarray,
@@ -423,9 +455,9 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray,
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
     _, ranked, _, group, labels = _sort_cut(labelling.buses, values,
                                             threshold)
-    same = (labels == labelling.cut.labels).all(axis=(1, 2))
+    same = (labels == labelling.labels).all(axis=(1, 2))
     return same, _group_values(ranked[same], group[same],
-                               labelling.cut.values.shape[1])
+                               labelling.values.shape[1])
 
 
 def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
@@ -441,7 +473,8 @@ def group_estimate(estimate: ResistanceEstimate, r_min: float | None,
     """
     labelling = _label(estimate, r_min, mode)
     labelling.check()
-    return labelling.families()
+    return labelling.families(
+        None if labelling.complete else frozenset(labelling.owners))
 
 
 def _group(entries: Mapping[int, float], owner: int, mode: str,
@@ -457,9 +490,8 @@ def _group(entries: Mapping[int, float], owner: int, mode: str,
     values = np.array([as_float(entries[k], InconsistentLevelSets,
                                 f"column {owner}: entry of bus {n}")
                        for k, n in zip(keys, rows)], dtype=float)[:, None]
-    buses, values, _ = _columns([owner], rows, values, mode)
-    cut = _cut(buses, values, 0.0 if threshold is None else threshold)
-    return _groupings([owner], buses, cut, mode == "partial", threshold)[0]
+    return _Labelling.of((owner,), rows, values, mode,
+                         threshold).families()[owner]
 
 
 def group_column_exact(entries: Mapping[int, float], owner: int,

@@ -628,6 +628,8 @@ def test_integer_rule_rejects_numpy_bools():
 
 
 TWO_SETS = (frozenset({0}), frozenset({1}))
+GROUPING = {"owner": 1, "start_depth": 0, "sets": TWO_SETS,
+            "values": (0.0, 1.0), "metered": False}
 REPRODUCTIONS = [
     (UnknownNode, lambda: build_feeder([(0, True, 1.0), (True, 2, 1.0)])),
     (ConfigError, lambda: ProbingPlan.blocks([1.5], [0.1], [2.5])),
@@ -713,6 +715,28 @@ REPRODUCTIONS = [
                                          probing=[1, "a"])),
     (ConfigError, lambda: LevelSetFamily(1, 1, TWO_SETS, (0.0, 1.0), True,
                                          probing=[1, 1])),
+    # Level-set members are bus IDs under the integer rule.
+    (ConfigError, lambda: assemble_families([LevelSetFamily(
+        1, 0, (frozenset({0}), frozenset({1, "a"})), (0.0, 1.0), False)])),
+    (ConfigError, lambda: recover_full({1: LevelSetFamily(
+        1, 0, (frozenset({0}), frozenset({True})), (0.0, 1.0), False)})),
+    (ConfigError, lambda: LevelSetFamily(1, 0, ({0}, {1.5}), (0.0, 1.0),
+                                         False)),
+    # A grouping's sorted entries are (bus ID, real) pairs and its
+    # threshold is None or positive and finite.
+    (ConfigError, lambda: grouping_diagnostics(ColumnGrouping(
+        **GROUPING, sorted_entries=5))),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING,
+                                         sorted_entries=((1, "x"),))),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING,
+                                         sorted_entries=((1.5, 1.0),))),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING, sorted_entries=(1, 2))),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING, threshold="a")),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING, threshold=NAN)),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING, threshold=True)),
+    (ConfigError, lambda: ColumnGrouping(**GROUPING, threshold=0.0)),
+    # An r_min that halves to zero gives no gap rule.
+    (NonpositiveRmin, lambda: group_column_noisy({1: 0.2}, 1, 5e-324)),
 ]
 
 
@@ -734,6 +758,25 @@ def test_family_fields_keep_their_checked_types():
     assert [type(v) for v in (loose.owner, loose.start_depth, loose.metered,
                               loose.probing)] == [int, int, bool, frozenset]
     assert recover_partial({1: loose}) == recover_partial({1: plain})
+
+
+def test_family_members_and_grouping_entries_keep_their_checked_types():
+    # Numpy and integral-float bus IDs are stored as ints, numpy reals as
+    # floats and lists as tuples, so the grouping equals the one built
+    # from those.
+    loose = ColumnGrouping(1, 0, (frozenset({np.int64(0)}), {1.0}),
+                           (0.0, 1.0), False,
+                           sorted_entries=[[0, np.float64(0.0)],
+                                           (np.int32(1), 1)],
+                           threshold=np.float64(0.25))
+    plain = ColumnGrouping(**GROUPING, sorted_entries=((0, 0.0), (1, 1.0)),
+                           threshold=0.25)
+    assert loose == plain
+    assert {type(n) for s in loose.sets for n in s} == {int}
+    assert [tuple(map(type, e)) for e in loose.sorted_entries] == [
+        (int, float)] * 2
+    assert type(loose.threshold) is float
+    assert grouping_diagnostics(loose) == grouping_diagnostics(plain)
 
 
 def test_family_of_plain_sets_recovers_as_frozensets():

@@ -39,9 +39,10 @@ of both bundled sweeps: a trial recovers the
 truth only with the noise-free labelling, and with it exactly when the
 stacked replay scores it, with the same MPE, lines, resistances and
 supports; and the sweep's rows to a loop that runs the full path on
-every trial. The stacked draw is held to one `sample_estimate` call per
-trial bit for bit, and the sweep's rows to themselves at every chunk
-size.
+every trial. Every trial's labelling that passes the family check reads
+for recovery as its families read, bit for bit. The stacked draw is held
+to one `sample_estimate` call per trial bit for bit, and the sweep's rows
+to themselves at every chunk size.
 """
 
 import importlib
@@ -1089,11 +1090,29 @@ def noise_free(g, plan, mode, truth):
     for key in ("members", "line", "step"):
         assert np.array_equal(getattr(read, key), getattr(replay.plan, key))
     # The lines of the report `_learn` got, in its graph's order.
-    (values,), _ = recovery._line_values(replay.plan, exact.cut.values[None])
+    (values,), _ = recovery._line_values(replay.plan, exact.values[None])
     assert [(u, v, r.hex()) for u, v, r, *_ in report.graph.edges] == [
         (*replay.plan.lines[i], float(values[i]).hex())
         for i in replay.order]
     return exact, replay
+
+
+def check_read(labelling):
+    """A labelling that passes the family check reads, for recovery, as
+    its families read: the same owners in the same order, the same sets
+    with their members in the same iteration order (which fixes the bits
+    of a line's value) and the same value table, bit for bit."""
+    try:
+        labelling.check()
+    except GridProbeError:
+        return
+    sets, table = labelling.read()
+    want_sets, want_table = recovery._read(labelling.families(),
+                                           not labelling.complete)
+    assert [(m, [list(s) for s in fam]) for m, fam in sets.items()] == [
+        (m, [list(s) for s in fam]) for m, fam in want_sets.items()]
+    assert table.shape == want_table.shape
+    assert table.tobytes() == want_table.tobytes()
 
 
 def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
@@ -1112,14 +1131,15 @@ def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
         pass
     correct = outcome is not None and outcome.topology_correct
     labelling = grouping._label(estimate, r_min, mode)
+    check_read(labelling)
     (same,), table = grouping._cut_trials(exact, estimate.values[None],
                                           labelling.threshold)
-    assert same == np.array_equal(labelling.cut.labels, exact.cut.labels)
+    assert same == np.array_equal(labelling.labels, exact.labels)
     if not same:
         assert not correct
         seen["cut differs"] += 1
         return None
-    assert table.tobytes() == labelling.cut.values.tobytes()
+    assert table.tobytes() == labelling.values.tobytes()
     (ok,), (mpe,), (lines,), (upstream,) = experiments._replay(
         replay, table, labelling.value_tol)
     assert correct == ok
@@ -1180,7 +1200,7 @@ def test_replay_rejects_group_values_that_do_not_increase():
     estimate = ResistanceEstimate(g.bus_order, g.bus_order, values)
     labelling = grouping._label(estimate, 1e-17, "complete")
     (same,), table = grouping._cut_trials(exact, values[None], 1e-17 / 2)
-    assert same and np.array_equal(labelling.cut.labels, exact.cut.labels)
+    assert same and np.array_equal(labelling.labels, exact.labels)
     (ok,), *_ = experiments._replay(replay, table, labelling.value_tol)
     assert not ok
     with pytest.raises(InconsistentLevelSets,

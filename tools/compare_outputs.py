@@ -7,9 +7,13 @@ command runs once per tree with PYTHONPATH=<tree>/src, and each output
 below must be byte-identical between the two:
 
 - the probe records of the bundled configs (complete T=40, partial T=39,
-  seed 0);
-- `recover --r-min` on BASE's records: recovered.csv and report.json;
-- exact `recover` on BASE's records: exit code, stdout and stderr;
+  and the short complete T=1, complete T=5 and partial T=1, seed 0);
+- `recover --r-min` on BASE's T=40 and T=39 records: recovered.csv and
+  report.json;
+- `recover --r-min` on BASE's short records, which fail the family check
+  under the gap rule: exit code, stdout and stderr;
+- exact `recover` on BASE's T=40 and T=39 records: exit code, stdout and
+  stderr;
 - `validate`, `reduce --all-leaves`, `reduce --probing` with an unsorted
   list holding a junction (5) and a pass-through bus (2), and
   `reduce --out` on a copy of the bundled feeder both trees read;
@@ -28,7 +32,11 @@ import sys
 import tempfile
 
 DATA = os.path.join("src", "gridprobe", "data")
-PROBES = (("complete", 40, 0.0014), ("partial", 39, 0.0021))
+R_MIN = {"complete": 0.0014, "partial": 0.0021}
+# (mode, periods): records that recover at R_MIN, and short ones that
+# fail the family check there.
+PROBES = (("complete", 40), ("partial", 39))
+SHORT = (("complete", 1), ("complete", 5), ("partial", 1))
 LEAVES = "36,9,10,16,17,19,20,23,25,26,27,31,32,35"
 FEEDER_COMMANDS = (("validate",), ("reduce", "--all-leaves"),
                    ("reduce", "--probing", LEAVES + ",5,2"))
@@ -59,8 +67,8 @@ def read(path):
 def probe(tree, out):
     """The tree's probe records, by name."""
     records = {}
-    for mode, periods, _ in PROBES:
-        path = os.path.join(out, f"probe-{mode}.rec")
+    for mode, periods in PROBES + SHORT:
+        path = os.path.join(out, f"probe-{mode}-{periods}.rec")
         gridprobe(tree, "probe", "--config",
                   os.path.join(tree, DATA, f"table_{mode}.yaml"),
                   "--periods", str(periods), "--seed", "0", "--out", path)
@@ -72,8 +80,8 @@ def outputs(tree, out, records, feeder):
     """The tree's other outputs, by name: recovering `records`, reading
     its bundled feeder and the shared copy `feeder`, and its sweeps."""
     found = {}
-    for mode, _, r_min in PROBES:
-        rec = records[mode]
+    for mode, periods in PROBES:
+        rec, r_min = records[mode, periods], R_MIN[mode]
         report = os.path.join(out, f"recover-{mode}")
         gridprobe(tree, "recover", rec, "--r-min", str(r_min),
                   "--out", report)
@@ -84,6 +92,15 @@ def outputs(tree, out, records, feeder):
         found[f"exact recover {mode}: exit code"] = str(code).encode()
         found[f"exact recover {mode}: stdout"] = stdout
         found[f"exact recover {mode}: stderr"] = stderr
+    for mode, periods in SHORT:
+        name = f"recover --r-min {R_MIN[mode]} {mode} T={periods}"
+        code, stdout, stderr = gridprobe(
+            tree, "recover", records[mode, periods], "--r-min",
+            str(R_MIN[mode]), "--out",
+            os.path.join(out, f"recover-{mode}-{periods}"), check=False)
+        found[f"{name}: exit code"] = str(code).encode()
+        found[f"{name}: stdout"] = stdout
+        found[f"{name}: stderr"] = stderr
     for command in FEEDER_COMMANDS:
         found[" ".join(command)] = gridprobe(
             tree, *command, os.path.join(tree, DATA, "ieee37.csv"))[1]
@@ -91,7 +108,7 @@ def outputs(tree, out, records, feeder):
     gridprobe(tree, "reduce", feeder, "--all-leaves", "--out", reduced)
     found["reduce --out"] = read(reduced)
     for trials, seed in SWEEPS:
-        for mode, _, _ in PROBES:
+        for mode, _ in PROBES:
             sweep = os.path.join(out, f"montecarlo-{mode}-{trials}-{seed}")
             stdout = gridprobe(
                 tree, "montecarlo", "--config",
@@ -124,8 +141,9 @@ def main(argv):
             got[tag] = probe(tree, os.path.join(work, tag))
         # Both trees recover BASE's records, so the recover outputs are
         # compared even where the records differ.
-        records = {mode: os.path.join(work, "base", f"probe-{mode}.rec")
-                   for mode, _, _ in PROBES}
+        records = {(mode, periods): os.path.join(
+                       work, "base", f"probe-{mode}-{periods}.rec")
+                   for mode, periods in PROBES + SHORT}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
                                     feeder))
