@@ -18,8 +18,8 @@ from . import fileio
 from .errors import ConfigError, GridProbeError
 from .experiments import (ExperimentConfig, identify, run_experiment,
                           write_results)
-# perfbench/tracer.py wraps these stage names here; `identify` now groups
-# through grouping.group_estimate instead of the two per-column stages.
+# perfbench/tracer.py wraps these stage names here; `identify` calls none
+# of the grouping and recovery ones.
 from .grouping import assemble_families, group_column_noisy
 from .probing import ProbingPlan, estimate_resistances, simulate_probing
 from .recovery import recover_full, recover_partial

@@ -1,18 +1,20 @@
 """The identification pipeline and the Monte Carlo sweeps built on it.
 
 `identify` turns a resistance estimate into a recovered grid; the
-`recover` command calls it. A sweep runs over a list of per-bus probing
-durations and, for each, repeatedly draws the resistance estimate of a
-probing campaign on a known feeder from its window sums and cuts it into
-a labelling. A trial is correct exactly when that is the noise-free
-labelling and its values pass the value rules; it is scored by running
-the noise-free recovery plan through recovery's value step and score on
-its group values. That plan is learned once per call, by a recovery walk
-on what the noise-free labelling reads out for recovery, with no family
-objects in between. A sweep value's trials are drawn, cut, compared and
-scored as stacked arrays, in chunks of bounded size, each bit for bit
-what the trial alone would give. Per-trial seeds are derived from (seed,
-periods, trial) so results do not depend on execution order or chunking.
+`recover` command calls it. It cuts the estimate into a labelling, runs
+the family check on it and walks what the labelling reads out for
+recovery, with no family objects in between. A sweep runs over a list of
+per-bus probing durations and, for each, repeatedly draws the resistance
+estimate of a probing campaign on a known feeder from its window sums and
+cuts it into a labelling. A trial is correct exactly when that is the
+noise-free labelling and its values pass the value rules; it is scored by
+running the noise-free recovery plan through recovery's value step and
+score on its group values. That plan is learned once per call, by the
+same check and walk on the noise-free labelling. A sweep value's trials
+are drawn, cut, compared and scored as stacked arrays, in chunks of
+bounded size, each bit for bit what the trial alone would give. Per-trial
+seeds are derived from (seed, periods, trial) so results do not depend on
+execution order or chunking.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing: `identify` calls recover_full and
-# recover_partial through these globals, and `run_experiment` calls
-# compare_graphs and reduce_grid. simulate_probing, estimate_resistances,
-# group_column_noisy and assemble_families are only the tracer's targets.
+# fails if one is missing: `run_experiment` calls compare_graphs and
+# reduce_grid through these globals. simulate_probing,
+# estimate_resistances, group_column_noisy, assemble_families,
+# recover_full and recover_partial are only the tracer's targets:
+# `identify` and the sweep both call `_label` and `_recover`.
 from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
                        _split_value, _threshold, assemble_families,
-                       group_column_noisy, group_estimate)
+                       group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       _draw, estimate_resistances, sample_estimate,
                       simulate_probing)
@@ -221,12 +224,17 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
     r_min None groups exactly and matches values to 1e-9; a number groups
     by the gap rule with cut r_min / 2 and matches values to r_min / 2.
-    Stages resolve through this module's globals, so a tracer can wrap
-    them here.
+    Gives what `group_estimate` then `recover_full` or `recover_partial`
+    give, without building the groupings.
     """
-    families = group_estimate(estimate, r_min, mode)
-    recover = recover_full if mode == "complete" else recover_partial
-    return recover(families)
+    return _identify(_label(estimate, r_min, mode))[1]
+
+
+def _identify(labelling: _Labelling) -> tuple[RecoveryPlan, RecoveryReport]:
+    """The family check, then the recovery walk on the labelling's read:
+    `identify`'s steps after the cut, and `_learn`'s."""
+    labelling.check()
+    return _recover(*labelling.read(), not labelling.complete)
 
 
 class _Replay(NamedTuple):
@@ -247,12 +255,10 @@ class _Replay(NamedTuple):
 
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
-    """The replay of the noise-free labelling: the family check, the
-    recovery `identify` runs, on the labelling's read, and the comparison
-    with the truth, each raising what `identify` and `compare_graphs`
-    raise."""
-    labelling.check()
-    plan, report = _recover(*labelling.read(), not labelling.complete)
+    """The replay of the noise-free labelling: `identify`'s check and
+    recovery, and the comparison with the truth, each raising what
+    `identify` and `compare_graphs` raise."""
+    plan, report = _identify(labelling)
     graph = report.graph
     node = compare_graphs(graph, truth, buses).node_map
     row = {line: i for i, line in enumerate(plan.lines)}

@@ -96,6 +96,8 @@ def save_feeder(g: FeederGraph, path: str | os.PathLike,
                 comment: str | None = None) -> None:
     """Write a tree (or reduced grid) in the feeder CSV format."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
+    if comment is not None:
+        as_instance(comment, str, ConfigError, "comment")
     with _write_text(path) as fh:
         if comment:
             for line in comment.splitlines():

@@ -75,6 +75,8 @@ def noise_bound(noise: NoiseModel, rho_r: float, rho_x: float) -> float:
     of the resistance and reactance matrices, with the measurement noise.
     """
     as_instance(noise, NoiseModel, ConfigError, "noise")
+    rho_r = as_float(rho_r, ConfigError, "rho_r", "finite and nonnegative")
+    rho_x = as_float(rho_x, ConfigError, "rho_x", "finite and nonnegative")
     return math.sqrt((noise.sigma_p * rho_r) ** 2
                      + (noise.sigma_q * rho_x) ** 2
                      + noise.sigma_w ** 2)
@@ -189,7 +191,8 @@ def design_plan(r_min: float, sigma: float,
     """
     r_min = as_float(r_min, NonpositiveRmin, "r_min", "positive and finite")
     sigma = as_float(sigma, ConfigError, "sigma", "finite and nonnegative")
-    buses = tuple(sorted(as_instance(delta, Mapping, ConfigError, "delta")))
+    as_instance(delta, Mapping, ConfigError, "delta")
+    buses = tuple(sorted(as_buses(delta, ConfigError, "probing buses")))
     periods = []
     for b in buses:
         d = as_float(delta[b], ConfigError, f"probing magnitude for bus {b}",

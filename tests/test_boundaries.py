@@ -737,6 +737,20 @@ REPRODUCTIONS = [
     (ConfigError, lambda: ColumnGrouping(**GROUPING, threshold=0.0)),
     # An r_min that halves to zero gives no gap rule.
     (NonpositiveRmin, lambda: group_column_noisy({1: 0.2}, 1, 5e-324)),
+    # Spectral radii are finite and nonnegative reals.
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), "a", 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), None, 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), NAN, 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), INF, 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), -1.0, 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_p=1.0), True, 1.0)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_q=1.0), 1.0, "a")),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_q=1.0), 1.0, NAN)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_q=1.0), 1.0, -INF)),
+    (ConfigError, lambda: noise_bound(NoiseModel(sigma_q=1.0), 1.0, True)),
+    # Probing magnitudes are keyed by bus IDs, checked before sorting.
+    (ConfigError, lambda: design_plan(0.1, 0.01, {1: 0.1, "a": 0.2})),
+    (ConfigError, lambda: design_plan(0.1, 0.01, {None: 0.1, 1: 0.1})),
 ]
 
 
@@ -1408,6 +1422,22 @@ def test_writers_check_their_object_before_touching_files(tmp_path, name):
         assert target.read_text() == "keep\n"
     else:  # the output directory is not created
         assert not target.exists()
+
+
+@pytest.mark.parametrize("comment", [5, b"note", ["note"]])
+def test_save_feeder_checks_its_comment_before_touching_files(tmp_path,
+                                                              comment):
+    target = tmp_path / "out"
+    target.write_text("keep\n")
+    with pytest.raises(ConfigError, match="^comment must be a str, got "):
+        save_feeder(y_feeder(2), target, comment=comment)
+    assert target.read_text() == "keep\n"
+
+
+def test_design_plan_names_a_bus_key_that_is_not_an_integer():
+    with pytest.raises(ConfigError, match="^probing buses: bus 'a' is not "
+                                          "an integer$"):
+        design_plan(0.1, 0.01, {1: 0.1, "a": 0.2})
 
 
 def test_run_experiment_checks_its_config():

@@ -19,7 +19,11 @@ sums, is held to the record path the same way: noise-free estimates to
 errors.
 `identify`, the one chain from an estimate to a recovered grid, is held to
 the stage chain the `recover` command spelled out before it: the same
-grid, lines and supports, or the same exception class and message.
+grid, lines and supports, or the same exception class and message. It
+recovers from the labelling's read, as the sweep does, and is held bit
+for bit to the public chain it skips, `group_estimate` then
+`recover_full` or `recover_partial`: every report field with line values
+as float.hex, or the same exception class and message.
 `group_estimate`, which groups a whole estimate on one label matrix, is
 held to the per-column copies and the pairwise scans in helpers.py: the
 same families bit for bit, or the same first error. The library's own
@@ -793,9 +797,43 @@ def identify_outcome(fn, estimate, r_min, mode):
             tuple(rep.line_support.items())) + extra
 
 
+def public_chain(estimate, r_min, mode):
+    """The public stages `identify` gives the result of: group_estimate,
+    then the mode's recovery."""
+    families = group_estimate(estimate, r_min, mode)
+    return (recover_full if mode == "complete" else recover_partial)(families)
+
+
+def hexed(value):
+    """A value with every float in it, through nested tuples, as
+    float.hex."""
+    if type(value) is float:
+        return value.hex()
+    if type(value) is tuple:
+        return tuple(map(hexed, value))
+    return value
+
+
+def report_bits(fn, estimate, r_min, mode):
+    """Every field of the report, with the grid's type and root, and every
+    float (line values, upstream r) as float.hex; or error and message."""
+    try:
+        rep = fn(estimate, r_min, mode)
+    except GridProbeError as exc:
+        return type(exc), str(exc)
+    grid = rep.graph
+    extra = ()
+    if rep.mode == "partial":
+        extra = (grid.probing, grid.internal, grid.root_upstream_r)
+    return hexed((rep.mode, rep.probing, tuple(rep.line_support.items()),
+                  type(grid), grid.root, grid.edges) + extra)
+
+
 def assert_identify_matches(estimate, r_min, mode, seen):
     got = identify_outcome(identify, estimate, r_min, mode)
     assert got == identify_outcome(reference_identify, estimate, r_min, mode)
+    assert report_bits(identify, estimate, r_min, mode) == report_bits(
+        public_chain, estimate, r_min, mode)
     seen[got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
 
 
@@ -1008,6 +1046,9 @@ def test_group_estimate_matches_per_column_chain_on_small_estimates(
     if np.isfinite(estimate.values).all():
         assert got == family_outcome(reference_group_estimate, estimate,
                                      r_min, mode)
+    # `identify` skips the groupings, not a check or a recovery error.
+    assert report_bits(identify, estimate, r_min, mode) == report_bits(
+        public_chain, estimate, r_min, mode)
 
 
 Y_EDGES = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (1, 3, 3.0, 1.0)]
@@ -1040,14 +1081,17 @@ def write_y_config(tmp_path):
     return cfg
 
 
-STAGES = ("group_estimate", "group_column_noisy", "assemble_families",
-          "recover_full", "_learn")
+# The public stages `identify` gives the result of, each wrapped where it
+# is defined and wherever the package imports it under its own name.
+CHAIN = ("group_estimate", "group_column_noisy", "assemble_families",
+         "recover_full", "recover_partial")
+CORE = ("_label", "_recover", "_learn")
 
 
 def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
-    # `identify` groups a whole estimate with group_estimate; the
-    # per-column stages that perfbench/tracer.py still wraps in
-    # gridprobe.experiments are no longer called on this path.
+    # The `recover` command and the sweep both cut with `_label`, then run
+    # the family check and the recovery walk on the labelling's read; no
+    # grouping object is built and no public recovery is called.
     calls = Counter()
 
     def counted(name, fn):
@@ -1056,21 +1100,26 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in STAGES:
+    for name in CORE:
         monkeypatch.setattr(experiments, name,
                             counted(name, getattr(experiments, name)))
+    for module in (experiments, cli, grouping, recovery):
+        for name in CHAIN:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
     cfg = write_y_config(tmp_path)
     rec = tmp_path / "probe.rec"
     assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
     assert cli.main(["recover", str(rec), "--r-min", "0.5",
                      "--out", str(tmp_path / "rep")]) == 0
-    assert calls == {"group_estimate": 1, "recover_full": 1}
+    assert calls == {"_label": 1, "_recover": 1}
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
     # The sweep never calls `identify`: it learns the noise-free labelling
     # once and only replays that labelling's recovery plan.
-    assert calls == {"_learn": 1}
+    assert calls == {"_label": 1, "_recover": 1, "_learn": 1}
 
 
 def noise_free(g, plan, mode, truth):

@@ -7,13 +7,18 @@ command runs once per tree with PYTHONPATH=<tree>/src, and each output
 below must be byte-identical between the two:
 
 - the probe records of the bundled configs (complete T=40, partial T=39,
-  and the short complete T=1, complete T=5 and partial T=1, seed 0);
+  and the short complete T=1, complete T=5 and partial T=1, seed 0), and
+  of noise-free copies of both (every sigma 0.0, the shared feeder copy
+  below, T=1, seed 0);
 - `recover --r-min` on BASE's T=40 and T=39 records: recovered.csv and
   report.json;
 - `recover --r-min` on BASE's short records, which fail the family check
   under the gap rule: exit code, stdout and stderr;
 - exact `recover` on BASE's T=40 and T=39 records: exit code, stdout and
   stderr;
+- exact `recover` on BASE's noise-free records, which recovers the
+  feeder (complete) and its reduced grid (partial): recovered.csv and
+  report.json, and the lines it prints without `--out`;
 - `validate`, `reduce --all-leaves`, `reduce --probing` with an unsorted
   list holding a junction (5) and a pass-through bus (2), and
   `reduce --out` on a copy of the bundled feeder both trees read;
@@ -30,6 +35,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import yaml
 
 DATA = os.path.join("src", "gridprobe", "data")
 R_MIN = {"complete": 0.0014, "partial": 0.0021}
@@ -64,8 +71,24 @@ def read(path):
         return fh.read()
 
 
-def probe(tree, out):
-    """The tree's probe records, by name."""
+def noise_free_configs(tree, work, feeder):
+    """Write copies of the tree's bundled configs with every sigma 0.0 that
+    read the shared feeder copy `feeder`; their paths, by mode."""
+    configs = {}
+    for mode, _ in PROBES:
+        with open(os.path.join(tree, DATA, f"table_{mode}.yaml")) as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["noise"] = {key: 0.0 for key in cfg["noise"]}
+        cfg["feeder"] = feeder
+        configs[mode] = os.path.join(work, f"noise-free-{mode}.yaml")
+        with open(configs[mode], "w") as fh:
+            yaml.safe_dump(cfg, fh)
+    return configs
+
+
+def probe(tree, out, configs):
+    """The tree's probe records, by name: the bundled configs' and the
+    noise-free ones of `configs`."""
     records = {}
     for mode, periods in PROBES + SHORT:
         path = os.path.join(out, f"probe-{mode}-{periods}.rec")
@@ -73,6 +96,11 @@ def probe(tree, out):
                   os.path.join(tree, DATA, f"table_{mode}.yaml"),
                   "--periods", str(periods), "--seed", "0", "--out", path)
         records[f"probe {mode} T={periods} record"] = read(path)
+    for mode in configs:
+        path = os.path.join(out, f"probe-{mode}-noise-free.rec")
+        gridprobe(tree, "probe", "--config", configs[mode], "--periods", "1",
+                  "--seed", "0", "--out", path)
+        records[f"probe {mode} noise-free record"] = read(path)
     return records
 
 
@@ -101,6 +129,15 @@ def outputs(tree, out, records, feeder):
         found[f"{name}: exit code"] = str(code).encode()
         found[f"{name}: stdout"] = stdout
         found[f"{name}: stderr"] = stderr
+    for mode, _ in PROBES:
+        rec = records[mode, "noise-free"]
+        report = os.path.join(out, f"recover-{mode}-noise-free")
+        gridprobe(tree, "recover", rec, "--out", report)
+        for name in ("recovered.csv", "report.json"):
+            found[f"exact recover {mode} noise-free: {name}"] = read(
+                os.path.join(report, name))
+        found[f"exact recover {mode} noise-free: stdout"] = gridprobe(
+            tree, "recover", rec)[1]
     for command in FEEDER_COMMANDS:
         found[" ".join(command)] = gridprobe(
             tree, *command, os.path.join(tree, DATA, "ieee37.csv"))[1]
@@ -135,15 +172,17 @@ def main(argv):
         feeder = os.path.join(work, "ieee37.csv")
         shutil.copyfile(os.path.join(trees["head"], DATA, "ieee37.csv"),
                         feeder)
+        configs = noise_free_configs(trees["head"], work, feeder)
         got = {}
         for tag, tree in trees.items():
             os.mkdir(os.path.join(work, tag))
-            got[tag] = probe(tree, os.path.join(work, tag))
+            got[tag] = probe(tree, os.path.join(work, tag), configs)
         # Both trees recover BASE's records, so the recover outputs are
         # compared even where the records differ.
         records = {(mode, periods): os.path.join(
                        work, "base", f"probe-{mode}-{periods}.rec")
-                   for mode, periods in PROBES + SHORT}
+                   for mode, periods in PROBES + SHORT + tuple(
+                       (mode, "noise-free") for mode, _ in PROBES)}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
                                     feeder))
