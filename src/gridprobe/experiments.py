@@ -10,11 +10,12 @@ cuts it into a labelling. A trial is correct exactly when that is the
 noise-free labelling and its values pass the value rules; it is scored by
 running the noise-free recovery plan through recovery's value step and
 score on its group values. That plan is learned once per call, by the
-same check and walk on the noise-free labelling. A sweep value's trials
-are drawn, cut, compared and scored as stacked arrays, in chunks of
-bounded size, each bit for bit what the trial alone would give. Per-trial
-seeds are derived from (seed, periods, trial) so results do not depend on
-execution order or chunking.
+same check and walk on the noise-free labelling. A call's trials, every
+sweep value's in sweep order, are drawn, cut, compared and scored as
+stacked arrays, in chunks of bounded size that may span sweep values,
+each trial bit for bit what it would give alone. Per-trial seeds are
+derived from (seed, periods, trial) so results do not depend on
+execution order, chunking or the other sweep values.
 """
 
 from __future__ import annotations
@@ -43,17 +44,17 @@ from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
                        _split_value, _threshold, assemble_families,
                        group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
-                      _draw, estimate_resistances, sample_estimate,
-                      simulate_probing)
+                      _draw, _scale, estimate_resistances,
+                      sample_estimate, simulate_probing)
 from .recovery import (RecoveryPlan, RecoveryReport, _line_values, _recover,
                        _score, compare_graphs, recover_full, recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
 DELTA_POLICIES = ("rated", "fixed")
-# Estimate entries (substation row included) per chunk of a sweep value's
+# Estimate entries (substation row included) per chunk of a sweep's
 # trials: trials are drawn, cut and scored this many entries at a time,
-# which bounds a sweep's memory at any trial count.
+# across sweep values, which bounds a sweep's memory at any trial count.
 _BLOCK = 1 << 16
 # The keys `write_results` reads from every row.
 _ROW_KEYS = ("periods", "error_pct", "mpe_pct", "mpe_se", "trials", "seconds")
@@ -309,11 +310,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     into the noise-free labelling and its group values pass the value
     rules. So a call learns the noise-free labelling once (`_learn`, whose
     errors stop the sweep: no trial could pass where noise-free data
-    fail). Each sweep value's trials, in chunks of at most `_BLOCK`
-    estimate entries, are drawn and cut as one stack and compared with
-    that labelling by one array equality; `_replay` scores those that
-    match, as `identify` and `compare_graphs` would. Any other trial is a
-    topology error.
+    fail). The (sweep value, trial) pairs are walked in sweep order, in
+    chunks of at most `_BLOCK` estimate entries that may span sweep
+    values. A chunk is drawn and cut as one stack, each trial divided by
+    its own plan's window divisors, and compared with that labelling by
+    one array equality; `_replay` scores those that match, as `identify`
+    and `compare_graphs` would. Any other trial is a topology error. Each
+    row's statistics see its accepted MPEs in trial order, so a row does
+    not depend on the chunk size or on the other sweep values. A row's
+    `seconds` is its share of the trial loop's wall time: each chunk's
+    time is shared among the rows in it by their trial counts, so the
+    rows add up to the loop's time.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
@@ -326,31 +333,46 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     replay = _learn(exact, truth, plans[0].buses)
     threshold = _threshold(config.r_min)
     chunk = max(1, _BLOCK // exact.labels.size)
+    scales = np.array([_scale(plan) for plan in plans])
+
+    # Walk the (sweep value, trial) pairs in sweep order, a chunk at a time;
+    # a chunk may span sweep values. Accepted MPEs come out in that order,
+    # so each row's are a run of them, in trial order.
+    pairs = len(plans) * config.trials
+    found, correct = [np.empty(0)], np.zeros(len(plans), dtype=np.intp)
+    seconds = np.zeros(len(plans))
+    for first in range(0, pairs, chunk):
+        t0 = time.perf_counter()
+        value, trial = np.divmod(np.arange(first, min(first + chunk, pairs)),
+                                 config.trials)
+        rngs = [np.random.default_rng((config.seed, config.periods[v], t))
+                for v, t in zip(value.tolist(), trial.tolist())]
+        draws, _ = _draw(g, plans[0], config.noise, config.mode, rngs,
+                         scales[value])
+        same, table = _cut_trials(exact, draws, threshold)
+        if len(table):
+            ok, mpe, _, _ = _replay(replay, table, threshold)
+            found.append(mpe[ok])
+            correct += np.bincount(value[same][ok], minlength=len(plans))
+        # A chunk's wall time is shared among its rows by their trials.
+        seconds += np.bincount(value, minlength=len(plans)) * (
+            (time.perf_counter() - t0) / len(value))
 
     rows = []
-    for periods, plan in zip(config.periods, plans):
-        t0 = time.perf_counter()
-        mpes = []
-        for first in range(0, config.trials, chunk):
-            rngs = [np.random.default_rng((config.seed, periods, trial))
-                    for trial in range(first,
-                                       min(first + chunk, config.trials))]
-            draws, _ = _draw(g, plan, config.noise, config.mode, rngs)
-            _, table = _cut_trials(exact, draws, threshold)
-            if len(table):
-                ok, mpe, _, _ = _replay(replay, table, threshold)
-                mpes += mpe[ok].tolist()
-        correct = len(mpes)
+    for periods, mpes, n, spent in zip(
+            config.periods,
+            np.split(np.concatenate(found), np.cumsum(correct)[:-1]),
+            correct.tolist(), seconds.tolist()):
         rows.append({
             "periods": periods,
-            "error_pct": 100.0 * (config.trials - correct) / config.trials,
-            "mpe_pct": float(np.mean(mpes)) if mpes else None,
+            "error_pct": 100.0 * (config.trials - n) / config.trials,
+            "mpe_pct": float(np.mean(mpes)) if n else None,
             # Standard error of the MPE mean, for trend checks within
             # Monte Carlo bands. Needs at least two correct trials.
-            "mpe_se": (float(np.std(mpes, ddof=1) / np.sqrt(len(mpes)))
-                       if len(mpes) > 1 else None),
+            "mpe_se": (float(np.std(mpes, ddof=1) / np.sqrt(n))
+                       if n > 1 else None),
             "trials": config.trials,
-            "seconds": time.perf_counter() - t0,
+            "seconds": spent,
         })
 
     provenance = {
@@ -379,28 +401,51 @@ def write_results(result: ExperimentResult, out_dir: str | os.PathLike) -> None:
     """Emit results.csv (with timing) and results.json (timing-free).
 
     The JSON file is byte-stable for a fixed config and seed; the CSV
-    repeats the same statistics plus a wall-time column.
+    repeats the same statistics plus a wall-time column. Every row is
+    checked before either file is touched: `periods` and `trials` must be
+    integers, `error_pct` finite, `mpe_pct` and `mpe_se` None or finite
+    and `seconds` finite and nonnegative, and the provenance must be
+    JSON, or ConfigError is raised. The checked values are written, so a
+    numpy scalar writes as its Python value does.
     """
     as_instance(result, ExperimentResult, ConfigError, "result")
-    for row in result.rows:
-        missing = sorted(set(_ROW_KEYS) - set(row))
-        if missing:
-            raise ConfigError(f"result row lacks {missing}")
+    rows = [_checked_row(row) for row in result.rows]
+    payload = {
+        "provenance": result.provenance,
+        "results": [{k: row[k] for k in
+                     ("periods", "error_pct", "mpe_pct", "mpe_se", "trials")}
+                    for row in rows],
+    }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"provenance cannot be written as JSON: {exc}"
+                          ) from None
     os.makedirs(as_path(out_dir, ConfigError, "out_dir"), exist_ok=True)
     with fileio._write_text(os.path.join(out_dir, "results.csv"),
                             newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["T_m", "error_pct", "mpe_pct", "trials", "seconds"])
-        for row in result.rows:
+        for row in rows:
             mpe = "" if row["mpe_pct"] is None else repr(row["mpe_pct"])
             w.writerow([row["periods"], repr(row["error_pct"]), mpe,
                         row["trials"], f"{row['seconds']:.3f}"])
-    payload = {
-        "provenance": result.provenance,
-        "results": [{k: row[k] for k in
-                     ("periods", "error_pct", "mpe_pct", "mpe_se", "trials")}
-                    for row in result.rows],
-    }
     with fileio._write_text(os.path.join(out_dir, "results.json")) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _checked_row(row: Mapping) -> dict:
+    """The `_ROW_KEYS` of a result row as checked Python values."""
+    missing = sorted(set(_ROW_KEYS) - set(row))
+    if missing:
+        raise ConfigError(f"result row lacks {missing}")
+    out = {key: as_int(row[key], ConfigError, f"row {key}")
+           for key in ("periods", "trials")}
+    out["error_pct"] = as_float(row["error_pct"], ConfigError,
+                                "row error_pct", "finite")
+    for key in ("mpe_pct", "mpe_se"):
+        out[key] = None if row[key] is None else as_float(
+            row[key], ConfigError, f"row {key}", "finite")
+    out["seconds"] = as_float(row["seconds"], ConfigError, "row seconds",
+                              "finite and nonnegative")
+    return out

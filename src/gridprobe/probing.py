@@ -245,16 +245,29 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
     for b in plan.buses:
         if b not in pos:
             raise UnknownProbingBus(f"bus {b} cannot probe")
-    for b, t in zip(plan.buses, plan.periods or ()):
-        if t > _INT64_MAX:
-            raise ConfigError(f"probing window for bus {b} is too long to "
-                              f"represent")
+    _check_windows(plan)
     partial = as_choice(mode, MODES, ConfigError, "mode") == "partial"
     cols = [pos[b] for b in plan.buses]
     rows = cols if partial else list(range(len(order)))
     probing = set(cols)
     free = [i for i in range(len(order)) if i not in probing]
     return cols, rows, free, plan.buses if partial else order
+
+
+def _check_windows(plan: ProbingPlan) -> None:
+    """Raise ConfigError for a window longer than numpy can hold."""
+    for b, t in zip(plan.buses, plan.periods or ()):
+        if t > _INT64_MAX:
+            raise ConfigError(f"probing window for bus {b} is too long to "
+                              f"represent")
+
+
+def _scale(plan: ProbingPlan) -> np.ndarray:
+    """A block plan's window divisors delta_j·√T_j, by which the draw turns
+    each window's sum into its estimate column; a window numpy cannot hold
+    raises ConfigError."""
+    _check_windows(plan)
+    return np.array(plan.delta) * np.sqrt(plan.periods)
 
 
 def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
@@ -411,12 +424,16 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
 
 
 def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
-          rngs: Sequence[np.random.Generator] | None
+          rngs: Sequence[np.random.Generator] | None,
+          scales: np.ndarray | None = None
           ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The estimates `sample_estimate` draws, one per generator in rngs
     (one from noise.seed for None), stacked trials x reported rows x
-    probing buses, and the reported rows' buses. Each trial's estimate is
-    bitwise the one `sample_estimate` draws with its generator."""
+    probing buses, and the reported rows' buses. Trial t divides its
+    window sums by scales[t], the `_scale` of its own plan (plan's for
+    None), so one stack can hold plans that differ only in delta and
+    periods. Each trial's estimate is bitwise the one `sample_estimate`
+    draws with its generator and its plan."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
     if rngs is None:
@@ -432,7 +449,9 @@ def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
     sums = np.zeros((len(rngs), *est.shape))
     if not noise.silent:
         _add_noise(g, rmat, noise, rows, free, sums, rngs)
-    est = est + sums / (np.array(plan.delta) * np.sqrt(plan.periods))
+    if scales is None:
+        scales = _scale(plan)
+    est = est + sums / scales[..., None, :]
     if not np.isfinite(est).all():
         raise ConfigError("measurement values must be finite")
     return est, row_nodes

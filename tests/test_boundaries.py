@@ -1495,6 +1495,58 @@ def test_write_results_checks_every_row_before_writing(tmp_path):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(seconds="x"), "row seconds 'x' is not a number"),
+    (dict(seconds=-0.5), "row seconds must be finite and nonnegative, "
+                         "got -0.5"),
+    (dict(seconds=NAN), "row seconds must be finite and nonnegative, "
+                        "got nan"),
+    (dict(periods=2.5), "row periods 2.5 is not an integer"),
+    (dict(trials="2"), "row trials '2' is not an integer"),
+    (dict(error_pct=INF), "row error_pct must be finite, got inf"),
+    (dict(error_pct=None), "row error_pct None is not a number"),
+    (dict(mpe_pct=NAN), "row mpe_pct must be finite, got nan"),
+    (dict(mpe_se=[1.0]), "row mpe_se [1.0] is not a number"),
+])
+def test_write_results_leaves_both_files_on_a_bad_row(tmp_path, fields,
+                                                      message):
+    out = tmp_path / "sweep"
+    write_results(ExperimentResult("complete", (ROW,), {}), out)
+    before = {name: (out / name).read_bytes()
+              for name in ("results.csv", "results.json")}
+    result = ExperimentResult("complete", (ROW, {**ROW, **fields}), {})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        write_results(result, out)
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("provenance", [{"seed": np.int64(1)},
+                                        {"seed": {1, 2}}, {1: 0, "a": 0}])
+def test_write_results_leaves_both_files_on_a_provenance_not_json(
+        tmp_path, provenance):
+    out = tmp_path / "sweep"
+    write_results(ExperimentResult("complete", (ROW,), {"seed": 1}), out)
+    before = {name: (out / name).read_bytes()
+              for name in ("results.csv", "results.json")}
+    with pytest.raises(ConfigError, match="^provenance cannot be written "
+                                          "as JSON: "):
+        write_results(ExperimentResult("complete", (ROW,), provenance), out)
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_write_results_writes_numpy_scalars_as_python_values(tmp_path):
+    row = {"periods": 3, "error_pct": 50.0, "mpe_pct": 1.25, "mpe_se": 0.5,
+           "trials": 2, "seconds": 0.1}
+    numpy_row = {"periods": np.int64(3), "error_pct": np.float64(50.0),
+                 "mpe_pct": np.float64(1.25), "mpe_se": np.float32(0.5),
+                 "trials": np.int32(2), "seconds": np.float64(0.1)}
+    for name, rows in (("python", (row, ROW)), ("numpy", (numpy_row, ROW))):
+        write_results(ExperimentResult("complete", rows, {}), tmp_path / name)
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == \
+            (tmp_path / "python" / name).read_bytes()
+
+
 # -- first arguments ----------------------------------------------------------
 #
 # Every public function and constructor raises a GridProbeError, never a

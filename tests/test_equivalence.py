@@ -36,7 +36,8 @@ message, without a numpy warning.
 A sweep learns the recovery of the noise-free labelling once and scores
 only the trials that cut their estimate into that labelling, by running
 its recovery plan through the same value step and score on their group
-values, all of a chunk's trials as one stack. The rule is held to
+values, all of a chunk's trials as one stack, whatever sweep values the
+chunk spans. The rule is held to
 `identify` and `compare_graphs`, on random feeders (complete mode with
 every bus or leaf-covering owners, and partial mode) and on every trial
 of both bundled sweeps: a trial recovers the
@@ -44,9 +45,11 @@ truth only with the noise-free labelling, and with it exactly when the
 stacked replay scores it, with the same MPE, lines, resistances and
 supports; and the sweep's rows to a loop that runs the full path on
 every trial. Every trial's labelling that passes the family check reads
-for recovery as its families read, bit for bit. The stacked draw is held
-to one `sample_estimate` call per trial bit for bit, and the sweep's rows
-to themselves at every chunk size.
+for recovery as its families read, bit for bit. The stacked draw, over a
+stack that mixes sweep values, is held to one `sample_estimate` call per
+trial with the trial's own plan bit for bit; the sweep's rows to
+themselves at every chunk size, and each row to a sweep of its value
+alone.
 """
 
 import importlib
@@ -77,7 +80,7 @@ from gridprobe import (ExperimentConfig, GridProbeError,
                        recover_partial, recovery, reduce_grid,
                        resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
-from gridprobe.probing import _draw
+from gridprobe.probing import _draw, _scale
 
 from helpers import (random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
@@ -1342,25 +1345,31 @@ def one_trial_estimate(g, plan, noise, mode, rng):
 
 
 @pytest.mark.parametrize("mode", ["complete", "partial"])
-@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3, 7])
 def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
     # Four of eight buses probing puts all three sources through; every
-    # bus probing leaves meter noise alone.
+    # bus probing leaves meter noise alone. As a sweep's chunk does, the
+    # stack mixes plans that differ only in their periods, out of order,
+    # and each trial divides by its own plan's window divisors.
     g = build_feeder(EIGHT_BUSES)
     noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
     for buses in ([3, 5, 7, 8], g.bus_order):
-        plan = ProbingPlan.blocks(buses, [0.1 * (1 + b % 3) for b in buses],
-                                  [2 + b % 4 for b in buses])
+        delta = [0.1 * (1 + b % 3) for b in buses]
+        plans = [ProbingPlan.blocks(buses, delta,
+                                    [periods + b % 4 for b in buses])
+                 for periods in (2, 9, 40)]
+        which = [(2 * t) % len(plans) for t in range(trials)]
         seeds = [(5, trials, t) for t in range(trials)]
-        got, row_nodes = _draw(g, plan, noise, mode,
-                               [np.random.default_rng(s) for s in seeds])
+        got, row_nodes = _draw(g, plans[0], noise, mode,
+                               [np.random.default_rng(s) for s in seeds],
+                               np.array([_scale(plans[k]) for k in which]))
         assert got.shape[0] == trials
-        for values, seed in zip(got, seeds):
-            one = sample_estimate(g, plan, noise, mode,
+        for values, seed, k in zip(got, seeds, which):
+            one = sample_estimate(g, plans[k], noise, mode,
                                   rng=np.random.default_rng(seed))
             assert one.row_nodes == row_nodes
             assert values.tobytes() == one.values.tobytes()
-            want = one_trial_estimate(g, plan, noise, mode,
+            want = one_trial_estimate(g, plans[k], noise, mode,
                                       np.random.default_rng(seed))
             assert values.tobytes() == want.tobytes()
 
@@ -1393,6 +1402,28 @@ def test_sweep_rows_do_not_depend_on_the_chunk_size(name, monkeypatch):
         monkeypatch.setattr(experiments, "_BLOCK", block)
         got = run_experiment(cfg)
         assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == want
+
+
+def exact_rows(rows):
+    """The `ROW_KEYS` of each row, floats as float.hex."""
+    return [{k: row[k].hex() if isinstance(row[k], float) else row[k]
+             for k in ROW_KEYS} for row in rows]
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+def test_sweep_rows_do_not_depend_on_the_other_sweep_values(name):
+    # Three trials per value put every sweep value in one chunk (of 49
+    # trials on the complete table, 334 on the partial one); each row must
+    # be what a sweep of its value alone gives.
+    raw = fileio.load_config(os.path.join(DATA, name))
+    cfg = ExperimentConfig.from_dict({**raw, "trials": 3, "seed": 4},
+                                     base_dir=DATA)
+    rows = run_experiment(cfg).rows
+    assert len(rows) > 1
+    assert any(row["mpe_se"] is not None for row in rows)
+    for row in rows:
+        alone = run_experiment(replace(cfg, periods=(row["periods"],)))
+        assert exact_rows(alone.rows) == exact_rows([row])
 
 
 def test_tracer_targets_resolve():

@@ -205,6 +205,14 @@ def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
         run_experiment(cfg)
 
 
+def test_sweep_refuses_a_later_period_count_numpy_cannot_hold(tmp_path):
+    """Only the first sweep value's plan draws the noise-free estimate;
+    every other plan's windows are checked before numpy sees them."""
+    cfg = y_config(tmp_path, periods=[1, 2 ** 63])
+    with pytest.raises(ConfigError, match="too long to represent"):
+        run_experiment(cfg)
+
+
 def test_overwhelming_noise_breaks_recovery(tmp_path):
     cfg = y_config(tmp_path, trials=5, periods=[1],
                    noise={"sigma_w": 0.5})

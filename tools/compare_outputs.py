@@ -22,8 +22,10 @@ below must be byte-identical between the two:
 - `validate`, `reduce --all-leaves`, `reduce --probing` with an unsorted
   list holding a junction (5) and a pass-through bus (2), and
   `reduce --out` on a copy of the bundled feeder both trees read;
-- `montecarlo` results.json and stdout at 50 trials seed 0, 200 seed 1
-  and 1000 seed 1 (the bundled tables' own), in both modes.
+- `montecarlo` results.json and stdout at 4 trials seed 2 (a benchmark
+  operation's shape, one chunk holding every sweep value), 50 trials
+  seed 0, 200 seed 1 and 1000 seed 1 (the bundled tables' own), in both
+  modes.
 
 Prints each output that differs and exits 1 if any does, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a
@@ -47,7 +49,7 @@ SHORT = (("complete", 1), ("complete", 5), ("partial", 1))
 LEAVES = "36,9,10,16,17,19,20,23,25,26,27,31,32,35"
 FEEDER_COMMANDS = (("validate",), ("reduce", "--all-leaves"),
                    ("reduce", "--probing", LEAVES + ",5,2"))
-SWEEPS = ((50, 0), (200, 1), (1000, 1))
+SWEEPS = ((4, 2), (50, 0), (200, 1), (1000, 1))
 
 
 def fail(message):
