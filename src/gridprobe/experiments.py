@@ -5,17 +5,17 @@
 the family check on it and walks what the labelling reads out for
 recovery, with no family objects in between. A sweep runs over a list of
 per-bus probing durations and, for each, repeatedly draws the resistance
-estimate of a probing campaign on a known feeder from its window sums and
-cuts it into a labelling. A trial is correct exactly when that is the
-noise-free labelling and its values pass the value rules; it is scored by
-running the noise-free recovery plan through recovery's value step and
-score on its group values. That plan is learned once per call, by the
-same check and walk on the noise-free labelling. A call's trials, every
-sweep value's in sweep order, are drawn, cut, compared and scored as
-stacked arrays, in chunks of bounded size that may span sweep values,
-each trial bit for bit what it would give alone. Per-trial seeds are
-derived from (seed, periods, trial) so results do not depend on
-execution order, chunking or the other sweep values.
+estimate of a probing campaign on a known feeder from its window sums.
+A trial fails in one of three ways, each decided where its rule lives:
+its cut differs from the noise-free labelling (grouping, `_cut_trials`'
+`same`), its group values break a family-check value rule (grouping,
+`held`), or its lines break a recovery line rule (`recovery._replay`'s
+`ok`). The sweep learns the noise-free recovery once per call and only
+orchestrates: trials, every sweep value's in sweep order, are drawn, cut
+and scored as stacked arrays, in chunks that may span sweep values, each
+trial bit for bit what it would give alone. Per-trial seeds are derived
+from (seed, periods, trial) so results do not depend on execution order,
+chunking or the other sweep values.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -35,19 +35,18 @@ from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing: `run_experiment` calls compare_graphs and
-# reduce_grid through these globals. simulate_probing,
-# estimate_resistances, group_column_noisy, assemble_families,
-# recover_full and recover_partial are only the tracer's targets:
-# `identify` and the sweep both call `_label` and `_recover`.
-from .grouping import (_cut_trials, _flat, _label, _Labelling, _seen,
-                       _split_value, _threshold, assemble_families,
-                       group_column_noisy)
+# fails if one is missing: the sweep calls `_draw`, `_label`,
+# `_cut_trials`, `_recover`, `_replay`, compare_graphs and reduce_grid
+# through these globals. simulate_probing, estimate_resistances,
+# group_column_noisy, assemble_families, recover_full and recover_partial
+# are only the tracer's targets.
+from .grouping import (_cut_trials, _label, _Labelling, _threshold,
+                       assemble_families, group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       _draw, _scale, estimate_resistances,
                       sample_estimate, simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _line_values, _recover,
-                       _score, compare_graphs, recover_full, recover_partial)
+from .recovery import (RecoveryPlan, RecoveryReport, _recover, _replay,
+                       _Replay, compare_graphs, recover_full, recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -238,22 +237,6 @@ def _identify(labelling: _Labelling) -> tuple[RecoveryPlan, RecoveryReport]:
     return _recover(*labelling.read(), not labelling.complete)
 
 
-class _Replay(NamedTuple):
-    """What the noise-free labelling fixes for every trial of a sweep that
-    cuts its estimate the same way: the recovery plan, the order in which
-    the recovered graph lists the plan's lines, the truth's resistance of
-    each line in that order, and each column's group count and `_seen`'s
-    pairs for the value rules. `metered` checks the upstream resistance."""
-
-    plan: RecoveryPlan
-    order: np.ndarray
-    refs: np.ndarray
-    counts: np.ndarray
-    cols: np.ndarray
-    seen: np.ndarray
-    metered: bool
-
-
 def _learn(labelling: _Labelling, truth: FeederGraph,
            buses: tuple[int, ...]) -> _Replay:
     """The replay of the noise-free labelling: `identify`'s check and
@@ -265,34 +248,8 @@ def _learn(labelling: _Labelling, truth: FeederGraph,
     row = {line: i for i, line in enumerate(plan.lines)}
     order = [row[u, v] for u, v, *_ in graph.edges]
     refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
-    cols, seen = _seen(labelling.labels, labelling.owners,
-                       labelling.owner_rows)
     return _Replay(plan, np.array(order, dtype=np.intp), np.array(refs),
-                   labelling.counts, cols, seen, not labelling.complete)
-
-
-def _replay(replay: _Replay, table: np.ndarray, value_tol: float
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Replay the noise-free recovery on the group values of trials whose
-    labelling is the noise-free one (trials x columns x groups), through
-    the value step and score `identify` and `compare_graphs` use.
-
-    Returns, per trial, whether its values pass every rule `identify`
-    applies to them (group values increase, owners agree on their split
-    values within value_tol, every line is positive and every value
-    finite), its MPE, its line values in the recovered graph's order and
-    its upstream resistance."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        held = ~(_flat(replay.counts, table).any(axis=-1)
-                 | _split_value(table, replay.cols, replay.seen,
-                                value_tol).any(axis=(-2, -1)))
-    walk, upstream = _line_values(replay.plan, table)
-    lines = walk[:, replay.order]
-    ok = held & ((walk > 0) & np.isfinite(walk)).all(axis=1)
-    if replay.metered:
-        ok &= np.isfinite(upstream)
-    mpe, _ = _score(lines, replay.refs)
-    return ok, mpe, lines, upstream
+                   not labelling.complete)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -306,21 +263,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     of failing every trial; a draw that raises, or that is not finite,
     stops the sweep too.
 
-    A trial recovers the truth exactly when the gap rule cuts its estimate
-    into the noise-free labelling and its group values pass the value
-    rules. So a call learns the noise-free labelling once (`_learn`, whose
-    errors stop the sweep: no trial could pass where noise-free data
-    fail). The (sweep value, trial) pairs are walked in sweep order, in
-    chunks of at most `_BLOCK` estimate entries that may span sweep
-    values. A chunk is drawn and cut as one stack, each trial divided by
-    its own plan's window divisors, and compared with that labelling by
-    one array equality; `_replay` scores those that match, as `identify`
-    and `compare_graphs` would. Any other trial is a topology error. Each
-    row's statistics see its accepted MPEs in trial order, so a row does
-    not depend on the chunk size or on the other sweep values. A row's
-    `seconds` is its share of the trial loop's wall time: each chunk's
-    time is shared among the rows in it by their trial counts, so the
-    rows add up to the loop's time.
+    A call learns the noise-free labelling once (`_learn`, whose errors
+    stop the sweep: no trial could pass where noise-free data fail). The
+    (sweep value, trial) pairs are walked in sweep order, in chunks of at
+    most `_BLOCK` estimate entries that may span sweep values. A chunk is
+    drawn as one stack, each trial divided by its own plan's window
+    divisors, and held to the family check by `_cut_trials`; `_replay`
+    scores the trials it cuts into the noise-free labelling. A trial is
+    correct exactly when `identify` and `compare_graphs` would find the
+    truth: its cut is the same (`same`), its group values pass the family
+    check's value rules (`held`) and its lines pass recovery's line rules
+    (`ok`). Any other trial is a topology error. Each row's statistics see
+    its accepted MPEs in trial order, so a row does not depend on the
+    chunk size or on the other sweep values. A row's `seconds` is its
+    share of the trial loop's wall time: each chunk's time is shared among
+    the rows in it by their trial counts, so the rows add up to the loop's
+    time.
     """
     as_instance(config, ExperimentConfig, ConfigError, "config")
     g = fileio.load_feeder(config.feeder_path)
@@ -349,9 +307,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 for v, t in zip(value.tolist(), trial.tolist())]
         draws, _ = _draw(g, plans[0], config.noise, config.mode, rngs,
                          scales[value])
-        same, table = _cut_trials(exact, draws, threshold)
+        same, held, table = _cut_trials(exact, draws, threshold)
         if len(table):
-            ok, mpe, _, _ = _replay(replay, table, threshold)
+            ok, mpe, _, _ = _replay(replay, table)
+            ok &= held
             found.append(mpe[ok])
             correct += np.bincount(value[same][ok], minlength=len(plans))
         # A chunk's wall time is shared among its rows by their trials.

@@ -14,7 +14,8 @@ family check runs on that matrix. Grouping's one product is a labelling
 (`group_estimate`) or of one column (`group_column_exact`,
 `group_column_noisy`), cut, and read out in one place, as the level sets
 and value table recovery reads or as `ColumnGrouping`s.
-`assemble_families` reads ready-made groupings into the same check.
+`assemble_families` reads ready-made groupings into the same check, and
+`_cut_trials` holds a sweep's stack of trials to it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
     order = by_bus[rank]
     ranked = np.take_along_axis(values, rank, axis=1)
     starts = np.ones(ranked.shape, dtype=bool)
-    np.greater(ranked[:, 1:] - ranked[:, :-1], cut, out=starts[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.greater(ranked[:, 1:] - ranked[:, :-1], cut, out=starts[:, 1:])
     group = np.cumsum(starts, axis=1) - 1
     labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
     np.put_along_axis(labels, order, group, axis=1)
@@ -160,8 +162,9 @@ def _flat(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per column: do two successive group values fail to increase?
     values may stack trials on its leading axes."""
     steps = np.arange(values.shape[-1] - 1)
-    return ((values[..., 1:] <= values[..., :-1])
-            & (steps < counts[:, None] - 1)).any(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((values[..., 1:] <= values[..., :-1])
+                & (steps < counts[:, None] - 1)).any(axis=-1)
 
 
 def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
@@ -229,7 +232,8 @@ def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
     that hold each other values further apart than value_tol. values may
     stack trials on its leading axes."""
     at = values[..., cols[:, None], seen]
-    return np.abs(at - np.swapaxes(at, -1, -2)) > value_tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(at - np.swapaxes(at, -1, -2)) > value_tol
 
 
 def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
@@ -443,21 +447,28 @@ def _label(estimate: ResistanceEstimate, r_min: float | None,
                          estimate.values, mode, threshold)
 
 
-def _cut_trials(labelling: _Labelling, values: np.ndarray,
-                threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cut a stack of estimates (trials x rows x owners) with the rows and
-    owners of `labelling` by the gap rule at `threshold`, all trials at
-    once. Returns which trials cut into the labelling's labels and, for
-    those trials, the group values (trials x owners x groups), bit for
-    bit what `_label` gives each."""
+def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hold a stack of estimates (trials x rows x owners) to the family
+    check of a labelling that passed it, cut by the gap rule at
+    `threshold` with its rows and owners. Returns `same`, which trials cut
+    into its labels and so pass every rule that reads labels; `held`, for
+    those trials, whether their group values pass the value rules at
+    threshold too; and their group values (trials x owners x groups), bit
+    for bit what `_label` gives each."""
     if labelling.complete:
         trials, _, m = values.shape
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
     _, ranked, _, group, labels = _sort_cut(labelling.buses, values,
                                             threshold)
     same = (labels == labelling.labels).all(axis=(1, 2))
-    return same, _group_values(ranked[same], group[same],
-                               labelling.values.shape[1])
+    table = _group_values(ranked[same], group[same],
+                          labelling.values.shape[1])
+    cols, seen = _seen(labelling.labels, labelling.owners,
+                       labelling.owner_rows)
+    held = ~(_flat(labelling.counts, table).any(axis=-1)
+             | _split_value(table, cols, seen, threshold).any(axis=(-2, -1)))
+    return same, held, table
 
 
 def group_estimate(estimate: ResistanceEstimate, r_min: float | None,

@@ -300,9 +300,11 @@ def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
             rng.standard_normal(out=part)
         if through is not None:
             shake = np.matmul(through, shake)
-        # Scaled in place: a record's noise is as large as the record.
-        shake *= sigma
-        out += shake
+        # Scaled in place: a record's noise is as large as the record. Noise
+        # that overflows is caught by the record's finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shake *= sigma
+            out += shake
 
 
 def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
@@ -377,9 +379,12 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
     plan = as_instance(record, ProbingRecord, ConfigError, "record").plan
     if plan.is_block:
         est = np.empty((len(record.row_nodes), len(plan.buses)))
-        for j, (a, b) in enumerate(plan.windows()):
-            est[:, j] = record.values[:, a:b].sum(axis=1) / (
-                plan.delta[j] * plan.periods[j])
+        # A window sum that overflows leaves an infinite entry, which
+        # grouping rejects by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (a, b) in enumerate(plan.windows()):
+                est[:, j] = record.values[:, a:b].sum(axis=1) / (
+                    plan.delta[j] * plan.periods[j])
     else:
         dmat = plan.injections()
         if dmat.shape[1] < dmat.shape[0]:
@@ -451,7 +456,8 @@ def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
         _add_noise(g, rmat, noise, rows, free, sums, rngs)
     if scales is None:
         scales = _scale(plan)
-    est = est + sums / scales[..., None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = est + sums / scales[..., None, :]
     if not np.isfinite(est).all():
         raise ConfigError("measurement values must be finite")
     return est, row_nodes

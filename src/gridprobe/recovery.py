@@ -17,8 +17,9 @@ from its cut. The walk reads topology only, off the sets: its
 `RecoveryPlan` holds the root, the junction IDs, and each line with its
 depth and the columns behind it. One value step, `_line_values`, values a
 plan's lines and upstream resistance on a stack of group-value tables,
-one per trial. Comparison is a node-map match, then a resistance score of
-a stack of trials.
+one per trial; a sweep replays a plan on its trials with it (`_replay`).
+Comparison is a node-map match, then a resistance score of a stack of
+trials.
 """
 
 from __future__ import annotations
@@ -252,6 +253,34 @@ def _valued(table: np.ndarray, metered: bool, root, internal, lines: list,
             raise InconsistentLevelSets(
                 f"nonpositive line resistance {r} at depth {k}")
     return plan, values, float(upstream)
+
+
+class _Replay(NamedTuple):
+    """What a sweep's noise-free recovery fixes for every trial cut the
+    same way: the plan, the order in which the recovered graph lists its
+    lines, the truth's resistance of each line in that order, and whether
+    the data are metered."""
+
+    plan: RecoveryPlan
+    order: np.ndarray
+    refs: np.ndarray
+    metered: bool
+
+
+def _replay(replay: _Replay, table: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replay a noise-free recovery on the group-value tables of trials cut
+    into its labelling (trials x columns x groups). Returns, per trial,
+    whether it passes the line rules (every line positive and finite and,
+    metered, the upstream resistance finite), its MPE, its line values in
+    the recovered graph's order and its upstream resistance."""
+    walk, upstream = _line_values(replay.plan, table)
+    ok = ((walk > 0) & np.isfinite(walk)).all(axis=1)
+    if replay.metered:
+        ok &= np.isfinite(upstream)
+    lines = walk[:, replay.order]
+    mpe, _ = _score(lines, replay.refs)
+    return ok, mpe, lines, upstream
 
 
 def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,50 @@ def test_nan_in_record_is_reported_by_recover(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FeederFormatError"
     assert "line 3" in err["message"] and "finite" in err["message"]
+
+
+# -- float extremes -----------------------------------------------------------
+#
+# Finite inputs whose arithmetic overflows raise the typed error of the
+# finiteness check after it, with no numpy warning on the way.
+
+Y_PLAN = ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2)
+
+
+@pytest.mark.parametrize("draw", [
+    # `_add_noise` scales the meter noise past the largest float.
+    lambda g: simulate_probing(g, Y_PLAN, NoiseModel(sigma_w=1.7e308),
+                               rng=np.random.default_rng(0)),
+    # `_draw` divides a finite window sum by 0.1·√2.
+    lambda g: sample_estimate(g, Y_PLAN, NoiseModel(sigma_w=1e308),
+                              rng=np.random.default_rng(0)),
+], ids=["simulate_probing", "sample_estimate"])
+def test_noise_that_overflows_raises_config_error_without_a_warning(draw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError,
+                           match="^measurement values must be finite$"):
+            draw(build_feeder(Y_EDGES))
+
+
+def test_window_sum_that_overflows_is_named_by_identify(tmp_path, capsys):
+    # Two periods of 1.5e308 sum past the largest float: the estimate
+    # holds inf, which the family check names.
+    record = ProbingRecord("complete", (1, 2, 3), np.full((3, 6), 1.5e308),
+                           Y_PLAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = estimate_resistances(record)
+        assert np.isposinf(estimate.values).all()
+        with pytest.raises(InconsistentLevelSets,
+                           match="^column 1: entry of bus 1 is inf, not "
+                                 "finite$"):
+            identify(estimate, 0.5, "complete")
+        save_record(record, tmp_path / "big.rec")
+        capsys.readouterr()
+        assert cli.main(["recover", str(tmp_path / "big.rec")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "InconsistentLevelSets"
 
 
 def probe_record(tmp_path):

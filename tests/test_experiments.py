@@ -195,7 +195,6 @@ def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(
         run_experiment(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
     """Meter noise this large overflows the draw to an infinite estimate,
     which is a data error, as simulating the record is, not a topology

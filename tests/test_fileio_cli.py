@@ -437,7 +437,6 @@ def test_cli_montecarlo_fails_on_a_draw_error_like_probe(tmp_path, capsys):
     assert not (tmp_path / "montecarlo").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_montecarlo_fails_on_a_draw_that_overflows(tmp_path, capsys):
     # The bundled complete sweep with meter noise that overflows: both
     # commands stop on the non-finite data with one error; neither
@@ -480,6 +479,52 @@ def test_cli_refuses_period_counts_numpy_cannot_hold(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError", err
     assert "too long to represent" in err["message"], err
+
+
+BIG = 2 ** 70
+
+
+def test_bus_ids_beyond_int64_run_every_command(tmp_path, capsys):
+    # Leaves BIG and BIG + 1 send grouping's bus arrays to numpy objects.
+    # Junction 2 and pass-through bus 4 are not probed in partial mode, so
+    # its recovery names junctions 1 and 2 afresh, above every probing ID.
+    feeder = tmp_path / "big.csv"
+    feeder.write_text("from,to,r_pu,x_pu\n0,1,0.5,0.2\n1,2,0.4,0.3\n"
+                      f"2,{BIG},0.3,0.1\n2,3,0.6,0.2\n1,4,0.7,0.4\n"
+                      f"4,{BIG + 1},0.2,0.1\n")
+    assert cli.main(["validate", str(feeder)]) == 0
+    assert json.loads(capsys.readouterr().out)["leaves"] == [3, BIG, BIG + 1]
+    assert cli.main(["reduce", str(feeder), "--all-leaves"]) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head == "# root 1, upstream resistance 0.5"
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        "1,2", "2,3", f"2,{BIG}", f"1,{BIG + 1}"]
+    for mode, probing in (("complete", "all-buses"),
+                          ("partial", "all-leaves")):
+        cfg = tmp_path / f"{mode}.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "feeder": feeder.name, "mode": mode, "probing": probing,
+            "periods": [4, 9], "r_min": 0.2, "trials": 5, "seed": 1,
+            "noise": {"sigma_w": 1e-5},
+            "delta": {"policy": "fixed", "value_pu": 0.1}}))
+        rec, rep = tmp_path / f"{mode}.rec", tmp_path / f"{mode}-rep"
+        assert cli.main(["probe", "--config", str(cfg), "--out",
+                         str(rec)]) == 0
+        assert cli.main(["recover", str(rec), "--r-min", "0.2", "--out",
+                         str(rep)]) == 0
+        meta = json.loads((rep / "report.json").read_text())
+        if mode == "partial":
+            assert meta["probing"] == [3, BIG, BIG + 1]
+            assert meta["internal_nodes"] == [BIG + 2, BIG + 3]
+            assert meta["root"] == BIG + 2
+        else:
+            assert len(meta["line_support"]) == 6
+        out = tmp_path / f"{mode}-mc"
+        assert cli.main(["montecarlo", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert [r["error_pct"] for r in results] == [0.0, 0.0]
+    capsys.readouterr()
 
 
 def test_console_script_matches_module():

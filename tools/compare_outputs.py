@@ -3,8 +3,9 @@
     python tools/compare_outputs.py BASE HEAD
 
 BASE and HEAD are source checkouts (each with src/gridprobe). Every
-command runs once per tree with PYTHONPATH=<tree>/src, and each output
-below must be byte-identical between the two:
+command runs once per tree, in the caller's environment (PYTHONWARNINGS
+included) with PYTHONPATH=<tree>/src, and each output below must be
+byte-identical between the two:
 
 - the probe records of the bundled configs (complete T=40, partial T=39,
   and the short complete T=1, complete T=5 and partial T=1, seed 0), and
