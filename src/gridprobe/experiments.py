@@ -43,7 +43,7 @@ from .feeder import FeederGraph
 from .grouping import (_cut_trials, _label, _Labelling, _threshold,
                        assemble_families, group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
-                      _draw, _scale, estimate_resistances,
+                      _check_windows, _draw, estimate_resistances,
                       sample_estimate, simulate_probing)
 from .recovery import (RecoveryPlan, RecoveryReport, _recover, _replay,
                        _Replay, compare_graphs, recover_full, recover_partial)
@@ -258,16 +258,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Each trial draws its estimate with `sample_estimate`, which gives
     what simulating and estimating the block plan's record would give, in
     distribution. Ground truth is the feeder itself in complete mode and
-    its reduced grid in partial mode. Each sweep value's plan is built
-    once, outside the trials, so a plan defect raises ConfigError instead
-    of failing every trial; a draw that raises, or that is not finite,
-    stops the sweep too.
+    its reduced grid in partial mode. One block plan, the first sweep
+    value's, is built outside the trials, and every sweep value's windows
+    are checked there too, so a plan defect raises ConfigError instead of
+    failing every trial; a draw that raises, or that is not finite, stops
+    the sweep too. The sweep values' plans differ only in their window
+    lengths, so each value needs only its own row of window divisors,
+    bitwise the `_scale` of its plan.
 
     A call learns the noise-free labelling once (`_learn`, whose errors
     stop the sweep: no trial could pass where noise-free data fail). The
     (sweep value, trial) pairs are walked in sweep order, in chunks of at
     most `_BLOCK` estimate entries that may span sweep values. A chunk is
-    drawn as one stack, each trial divided by its own plan's window
+    drawn as one stack, each trial divided by its sweep value's window
     divisors, and held to the family check by `_cut_trials`; `_replay`
     scores the trials it cuts into the noise-free labelling. A trial is
     correct exactly when `identify` and `compare_graphs` would find the
@@ -285,36 +288,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     buses = config.probing_buses(g)
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
-    plans = [ProbingPlan.blocks(buses, delta, t) for t in config.periods]
-    exact = _label(sample_estimate(g, plans[0], NoiseModel(), config.mode),
+    plan = ProbingPlan.blocks(buses, delta, config.periods[0])
+    exact = _label(sample_estimate(g, plan, NoiseModel(), config.mode),
                    None, config.mode)
-    replay = _learn(exact, truth, plans[0].buses)
+    replay = _learn(exact, truth, plan.buses)
     threshold = _threshold(config.r_min)
     chunk = max(1, _BLOCK // exact.labels.size)
-    scales = np.array([_scale(plan) for plan in plans])
+    # Each sweep value's windows, checked as its own plan's would be.
+    for t in config.periods:
+        _check_windows(plan.buses, [t] * len(plan.buses))
+    scales = np.array(plan.delta) * np.sqrt(config.periods)[:, None]
 
     # Walk the (sweep value, trial) pairs in sweep order, a chunk at a time;
     # a chunk may span sweep values. Accepted MPEs come out in that order,
     # so each row's are a run of them, in trial order.
-    pairs = len(plans) * config.trials
-    found, correct = [np.empty(0)], np.zeros(len(plans), dtype=np.intp)
-    seconds = np.zeros(len(plans))
+    sweep = len(config.periods)
+    pairs = sweep * config.trials
+    found, correct = [np.empty(0)], np.zeros(sweep, dtype=np.intp)
+    seconds = np.zeros(sweep)
     for first in range(0, pairs, chunk):
         t0 = time.perf_counter()
         value, trial = np.divmod(np.arange(first, min(first + chunk, pairs)),
                                  config.trials)
         rngs = [np.random.default_rng((config.seed, config.periods[v], t))
                 for v, t in zip(value.tolist(), trial.tolist())]
-        draws, _ = _draw(g, plans[0], config.noise, config.mode, rngs,
+        draws, _ = _draw(g, plan, config.noise, config.mode, rngs,
                          scales[value])
         same, held, table = _cut_trials(exact, draws, threshold)
         if len(table):
             ok, mpe, _, _ = _replay(replay, table)
             ok &= held
             found.append(mpe[ok])
-            correct += np.bincount(value[same][ok], minlength=len(plans))
+            correct += np.bincount(value[same][ok], minlength=sweep)
         # A chunk's wall time is shared among its rows by their trials.
-        seconds += np.bincount(value, minlength=len(plans)) * (
+        seconds += np.bincount(value, minlength=sweep) * (
             (time.perf_counter() - t0) / len(value))
 
     rows = []

@@ -279,8 +279,16 @@ class FeederGraph:
 
 def _probed_below(g: FeederGraph,
                   probing: frozenset[int]) -> dict[int, frozenset[int]]:
-    """Probed-bus content of every subtree."""
-    return {u: g.descendants(u) & probing for u in g.nodes}
+    """Probed-bus content of every subtree, in one pass from the leaves
+    up: each bus unions its children's sets and adds itself if probed."""
+    order = [g.root]
+    for u in order:
+        order.extend(g._children[u])
+    below: dict[int, frozenset[int]] = {}
+    for u in reversed(order):
+        below[u] = frozenset(({u} & probing).union(
+            *(below[c] for c in g._children[u])))
+    return below
 
 
 def build_feeder(edges: Iterable[Sequence]) -> FeederGraph:

@@ -455,15 +455,40 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
     into its labels and so pass every rule that reads labels; `held`, for
     those trials, whether their group values pass the value rules at
     threshold too; and their group values (trials x owners x groups), bit
-    for bit what `_label` gives each."""
+    for bit what `_label` gives each.
+
+    A trial's labels are the labelling's exactly when its sorted values
+    open groups where the labelling's do (`starts`) and, in every column,
+    each of the labelling's groups lies strictly below the next: equal
+    starts alone let buses of adjacent groups swap values. Neither needs
+    a trial's own sort order: the gaps come from its sorted values and the
+    group bounds from its entries in the labelling's order, so no trial is
+    argsorted or labelled. An accepted trial's groups are the labelling's,
+    so its sorted values are valued on the labelling's group index.
+    """
     if labelling.complete:
         trials, _, m = values.shape
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
-    _, ranked, _, group, labels = _sort_cut(labelling.buses, values,
-                                            threshold)
-    same = (labels == labelling.labels).all(axis=(1, 2))
-    table = _group_values(ranked[same], group[same],
-                          labelling.values.shape[1])
+    trials, n, m = values.shape
+    ranked = np.sort(values, axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.greater(ranked[:, 1:] - ranked[:, :-1], threshold,
+                   out=starts[:, 1:])
+    same = (starts == labelling.starts).all(axis=(1, 2))
+    # The candidates' entries column by column in the labelling's order,
+    # so each of its groups is one run; `firsts` opens the runs, and a run
+    # that opens no column is held above the run before it.
+    firsts = np.flatnonzero(labelling.starts.T)
+    entries = (labelling.order * m + np.arange(m)).T.ravel()
+    runs = values.reshape(trials, n * m)[np.flatnonzero(same)[:, None],
+                                         entries]
+    above = np.flatnonzero(firsts % n)
+    same[same] = (np.maximum.reduceat(runs, firsts, axis=1)[:, above - 1]
+                  < np.minimum.reduceat(runs, firsts, axis=1)[:, above]
+                  ).all(axis=1)
+    table = _group_values(ranked[same], np.cumsum(labelling.starts, axis=0)
+                          - 1, labelling.values.shape[1])
     cols, seen = _seen(labelling.labels, labelling.owners,
                        labelling.owner_rows)
     held = ~(_flat(labelling.counts, table).any(axis=-1)

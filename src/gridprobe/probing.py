@@ -245,7 +245,7 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
     for b in plan.buses:
         if b not in pos:
             raise UnknownProbingBus(f"bus {b} cannot probe")
-    _check_windows(plan)
+    _check_windows(plan.buses, plan.periods or ())
     partial = as_choice(mode, MODES, ConfigError, "mode") == "partial"
     cols = [pos[b] for b in plan.buses]
     rows = cols if partial else list(range(len(order)))
@@ -254,9 +254,10 @@ def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
     return cols, rows, free, plan.buses if partial else order
 
 
-def _check_windows(plan: ProbingPlan) -> None:
-    """Raise ConfigError for a window longer than numpy can hold."""
-    for b, t in zip(plan.buses, plan.periods or ()):
+def _check_windows(buses: Sequence[int], periods: Sequence[int]) -> None:
+    """Raise ConfigError for a window longer than numpy can hold, the
+    window of buses[j] lasting periods[j]."""
+    for b, t in zip(buses, periods):
         if t > _INT64_MAX:
             raise ConfigError(f"probing window for bus {b} is too long to "
                               f"represent")
@@ -266,7 +267,7 @@ def _scale(plan: ProbingPlan) -> np.ndarray:
     """A block plan's window divisors delta_j·√T_j, by which the draw turns
     each window's sum into its estimate column; a window numpy cannot hold
     raises ConfigError."""
-    _check_windows(plan)
+    _check_windows(plan.buses, plan.periods)
     return np.array(plan.delta) * np.sqrt(plan.periods)
 
 
@@ -374,13 +375,13 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
     Block plans average each probing window and divide by its injection,
     which coincides with the right pseudo-inverse of the block injection
     matrix. General plans right-invert explicitly and refuse to proceed
-    when the injection matrix is row-rank deficient.
+    when the injection matrix is row-rank deficient. An estimate that is
+    not finite, where a finite record's window sums or products overflow,
+    raises ConfigError as a draw that overflows does.
     """
     plan = as_instance(record, ProbingRecord, ConfigError, "record").plan
     if plan.is_block:
         est = np.empty((len(record.row_nodes), len(plan.buses)))
-        # A window sum that overflows leaves an infinite entry, which
-        # grouping rejects by name.
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (a, b) in enumerate(plan.windows()):
                 est[:, j] = record.values[:, a:b].sum(axis=1) / (
@@ -394,7 +395,10 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
         if svals[0] == 0 or svals[-1] <= RANK_TOL * svals[0]:
             raise RankDeficientProbing(
                 "injection matrix is rank deficient; no right inverse")
-        est = record.values @ np.linalg.pinv(dmat, rcond=RANK_TOL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = record.values @ np.linalg.pinv(dmat, rcond=RANK_TOL)
+    if not np.isfinite(est).all():
+        raise ConfigError("measurement values must be finite")
     return ResistanceEstimate(row_nodes=record.row_nodes,
                               col_nodes=plan.buses, values=est)
 

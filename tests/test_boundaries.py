@@ -329,24 +329,35 @@ def test_noise_that_overflows_raises_config_error_without_a_warning(draw):
             draw(build_feeder(Y_EDGES))
 
 
-def test_window_sum_that_overflows_is_named_by_identify(tmp_path, capsys):
+@pytest.mark.parametrize("plan", [Y_PLAN, ProbingPlan.general(
+    [1, 2, 3], Y_PLAN.injections())], ids=["block", "general"])
+def test_window_sum_that_overflows_raises_config_error(plan, tmp_path,
+                                                        capsys):
     # Two periods of 1.5e308 sum past the largest float: the estimate
-    # holds inf, which the family check names.
+    # raises what a draw that overflows raises, in the library and in
+    # `gridprobe recover`.
     record = ProbingRecord("complete", (1, 2, 3), np.full((3, 6), 1.5e308),
-                           Y_PLAN)
+                           plan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimate = estimate_resistances(record)
-        assert np.isposinf(estimate.values).all()
-        with pytest.raises(InconsistentLevelSets,
-                           match="^column 1: entry of bus 1 is inf, not "
-                                 "finite$"):
-            identify(estimate, 0.5, "complete")
+        with pytest.raises(ConfigError,
+                           match="^measurement values must be finite$"):
+            estimate_resistances(record)
         save_record(record, tmp_path / "big.rec")
         capsys.readouterr()
         assert cli.main(["recover", str(tmp_path / "big.rec")]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == \
-        "InconsistentLevelSets"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "measurement values must be finite"}
+
+
+def test_infinite_estimate_is_named_by_identify():
+    estimate = ResistanceEstimate((1, 2, 3), (1, 2, 3),
+                                  np.full((3, 3), math.inf))
+    with pytest.raises(InconsistentLevelSets,
+                       match="^column 1: entry of bus 1 is inf, not "
+                             "finite$"):
+        identify(estimate, 0.5, "complete")
 
 
 def probe_record(tmp_path):

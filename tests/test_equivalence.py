@@ -52,7 +52,11 @@ for recovery as its families read, bit for bit. The stacked draw, over a
 stack that mixes sweep values, is held to one `sample_estimate` call per
 trial with the trial's own plan bit for bit; the sweep's rows to
 themselves at every chunk size, and each row to a sweep of its value
-alone.
+alone. The stacked cut, which decides a trial from its sorted values and
+the noise-free groups' bounds without labelling it, is held to every
+trial labelled on its own, on stacks that mix kept and rejected trials: a
+swap that keeps the gaps, exact ties, signed zeros, overflowing gaps and
+random feeders.
 """
 
 import importlib
@@ -1330,6 +1334,112 @@ def test_replay_rejects_lines_that_overflow():
     assert same and held and not ok
     assert upstream == -math.inf
     assert seen == {"value rejected": 1}
+
+
+def check_cut(exact, stack, threshold):
+    """Hold the stacked cut to each trial cut on its own by `_label`'s
+    route (a stable argsort, then labels): `same` is whether the trial's
+    labels are the noise-free ones, and the table holds, in trial order,
+    the group values of those that are, byte for byte. Runs with numpy
+    warnings as errors; returns `same`."""
+    rows = exact.buses[:-1] if exact.complete else exact.buses
+    mode = "complete" if exact.complete else "partial"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same, _, table = grouping._cut_trials(exact, stack, threshold)
+        own = [grouping._Labelling.of(exact.owners, rows.tolist(), values,
+                                      mode, threshold) for values in stack]
+    assert same.tolist() == [np.array_equal(cut.labels, exact.labels)
+                             for cut in own]
+    want = np.array([cut.values for cut, kept in zip(own, same) if kept])
+    assert table.shape == (same.sum(), *exact.values.shape)
+    assert table.tobytes() == want.tobytes()
+    return same
+
+
+def noise_free_labelling(g, owners, mode):
+    plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 1)
+    estimate = sample_estimate(g, plan, NoiseModel(), mode)
+    return grouping._label(estimate, None, mode), estimate.values
+
+
+def test_cut_rejects_a_swap_that_keeps_the_gaps():
+    # Column 4 holds 0.1 for buses 1 and 2, 0.17 for bus 3 and 0.19 for
+    # bus 4. Swapping bus 1's and bus 3's entries keeps the sorted values,
+    # so the gaps open the same groups, but bus 1 now sits above bus 3.
+    g = build_feeder([(0, 1, 0.1), (1, 2, 0.05), (1, 3, 0.07), (3, 4, 0.02)])
+    exact, values = noise_free_labelling(g, g.bus_order, "complete")
+    swapped = values.copy()
+    swapped[[0, 2], 3] = swapped[[2, 0], 3]
+    assert swapped[:, 3].tolist() == [0.17, 0.1, 0.1, 0.19]
+    assert np.array_equal(np.sort(swapped, axis=0), np.sort(values, axis=0))
+    same = check_cut(exact, np.stack([values, swapped, values]), 0.01)
+    assert same.tolist() == [True, False, True]
+
+
+def test_cut_keeps_exact_ties_and_signed_zeros():
+    # Column 1 gives the substation and both buses of the other branch
+    # 0.0, one group of ties; a -0.0 among them keeps the cut, and a -0.0
+    # for bus 1 itself joins that group and breaks it.
+    g = build_feeder([(0, 1, 0.1), (0, 2, 0.2), (2, 3, 0.05)])
+    exact, values = noise_free_labelling(g, g.bus_order, "complete")
+    assert values[:, 0].tolist() == [0.1, 0.0, 0.0]
+    tied = values.copy()
+    tied[1, 0] = -0.0
+    own = values.copy()
+    own[0, 0] = -0.0
+    same = check_cut(exact, np.stack([values, tied, own, tied]), 0.025)
+    assert same.tolist() == [True, True, False, True]
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_cut_of_silent_noise_keeps_every_tie(mode):
+    # Every trial of a silent draw is the noise-free estimate, each group
+    # a run of ties; one trial whose first owner's own entry drops below
+    # every other is cut differently.
+    g = fileio.load_feeder(os.path.join(DATA, "ieee37.csv"))
+    owners = g.bus_order if mode == "complete" else tuple(sorted(g.leaves))
+    exact, _ = noise_free_labelling(g, owners, mode)
+    plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 5)
+    stack, _ = _draw(g, plan, NoiseModel(), mode,
+                     [np.random.default_rng(t) for t in range(6)])
+    stack[4, 0, 0] = -1.0
+    same = check_cut(exact, stack, 0.0007)
+    assert same.tolist() == [True] * 4 + [False, True]
+
+
+def test_cut_of_estimates_that_overflow():
+    g = build_feeder([(0, 4, 0.1), (4, 1, 0.2), (4, 2, 0.3), (4, 3, 0.4)])
+    exact, values = noise_free_labelling(g, (1, 2, 3), "partial")
+    stack = np.array([OVERFLOWING["gap"], values, OVERFLOWING["group mean"],
+                      OVERFLOWING["gap"]])
+    assert check_cut(exact, stack, 0.05).tolist() == [True, True, False,
+                                                      True]
+
+
+def test_cut_holds_on_random_feeders():
+    # Stacks of 60 trials at meter noise from 0.05 to 0.6 r_min per entry,
+    # so each stack mixes trials that keep the noise-free cut with trials
+    # that do not.
+    rng = np.random.default_rng(2808)
+    kept = {case: Counter() for case in SWEEP_CASES}
+    for _ in range(20):
+        _, g = random_feeder(rng, max_buses=14)
+        for mode, every_bus in SWEEP_CASES:
+            owners = tuple(sorted(g.bus_order if every_bus
+                                  else random_probing(rng, g)))
+            truth = g if mode == "complete" else reduce_grid(g, owners)
+            r_min = min((r for _, _, r, *_ in truth.edges), default=1.0)
+            exact, _ = noise_free_labelling(g, owners, mode)
+            plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 4)
+            sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
+            stack, _ = _draw(g, plan, NoiseModel(sigma_w=sigma), mode,
+                             [np.random.default_rng(rng.integers(2 ** 32))
+                              for _ in range(60)])
+            kept[mode, every_bus].update(
+                check_cut(exact, stack, r_min / 2).tolist())
+    assert all(counts[True] and counts[False] for counts in kept.values()), \
+        kept
 
 
 REPLAY_TRIALS = 200

@@ -26,7 +26,12 @@ byte-identical between the two:
 - `montecarlo` results.json and stdout at 4 trials seed 2 (a benchmark
   operation's shape, one chunk holding every sweep value), 50 trials
   seed 0, 200 seed 1 and 1000 seed 1 (the bundled tables' own), in both
-  modes.
+  modes;
+- `montecarlo` results.json and stdout on the noise-free configs at 4
+  trials seed 2, in both modes, where every trial's cut runs on exact
+  ties.
+
+56 outputs in all.
 
 Prints each output that differs and exits 1 if any does, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a
@@ -107,9 +112,10 @@ def probe(tree, out, configs):
     return records
 
 
-def outputs(tree, out, records, feeder):
+def outputs(tree, out, records, feeder, configs):
     """The tree's other outputs, by name: recovering `records`, reading
-    its bundled feeder and the shared copy `feeder`, and its sweeps."""
+    its bundled feeder and the shared copy `feeder`, and its sweeps of
+    the bundled configs and the noise-free `configs`."""
     found = {}
     for mode, periods in PROBES:
         rec, r_min = records[mode, periods], R_MIN[mode]
@@ -147,18 +153,19 @@ def outputs(tree, out, records, feeder):
     reduced = os.path.join(out, "reduced.csv")
     gridprobe(tree, "reduce", feeder, "--all-leaves", "--out", reduced)
     found["reduce --out"] = read(reduced)
-    for trials, seed in SWEEPS:
-        for mode, _ in PROBES:
-            sweep = os.path.join(out, f"montecarlo-{mode}-{trials}-{seed}")
-            stdout = gridprobe(
-                tree, "montecarlo", "--config",
-                os.path.join(tree, DATA, f"table_{mode}.yaml"),
-                "--trials", str(trials), "--seed", str(seed),
-                "--out", sweep)[1]
-            name = f"montecarlo {mode} {trials} trials seed {seed}"
-            found[f"{name}: results.json"] = read(
-                os.path.join(sweep, "results.json"))
-            found[f"{name}: stdout"] = stdout
+    sweeps = [(f"{mode} {trials} trials seed {seed}",
+               os.path.join(tree, DATA, f"table_{mode}.yaml"), trials, seed)
+              for trials, seed in SWEEPS for mode, _ in PROBES]
+    sweeps += [(f"{mode} noise-free 4 trials seed 2", configs[mode], 4, 2)
+               for mode in configs]
+    for name, config, trials, seed in sweeps:
+        sweep = os.path.join(out, "montecarlo-" + name.replace(" ", "-"))
+        stdout = gridprobe(tree, "montecarlo", "--config", config,
+                           "--trials", str(trials), "--seed", str(seed),
+                           "--out", sweep)[1]
+        found[f"montecarlo {name}: results.json"] = read(
+            os.path.join(sweep, "results.json"))
+        found[f"montecarlo {name}: stdout"] = stdout
     return found
 
 
@@ -188,7 +195,7 @@ def main(argv):
                        (mode, "noise-free") for mode, _ in PROBES)}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
-                                    feeder))
+                                    feeder, configs))
     differ = [name for name in got["base"]
               if got["base"][name] != got["head"][name]]
     for name in differ:
