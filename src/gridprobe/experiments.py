@@ -10,9 +10,7 @@ A trial fails in one of three ways, each decided where its rule lives:
 its cut differs from the noise-free labelling (grouping, `_cut_trials`'
 `same`), its group values break a family-check value rule (grouping,
 `held`), or its lines break a recovery line rule (`recovery._replay`'s
-`ok`). The sweep learns the noise-free recovery once per process, for
-the loaded feeder's lines, the probing buses, their magnitudes, the first
-sweep value and the mode (`_noise_free`, which stores no error), and only
+`ok`). The sweep learns the noise-free recovery once per call and only
 orchestrates: trials, every sweep value's in sweep order, are drawn, cut
 and scored as stacked arrays, in chunks that may span sweep values, each
 trial bit for bit what it would give alone. Per-trial seeds are derived
@@ -23,7 +21,6 @@ chunking or the other sweep values.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import platform
@@ -255,29 +252,6 @@ def _learn(labelling: _Labelling, truth: FeederGraph,
                    not labelling.complete)
 
 
-@functools.lru_cache(maxsize=1)
-def _noise_free(g: FeederGraph, buses: tuple[int, ...],
-                delta: tuple[float, ...], periods: int, mode: str
-                ) -> tuple[FeederGraph, ProbingPlan, _Labelling, _Replay]:
-    """A sweep's noise-free set-up, learnt once per process for its key:
-    the block plan of the first sweep value, the labelling of its
-    noise-free estimate and that labelling's replay against the truth
-    (the feeder, or its reduced grid in partial mode). Returns the graph
-    instance it learnt on, whose matrices are then built, so a hit reuses
-    them too. Each argument compares by value, the feeder by its lines;
-    the one entry holds the last set-up, and a set-up that raises is not
-    stored. The arrays it holds are read-only, as every later call shares
-    them."""
-    truth = g if mode == "complete" else reduce_grid(g, buses)
-    plan = ProbingPlan.blocks(buses, delta, periods)
-    exact = _label(sample_estimate(g, plan, NoiseModel(), mode), None, mode)
-    replay = _learn(exact, truth, plan.buses)
-    for array in (*exact, *replay, *replay.plan):
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
-    return g, plan, exact, replay
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured sweep and aggregate error statistics.
 
@@ -292,16 +266,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     lengths, so each value needs only its own row of window divisors,
     bitwise the `_scale` of its plan.
 
-    The noise-free labelling is learnt once (`_learn`, whose errors stop
-    the sweep: no trial could pass where noise-free data fail) and kept
-    for the next call with the same key: the loaded feeder, compared by
-    its lines, the probing buses, their magnitudes, the first sweep value
-    and the mode. The feeder file is read, and the probing buses, the
-    magnitudes and every sweep value's windows are checked, on every
-    call; a set-up that raises is never kept, so each call raises what a
-    cold call raises. The (sweep value, trial) pairs are walked in sweep
-    order, in chunks of at most `_BLOCK` estimate entries that may span
-    sweep values. A chunk is
+    A call learns the noise-free labelling once (`_learn`, whose errors
+    stop the sweep: no trial could pass where noise-free data fail). The
+    (sweep value, trial) pairs are walked in sweep order, in chunks of at
+    most `_BLOCK` estimate entries that may span sweep values. A chunk is
     drawn as one stack, each trial divided by its sweep value's window
     divisors, and held to the family check by `_cut_trials`; `_replay`
     scores the trials it cuts into the noise-free labelling. A trial is
@@ -319,9 +287,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     g = fileio.load_feeder(config.feeder_path)
     buses = config.probing_buses(g)
     delta = config.delta_map(buses)
-    g, plan, exact, replay = _noise_free(
-        g, buses, tuple(delta[m] for m in buses), config.periods[0],
-        config.mode)
+    truth = g if config.mode == "complete" else reduce_grid(g, buses)
+    plan = ProbingPlan.blocks(buses, delta, config.periods[0])
+    exact = _label(sample_estimate(g, plan, NoiseModel(), config.mode),
+                   None, config.mode)
+    replay = _learn(exact, truth, plan.buses)
     threshold = _threshold(config.r_min)
     chunk = max(1, _BLOCK // exact.labels.size)
     # Each sweep value's windows, checked as its own plan's would be.

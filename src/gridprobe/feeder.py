@@ -10,6 +10,7 @@ kind of tree, rooted below the substation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -65,9 +66,13 @@ class FeederGraph:
                 u, v, r, x = e
             u = as_int(u, UnknownNode, "bus ID")
             v = as_int(v, UnknownNode, "bus ID")
-            r = as_float(r, NonpositiveImpedance, f"line ({u},{v}) r",
-                         "positive and finite")
-            if x is not None:
+            # A float in range is what `as_float` would give back; only
+            # anything else goes through it (and names its line).
+            if type(r) is not float or not 0 < r < math.inf:
+                r = as_float(r, NonpositiveImpedance, f"line ({u},{v}) r",
+                             "positive and finite")
+            if x is not None and (type(x) is not float
+                                  or not 0 < x < math.inf):
                 x = as_float(x, NonpositiveImpedance, f"line ({u},{v}) x",
                              "positive and finite")
             parsed.append((u, v, r, x))
@@ -242,25 +247,27 @@ class FeederGraph:
                      rho: Mapping[int, float]) -> np.ndarray:
         """rho[lca(m, n)] for every pair of the given buses, exactly.
 
-        Walks the depths from the root down: every pair sharing its depth-d
-        ancestor takes that ancestor's rho, so the last write for a pair is
-        its deepest common bus. Root paths shorter than the longest are
-        padded with their own end bus, which matches no other bus.
+        In a preorder every subtree is one run of buses, so the pairs
+        inside it are one square block. The blocks are written in
+        preorder, each bus after its ancestors, so the last write for a
+        pair is its deepest common bus.
         """
         for b in buses:
             self._check(b)
-        paths = [self._ancestry[b] for b in buses]
-        width = max(map(len, paths), default=0)
-        padded = [p + p[-1:] * (width - len(p)) for p in paths]
-        slot: dict[int, int] = {}  # small labels; bus IDs may exceed int64
-        ids = np.array([[slot.setdefault(a, len(slot)) for a in p]
-                        for p in padded])
-        vals = np.array([[rho[a] for a in p] for p in padded], dtype=float)
-        out = np.empty((len(paths), len(paths)))
-        for d in range(width):
-            col = ids[:, d]
-            np.copyto(out, vals[:, d, None], where=col[:, None] == col)
-        return out
+        nodes, stack = [], [self._root]
+        while stack:
+            u = stack.pop()
+            nodes.append(u)
+            stack.extend(self._children[u])
+        size = dict.fromkeys(nodes, 1)
+        for v in reversed(nodes[1:]):  # every child before its parent
+            size[self._parent[v]] += size[v]
+        out = np.empty((len(nodes), len(nodes)))
+        for i, n in enumerate(nodes):
+            out[i:i + size[n], i:i + size[n]] = rho[n]
+        first = {n: i for i, n in enumerate(nodes)}
+        pos = [first[b] for b in buses]
+        return out[np.ix_(pos, pos)]
 
     # -- equality ----------------------------------------------------------
 
@@ -286,8 +293,10 @@ def _probed_below(g: FeederGraph,
         order.extend(g._children[u])
     below: dict[int, frozenset[int]] = {}
     for u in reversed(order):
-        below[u] = frozenset(({u} & probing).union(
-            *(below[c] for c in g._children[u])))
+        under = {u} if u in probing else set()
+        for c in g._children[u]:
+            under |= below[c]
+        below[u] = frozenset(under)
     return below
 
 

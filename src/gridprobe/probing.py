@@ -445,9 +445,7 @@ def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
     draws with its generator and its plan."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
-    if rngs is None:
-        rngs = [np.random.default_rng(noise.seed)]
-    for rng in rngs:
+    for rng in () if rngs is None else rngs:
         as_instance(rng, np.random.Generator, ConfigError, "rng")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
@@ -455,9 +453,12 @@ def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
                           "simulate_probing")
     rmat = resistance_matrix(g).values
     est = rmat[np.ix_(rows, cols)]
-    sums = np.zeros((len(rngs), *est.shape))
+    # Silent noise draws nothing, so it needs no generator.
+    sums = np.zeros((1 if rngs is None else len(rngs), *est.shape))
     if not noise.silent:
-        _add_noise(g, rmat, noise, rows, free, sums, rngs)
+        _add_noise(g, rmat, noise, rows, free, sums,
+                   [np.random.default_rng(noise.seed)] if rngs is None
+                   else rngs)
     if scales is None:
         scales = _scale(plan)
     with np.errstate(over="ignore", invalid="ignore"):

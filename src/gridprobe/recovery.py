@@ -394,11 +394,11 @@ def _match(recovered: FeederGraph, reference: FeederGraph,
         if in_pa != in_pb or (in_pa and a != b):
             return None
         mapping[a] = b
-        ca, cb = recovered.children(a), reference.children(b)
+        ca, cb = recovered._children[a], reference._children[b]
         kids_a = {probed_below_a[c]: c for c in ca}
         kids_b = {probed_below_b[c]: c for c in cb}
         if (len(kids_a) != len(ca) or len(kids_b) != len(cb)
-                or set(kids_a) != set(kids_b)):
+                or kids_a.keys() != kids_b.keys()):
             return None
         for key, child_a in kids_a.items():
             stack.append((child_a, kids_b[key]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_buses,
                      as_float, as_instance, as_int)
-from .feeder import FeederGraph, _probed_below, effective_resistance
+from .feeder import FeederGraph, _probed_below
 
 
 class ReducedGrid(FeederGraph):
@@ -75,8 +75,8 @@ def identifiable_junctions(g: FeederGraph,
                            probing: Iterable[int]) -> frozenset[int]:
     """Buses with at least two children whose subtrees each hold a probed bus."""
     below = _probed_below(g, _probing(g, probing))
-    return frozenset(n for n in g.nodes if sum(
-        bool(below[c]) for c in g.children(n)) >= 2)
+    return frozenset(n for n, kids in g._children.items() if sum(
+        bool(below[c]) for c in kids) >= 2)
 
 
 def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
@@ -94,17 +94,19 @@ def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
     junctions = identifiable_junctions(g, p)
     kept = p | junctions
 
-    # Reduced parent: nearest proper ancestor that is kept.
+    # Reduced parent: nearest proper ancestor that is kept. The line's
+    # resistance is effective_resistance(g, a, v), whose lca is a.
     edges = []
     root = None
+    parent, rho = g._parent, g._rho
     for v in kept:
-        a = g.parent(v)
+        a = parent.get(v)
         while a is not None and a not in kept:
-            a = g.parent(a)
+            a = parent.get(a)
         if a is None:
             root = v
         else:
-            edges.append((a, v, effective_resistance(g, a, v)))
+            edges.append((a, v, rho[a] + rho[v] - 2.0 * rho[a]))
     return ReducedGrid(root=root, edges=edges, probing=p,
                        internal=kept - p,
                        root_upstream_r=g.path_r(root))

@@ -1,16 +1,3 @@
-import pytest
-
-from gridprobe import experiments
-
-
-@pytest.fixture(autouse=True)
-def cold_sweep_setup():
-    """Start every test with no sweep set-up learnt: a test that patches a
-    set-up stage (the block plan, the noise-free cut) must see its patch
-    run."""
-    experiments._noise_free.cache_clear()
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     import helpers
 

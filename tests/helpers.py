@@ -39,16 +39,6 @@ def record_criterion(line: str) -> None:
     criterion_lines.append(line)
 
 
-# A sweep row's statistics: every key but its wall time, `seconds`.
-ROW_KEYS = ("periods", "error_pct", "mpe_pct", "mpe_se", "trials")
-
-
-def exact_rows(rows):
-    """The `ROW_KEYS` of each row, floats as float.hex."""
-    return [{k: row[k].hex() if isinstance(row[k], float) else row[k]
-             for k in ROW_KEYS} for row in rows]
-
-
 # -- random feeders -----------------------------------------------------------
 
 

@@ -1,15 +1,12 @@
 """Monte Carlo driver: config validation, scoring, determinism."""
 
 import json
-import os
 
-import numpy as np
 import pytest
 
 import gridprobe.experiments
 from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
                        build_feeder, fileio, run_experiment, write_results)
-from helpers import exact_rows
 
 Y_TEXT = ("from,to,r_pu,x_pu\n"
           "0,1,1.0,1.0\n"
@@ -194,14 +191,8 @@ def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(
         "periods": [1], "r_min": 0.5, "trials": 3,
         "delta": {"policy": "fixed", "value_pu": 0.1}},
         base_dir=str(tmp_path))
-    # A set-up that raises is not learnt: the next call raises it again.
-    errors = []
-    for _ in range(2):
-        with pytest.raises(InconsistentLevelSets, match="depth-1 buses"
-                           ) as caught:
-            run_experiment(cfg)
-        errors.append((type(caught.value), str(caught.value)))
-    assert errors[0] == errors[1]
+    with pytest.raises(InconsistentLevelSets, match="depth-1 buses"):
+        run_experiment(cfg)
 
 
 def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
@@ -275,14 +266,13 @@ def test_written_results_match_the_run(tmp_path):
                              "trials"}
 
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
-                    "data")
-
-
 def test_bundled_configs_parse(tmp_path):
+    import os
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
+                        "data")
     for name in ("table_complete.yaml", "table_partial.yaml"):
-        raw = fileio.load_config(os.path.join(DATA, name))
-        cfg = ExperimentConfig.from_dict(raw, base_dir=DATA)
+        raw = fileio.load_config(os.path.join(data, name))
+        cfg = ExperimentConfig.from_dict(raw, base_dir=data)
         assert cfg.trials == 1000
         assert cfg.r_min > 0
         g = fileio.load_feeder(cfg.feeder_path)
@@ -290,74 +280,5 @@ def test_bundled_configs_parse(tmp_path):
         delta = cfg.delta_map(buses)
         assert all(d > 0 for d in delta.values())
     assert ExperimentConfig.from_dict(
-        fileio.load_config(os.path.join(DATA, "table_complete.yaml")),
-        base_dir=DATA).periods == (1, 10, 20, 40, 90)
-
-
-# -- the learnt set-up ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("trials", [2, 4])
-@pytest.mark.parametrize("name", ["table_complete.yaml",
-                                  "table_partial.yaml"])
-def test_a_learnt_setup_gives_a_cold_calls_rows(name, trials):
-    cfg = ExperimentConfig.from_dict(
-        {**fileio.load_config(os.path.join(DATA, name)), "trials": trials,
-         "seed": 2}, base_dir=DATA)
-    cold = exact_rows(run_experiment(cfg).rows)
-    assert exact_rows(run_experiment(cfg).rows) == cold
-    assert gridprobe.experiments._noise_free.cache_info().hits == 1
-
-
-def test_an_edited_feeder_file_is_read_again(tmp_path):
-    cfg = y_config(tmp_path, noise={"sigma_w": 0.01})
-    old = exact_rows(run_experiment(cfg).rows)
-    (tmp_path / "y.csv").write_text(Y_TEXT.replace("1,3,3.0", "1,3,4.0"))
-    new = exact_rows(run_experiment(cfg).rows)
-    assert new != old
-    gridprobe.experiments._noise_free.cache_clear()
-    assert exact_rows(run_experiment(cfg).rows) == new
-
-
-def test_the_setup_is_learnt_once_for_what_noise_free_data_ignore(
-        tmp_path, monkeypatch):
-    """Noise, r_min, seed, trial count and later sweep values do not
-    change the noise-free set-up; the first sweep value and the mode do."""
-    learnt = []
-    learn = gridprobe.experiments._learn
-    monkeypatch.setattr(gridprobe.experiments, "_learn",
-                        lambda *args: learnt.append(1) or learn(*args))
-    for over in ({}, {"noise": {"sigma_w": 0.01}}, {"r_min": 0.6},
-                 {"seed": 7}, {"trials": 5}, {"periods": [1, 3, 9]}):
-        run_experiment(y_config(tmp_path, **over))
-    assert len(learnt) == 1
-    run_experiment(y_config(tmp_path, periods=[2]))
-    run_experiment(y_config(tmp_path, periods=[2], mode="partial",
-                            probing="all-leaves"))
-    assert len(learnt) == 3
-
-
-def test_a_learnt_setup_is_read_only(tmp_path, monkeypatch):
-    """Every call shares the learnt labelling and replay, so a stage that
-    wrote into them would corrupt the next call: their arrays refuse."""
-    seen = []
-    cut, replay = (gridprobe.experiments._cut_trials,
-                   gridprobe.experiments._replay)
-    monkeypatch.setattr(gridprobe.experiments, "_cut_trials",
-                        lambda exact, *args: seen.append(exact)
-                        or cut(exact, *args))
-    monkeypatch.setattr(gridprobe.experiments, "_replay",
-                        lambda learnt, *args: seen.append(learnt)
-                        or replay(learnt, *args))
-    cfg = y_config(tmp_path, noise={"sigma_w": 0.01})
-    cold = exact_rows(run_experiment(cfg).rows)
-    seen.clear()
-    assert exact_rows(run_experiment(cfg).rows) == cold
-    exact, learnt = seen[:2]
-    arrays = [a for a in (*exact, *learnt, *learnt.plan)
-              if isinstance(a, np.ndarray)]
-    assert len(arrays) == 13
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
+        fileio.load_config(os.path.join(data, "table_complete.yaml")),
+        base_dir=data).periods == (1, 10, 20, 40, 90)

@@ -194,6 +194,10 @@ def test_reduced_submatrix_matches_reference_loop_exactly():
         cases.append((gr, sorted(random_probing(rng, gr))))
     for g, p in cases:
         rg = reduce_grid(g, p)
-        want = reference_shared_path(
-            rg, p, lambda n: rg.root_upstream_r + rg.path_r(n))
-        assert np.array_equal(rg.resistance_submatrix(p), want)
+        # The probing buses, then the retained buses in any order, root
+        # and junctions included, one left out.
+        shuffled = rng.permutation(sorted(rg.nodes)).tolist()
+        for buses in (p, shuffled[1:] or shuffled):
+            want = reference_shared_path(
+                rg, buses, lambda n: rg.root_upstream_r + rg.path_r(n))
+            assert np.array_equal(rg.resistance_submatrix(buses), want)

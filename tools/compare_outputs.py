@@ -29,13 +29,9 @@ byte-identical between the two:
   modes;
 - `montecarlo` results.json and stdout on the noise-free configs at 4
   trials seed 2, in both modes, where every trial's cut runs on exact
-  ties;
-- `montecarlo` at 4 trials seed 2 run twice in one interpreter, in both
-  modes: the second run's results.json. Every other command runs in a
-  fresh process, so this is the one output of a sweep whose noise-free
-  set-up an earlier call in the process learnt.
+  ties.
 
-58 outputs in all.
+56 outputs in all.
 
 Prints each output that differs and exits 1 if any does, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a
@@ -60,14 +56,6 @@ LEAVES = "36,9,10,16,17,19,20,23,25,26,27,31,32,35"
 FEEDER_COMMANDS = (("validate",), ("reduce", "--all-leaves"),
                    ("reduce", "--probing", LEAVES + ",5,2"))
 SWEEPS = ((4, 2), (50, 0), (200, 1), (1000, 1))
-# Runs the command line twice in one interpreter, writing the first run
-# to the next-to-last argument's directory and the second to the last's.
-TWICE = """\
-import sys
-from gridprobe.cli import main
-*args, first, second = sys.argv[1:]
-sys.exit(main([*args, "--out", first]) or main([*args, "--out", second]))
-"""
 
 
 def fail(message):
@@ -75,11 +63,10 @@ def fail(message):
     sys.exit(2)
 
 
-def gridprobe(tree, *args, check=True, run=("-m", "gridprobe.cli")):
-    """Run the tree's command line (or `run`, the interpreter's arguments
-    before `args`); its exit code, stdout and stderr."""
+def gridprobe(tree, *args, check=True):
+    """Run the tree's command line; its exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-    done = subprocess.run([sys.executable, *run, *args],
+    done = subprocess.run([sys.executable, "-m", "gridprobe.cli", *args],
                           env=env, capture_output=True)
     if check and done.returncode:
         fail(f"{tree}: gridprobe {' '.join(args)} failed:\n"
@@ -179,15 +166,6 @@ def outputs(tree, out, records, feeder, configs):
         found[f"montecarlo {name}: results.json"] = read(
             os.path.join(sweep, "results.json"))
         found[f"montecarlo {name}: stdout"] = stdout
-    for mode, _ in PROBES:
-        sweep = os.path.join(out, f"montecarlo-{mode}-twice")
-        gridprobe(tree, "montecarlo", "--config",
-                  os.path.join(tree, DATA, f"table_{mode}.yaml"),
-                  "--trials", "4", "--seed", "2", sweep + "-1", sweep + "-2",
-                  run=("-c", TWICE))
-        found[f"montecarlo {mode} 4 trials seed 2, second run in one "
-              f"process: results.json"] = read(
-                  os.path.join(sweep + "-2", "results.json"))
     return found
 
 
