@@ -13,9 +13,9 @@ its cut differs from the noise-free labelling (grouping, `_cut_trials`'
 `ok`). The sweep learns the noise-free recovery once per call and only
 orchestrates: trials, every sweep value's in sweep order, are drawn, cut
 and scored as stacked arrays, in chunks that may span sweep values, each
-trial bit for bit what it would give alone. Per-trial seeds are derived
-from (seed, periods, trial) so results do not depend on execution order,
-chunking or the other sweep values.
+trial bit for bit what it would give alone. Each sweep value draws its
+trials in trial order from one stream seeded by (seed, periods), so
+results do not depend on chunking or the other sweep values.
 """
 
 from __future__ import annotations
@@ -257,12 +257,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Each trial draws its estimate with `sample_estimate`, which gives
     what simulating and estimating the block plan's record would give, in
-    distribution. Ground truth is the feeder itself in complete mode and
-    its reduced grid in partial mode. One block plan, the first sweep
-    value's, is built outside the trials, and every sweep value's windows
-    are checked there too, so a plan defect raises ConfigError instead of
-    failing every trial; a draw that raises, or that is not finite, stops
-    the sweep too. The sweep values' plans differ only in their window
+    distribution: sweep value T's trials are what it draws trial after
+    trial from one `default_rng((seed, T))`. Ground truth is the feeder
+    itself in complete mode and its reduced grid in partial mode. One
+    block plan, the first sweep value's, is built outside the trials, and
+    every sweep value's windows are checked there too, so a plan defect
+    raises ConfigError instead of failing every trial; a draw that
+    raises, or that is not finite, stops the sweep too. The sweep values' plans differ only in their window
     lengths, so each value needs only its own row of window divisors,
     bitwise the `_scale` of its plan.
 
@@ -298,6 +299,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for t in config.periods:
         _check_windows(plan.buses, [t] * len(plan.buses))
     scales = np.array(plan.delta) * np.sqrt(config.periods)[:, None]
+    # One stream per sweep value, drawing its trials in trial order across
+    # chunks; silent noise draws nothing, so it needs no generator.
+    rngs = [None if config.noise.silent
+            else np.random.default_rng((config.seed, t))
+            for t in config.periods]
 
     # Walk the (sweep value, trial) pairs in sweep order, a chunk at a time;
     # a chunk may span sweep values. Accepted MPEs come out in that order,
@@ -308,12 +314,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     seconds = np.zeros(sweep)
     for first in range(0, pairs, chunk):
         t0 = time.perf_counter()
-        value, trial = np.divmod(np.arange(first, min(first + chunk, pairs)),
-                                 config.trials)
-        rngs = [np.random.default_rng((config.seed, config.periods[v], t))
-                for v, t in zip(value.tolist(), trial.tolist())]
-        draws, _ = _draw(g, plan, config.noise, config.mode, rngs,
-                         scales[value])
+        value = np.arange(first, min(first + chunk, pairs)) // config.trials
+        # The chunk's trials of each sweep value, a run of its stream.
+        counts = np.bincount(value, minlength=sweep)
+        draws, _ = _draw(g, plan, config.noise, config.mode,
+                         [(rng, n) for rng, n in zip(rngs, counts.tolist())
+                          if n], scales[value])
         same, held, table = _cut_trials(exact, draws, threshold)
         if len(table):
             ok, mpe, _, _ = _replay(replay, table)
@@ -321,8 +327,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             found.append(mpe[ok])
             correct += np.bincount(value[same][ok], minlength=sweep)
         # A chunk's wall time is shared among its rows by their trials.
-        seconds += np.bincount(value, minlength=sweep) * (
-            (time.perf_counter() - t0) / len(value))
+        seconds += counts * ((time.perf_counter() - t0) / len(value))
 
     rows = []
     for periods, mpes, n, spent in zip(
@@ -353,7 +358,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "r_min": config.r_min,
         "trials": config.trials,
         "seed": config.seed,
-        "trial_seed_rule": "numpy default_rng((seed, periods, trial))",
+        "trial_seed_rule": "one numpy default_rng((seed, periods)) per "
+                           "sweep value, drawing its trials in trial order",
         "noise_redraw": "non-probed injection deviations are redrawn every "
                         "period, not held fixed per trial",
         "numpy": np.__version__,

@@ -271,41 +271,58 @@ def _scale(plan: ProbingPlan) -> np.ndarray:
     return np.array(plan.delta) * np.sqrt(plan.periods)
 
 
-def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
-               rows: list[int], free: list[int], out: np.ndarray,
-               rngs: Sequence[np.random.Generator]) -> None:
-    """Add to `out` (trials x reported rows x columns) the noise that
-    reaches the reported rows: sigma_p·R[rows, free]·Z_p,
-    sigma_q·X[rows, free]·Z_q and sigma_w·Z_w, i.i.d. standard normals
-    with one column per column of `out`. Trial t draws its own from
-    rngs[t], in that order, into its slice of one stacked array per
-    source, which one stacked product carries to the rows. Nothing is
-    drawn at free buses when every bus probes."""
-    sources = []
+def _noise_factor(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
+                  rows: list[int], free: list[int]) -> np.ndarray | None:
+    """A factor S, S·Sᵀ = F·Fᵀ, of the covariance of one period's noise
+    at the reported rows, F = [sigma_p·R[rows, free] | sigma_q·X[rows,
+    free] | sigma_w·I] without its zero blocks: S = qr(Fᵀ, "r")ᵀ, lower
+    triangular, with one column per column of F up to the rows' count.
+    None when no injection noise reaches the rows (no bus is free, or
+    sigma_p = sigma_q = 0), where the noise is sigma_w·Z alone."""
+    through = []
     if noise.sigma_p > 0 and free:
-        sources.append((noise.sigma_p, rmat[np.ix_(rows, free)]))
+        through.append(noise.sigma_p * rmat[np.ix_(rows, free)])
     if noise.sigma_q > 0:
         if free:
-            sources.append((noise.sigma_q,
-                            reactance_matrix(g).values[np.ix_(rows, free)]))
+            through.append(noise.sigma_q
+                           * reactance_matrix(g).values[np.ix_(rows, free)])
         else:
             # Lines without reactance raise even when no bus is free.
             _require_reactance(g)
+    if not through:
+        return None
     if noise.sigma_w > 0:
-        sources.append((noise.sigma_w, None))
-    trials, height, width = out.shape
-    for sigma, through in sources:
-        shake = np.empty((trials, height if through is None else len(free),
-                          width))
-        for rng, part in zip(rngs, shake):
-            rng.standard_normal(out=part)
-        if through is not None:
-            shake = np.matmul(through, shake)
-        # Scaled in place: a record's noise is as large as the record. Noise
-        # that overflows is caught by the record's finiteness check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            shake *= sigma
+        through.append(noise.sigma_w * np.eye(len(rows)))
+    return np.linalg.qr(np.hstack(through).T, mode="r").T
+
+
+def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
+               rows: list[int], free: list[int], out: np.ndarray,
+               runs: Sequence[tuple[np.random.Generator, int]]) -> None:
+    """Add to `out` (trials x reported rows x columns) one period's noise
+    at the reported rows in each column of each trial: S·Z for the
+    `_noise_factor` S, built once per call, and Z i.i.d. standard
+    normals, or sigma_w·Z without injection noise. Each (generator,
+    count) run draws the next `count` trials' Z, in trial order, in one
+    call."""
+    # Scaled in place: a record's noise is as large as the record. Noise
+    # that overflows is caught by the record's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = _noise_factor(g, rmat, noise, rows, free)
+        if factor is None and noise.sigma_w == 0:
+            return
+        trials, height, width = out.shape
+        shake = np.empty((trials, height if factor is None
+                          else factor.shape[1], width))
+        start = 0
+        for rng, count in runs:
+            rng.standard_normal(out=shake[start:start + count])
+            start += count
+        if factor is None:
+            shake *= noise.sigma_w
             out += shake
+        else:
+            out += np.matmul(factor, shake)
 
 
 def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
@@ -317,9 +334,10 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     probing buses only. Only noise that reaches the reported rows is
     drawn, redrawn independently every period: injection deviations
     (sigma_p, sigma_q) at the non-probing buses, none when every bus
-    probes, and measurement noise (sigma_w) on the reported rows alone.
-    The record carries noise.seed, or no seed when an explicit rng drew
-    the noise.
+    probes, and measurement noise (sigma_w) on the reported rows alone;
+    each period's sum of them is drawn as one Gaussian vector through a
+    factor of its covariance (see `sample_estimate`). The record carries
+    noise.seed, or no seed when an explicit rng drew the noise.
     """
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
@@ -342,7 +360,7 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if not noise.silent:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
-        _add_noise(g, rmat, noise, rows, free, v[None], [rng])
+        _add_noise(g, rmat, noise, rows, free, v[None], [(rng, 1)])
 
     return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
@@ -416,49 +434,52 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     draws through fixed propagation matrices, so its sum is √T_j times
     one such draw, and the estimate is, exactly in distribution,
 
-        R[rows, cols] + (sigma_p·R[rows, free]·Z_p
-                         + sigma_q·X[rows, free]·Z_q
-                         + sigma_w·Z_w) / (delta_j·√T_j)
+        R[rows, cols] + S·Z / (delta_j·√T_j)
 
-    with Z_p, Z_q of shape (free buses, probing buses) and Z_w of shape
-    (reported rows, probing buses), drawn in that order. This costs one
-    draw per window instead of one per period. It raises what
-    `simulate_probing` raises; general plans have no windows and raise
-    ConfigError.
+    where S·Sᵀ = F·Fᵀ for F = [sigma_p·R[rows, free] | sigma_q·X[rows,
+    free] | sigma_w·I], the covariance of one period's noise at the
+    reported rows: S = qr(Fᵀ, "r")ᵀ, with at most one column per
+    reported row, and Z holds i.i.d. standard normals, one column per
+    probing bus. Without injection noise (every bus probes, or sigma_p =
+    sigma_q = 0) the estimate adds sigma_w·Z instead, as the record
+    does. This costs one draw per window instead of one per period. It
+    raises what `simulate_probing` raises; general plans have no windows
+    and raise ConfigError.
     """
-    values, row_nodes = _draw(g, plan, noise, mode,
-                              None if rng is None else [rng])
+    values, row_nodes = _draw(g, plan, noise, mode, [(rng, 1)])
     return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
                               values=values[0])
 
 
 def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
-          rngs: Sequence[np.random.Generator] | None,
+          runs: Sequence[tuple[np.random.Generator | None, int]],
           scales: np.ndarray | None = None
           ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The estimates `sample_estimate` draws, one per generator in rngs
-    (one from noise.seed for None), stacked trials x reported rows x
-    probing buses, and the reported rows' buses. Trial t divides its
-    window sums by scales[t], the `_scale` of its own plan (plan's for
-    None), so one stack can hold plans that differ only in delta and
-    periods. Each trial's estimate is bitwise the one `sample_estimate`
-    draws with its generator and its plan."""
+    """The estimates `sample_estimate` draws, stacked trials x reported
+    rows x probing buses, and the reported rows' buses. Each (generator,
+    count) run draws its next `count` trials in trial order, a run
+    without a generator from one seeded with noise.seed; silent noise
+    draws nothing and builds no generator. Trial t divides its window
+    sums by scales[t], the `_scale` of its own plan (plan's for None), so
+    one stack can hold plans that differ only in delta and periods. The
+    trials of a run are bitwise what `sample_estimate` draws with its
+    generator, one call per trial, each with its own plan."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
-    for rng in () if rngs is None else rngs:
-        as_instance(rng, np.random.Generator, ConfigError, "rng")
+    for rng, _ in runs:
+        if rng is not None:
+            as_instance(rng, np.random.Generator, ConfigError, "rng")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "
                           "simulate_probing")
     rmat = resistance_matrix(g).values
     est = rmat[np.ix_(rows, cols)]
-    # Silent noise draws nothing, so it needs no generator.
-    sums = np.zeros((1 if rngs is None else len(rngs), *est.shape))
+    sums = np.zeros((sum(count for _, count in runs), *est.shape))
     if not noise.silent:
-        _add_noise(g, rmat, noise, rows, free, sums,
-                   [np.random.default_rng(noise.seed)] if rngs is None
-                   else rngs)
+        _add_noise(g, rmat, noise, rows, free, sums, [
+            (np.random.default_rng(noise.seed) if rng is None else rng,
+             count) for rng, count in runs])
     if scales is None:
         scales = _scale(plan)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -91,9 +91,9 @@ class RecoveryPlan(NamedTuple):
 
     lines[i] is the (parent, child) of the i-th line in walk order. Entry
     e is a column behind line line[e], at position members[e] in owner
-    order (a line's entries in the order the walk met them); step[e]
-    indexes, among each column's value steps, the step from that line's
-    parent's depth to its child's.
+    order (a line's entries in owner order too); step[e] indexes, among
+    each column's value steps, the step from that line's parent's depth
+    to its child's.
     """
 
     root: int | None
@@ -148,7 +148,8 @@ def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool,
     """Rebuild the tree of checked level sets (each owner's, indexed from
     depth `metered`) root-down, topology only: append each line to `lines`
     as it is wired, its child's depth to `depths` and the positions of its
-    columns to `members`. Returns the root and the junctions.
+    columns, in owner order, to `members`. Returns the root and the
+    junctions.
 
     With complete data a group's depth-k ancestor is the one bus common to
     its members' depth-k sets; with metered data it is the member whose
@@ -198,7 +199,7 @@ def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool,
         else:
             lines.append((parent, n))
             depths.append(k)
-            members.append([row[m] for m in group])
+            members.append(sorted(row[m] for m in group))
         rest = group - {n}
         if rest:
             blocks: dict[frozenset[int], set[int]] = {}
@@ -216,7 +217,7 @@ def _line_values(plan: RecoveryPlan, table: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The one value step, on a stack of group-value tables (trials x
     columns x groups, the i-th group of each family at index i): each
-    line's value, the mean over its member columns in walk order of the
+    line's value, the mean over its member columns in owner order of the
     step from its parent's group value to its child's (trials x lines),
     and the upstream resistance, the mean first-group value (per trial).
     A weighted `np.bincount` sums each bin from 0.0 in index order, as

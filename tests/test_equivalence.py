@@ -90,7 +90,7 @@ from gridprobe import (ExperimentConfig, GridProbeError,
                        sample_estimate, simulate_probing)
 from gridprobe.probing import _draw, _scale
 
-from helpers import (random_feeder, random_probing,
+from helpers import (EIGHT_BUSES, random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
                      reference_group_estimate, reference_group_noisy,
                      reference_identify,
@@ -762,33 +762,42 @@ def test_noisy_estimates_match_reference_in_distribution(mode):
     # Eight buses, four probing: injection noise from the four others
     # reaches every reported row. The three noise sources are of one
     # size, so dropping or misrouting any one of them moves the variance
-    # of some entry by far more than the band allows.
-    g = build_feeder([(0, 1, 0.3, 0.2), (1, 2, 0.2, 0.4), (2, 3, 0.5, 0.3),
-                      (1, 4, 0.4, 0.1), (4, 5, 0.1, 0.3), (2, 6, 0.3, 0.3),
-                      (6, 7, 0.2, 0.2), (4, 8, 0.6, 0.5)])
-    plan = ProbingPlan.blocks([3, 5, 7, 8], [0.1, 0.2, 0.1, 0.3], [2, 3, 2, 4])
-    noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
+    # of some entry by far more than the band allows. Without meter noise
+    # and with one free bus, every row's noise comes from that bus alone:
+    # the draw's factor has two columns, fewer than the rows.
+    g = build_feeder(EIGHT_BUSES)
+    cases = ((ProbingPlan.blocks([3, 5, 7, 8], [0.1, 0.2, 0.1, 0.3],
+                                 [2, 3, 2, 4]),
+              NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005),
+              (73, 74, 76)),
+             (ProbingPlan.blocks([1, 2, 3, 5, 6, 7, 8],
+                                 [0.1, 0.2, 0.1, 0.3, 0.2, 0.1, 0.3],
+                                 [2, 3, 2, 4, 3, 1, 2]),
+              NoiseModel(sigma_p=0.01, sigma_q=0.01), (77, 78, 79)))
     trials = 4000
-    mean, var, cov = estimate_moments(record_path(simulate_probing), g,
-                                      plan, noise, mode, 73, trials)
-    # The earlier simulator's records, and estimates drawn from window
-    # sums, are each held to the records of the current simulator.
-    for draw, seed in ((record_path(reference_simulate_probing), 74),
-                       (sample_estimate, 76)):
-        ref_mean, ref_var, ref_cov = estimate_moments(draw, g, plan, noise,
-                                                      mode, seed, trials)
-        # Five standard errors of the difference of two independent
-        # sample means, and of two sample variances (Gaussian entries).
-        assert np.all(np.abs(mean - ref_mean)
-                      <= 5 * np.sqrt((var + ref_var) / trials))
-        assert np.all(np.abs(var - ref_var)
-                      <= 5 * np.sqrt(2 / (trials - 1))
-                      * np.hypot(var, ref_var))
-        # Rows share injection noise but not meter noise, so a column's
-        # covariance across rows tells the two apart; same band.
-        assert np.all(np.abs(cov - ref_cov)
-                      <= 5 * np.sqrt(covariance_variance(cov, trials)
-                                     + covariance_variance(ref_cov, trials)))
+    for plan, noise, (seed, *seeds) in cases:
+        mean, var, cov = estimate_moments(record_path(simulate_probing), g,
+                                          plan, noise, mode, seed, trials)
+        # The earlier simulator's records, and estimates drawn from window
+        # sums, are each held to the records of the current simulator.
+        for draw, ref_seed in zip((record_path(reference_simulate_probing),
+                                   sample_estimate), seeds):
+            ref_mean, ref_var, ref_cov = estimate_moments(
+                draw, g, plan, noise, mode, ref_seed, trials)
+            # Five standard errors of the difference of two independent
+            # sample means, and of two sample variances (Gaussian entries).
+            assert np.all(np.abs(mean - ref_mean)
+                          <= 5 * np.sqrt((var + ref_var) / trials))
+            assert np.all(np.abs(var - ref_var)
+                          <= 5 * np.sqrt(2 / (trials - 1))
+                          * np.hypot(var, ref_var))
+            # Rows share injection noise but not meter noise, so a
+            # column's covariance across rows tells the two apart; same
+            # band.
+            assert np.all(np.abs(cov - ref_cov)
+                          <= 5 * np.sqrt(covariance_variance(cov, trials)
+                                         + covariance_variance(ref_cov,
+                                                               trials)))
 
 
 # -- identification pipeline --------------------------------------------------
@@ -928,7 +937,7 @@ def assert_coverage(seen, trials):
 
 @pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
 def test_group_estimate_matches_reference_on_bundled_sweeps(name):
-    # The 50-trial sweeps the CI byte-checks, at every T, for two seeds.
+    # 50 simulated records at every T of the bundled configs, for two seeds.
     cfg = ExperimentConfig.from_dict(
         fileio.load_config(os.path.join(DATA, name)), base_dir=DATA)
     g = fileio.load_feeder(cfg.feeder_path)
@@ -1401,8 +1410,7 @@ def test_cut_of_silent_noise_keeps_every_tie(mode):
     owners = g.bus_order if mode == "complete" else tuple(sorted(g.leaves))
     exact, _ = noise_free_labelling(g, owners, mode)
     plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 5)
-    stack, _ = _draw(g, plan, NoiseModel(), mode,
-                     [np.random.default_rng(t) for t in range(6)])
+    stack, _ = _draw(g, plan, NoiseModel(), mode, [(None, 6)])
     stack[4, 0, 0] = -1.0
     same = check_cut(exact, stack, 0.0007)
     assert same.tolist() == [True] * 4 + [False, True]
@@ -1434,8 +1442,8 @@ def test_cut_holds_on_random_feeders():
             plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 4)
             sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
             stack, _ = _draw(g, plan, NoiseModel(sigma_w=sigma), mode,
-                             [np.random.default_rng(rng.integers(2 ** 32))
-                              for _ in range(60)])
+                             [(np.random.default_rng(rng.integers(2 ** 32)),
+                               1) for _ in range(60)])
             kept[mode, every_bus].update(
                 check_cut(exact, stack, r_min / 2).tolist())
     assert all(counts[True] and counts[False] for counts in kept.values()), \
@@ -1463,8 +1471,8 @@ def test_sweep_replays_match_the_full_path(name, seed):
         plan = ProbingPlan.blocks(buses, delta, periods)
         exact, replay = noise_free(g, plan, cfg.mode, truth)
         mpes = []
+        rng = np.random.default_rng((seed, periods))
         for trial in range(cfg.trials):
-            rng = np.random.default_rng((seed, periods, trial))
             estimate = sample_estimate(g, plan, cfg.noise, mode=cfg.mode,
                                        rng=rng)
             found = check_trial(estimate, cfg.r_min, cfg.mode, truth, exact,
@@ -1495,29 +1503,29 @@ def test_sweep_replays_match_the_full_path(name, seed):
     assert [{k: row[k] for k in ROW_KEYS} for row in got.rows] == rows
 
 
-EIGHT_BUSES = [(0, 1, 0.3, 0.2), (1, 2, 0.2, 0.4), (2, 3, 0.5, 0.3),
-               (1, 4, 0.4, 0.1), (4, 5, 0.1, 0.3), (2, 6, 0.3, 0.3),
-               (6, 7, 0.2, 0.2), (4, 8, 0.6, 0.5)]
-
-
-def one_trial_estimate(g, plan, noise, mode, rng):
-    """The window-sum estimate of one trial as it was drawn one trial at a
-    time: each source's normals, then its product, added in order."""
+def factor_estimate(g, plan, noise, mode, rng):
+    """One trial's window-sum estimate from the factor arithmetic: S·Z for
+    S = qr(Fᵀ, "r")ᵀ, F = [sigma_p·R[rows, free] | sigma_q·X[rows, free] |
+    sigma_w·I], or sigma_w·Z when no injection noise reaches the rows."""
     order = g.bus_order
     cols = [order.index(b) for b in plan.buses]
     rows = cols if mode == "partial" else list(range(len(order)))
     free = [i for i in range(len(order)) if i not in cols]
     rmat = resistance_matrix(g).values
-    sums = np.zeros((len(rows), len(cols)))
+    through = []
     if noise.sigma_p > 0 and free:
-        shake = rng.standard_normal((len(free), len(cols)))
-        sums += noise.sigma_p * (rmat[np.ix_(rows, free)] @ shake)
+        through.append(noise.sigma_p * rmat[np.ix_(rows, free)])
     if noise.sigma_q > 0 and free:
-        shake = rng.standard_normal((len(free), len(cols)))
-        sums += noise.sigma_q * (
-            reactance_matrix(g).values[np.ix_(rows, free)] @ shake)
-    if noise.sigma_w > 0:
-        sums += noise.sigma_w * rng.standard_normal(sums.shape)
+        through.append(noise.sigma_q
+                       * reactance_matrix(g).values[np.ix_(rows, free)])
+    if through:
+        if noise.sigma_w > 0:
+            through.append(noise.sigma_w * np.eye(len(rows)))
+        factor = np.linalg.qr(np.hstack(through).T, mode="r").T
+        sums = factor @ rng.standard_normal((factor.shape[1], len(cols)))
+    else:
+        sums = rng.standard_normal((len(rows), len(cols)))
+        sums *= noise.sigma_w
     return rmat[np.ix_(rows, cols)] + sums / (
         np.array(plan.delta) * np.sqrt(plan.periods))
 
@@ -1525,43 +1533,52 @@ def one_trial_estimate(g, plan, noise, mode, rng):
 @pytest.mark.parametrize("mode", ["complete", "partial"])
 @pytest.mark.parametrize("trials", [1, 2, 3, 7])
 def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
-    # Four of eight buses probing puts all three sources through; every
-    # bus probing leaves meter noise alone. As a sweep's chunk does, the
-    # stack mixes plans that differ only in their periods, out of order,
-    # and each trial divides by its own plan's window divisors.
+    # Four of eight buses probing puts all three sources through the
+    # factor; every bus probing leaves meter noise alone. As a sweep's
+    # chunk does, the stack mixes plans that differ only in their periods,
+    # out of order, each trial dividing by its own plan's window divisors,
+    # and holds runs of trials that each draw from one generator.
     g = build_feeder(EIGHT_BUSES)
     noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
+    sizes = [n for n in (trials // 2, trials - trials // 2) if n]
     for buses in ([3, 5, 7, 8], g.bus_order):
         delta = [0.1 * (1 + b % 3) for b in buses]
         plans = [ProbingPlan.blocks(buses, delta,
                                     [periods + b % 4 for b in buses])
                  for periods in (2, 9, 40)]
         which = [(2 * t) % len(plans) for t in range(trials)]
-        seeds = [(5, trials, t) for t in range(trials)]
+        seeds = [(5, trials, r) for r in range(len(sizes))]
         got, row_nodes = _draw(g, plans[0], noise, mode,
-                               [np.random.default_rng(s) for s in seeds],
+                               [(np.random.default_rng(s), n)
+                                for s, n in zip(seeds, sizes)],
                                np.array([_scale(plans[k]) for k in which]))
         assert got.shape[0] == trials
-        for values, seed, k in zip(got, seeds, which):
-            one = sample_estimate(g, plans[k], noise, mode,
-                                  rng=np.random.default_rng(seed))
-            assert one.row_nodes == row_nodes
-            assert values.tobytes() == one.values.tobytes()
-            want = one_trial_estimate(g, plans[k], noise, mode,
-                                      np.random.default_rng(seed))
-            assert values.tobytes() == want.tobytes()
+        ks = iter(which)
+        stack = iter(got)
+        for seed, n in zip(seeds, sizes):
+            rng = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            for _ in range(n):
+                k, values = next(ks), next(stack)
+                one = sample_estimate(g, plans[k], noise, mode, rng=rng)
+                assert one.row_nodes == row_nodes
+                assert values.tobytes() == one.values.tobytes()
+                want = factor_estimate(g, plans[k], noise, mode, ref)
+                assert values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(14, 22, 14), (37, 60, 37),
-                                   (100, 200, 100)])
+                                   (100, 200, 100), (14, 14, 14),
+                                   (36, 36, 36)])
 def test_stacked_product_matches_one_product_per_trial(shape):
-    # The draw carries every trial's injection noise to the reported rows
-    # with one stacked matmul; on this BLAS each slice must round as the
-    # trial's own product did. One wide product over all trials need not.
-    rows, free, cols = shape
+    # The draw carries every trial's normals to the reported rows through
+    # the noise factor (rows x at most rows) with one stacked matmul; on
+    # this BLAS each slice must round as the trial's own product did. One
+    # wide product over all trials need not.
+    rows, inner, cols = shape
     rng = np.random.default_rng(rows)
-    through = rng.standard_normal((rows, free))
-    shake = rng.standard_normal((5, free, cols))
+    through = rng.standard_normal((rows, inner))
+    shake = rng.standard_normal((5, inner, cols))
     stacked = np.matmul(through, shake)
     for t in range(len(shake)):
         assert stacked[t].tobytes() == (through @ shake[t]).tobytes()
@@ -1602,6 +1619,25 @@ def test_sweep_rows_do_not_depend_on_the_other_sweep_values(name):
     for row in rows:
         alone = run_experiment(replace(cfg, periods=(row["periods"],)))
         assert exact_rows(alone.rows) == exact_rows([row])
+
+
+@pytest.mark.parametrize("name", ["table_complete.yaml", "table_partial.yaml"])
+def test_sweep_value_draws_from_one_stream_across_chunks(name, monkeypatch):
+    # Chunks of two trials against five trials per value: every value's
+    # trials straddle chunks, each chunk but the value's first picks up
+    # its stream where the last one left it, and some chunks hold two
+    # values. Each row must be what a sweep of its value alone, in one
+    # chunk, gives.
+    raw = fileio.load_config(os.path.join(DATA, name))
+    cfg = ExperimentConfig.from_dict({**raw, "trials": 5, "seed": 8},
+                                     base_dir=DATA)
+    alone = [run_experiment(replace(cfg, periods=(t,))).rows[0]
+             for t in cfg.periods]
+    # A trial's estimate holds 37 x 36 entries (complete), 14 x 14
+    # (partial).
+    monkeypatch.setattr(experiments, "_BLOCK",
+                        2 * (37 * 36 if cfg.mode == "complete" else 14 * 14))
+    assert exact_rows(run_experiment(cfg).rows) == exact_rows(alone)
 
 
 def test_tracer_targets_resolve():

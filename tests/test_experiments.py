@@ -229,7 +229,7 @@ def test_provenance_records_the_setup(tmp_path):
     assert prov["periods_sweep"] == [1, 2]
     assert prov["r_min"] == 0.5
     assert prov["seed"] == 1
-    assert "default_rng((seed, periods, trial))" in prov["trial_seed_rule"]
+    assert "default_rng((seed, periods))" in prov["trial_seed_rule"]
     assert "redrawn every" in prov["noise_redraw"]
 
 

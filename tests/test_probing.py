@@ -14,7 +14,7 @@ from gridprobe import (ConfigError, ExperimentConfig, NoiseModel,
                        sample_estimate, simulate_probing)
 from gridprobe import probing
 
-from helpers import random_feeder
+from helpers import EIGHT_BUSES, random_feeder
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -343,3 +343,64 @@ def test_sampled_estimates_follow_the_seed_or_the_rng():
                         rng=np.random.default_rng(5))
     assert a.values.tobytes() == b.values.tobytes()
     assert (a.row_nodes, a.col_nodes) == ((2, 3), (2, 3))
+
+
+# -- the noise factor ---------------------------------------------------------
+
+def covariance_and_factor(g, buses, noise, mode):
+    """F·Fᵀ, the covariance of one period's noise at the reported rows,
+    built source by source, and the draw's factor S."""
+    cols, rows, free, _ = probing._layout(
+        g, ProbingPlan.blocks(buses, [0.1] * len(buses), 1), mode)
+    rmat = resistance_matrix(g).values
+    r, x = rmat[np.ix_(rows, free)], reactance_matrix(g).values[
+        np.ix_(rows, free)]
+    cov = (noise.sigma_p ** 2 * r @ r.T + noise.sigma_q ** 2 * x @ x.T
+           + noise.sigma_w ** 2 * np.eye(len(rows)))
+    return cov, probing._noise_factor(g, rmat, noise, rows, free)
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_noise_factor_squares_to_the_covariance(mode):
+    # Four of eight buses free: the factor has one column per reported row
+    # and is lower triangular.
+    g = build_feeder(EIGHT_BUSES)
+    cov, factor = covariance_and_factor(
+        g, [3, 5, 7, 8], NoiseModel(sigma_p=0.01, sigma_q=0.02,
+                                    sigma_w=0.005), mode)
+    rows = 8 if mode == "complete" else 4
+    assert factor.shape == (rows, rows)
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-18)
+
+
+def test_noise_factor_without_meter_noise_keeps_the_load_rank():
+    # Complete mode with one free bus and no meter noise: the eight rows'
+    # noise has rank 2 (one load and one reactive deviation), and so many
+    # columns has the factor.
+    g = build_feeder(EIGHT_BUSES)
+    buses = [b for b in g.bus_order if b != 4]
+    cov, factor = covariance_and_factor(
+        g, buses, NoiseModel(sigma_p=0.01, sigma_q=0.02), "complete")
+    assert factor.shape == (8, 2)
+    assert np.allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(sigma_w=0.005),
+                                   NoiseModel(sigma_p=0.01, sigma_q=0.02,
+                                              sigma_w=0.005)],
+                         ids=["meter", "every-source"])
+def test_draw_without_a_free_bus_is_scaled_meter_noise(noise):
+    # With every bus probing no load noise reaches the rows, no factor is
+    # built and the window sums are bitwise sigma_w·Z.
+    g = build_feeder(EIGHT_BUSES)
+    order = g.bus_order
+    plan = ProbingPlan.blocks(order, [0.1 * (1 + b % 3) for b in order],
+                              [2 + b % 4 for b in order])
+    rmat = resistance_matrix(g).values
+    assert probing._noise_factor(g, rmat, noise, list(range(8)), []) is None
+    got = sample_estimate(g, plan, noise, rng=np.random.default_rng(9))
+    shake = np.random.default_rng(9).standard_normal((8, 8))
+    shake *= 0.005
+    want = rmat + shake / probing._scale(plan)
+    assert got.values.tobytes() == want.tobytes()

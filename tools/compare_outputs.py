@@ -33,11 +33,13 @@ byte-identical between the two:
 
 56 outputs in all.
 
-Prints each output that differs and exits 1 if any does, 0 if none
-does; exits 2 on a usage error, a tree without src/gridprobe or a
-failed command that must succeed.
+Prints each output that differs, with both trees' (periods, error_pct,
+mpe_pct) rows under a results.json that does, and exits 1 if any
+differs, 0 if none does; exits 2 on a usage error, a tree without
+src/gridprobe or a failed command that must succeed.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -200,6 +202,12 @@ def main(argv):
               if got["base"][name] != got["head"][name]]
     for name in differ:
         print(f"differs: {name}")
+        if name.endswith("results.json"):
+            for tag in got:
+                rows = json.loads(got[tag][name])["results"]
+                print(f"  {tag}: " + "  ".join(
+                    f"({r['periods']}, {r['error_pct']}, {r['mpe_pct']})"
+                    for r in rows))
     print(f"{len(differ)} of {len(got['base'])} outputs differ")
     return 1 if differ else 0
 
