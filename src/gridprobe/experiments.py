@@ -35,7 +35,7 @@ from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing: the sweep calls `_draw`, `_label`,
+# fails if one is missing: the sweep calls `_sampler`, `_label`,
 # `_cut_trials`, `_recover`, `_replay`, compare_graphs and reduce_grid
 # through these globals. simulate_probing, estimate_resistances,
 # group_column_noisy, assemble_families, recover_full and recover_partial
@@ -43,7 +43,7 @@ from .feeder import FeederGraph
 from .grouping import (_cut_trials, _label, _Labelling, _threshold,
                        assemble_families, group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
-                      _check_windows, _draw, estimate_resistances,
+                      _check_windows, _sampler, estimate_resistances,
                       sample_estimate, simulate_probing)
 from .recovery import (RecoveryPlan, RecoveryReport, _recover, _replay,
                        _Replay, compare_graphs, recover_full, recover_partial)
@@ -263,9 +263,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     block plan, the first sweep value's, is built outside the trials, and
     every sweep value's windows are checked there too, so a plan defect
     raises ConfigError instead of failing every trial; a draw that
-    raises, or that is not finite, stops the sweep too. The sweep values' plans differ only in their window
-    lengths, so each value needs only its own row of window divisors,
-    bitwise the `_scale` of its plan.
+    raises, or that is not finite, stops the sweep too. The campaign's
+    noise factor is built once per call (`_sampler`). The sweep values'
+    plans differ only in their window lengths, so each value needs only
+    its own row of window divisors, bitwise the `_scale` of its plan.
 
     A call learns the noise-free labelling once (`_learn`, whose errors
     stop the sweep: no trial could pass where noise-free data fail). The
@@ -299,6 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for t in config.periods:
         _check_windows(plan.buses, [t] * len(plan.buses))
     scales = np.array(plan.delta) * np.sqrt(config.periods)[:, None]
+    draw, _ = _sampler(g, plan, config.noise, config.mode)
     # One stream per sweep value, drawing its trials in trial order across
     # chunks; silent noise draws nothing, so it needs no generator.
     rngs = [None if config.noise.silent
@@ -317,9 +319,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         value = np.arange(first, min(first + chunk, pairs)) // config.trials
         # The chunk's trials of each sweep value, a run of its stream.
         counts = np.bincount(value, minlength=sweep)
-        draws, _ = _draw(g, plan, config.noise, config.mode,
-                         [(rng, n) for rng, n in zip(rngs, counts.tolist())
-                          if n], scales[value])
+        draws = draw([(rng, n) for rng, n in zip(rngs, counts.tolist())
+                      if n], scales[value])
         same, held, table = _cut_trials(exact, draws, threshold)
         if len(table):
             ok, mpe, _, _ = _replay(replay, table)

@@ -12,7 +12,7 @@ For a block plan that estimate reads only each window's sum, so
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,12 @@ RANK_TOL = 1e-10
 MODES = ("complete", "partial")
 # The largest count numpy holds in an index or a byte size.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# How many more reported rows than injection columns the noise factor may
+# have. Each extra row costs every column a row of products but saves an
+# injection normal. On a 2-core Xeon with OpenBLAS the factor drew faster
+# up to about 40 extra rows and 1.1-1.6x slower at 48-260 extra rows
+# (BENCH_sweep_draw.json, "factor_paths").
+_FACTOR_EXTRA_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -272,57 +278,66 @@ def _scale(plan: ProbingPlan) -> np.ndarray:
 
 
 def _noise_factor(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
-                  rows: list[int], free: list[int]) -> np.ndarray | None:
-    """A factor S, S·Sᵀ = F·Fᵀ, of the covariance of one period's noise
-    at the reported rows, F = [sigma_p·R[rows, free] | sigma_q·X[rows,
-    free] | sigma_w·I] without its zero blocks: S = qr(Fᵀ, "r")ᵀ, lower
-    triangular, with one column per column of F up to the rows' count.
+                  rows: list[int], free: list[int]
+                  ) -> tuple[np.ndarray | None, float]:
+    """One period's noise at the reported rows as S·Z + w·W, for i.i.d.
+    standard normals Z (a row per column of S) and W (a row per reported
+    row): the pair (S, w). Its covariance is F·Fᵀ for F = [sigma_p·R[rows,
+    free] | sigma_q·X[rows, free] | sigma_w·I] without its zero blocks.
+    Unless the rows outnumber the injection columns (the blocks before
+    sigma_w·I) by more than `_FACTOR_EXTRA_ROWS`, S = qr(Fᵀ, "r")ᵀ, lower
+    triangular with one column per row (fewer without meter noise when
+    the injection columns are fewer), and w = 0: it draws fewer normals.
+    With more rows its rows x rows product costs more than the normals
+    save, so S is the injection blocks themselves and w = sigma_w. S is
     None when no injection noise reaches the rows (no bus is free, or
-    sigma_p = sigma_q = 0), where the noise is sigma_w·Z alone."""
+    sigma_p = sigma_q = 0): the noise is sigma_w·W alone."""
     through = []
-    if noise.sigma_p > 0 and free:
-        through.append(noise.sigma_p * rmat[np.ix_(rows, free)])
-    if noise.sigma_q > 0:
-        if free:
+    if noise.sigma_q > 0 and not free:
+        # Lines without reactance raise even when no bus is free.
+        _require_reactance(g)
+    # A factor too large for floats is caught by the record's finiteness
+    # check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise.sigma_p > 0 and free:
+            through.append(noise.sigma_p * rmat[np.ix_(rows, free)])
+        if noise.sigma_q > 0 and free:
             through.append(noise.sigma_q
                            * reactance_matrix(g).values[np.ix_(rows, free)])
-        else:
-            # Lines without reactance raise even when no bus is free.
-            _require_reactance(g)
-    if not through:
-        return None
-    if noise.sigma_w > 0:
-        through.append(noise.sigma_w * np.eye(len(rows)))
-    return np.linalg.qr(np.hstack(through).T, mode="r").T
+        if not through:
+            return None, noise.sigma_w
+        if len(rows) > len(through) * len(free) + _FACTOR_EXTRA_ROWS:
+            return np.hstack(through), noise.sigma_w
+        if noise.sigma_w > 0:
+            through.append(noise.sigma_w * np.eye(len(rows)))
+        return np.linalg.qr(np.hstack(through).T, mode="r").T, 0.0
 
 
-def _add_noise(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
-               rows: list[int], free: list[int], out: np.ndarray,
+def _add_noise(factor: np.ndarray | None, meter: float, out: np.ndarray,
                runs: Sequence[tuple[np.random.Generator, int]]) -> None:
     """Add to `out` (trials x reported rows x columns) one period's noise
-    at the reported rows in each column of each trial: S·Z for the
-    `_noise_factor` S, built once per call, and Z i.i.d. standard
-    normals, or sigma_w·Z without injection noise. Each (generator,
-    count) run draws the next `count` trials' Z, in trial order, in one
-    call."""
+    at the reported rows in each column of each trial, factor·Z +
+    meter·W for the `_noise_factor` pair and i.i.d. standard normals Z
+    and W. Each (generator, count) run draws the next `count` trials' Z
+    and W, in trial order, in one call."""
+    trials, height, width = out.shape
+    depth = 0 if factor is None else factor.shape[1]
+    if not depth and meter == 0:
+        return
+    shake = np.empty((trials, depth + (height if meter else 0), width))
+    start = 0
+    for rng, count in runs:
+        rng.standard_normal(out=shake[start:start + count])
+        start += count
     # Scaled in place: a record's noise is as large as the record. Noise
     # that overflows is caught by the record's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = _noise_factor(g, rmat, noise, rows, free)
-        if factor is None and noise.sigma_w == 0:
-            return
-        trials, height, width = out.shape
-        shake = np.empty((trials, height if factor is None
-                          else factor.shape[1], width))
-        start = 0
-        for rng, count in runs:
-            rng.standard_normal(out=shake[start:start + count])
-            start += count
-        if factor is None:
-            shake *= noise.sigma_w
+        if depth:
+            out += np.matmul(factor, shake[:, :depth])
+        if meter:
+            shake = shake[:, depth:]
+            shake *= meter
             out += shake
-        else:
-            out += np.matmul(factor, shake)
 
 
 def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
@@ -360,7 +375,8 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     if not noise.silent:
         if rng is None:
             rng = np.random.default_rng(noise.seed)
-        _add_noise(g, rmat, noise, rows, free, v[None], [(rng, 1)])
+        _add_noise(*_noise_factor(g, rmat, noise, rows, free), v[None],
+                   [(rng, 1)])
 
     return ProbingRecord(mode=mode, row_nodes=row_nodes, values=v,
                          plan=plan, seed=seed)
@@ -440,11 +456,13 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     free] | sigma_w·I], the covariance of one period's noise at the
     reported rows: S = qr(Fᵀ, "r")ᵀ, with at most one column per
     reported row, and Z holds i.i.d. standard normals, one column per
-    probing bus. Without injection noise (every bus probes, or sigma_p =
-    sigma_q = 0) the estimate adds sigma_w·Z instead, as the record
-    does. This costs one draw per window instead of one per period. It
-    raises what `simulate_probing` raises; general plans have no windows
-    and raise ConfigError.
+    probing bus. Where the rows far outnumber the injection columns,
+    `_noise_factor` keeps the injection blocks as S and adds sigma_w·W
+    for a second block of normals W. Without injection noise (every bus
+    probes, or sigma_p = sigma_q = 0) the estimate adds sigma_w·Z
+    instead, as the record does. This costs one draw per window instead
+    of one per period. It raises what `simulate_probing` raises; general
+    plans have no windows and raise ConfigError.
     """
     values, row_nodes = _draw(g, plan, noise, mode, [(rng, 1)])
     return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
@@ -455,35 +473,52 @@ def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
           runs: Sequence[tuple[np.random.Generator | None, int]],
           scales: np.ndarray | None = None
           ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The estimates `sample_estimate` draws, stacked trials x reported
-    rows x probing buses, and the reported rows' buses. Each (generator,
-    count) run draws its next `count` trials in trial order, a run
-    without a generator from one seeded with noise.seed; silent noise
-    draws nothing and builds no generator. Trial t divides its window
-    sums by scales[t], the `_scale` of its own plan (plan's for None), so
-    one stack can hold plans that differ only in delta and periods. The
-    trials of a run are bitwise what `sample_estimate` draws with its
-    generator, one call per trial, each with its own plan."""
+    """`_sampler`'s draw of `runs`, and the reported rows' buses."""
+    draw, row_nodes = _sampler(g, plan, noise, mode)
+    return draw(runs, scales), row_nodes
+
+
+def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
+             ) -> tuple[Callable[..., np.ndarray], tuple[int, ...]]:
+    """Check a block campaign and build its noise factor once; return
+    draw(runs, scales=None) and the reported rows' buses. draw gives the
+    estimates `sample_estimate` draws, stacked trials x reported rows x
+    probing buses. Each (generator, count) run draws its next `count`
+    trials in trial order, a run without a generator from one seeded with
+    noise.seed; silent noise draws nothing and builds no generator. Trial
+    t divides its window sums by scales[t], the `_scale` of its own plan
+    (plan's for None), so one stack can hold plans that differ only in
+    delta and periods. The trials of a run are bitwise what
+    `sample_estimate` draws with its generator, one call per trial, each
+    with its own plan."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
-    for rng, _ in runs:
-        if rng is not None:
-            as_instance(rng, np.random.Generator, ConfigError, "rng")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "
                           "simulate_probing")
     rmat = resistance_matrix(g).values
-    est = rmat[np.ix_(rows, cols)]
-    sums = np.zeros((sum(count for _, count in runs), *est.shape))
-    if not noise.silent:
-        _add_noise(g, rmat, noise, rows, free, sums, [
-            (np.random.default_rng(noise.seed) if rng is None else rng,
-             count) for rng, count in runs])
-    if scales is None:
-        scales = _scale(plan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        est = est + sums / scales[..., None, :]
-    if not np.isfinite(est).all():
-        raise ConfigError("measurement values must be finite")
-    return est, row_nodes
+    exact = rmat[np.ix_(rows, cols)]
+    # Silent noise draws nothing, so it needs no factor.
+    pair = None if noise.silent else _noise_factor(g, rmat, noise, rows,
+                                                    free)
+
+    def draw(runs: Sequence[tuple[np.random.Generator | None, int]],
+             scales: np.ndarray | None = None) -> np.ndarray:
+        for rng, _ in runs:
+            if rng is not None:
+                as_instance(rng, np.random.Generator, ConfigError, "rng")
+        sums = np.zeros((sum(count for _, count in runs), *exact.shape))
+        if pair is not None:
+            _add_noise(*pair, sums, [
+                (np.random.default_rng(noise.seed) if rng is None else rng,
+                 count) for rng, count in runs])
+        if scales is None:
+            scales = _scale(plan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = exact + sums / scales[..., None, :]
+        if not np.isfinite(est).all():
+            raise ConfigError("measurement values must be finite")
+        return est
+
+    return draw, row_nodes

@@ -48,6 +48,12 @@ EIGHT_BUSES = [(0, 1, 0.3, 0.2), (1, 2, 0.2, 0.4), (2, 3, 0.5, 0.3),
                (6, 7, 0.2, 0.2), (4, 8, 0.6, 0.5)]
 
 
+# One junction (bus 1) under the substation and 36 leaves under it: with
+# the leaves probing, 36 or 37 reported rows and two injection columns.
+STAR_BUSES = [(0, 1, 0.3, 0.2)] + [(1, b, 0.1 + 0.01 * b, 0.05 + 0.01 * b)
+                                   for b in range(2, 38)]
+
+
 def random_feeder(rng, max_buses=30, with_x=True, lo=0.05, hi=1.0):
     """Random radial feeder with shuffled bus IDs.
 

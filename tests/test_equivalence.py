@@ -88,9 +88,9 @@ from gridprobe import (ExperimentConfig, GridProbeError,
                        recover_partial, recovery, reduce_grid,
                        resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
-from gridprobe.probing import _draw, _scale
+from gridprobe.probing import _FACTOR_EXTRA_ROWS, _draw, _scale
 
-from helpers import (EIGHT_BUSES, random_feeder, random_probing,
+from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
                      reference_group_estimate, reference_group_noisy,
                      reference_identify,
@@ -1506,7 +1506,10 @@ def test_sweep_replays_match_the_full_path(name, seed):
 def factor_estimate(g, plan, noise, mode, rng):
     """One trial's window-sum estimate from the factor arithmetic: S·Z for
     S = qr(Fᵀ, "r")ᵀ, F = [sigma_p·R[rows, free] | sigma_q·X[rows, free] |
-    sigma_w·I], or sigma_w·Z when no injection noise reaches the rows."""
+    sigma_w·I], unless the rows outnumber the injection columns by more
+    than _FACTOR_EXTRA_ROWS; then the injection blocks times Z plus
+    sigma_w·W, one draw [Z; W]; sigma_w·Z when no injection noise reaches
+    the rows."""
     order = g.bus_order
     cols = [order.index(b) for b in plan.buses]
     rows = cols if mode == "partial" else list(range(len(order)))
@@ -1518,7 +1521,15 @@ def factor_estimate(g, plan, noise, mode, rng):
     if noise.sigma_q > 0 and free:
         through.append(noise.sigma_q
                        * reactance_matrix(g).values[np.ix_(rows, free)])
-    if through:
+    if through and (len(rows)
+                    > len(through) * len(free) + _FACTOR_EXTRA_ROWS):
+        shake = rng.standard_normal((len(through) * len(free) + len(rows),
+                                     len(cols)))
+        sums = np.hstack(through) @ shake[:-len(rows)]
+        meter = shake[-len(rows):]
+        meter *= noise.sigma_w
+        sums += meter
+    elif through:
         if noise.sigma_w > 0:
             through.append(noise.sigma_w * np.eye(len(rows)))
         factor = np.linalg.qr(np.hstack(through).T, mode="r").T
@@ -1534,14 +1545,17 @@ def factor_estimate(g, plan, noise, mode, rng):
 @pytest.mark.parametrize("trials", [1, 2, 3, 7])
 def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
     # Four of eight buses probing puts all three sources through the
-    # factor; every bus probing leaves meter noise alone. As a sweep's
-    # chunk does, the stack mixes plans that differ only in their periods,
-    # out of order, each trial dividing by its own plan's window divisors,
-    # and holds runs of trials that each draw from one generator.
-    g = build_feeder(EIGHT_BUSES)
+    # factor; the star's leaves leave many more rows than injection
+    # columns, so meter noise is drawn apart; every bus probing leaves
+    # meter noise alone. As a sweep's chunk does, the stack mixes plans
+    # that differ only in their periods, out of order, each trial dividing
+    # by its own plan's window divisors, and holds runs of trials that
+    # each draw from one generator.
+    eight, star = build_feeder(EIGHT_BUSES), build_feeder(STAR_BUSES)
     noise = NoiseModel(sigma_p=0.01, sigma_q=0.01, sigma_w=0.005)
     sizes = [n for n in (trials // 2, trials - trials // 2) if n]
-    for buses in ([3, 5, 7, 8], g.bus_order):
+    for g, buses in ((eight, [3, 5, 7, 8]), (star, sorted(star.leaves)),
+                     (eight, eight.bus_order)):
         delta = [0.1 * (1 + b % 3) for b in buses]
         plans = [ProbingPlan.blocks(buses, delta,
                                     [periods + b % 4 for b in buses])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import gridprobe.experiments
+import gridprobe.probing
 from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
                        build_feeder, fileio, run_experiment, write_results)
 
@@ -177,6 +178,20 @@ def test_plan_defect_is_a_config_error_not_a_topology_error(tmp_path,
                         staticmethod(broken_blocks))
     with pytest.raises(ConfigError, match="broken plan"):
         run_experiment(y_config(tmp_path))
+
+
+def test_sweep_builds_its_noise_factor_once(tmp_path, monkeypatch):
+    """The noise factor depends on the campaign only, so a sweep builds it
+    once, however many chunks its trials take (one trial each here)."""
+    built = []
+    factor = gridprobe.probing._noise_factor
+    monkeypatch.setattr(gridprobe.probing, "_noise_factor",
+                        lambda *args: built.append(1) or factor(*args))
+    monkeypatch.setattr(gridprobe.experiments, "_BLOCK", 1)
+    run_experiment(y_config(tmp_path, mode="partial", probing="all-leaves",
+                            noise={"sigma_p": 0.01, "sigma_q": 0.01,
+                                   "sigma_w": 0.01}, trials=5))
+    assert len(built) == 1
 
 
 def test_sweep_stops_if_noise_free_data_cannot_identify_the_feeder(

@@ -14,7 +14,7 @@ from gridprobe import (ConfigError, ExperimentConfig, NoiseModel,
                        sample_estimate, simulate_probing)
 from gridprobe import probing
 
-from helpers import EIGHT_BUSES, random_feeder
+from helpers import EIGHT_BUSES, STAR_BUSES, random_feeder
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -349,7 +349,7 @@ def test_sampled_estimates_follow_the_seed_or_the_rng():
 
 def covariance_and_factor(g, buses, noise, mode):
     """F·Fᵀ, the covariance of one period's noise at the reported rows,
-    built source by source, and the draw's factor S."""
+    built source by source, and the draw's (factor, meter) pair."""
     cols, rows, free, _ = probing._layout(
         g, ProbingPlan.blocks(buses, [0.1] * len(buses), 1), mode)
     rmat = resistance_matrix(g).values
@@ -362,14 +362,16 @@ def covariance_and_factor(g, buses, noise, mode):
 
 @pytest.mark.parametrize("mode", ["complete", "partial"])
 def test_noise_factor_squares_to_the_covariance(mode):
-    # Four of eight buses free: the factor has one column per reported row
-    # and is lower triangular.
+    # Four of eight buses free, so eight injection columns, no fewer than
+    # the rows: the factor has one column per reported row, is lower
+    # triangular and carries the meter noise too.
     g = build_feeder(EIGHT_BUSES)
-    cov, factor = covariance_and_factor(
+    cov, (factor, meter) = covariance_and_factor(
         g, [3, 5, 7, 8], NoiseModel(sigma_p=0.01, sigma_q=0.02,
                                     sigma_w=0.005), mode)
     rows = 8 if mode == "complete" else 4
     assert factor.shape == (rows, rows)
+    assert meter == 0
     assert np.array_equal(factor, np.tril(factor))
     assert np.allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-18)
 
@@ -380,10 +382,29 @@ def test_noise_factor_without_meter_noise_keeps_the_load_rank():
     # columns has the factor.
     g = build_feeder(EIGHT_BUSES)
     buses = [b for b in g.bus_order if b != 4]
-    cov, factor = covariance_and_factor(
+    cov, (factor, meter) = covariance_and_factor(
         g, buses, NoiseModel(sigma_p=0.01, sigma_q=0.02), "complete")
     assert factor.shape == (8, 2)
+    assert meter == 0
     assert np.allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_noise_factor_with_many_more_rows_keeps_the_injections(mode):
+    # One free junction gives two injection columns against 37 or 36 rows,
+    # more than _FACTOR_EXTRA_ROWS beyond them: a rows x rows factor would
+    # cost more than the normals it saves, so the injection blocks are the
+    # factor and meter noise is drawn apart.
+    g = build_feeder(STAR_BUSES)
+    buses = sorted(g.leaves)
+    noise = NoiseModel(sigma_p=0.01, sigma_q=0.02, sigma_w=0.005)
+    cov, (factor, meter) = covariance_and_factor(g, buses, noise, mode)
+    rows = 37 if mode == "complete" else 36
+    assert rows > 2 + probing._FACTOR_EXTRA_ROWS
+    assert factor.shape == (rows, 2)
+    assert meter == noise.sigma_w
+    assert np.allclose(factor @ factor.T + meter ** 2 * np.eye(rows), cov,
+                       rtol=1e-12, atol=1e-18)
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(sigma_w=0.005),
@@ -398,7 +419,8 @@ def test_draw_without_a_free_bus_is_scaled_meter_noise(noise):
     plan = ProbingPlan.blocks(order, [0.1 * (1 + b % 3) for b in order],
                               [2 + b % 4 for b in order])
     rmat = resistance_matrix(g).values
-    assert probing._noise_factor(g, rmat, noise, list(range(8)), []) is None
+    assert probing._noise_factor(g, rmat, noise, list(range(8)),
+                                 []) == (None, 0.005)
     got = sample_estimate(g, plan, noise, rng=np.random.default_rng(9))
     shake = np.random.default_rng(9).standard_normal((8, 8))
     shake *= 0.005
