@@ -35,18 +35,20 @@ from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
 # perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing: the sweep calls `_sampler`, `_label`,
-# `_cut_trials`, `_recover`, `_replay`, compare_graphs and reduce_grid
-# through these globals. simulate_probing, estimate_resistances,
-# group_column_noisy, assemble_families, recover_full and recover_partial
-# are only the tracer's targets.
+# fails if one is missing: `identify` calls `_label` and `_recover`, and
+# the sweep `_exact`, `_plan`, `_sampler`, `_cut_trials`, `_replay` and
+# reduce_grid, through these globals. simulate_probing,
+# estimate_resistances, group_column_noisy, assemble_families,
+# recover_full, recover_partial and compare_graphs are only the tracer's
+# targets.
 from .grouping import (_cut_trials, _label, _Labelling, _threshold,
                        assemble_families, group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
-                      _check_windows, _sampler, estimate_resistances,
-                      sample_estimate, simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _recover, _replay,
-                       _Replay, compare_graphs, recover_full, recover_partial)
+                      _check_windows, _exact, _finite, _sampler,
+                      estimate_resistances, simulate_probing)
+from .recovery import (RecoveryPlan, RecoveryReport, _matched, _plan,
+                       _recover, _replay, _Replay, compare_graphs,
+                       recover_full, recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -232,24 +234,22 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
 def _identify(labelling: _Labelling) -> tuple[RecoveryPlan, RecoveryReport]:
     """The family check, then the recovery walk on the labelling's read:
-    `identify`'s steps after the cut, and `_learn`'s."""
+    `identify`'s steps after the cut."""
     labelling.check()
     return _recover(*labelling.read(), not labelling.complete)
 
 
-def _learn(labelling: _Labelling, truth: FeederGraph,
-           buses: tuple[int, ...]) -> _Replay:
-    """The replay of the noise-free labelling: `identify`'s check and
-    recovery, and the comparison with the truth, each raising what
-    `identify` and `compare_graphs` raise."""
-    plan, report = _identify(labelling)
-    graph = report.graph
-    node = compare_graphs(graph, truth, buses).node_map
-    row = {line: i for i, line in enumerate(plan.lines)}
-    order = [row[u, v] for u, v, *_ in graph.edges]
-    refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
-    return _Replay(plan, np.array(order, dtype=np.intp), np.array(refs),
-                   not labelling.complete)
+def _learn(labelling: _Labelling, truth: FeederGraph) -> _Replay:
+    """The replay of the noise-free labelling: the family check and the
+    recovery plan (`_plan`), which raise what `identify` raises, then the
+    plan's lines matched to the truth's (`_matched`), which raises
+    LabelMismatch where `compare_graphs` finds no node map. No recovered
+    grid is built or compared: the replay holds what `_recover`, then
+    `compare_graphs`' node map and the truth's line resistances give."""
+    labelling.check()
+    metered = not labelling.complete
+    plan, _, _ = _plan(*labelling.read(), metered)
+    return _Replay(plan, *_matched(plan, labelling.owners, truth), metered)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -268,8 +268,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     plans differ only in their window lengths, so each value needs only
     its own row of window divisors, bitwise the `_scale` of its plan.
 
-    A call learns the noise-free labelling once (`_learn`, whose errors
-    stop the sweep: no trial could pass where noise-free data fail). The
+    A call learns the noise-free labelling once: it labels the exact
+    block R[rows, cols] (`probing._exact`), which is bit for bit the
+    noise-free draw and is held to the draw's finiteness rule, and
+    `_learn` plans its recovery and matches the plan's lines to the
+    truth's, building no grid. Its errors stop the sweep: no trial could
+    pass where noise-free data fail. The
     (sweep value, trial) pairs are walked in sweep order, in chunks of at
     most `_BLOCK` estimate entries that may span sweep values. A chunk is
     drawn as one stack, each trial divided by its sweep value's window
@@ -291,9 +295,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
     plan = ProbingPlan.blocks(buses, delta, config.periods[0])
-    exact = _label(sample_estimate(g, plan, NoiseModel(), config.mode),
-                   None, config.mode)
-    replay = _learn(exact, truth, plan.buses)
+    block, rows, *_ = _exact(g, plan, config.mode)
+    exact = _Labelling.of(plan.buses, rows, _finite(block), config.mode,
+                          None)
+    replay = _learn(exact, truth)
     threshold = _threshold(config.r_min)
     chunk = max(1, _BLOCK // exact.labels.size)
     # Each sweep value's windows, checked as its own plan's would be.

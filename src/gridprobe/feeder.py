@@ -66,15 +66,9 @@ class FeederGraph:
                 u, v, r, x = e
             u = as_int(u, UnknownNode, "bus ID")
             v = as_int(v, UnknownNode, "bus ID")
-            # A float in range is what `as_float` would give back; only
-            # anything else goes through it (and names its line).
-            if type(r) is not float or not 0 < r < math.inf:
-                r = as_float(r, NonpositiveImpedance, f"line ({u},{v}) r",
-                             "positive and finite")
-            if x is not None and (type(x) is not float
-                                  or not 0 < x < math.inf):
-                x = as_float(x, NonpositiveImpedance, f"line ({u},{v}) x",
-                             "positive and finite")
+            r = _impedance(r, u, v, "r")
+            if x is not None:
+                x = _impedance(x, u, v, "x")
             parsed.append((u, v, r, x))
         parent: dict[int, int] = {}
         for u, v, _, _ in parsed:
@@ -282,6 +276,16 @@ class FeederGraph:
 
     def __repr__(self) -> str:
         return f"FeederGraph({len(self._nodes)} buses, {len(self._edges)} lines)"
+
+
+def _impedance(value, u: int, v: int, key: str) -> float:
+    """Line (u, v)'s `key` ("r" or "x") as a feeder holds it: positive and
+    finite, else NonpositiveImpedance naming the line. A float in range is
+    what `as_float` would give back; only anything else goes through it."""
+    if type(value) is not float or not 0 < value < math.inf:
+        value = as_float(value, NonpositiveImpedance, f"line ({u},{v}) {key}",
+                         "positive and finite")
+    return value
 
 
 def _probed_below(g: FeederGraph,

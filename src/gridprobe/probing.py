@@ -231,11 +231,17 @@ class ProbingRecord:
         if self.seed is not None:
             object.__setattr__(self, "seed",
                                as_int(self.seed, ConfigError, "seed", 0))
-        values = as_float_array(self.values, ConfigError, "measurement",
-                                (len(self.row_nodes), self.plan.total_periods))
-        if not np.isfinite(values).all():
-            raise ConfigError("measurement values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite(as_float_array(
+            self.values, ConfigError, "measurement",
+            (len(self.row_nodes), self.plan.total_periods))))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The one rule for measurements and the estimates drawn or read from
+    them: every value finite, else ConfigError."""
+    if not np.isfinite(values).all():
+        raise ConfigError("measurement values must be finite")
+    return values
 
 
 def _layout(g: FeederGraph, plan: ProbingPlan, mode: str
@@ -431,10 +437,8 @@ def estimate_resistances(record: ProbingRecord) -> ResistanceEstimate:
                 "injection matrix is rank deficient; no right inverse")
         with np.errstate(over="ignore", invalid="ignore"):
             est = record.values @ np.linalg.pinv(dmat, rcond=RANK_TOL)
-    if not np.isfinite(est).all():
-        raise ConfigError("measurement values must be finite")
     return ResistanceEstimate(row_nodes=record.row_nodes,
-                              col_nodes=plan.buses, values=est)
+                              col_nodes=plan.buses, values=_finite(est))
 
 
 def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
@@ -491,14 +495,12 @@ def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
     delta and periods. The trials of a run are bitwise what
     `sample_estimate` draws with its generator, one call per trial, each
     with its own plan."""
-    cols, rows, free, row_nodes = _layout(g, plan, mode)
+    exact, row_nodes, rmat, rows, free = _exact(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
                           "sums; simulate general plans with "
                           "simulate_probing")
-    rmat = resistance_matrix(g).values
-    exact = rmat[np.ix_(rows, cols)]
     # Silent noise draws nothing, so it needs no factor.
     pair = None if noise.silent else _noise_factor(g, rmat, noise, rows,
                                                     free)
@@ -516,9 +518,19 @@ def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
         if scales is None:
             scales = _scale(plan)
         with np.errstate(over="ignore", invalid="ignore"):
-            est = exact + sums / scales[..., None, :]
-        if not np.isfinite(est).all():
-            raise ConfigError("measurement values must be finite")
-        return est
+            return _finite(exact + sums / scales[..., None, :])
 
     return draw, row_nodes
+
+
+def _exact(g: FeederGraph, plan: ProbingPlan, mode: str
+           ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, list[int],
+                      list[int]]:
+    """A campaign's noise-free estimate R[rows, cols], which may hold inf
+    where a path resistance overflows, and the reported rows' buses; then
+    R itself and the positions in bus_order of the reported rows and the
+    free buses. Raises what `_layout` raises. A block plan's noise-free
+    draw is this block bit for bit: R >= 0 and x + 0.0 == x."""
+    cols, rows, free, row_nodes = _layout(g, plan, mode)
+    rmat = resistance_matrix(g).values
+    return rmat[np.ix_(rows, cols)], row_nodes, rmat, rows, free

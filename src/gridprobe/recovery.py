@@ -19,7 +19,8 @@ depth and the columns behind it. One value step, `_line_values`, values a
 plan's lines and upstream resistance on a stack of group-value tables,
 one per trial; a sweep replays a plan on its trials with it (`_replay`).
 Comparison is a node-map match, then a resistance score of a stack of
-trials.
+trials; a sweep matches its plan's lines to the truth's the same way
+(`_matched`) without building the recovered grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .errors import (
     as_choice,
     as_instance,
 )
-from .feeder import FeederGraph, LevelSetFamily, _probed_below
+from .feeder import FeederGraph, LevelSetFamily, _impedance, _probed_below
 from .probing import MODES
-from .reduction import ReducedGrid
+from .reduction import ReducedGrid, _upstream_r
 
 
 def _left_sums(values: np.ndarray) -> np.ndarray:
@@ -284,13 +285,18 @@ def _replay(replay: _Replay, table: np.ndarray
     return ok, mpe, lines, upstream
 
 
-def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
-             table: np.ndarray, metered: bool
-             ) -> tuple[RecoveryPlan, RecoveryReport]:
-    """Walk read level sets (what `_read` returns), value what the walk
-    wired on the group-value table and report the grid (a ReducedGrid when
-    metered), with its plan. A nonpositive line wired before a walk error
-    is raised instead, as the walk met it."""
+def _plan(sets: Mapping[int, tuple[frozenset[int], ...]],
+          table: np.ndarray, metered: bool
+          ) -> tuple[RecoveryPlan, list[float], float]:
+    """Walk read level sets (what `_read` returns) and value what the walk
+    wired on the group-value table: the plan, its line values in walk
+    order and the upstream resistance, under the rules the recovered grid
+    is built with. A nonpositive line wired before a walk error is raised
+    instead, as the walk met it. After the walk come the first nonpositive
+    line, then the first line that is not finite (NonpositiveImpedance,
+    as `FeederGraph` names it) and, metered, an upstream resistance that
+    is not finite (ConfigError, as `ReducedGrid` names it), each in walk
+    order."""
     wired = ([], [], [])
     try:
         root, internal = _walk(sets, metered, *wired)
@@ -299,6 +305,59 @@ def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
             _valued(table, metered, None, [], *wired)
         raise
     plan, values, upstream = _valued(table, metered, root, internal, *wired)
+    for (u, v), r in zip(plan.lines, values):
+        _impedance(r, u, v, "r")
+    if metered:
+        _upstream_r(upstream)
+    return plan, values, upstream
+
+
+def _matched(plan: RecoveryPlan, owners: Sequence[int], truth: FeederGraph
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Match a plan's lines to the truth's, as `compare_graphs` matches
+    the recovered graph with the owners as probing buses: the root to the
+    truth's root, then each line's child, in walk order, to the child of
+    its parent's match whose probed buses below are the owners of the
+    line's columns. Returns the order in which the recovered graph lists
+    the lines (by child, then parent) and the truth's resistance of each
+    line in that order. Where `compare_graphs` finds no node map,
+    LabelMismatch names the root that differs, the first line in walk
+    order without a match or the first truth line, by child, that no line
+    matches."""
+    probing = frozenset(owners)
+    if plan.root != truth.root and (plan.root in probing
+                                    or truth.root in probing):
+        raise LabelMismatch(f"recovered root {plan.root} is not the "
+                            f"truth's root {truth.root}")
+    parent = truth._parent
+    child = {(below, parent[b]): b
+             for b, below in _probed_below(truth, probing).items()
+             if below and b in parent}
+    names = np.array(owners)[plan.members].tolist()
+    ends = np.cumsum(np.bincount(plan.line, minlength=len(plan.lines)))
+    node, start = {plan.root: truth.root}, 0
+    for (u, v), end in zip(plan.lines, ends.tolist()):
+        b = child.get((frozenset(names[start:end]), node[u]))
+        if b is None:
+            raise LabelMismatch(f"recovered line ({u}, {v}) matches no "
+                                f"line of the truth")
+        node[v], start = b, end
+    if len(node) < len(truth.nodes):
+        found = set(node.values())
+        u, v = next((u, v) for u, v, *_ in truth.edges if v not in found)
+        raise LabelMismatch(f"truth line ({u}, {v}) matches no recovered "
+                            f"line")
+    order = np.argsort([v for _, v in plan.lines], kind="stable")
+    refs = np.array([truth._r[node[u], node[v]] for u, v in plan.lines])
+    return order, refs[order]
+
+
+def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
+             table: np.ndarray, metered: bool
+             ) -> tuple[RecoveryPlan, RecoveryReport]:
+    """Plan the recovery of read level sets (`_plan`) and report the grid
+    (a ReducedGrid when metered), with its plan."""
+    plan, values, upstream = _plan(sets, table, metered)
     edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
     graph = (ReducedGrid(plan.root, edges, frozenset(sets), plan.internal,
                          upstream)

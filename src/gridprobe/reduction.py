@@ -35,8 +35,7 @@ class ReducedGrid(FeederGraph):
         self._build(as_int(root, UnknownNode, "bus ID"), edges)
         self.probing = frozenset(as_buses(probing, UnknownNode, "probing"))
         self.internal = frozenset(as_buses(internal, UnknownNode, "internal"))
-        self.root_upstream_r = as_float(root_upstream_r, ConfigError,
-                                        "root_upstream_r", "finite")
+        self.root_upstream_r = _upstream_r(root_upstream_r)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -57,6 +56,11 @@ class ReducedGrid(FeederGraph):
     def __repr__(self) -> str:
         return (f"ReducedGrid(root={self.root}, {len(self.nodes)} buses, "
                 f"{len(self.edges)} lines)")
+
+
+def _upstream_r(value) -> float:
+    """A reduced grid's root_upstream_r: a finite real, else ConfigError."""
+    return as_float(value, ConfigError, "root_upstream_r", "finite")
 
 
 def _probing(g: FeederGraph, probing: Iterable[int]) -> frozenset[int]:

@@ -33,7 +33,12 @@ predate.
 Both recoveries value lines through one stacked value step; a family
 value that is NaN or infinite gives the reference walk's error and
 message, without a numpy warning.
-A sweep learns the recovery of the noise-free labelling once and scores
+A sweep learns the recovery of the noise-free labelling once, from the
+exact block's labelling (bit for bit the noise-free draw's) and without
+building the recovered grid: the learnt plan, line order and truth
+resistances are held bit for bit to `_identify` then `compare_graphs`,
+and `_learn` raises what that path raises, or LabelMismatch where it
+finds no node map. It scores
 only the trials that cut their estimate into that labelling, by running
 its recovery plan through the same value step and score on their group
 values, all of a chunk's trials as one stack, whatever sweep values the
@@ -65,6 +70,7 @@ import json
 import math
 import operator
 import os
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -76,16 +82,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridprobe import (ExperimentConfig, GridProbeError,
-                       InconsistentLevelSets, NoiseModel,
+from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
+                       InconsistentLevelSets, LabelMismatch, NoiseModel,
                        NonpositiveImpedance, ProbingPlan,
                        ProbingRecord, ResistanceEstimate, assemble_families,
                        build_feeder, cli, compare_graphs,
                        estimate_resistances, experiments, fileio, grouping,
                        group_column_exact, group_column_noisy,
                        group_estimate, identify, level_sets,
-                       metered_level_sets, reactance_matrix, recover_full,
-                       recover_partial, recovery, reduce_grid,
+                       metered_level_sets, probing, reactance_matrix,
+                       recover_full, recover_partial, recovery, reduce_grid,
                        resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
 from gridprobe.probing import _FACTOR_EXTRA_ROWS, _draw, _scale
@@ -1106,13 +1112,14 @@ def write_y_config(tmp_path):
 # is defined and wherever the package imports it under its own name.
 CHAIN = ("group_estimate", "group_column_noisy", "assemble_families",
          "recover_full", "recover_partial")
-CORE = ("_label", "_recover", "_learn")
+CORE = ("_label", "_identify", "_recover", "_learn", "_plan")
 
 
 def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
-    # The `recover` command and the sweep both cut with `_label`, then run
-    # the family check and the recovery walk on the labelling's read; no
-    # grouping object is built and no public recovery is called.
+    # The `recover` command cuts with `_label`, the sweep labels its exact
+    # block with `_Labelling.of` directly; both then run the family check
+    # and the recovery walk on the labelling's read. No grouping object is
+    # built and no public recovery is called.
     calls = Counter()
 
     def counted(name, fn):
@@ -1124,6 +1131,8 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     for name in CORE:
         monkeypatch.setattr(experiments, name,
                             counted(name, getattr(experiments, name)))
+    monkeypatch.setattr(grouping._Labelling, "of", classmethod(counted(
+        "_Labelling.of", grouping._Labelling.of.__func__)))
     for module in (experiments, cli, grouping, recovery):
         for name in CHAIN:
             if hasattr(module, name):
@@ -1134,24 +1143,91 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     assert cli.main(["probe", "--config", str(cfg), "--out", str(rec)]) == 0
     assert cli.main(["recover", str(rec), "--r-min", "0.5",
                      "--out", str(tmp_path / "rep")]) == 0
-    assert calls == {"_label": 1, "_recover": 1}
+    assert calls == {"_label": 1, "_Labelling.of": 1, "_identify": 1,
+                     "_recover": 1}
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
-    # The sweep never calls `identify`: it learns the noise-free labelling
-    # once and only replays that labelling's recovery plan.
-    assert calls == {"_label": 1, "_recover": 1, "_learn": 1}
+    # The sweep never calls `identify` or builds a recovered grid: it
+    # labels the noise-free block once, learns its recovery plan and only
+    # replays that plan.
+    assert calls == {"_Labelling.of": 1, "_learn": 1, "_plan": 1}
+
+
+def graph_replay(labelling, truth):
+    """The replay as the sweep learnt it before it matched plans:
+    `_identify`'s check and recovery, then `compare_graphs`' node map and
+    the truth's line resistances, in the recovered graph's line order.
+    None where `compare_graphs` finds no node map."""
+    plan, report = experiments._identify(labelling)
+    graph = report.graph
+    node = compare_graphs(graph, truth, labelling.owners).node_map
+    if node is None:
+        return None
+    row = {line: i for i, line in enumerate(plan.lines)}
+    order = [row[u, v] for u, v, *_ in graph.edges]
+    refs = [truth.line_r(node[u], node[v]) for u, v, *_ in graph.edges]
+    return recovery._Replay(plan, np.array(order, dtype=np.intp),
+                            np.array(refs), not labelling.complete)
+
+
+def assert_same_replay(got, want):
+    """Two replays hold the same plan, order and resistances, bit for
+    bit."""
+    assert (got.plan.root, got.plan.internal, got.plan.lines, got.metered) \
+        == (want.plan.root, want.plan.internal, want.plan.lines, want.metered)
+    for a, b in [(getattr(got.plan, key), getattr(want.plan, key))
+                 for key in ("members", "line", "step")] + [
+            (got.order, want.order), (got.refs, want.refs)]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def learn_outcome(labelling, truth):
+    """Hold `_learn` on any labelling to the path it replaced: where
+    `_identify` raises, the same class and message; where `compare_graphs`
+    finds no node map, LabelMismatch; else the replay that node map gives,
+    bit for bit. Returns the outcome's name."""
+    try:
+        want = graph_replay(labelling, truth)
+    except GridProbeError as exc:
+        with pytest.raises(GridProbeError) as got:
+            experiments._learn(labelling, truth)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return type(exc).__name__
+    if want is None:
+        with pytest.raises(LabelMismatch):
+            experiments._learn(labelling, truth)
+        return "no node map"
+    assert_same_replay(experiments._learn(labelling, truth), want)
+    return "replay"
+
+
+def assert_same_labelling(got, want):
+    """Two labellings hold the same owners, buses, mode and threshold and
+    the same cut arrays, bit for bit."""
+    assert (got.owners, got.complete, got.threshold) == (
+        want.owners, want.complete, want.threshold)
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def noise_free(g, plan, mode, truth):
     """A plan's noise-free labelling and the replay the sweep learns
-    from it. The sweep reads the cut's own level sets and group values;
-    reading the labelling's families through recovery's boundary, as
-    `identify` does, must give the same plan and the same recovered lines,
-    bit for bit."""
+    from it. The sweep labels the exact block, which must be the
+    noise-free draw's labelling bit for bit, and learns its replay without
+    a recovered grid, which must be what `_recover` and `compare_graphs`
+    give. It reads the cut's own level sets and group values; reading the
+    labelling's families through recovery's boundary, as `identify` does,
+    must give the same plan and the same recovered lines, bit for bit."""
     exact = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
                             None, mode)
-    replay = experiments._learn(exact, truth, plan.buses)
+    block, rows, *_ = probing._exact(g, plan, mode)
+    assert_same_labelling(
+        grouping._Labelling.of(plan.buses, rows, block, mode, None), exact)
+    replay = experiments._learn(exact, truth)
+    assert_same_replay(replay, graph_replay(exact, truth))
     metered = not exact.complete
     read, report = recovery._recover(
         *recovery._read(exact.families(), metered), metered)
@@ -1240,6 +1316,7 @@ def test_sweep_rule_holds_on_random_feeders():
     # exactly but break a value rule.
     rng = np.random.default_rng(1804)
     seen = {case: Counter() for case in SWEEP_CASES}
+    learnt = {"complete": Counter(), "partial": Counter()}
     for _ in range(40):
         _, g = random_feeder(rng, max_buses=14)
         for mode, every_bus in SWEEP_CASES:
@@ -1255,7 +1332,15 @@ def test_sweep_rule_holds_on_random_feeders():
                                            mode=mode, rng=rng)
                 check_trial(estimate, r_min, mode, truth, exact, replay,
                             seen[mode, every_bus])
+                learnt[mode][learn_outcome(
+                    grouping._label(estimate, r_min, mode), truth)] += 1
     assert all(counts[k] for counts in seen.values() for k in OUTCOMES), seen
+    # Trial labellings that fail the family check, the walk and the match
+    # with the truth, and ones that replay, in both modes.
+    assert {"InconsistentLevelSets", "no node map", "replay"} <= set(
+        learnt["partial"]), learnt
+    assert {"InconsistentLevelSets", "AmbiguousIntersection",
+            "replay"} <= set(learnt["complete"]), learnt
 
 
 def test_replay_rejects_group_values_that_do_not_increase():
@@ -1343,6 +1428,64 @@ def test_replay_rejects_lines_that_overflow():
     assert same and held and not ok
     assert upstream == -math.inf
     assert seen == {"value rejected": 1}
+
+
+# Finite partial estimates of owners 1, 2 and 3 that cut into the
+# labelling of leaves 1, 2 and 3 under one junction: the overflowing-gap
+# one, whose walk's line 4-1 is infinite, and one whose lines are finite
+# but whose three first groups sum past the largest float (two do not),
+# so the upstream resistance is infinite.
+GRID_VALUE_ERRORS = {
+    "line": (OVERFLOWING["gap"], NonpositiveImpedance,
+             "line (4,1) r must be positive and finite, got inf"),
+    "upstream": ([[1e308, 8e307, 8e307], [8e307, 1e308, 8e307],
+                  [8e307, 8e307, 1e308]], ConfigError,
+                 "root_upstream_r must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_VALUE_ERRORS))
+def test_learn_raises_what_building_the_grid_raises(name):
+    # `_learn` builds no grid, so it must raise what the grid's
+    # constructors raise for a value that is not finite, as `_identify`
+    # and the reference recovery, which build it, do.
+    values, error, message = GRID_VALUE_ERRORS[name]
+    g = build_feeder([(0, 4, 0.1), (4, 1, 0.2), (4, 2, 0.3), (4, 3, 0.4)])
+    estimate = ResistanceEstimate((1, 2, 3), (1, 2, 3), np.array(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert learn_outcome(grouping._label(estimate, 1.0, "partial"),
+                             reduce_grid(g, (1, 2, 3))) == error.__name__
+        assert recovery_outcome(
+            reference_recover_partial,
+            reference_group_estimate(estimate, 1.0, "partial"))[0] is error
+        assert error_message(
+            reference_recover_partial,
+            reference_group_estimate(estimate, 1.0, "partial")) == message
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        experiments._learn(grouping._label(estimate, 1.0, "partial"),
+                           reduce_grid(g, (1, 2, 3)))
+
+
+def test_learn_raises_what_identify_raises_for_a_nonpositive_line(
+        monkeypatch):
+    # The family check rejects every labelling with a nonpositive line, so
+    # it is skipped here, for both paths: the noise-free labelling of the
+    # tie in `test_replay_rejects_group_values_that_do_not_increase` then
+    # values line 1-4 at 0.0.
+    r = math.nextafter(math.nextafter(0.1, 1), 1) - 0.1
+    g = build_feeder([(0, 1, 0.1), (1, 2, 0.05), (1, 3, 0.05), (1, 4, r)])
+    values = resistance_matrix(g).values.copy()
+    i = g.bus_order.index(4)
+    values[i, i] = math.nextafter(0.1, 1)
+    labelling = grouping._label(
+        ResistanceEstimate(g.bus_order, g.bus_order, values), 1e-17,
+        "complete")
+    monkeypatch.setattr(grouping._Labelling, "check", lambda self: None)
+    assert learn_outcome(labelling, g) == "InconsistentLevelSets"
+    with pytest.raises(InconsistentLevelSets,
+                       match="^nonpositive line resistance 0.0 at depth 2$"):
+        experiments._learn(labelling, g)
 
 
 def check_cut(exact, stack, threshold):

@@ -1,13 +1,19 @@
 """Monte Carlo driver: config validation, scoring, determinism."""
 
+import dataclasses
+import importlib.util
 import json
+import os
 
 import pytest
 
 import gridprobe.experiments
 import gridprobe.probing
 from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
-                       build_feeder, fileio, run_experiment, write_results)
+                       LabelMismatch, ReducedGrid, ResistanceEstimate,
+                       build_feeder, fileio, resistance_matrix,
+                       run_experiment, write_results)
+from gridprobe.grouping import _label
 
 Y_TEXT = ("from,to,r_pu,x_pu\n"
           "0,1,1.0,1.0\n"
@@ -219,6 +225,41 @@ def test_sweep_stops_on_a_draw_that_overflows(tmp_path):
         run_experiment(cfg)
 
 
+def test_sweep_stops_on_a_path_resistance_that_overflows(tmp_path):
+    """Two lines of 1e308 in series overflow bus 2's path resistance, so
+    the noise-free estimate is not finite: the sweep raises the draw's
+    data error, as `probe` does, not grouping's error for the entry."""
+    (tmp_path / "big.csv").write_text("from,to,r_pu,x_pu\n0,1,1e308,1.0\n"
+                                      "1,2,1e308,1.0\n1,3,1.0,1.0\n")
+    with pytest.raises(ConfigError,
+                       match="^measurement values must be finite$"):
+        run_experiment(y_config(tmp_path, feeder="big.csv"))
+
+
+Y_LINES = [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 3.0)]
+
+
+@pytest.mark.parametrize("mode, lines, truth, message", [
+    ("complete", Y_LINES, build_feeder([(0, 1, 1.0), (1, 2, 2.0),
+                                        (2, 3, 3.0)]),
+     r"recovered line \(1, 2\) matches no line of the truth"),
+    ("complete", Y_LINES, build_feeder(Y_LINES + [(3, 4, 1.0)]),
+     r"truth line \(3, 4\) matches no recovered line"),
+    ("partial", [(0, 1, 1.0)], ReducedGrid(2, [], [2], [], 1.0),
+     "recovered root 1 is not the truth's root 2"),
+], ids=["chain", "extra line", "other root"])
+def test_learning_against_another_truth_names_what_differs(mode, lines,
+                                                           truth, message):
+    """A truth the noise-free recovery does not match stops the sweep's
+    set-up with a typed error naming the first part that differs."""
+    g = build_feeder(lines)
+    buses = g.bus_order
+    values = resistance_matrix(g).values
+    labelling = _label(ResistanceEstimate(buses, buses, values), None, mode)
+    with pytest.raises(LabelMismatch, match=f"^{message}$"):
+        gridprobe.experiments._learn(labelling, truth)
+
+
 def test_sweep_refuses_a_later_period_count_numpy_cannot_hold(tmp_path):
     """Only the first sweep value's plan draws the noise-free estimate;
     every other plan's windows are checked before numpy sees them."""
@@ -246,6 +287,33 @@ def test_provenance_records_the_setup(tmp_path):
     assert prov["seed"] == 1
     assert "default_rng((seed, periods))" in prov["trial_seed_rule"]
     assert "redrawn every" in prov["noise_redraw"]
+
+
+def test_output_comparison_says_what_differs_in_a_results_file(tmp_path):
+    """tools/compare_outputs.py tells equal rows under a changed
+    provenance from changed rows."""
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", os.path.join(os.path.dirname(__file__), "..",
+                                        "tools", "compare_outputs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    result = run_experiment(y_config(tmp_path))
+    write_results(result, tmp_path / "base")
+    write_results(dataclasses.replace(result, provenance={
+        **result.provenance, "seed": 2, "trial_seed_rule": "other"}),
+        tmp_path / "head")
+    base, head = (json.loads((tmp_path / tag / "results.json").read_text())
+                  for tag in ("base", "head"))
+    assert tool.results_diff(base, base) == (
+        "results rows equal; provenance keys that differ: none")
+    assert tool.results_diff(base, head) == (
+        "results rows equal; provenance keys that differ: seed, "
+        "trial_seed_rule")
+    del head["provenance"]["numpy"]
+    head["results"][0]["error_pct"] += 1.0
+    assert tool.results_diff(base, head) == (
+        "results rows differ; provenance keys that differ: numpy, seed, "
+        "trial_seed_rule")
 
 
 def test_results_are_deterministic(tmp_path):

@@ -33,10 +33,12 @@ byte-identical between the two:
 
 56 outputs in all.
 
-Prints each output that differs, with both trees' (periods, error_pct,
-mpe_pct) rows under a results.json that does, and exits 1 if any
-differs, 0 if none does; exits 2 on a usage error, a tree without
-src/gridprobe or a failed command that must succeed.
+Prints each output that differs and exits 1 if any differs, 0 if none
+does; exits 2 on a usage error, a tree without src/gridprobe or a failed
+command that must succeed. Under a results.json that differs it says
+whether its `results` rows are equal and which provenance keys differ,
+and prints both trees' (periods, error_pct, mpe_pct) rows where the rows
+differ.
 """
 
 import json
@@ -171,6 +173,18 @@ def outputs(tree, out, records, feeder, configs):
     return found
 
 
+def results_diff(base, head):
+    """Whether two parsed results.json files hold equal `results` rows,
+    and which of their provenance keys differ (one tree's key missing from
+    the other's counts as differing)."""
+    rows = "equal" if base["results"] == head["results"] else "differ"
+    old, new = base["provenance"], head["provenance"]
+    keys = sorted(k for k in old.keys() | new.keys()
+                  if k not in old or k not in new or old[k] != new[k])
+    return (f"results rows {rows}; provenance keys that differ: "
+            f"{', '.join(keys) or 'none'}")
+
+
 def main(argv):
     if len(argv) != 2:
         fail("usage: python tools/compare_outputs.py BASE HEAD")
@@ -203,11 +217,13 @@ def main(argv):
     for name in differ:
         print(f"differs: {name}")
         if name.endswith("results.json"):
-            for tag in got:
-                rows = json.loads(got[tag][name])["results"]
-                print(f"  {tag}: " + "  ".join(
-                    f"({r['periods']}, {r['error_pct']}, {r['mpe_pct']})"
-                    for r in rows))
+            sweeps = {tag: json.loads(got[tag][name]) for tag in got}
+            print("  " + results_diff(sweeps["base"], sweeps["head"]))
+            if sweeps["base"]["results"] != sweeps["head"]["results"]:
+                for tag, sweep in sweeps.items():
+                    print(f"  {tag}: " + "  ".join(
+                        f"({r['periods']}, {r['error_pct']}, {r['mpe_pct']})"
+                        for r in sweep["results"]))
     print(f"{len(differ)} of {len(got['base'])} outputs differ")
     return 1 if differ else 0
 
