@@ -403,6 +403,37 @@ def test_compare_detects_roots_that_disagree_on_probing():
         assert cmp.resistance_mpe is None and cmp.node_map is None
 
 
+def feeder(lines):
+    return build_feeder([(u, v, float(1 + i)) for i, (u, v) in
+                         enumerate(lines)])
+
+
+@pytest.mark.parametrize("a, b, probing", [
+    # two unprobed sibling leaves against one
+    ([(0, 1), (0, 2), (0, 3)], [(0, 1), (0, 2)], {1}),
+    # a probed bus against a pass-through bus above it
+    ([(0, 5)], [(0, 7), (7, 5)], {5}),
+    # a chain with one extra unprobed bus, in the middle or at the end
+    ([(0, 1), (1, 4), (4, 2)], [(0, 1), (1, 2)], {2}),
+    ([(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2)], {2}),
+], ids=["unprobed-siblings", "pass-through", "extra-bus", "extra-leaf"])
+def test_compare_tells_trees_apart_that_share_every_probed_set(a, b,
+                                                                probing):
+    for x, y in ((a, b), (b, a)):
+        cmp = compare_graphs(feeder(x), feeder(y), probing=probing)
+        assert not cmp.topology_correct
+        assert cmp.resistance_mpe is None and cmp.node_map is None
+
+
+def test_compare_matches_unprobed_chains_by_their_place():
+    a = feeder([(0, 1), (1, 2), (1, 8), (8, 9)])
+    b = feeder([(0, 1), (1, 2), (1, 6), (6, 7)])
+    cmp = compare_graphs(a, b, probing={2})
+    assert cmp.topology_correct
+    assert cmp.node_map == {0: 0, 1: 1, 2: 2, 8: 6, 9: 7}
+    assert cmp.resistance_mpe == 0.0
+
+
 def test_compare_requires_shared_probing_labels():
     g = y_tree()
     truth = reduce_grid(g, {2, 3})
