@@ -291,7 +291,8 @@ def _impedance(value, u: int, v: int, key: str) -> float:
 def _probed_below(g: FeederGraph,
                   probing: frozenset[int]) -> dict[int, frozenset[int]]:
     """Probed-bus content of every subtree, in one pass from the leaves
-    up: each bus unions its children's sets and adds itself if probed."""
+    up: each bus unions its children's sets and adds itself if probed.
+    Keyed leaves-up, so its reversed keys walk the tree root-down."""
     order = [g.root]
     for u in order:
         order.extend(g._children[u])

@@ -19,8 +19,10 @@ depth and the columns behind it. One value step, `_line_values`, values a
 plan's lines and upstream resistance on a stack of group-value tables,
 one per trial; a sweep replays a plan on its trials with it (`_replay`).
 Comparison is a node-map match, then a resistance score of a stack of
-trials; a sweep matches its plan's lines to the truth's the same way
-(`_matched`) without building the recovered grid.
+trials. The match (`_node_map`) looks each line's child up once in the
+truth, by its probed buses below and its parent's match; it takes a
+recovered graph's lines (`compare_graphs`) or, without building the
+recovered grid, a sweep's plan lines named by their owners (`_matched`).
 """
 
 from __future__ import annotations
@@ -314,39 +316,21 @@ def _plan(sets: Mapping[int, tuple[frozenset[int], ...]],
 
 def _matched(plan: RecoveryPlan, owners: Sequence[int], truth: FeederGraph
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Match a plan's lines to the truth's, as `compare_graphs` matches
-    the recovered graph with the owners as probing buses: the root to the
-    truth's root, then each line's child, in walk order, to the child of
-    its parent's match whose probed buses below are the owners of the
-    line's columns. Returns the order in which the recovered graph lists
-    the lines (by child, then parent) and the truth's resistance of each
-    line in that order. Where `compare_graphs` finds no node map,
+    """Match a plan's lines to the truth's by the one probed-below match
+    (`_node_map`), as `compare_graphs` matches the recovered graph with
+    the owners as probing buses: each line's child is named by the owners
+    of the line's columns. Returns the order in which the recovered graph
+    lists the lines (by child, then parent) and the truth's resistance of
+    each line in that order. Where `compare_graphs` finds no node map,
     LabelMismatch names the root that differs, the first line in walk
     order without a match or the first truth line, by child, that no line
     matches."""
-    probing = frozenset(owners)
-    if plan.root != truth.root and (plan.root in probing
-                                    or truth.root in probing):
-        raise LabelMismatch(f"recovered root {plan.root} is not the "
-                            f"truth's root {truth.root}")
-    parent = truth._parent
-    child = {(below, parent[b]): b
-             for b, below in _probed_below(truth, probing).items()
-             if below and b in parent}
     names = np.array(owners)[plan.members].tolist()
-    ends = np.cumsum(np.bincount(plan.line, minlength=len(plan.lines)))
-    node, start = {plan.root: truth.root}, 0
-    for (u, v), end in zip(plan.lines, ends.tolist()):
-        b = child.get((frozenset(names[start:end]), node[u]))
-        if b is None:
-            raise LabelMismatch(f"recovered line ({u}, {v}) matches no "
-                                f"line of the truth")
-        node[v], start = b, end
-    if len(node) < len(truth.nodes):
-        found = set(node.values())
-        u, v = next((u, v) for u, v, *_ in truth.edges if v not in found)
-        raise LabelMismatch(f"truth line ({u}, {v}) matches no recovered "
-                            f"line")
+    ends = np.cumsum(np.bincount(plan.line,
+                                 minlength=len(plan.lines))).tolist()
+    lines = ((u, v, frozenset(names[start:end]))
+             for (u, v), start, end in zip(plan.lines, [0, *ends], ends))
+    node = _node_map(plan.root, lines, truth, frozenset(owners))
     order = np.argsort([v for _, v in plan.lines], kind="stable")
     refs = np.array([truth._r[node[u], node[v]] for u, v in plan.lines])
     return order, refs[order]
@@ -411,7 +395,9 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
     Probing buses must keep their IDs; other buses may be renamed
     arbitrarily. Children are matched by the set of probed buses below
     them, which is unique among siblings whenever every subtree contains a
-    probed bus. Resistance errors are reported relative to the reference.
+    probed bus, through the match the sweep's learn also uses
+    (`_node_map`). Resistance errors are reported relative to the
+    reference.
     """
     probing = frozenset(as_buses(probing, LabelMismatch, "probing buses"))
     for g in (recovered, reference):
@@ -420,49 +406,60 @@ def compare_graphs(recovered: FeederGraph, reference: FeederGraph,
         if missing:
             raise LabelMismatch(f"probing buses {sorted(missing)} absent")
 
-    mapping = _match(recovered, reference, probing)
-    if mapping is None:
+    below, parent = _probed_below(recovered, probing), recovered._parent
+    lines = ((parent[v], v, below[v]) for v in reversed(below) if v in parent)
+    try:
+        node = _node_map(recovered.root, lines, reference, probing)
+    except LabelMismatch:
         return GraphComparison(False, None, None, None)
 
     edges = recovered.edges
     mpe, max_rel = _score(
         np.array([[r for _, _, r, *_ in edges]]),
-        np.array([reference.line_r(mapping[u], mapping[v])
-                  for u, v, *_ in edges]))
+        np.array([reference._r[node[u], node[v]] for u, v, *_ in edges]))
 
     upstream = None
     if isinstance(recovered, ReducedGrid) and isinstance(reference, ReducedGrid):
         ref = reference.root_upstream_r
         upstream = abs(recovered.root_upstream_r - ref) / (ref if ref > 0 else 1)
 
-    return GraphComparison(True, float(mpe[0]), float(max_rel[0]),
-                           mapping, upstream)
+    return GraphComparison(True, float(mpe[0]), float(max_rel[0]), node,
+                           upstream)
 
 
-def _match(recovered: FeederGraph, reference: FeederGraph,
-           probing: frozenset[int]) -> dict[int, int] | None:
-    """The topology half of a comparison: the node map from recovered
-    onto reference buses, or None when the two trees differ."""
-    probed_below_a = _probed_below(recovered, probing)
-    probed_below_b = _probed_below(reference, probing)
-
-    mapping: dict[int, int] = {}
-    stack = [(recovered.root, reference.root)]
-    while stack:
-        a, b = stack.pop()
-        in_pa, in_pb = a in probing, b in probing
-        if in_pa != in_pb or (in_pa and a != b):
-            return None
-        mapping[a] = b
-        ca, cb = recovered._children[a], reference._children[b]
-        kids_a = {probed_below_a[c]: c for c in ca}
-        kids_b = {probed_below_b[c]: c for c in cb}
-        if (len(kids_a) != len(ca) or len(kids_b) != len(cb)
-                or kids_a.keys() != kids_b.keys()):
-            return None
-        for key, child_a in kids_a.items():
-            stack.append((child_a, kids_b[key]))
-    return mapping
+def _node_map(root: int, lines: Iterable[tuple[int, int, frozenset[int]]],
+              truth: FeederGraph, probing: frozenset[int]) -> dict[int, int]:
+    """The one probed-below match: map a tree, given by its root and its
+    lines root-down as (parent, child, probed buses below the child), onto
+    the truth up to renamed unprobed buses. The root goes to the truth's
+    root, then each line's child to the truth child of its parent's match
+    with the same probed buses below. Returns the node map, or raises
+    LabelMismatch naming the first difference: the roots, when they differ
+    and one is probed; the first line whose key is missing or already
+    taken; the first truth line, by child, that no line matches. Where
+    both trees hold every probing bus, a map that sends a probed bus to
+    another bus always leaves one of these, so it needs no check of its
+    own: the probed bus's set holds itself, and no set below it does."""
+    if root != truth.root and (root in probing or truth.root in probing):
+        raise LabelMismatch(f"recovered root {root} is not the "
+                            f"truth's root {truth.root}")
+    parent = truth._parent
+    child = {(below, parent[b]): b
+             for b, below in _probed_below(truth, probing).items()
+             if b in parent}
+    node = {root: truth.root}
+    for u, v, below in lines:
+        b = child.pop((below, node[u]), None)
+        if b is None:
+            raise LabelMismatch(f"recovered line ({u}, {v}) matches no "
+                                f"line of the truth")
+        node[v] = b
+    if len(node) < len(truth.nodes):
+        found = set(node.values())
+        u, v = next((u, v) for u, v, *_ in truth.edges if v not in found)
+        raise LabelMismatch(f"truth line ({u}, {v}) matches no recovered "
+                            f"line")
+    return node
 
 
 def _score(lines: np.ndarray,
