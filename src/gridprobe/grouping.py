@@ -123,13 +123,22 @@ def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
     rank = np.argsort(values, axis=1, kind="stable")
     order = by_bus[rank]
     ranked = np.take_along_axis(values, rank, axis=1)
-    starts = np.ones(ranked.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.greater(ranked[:, 1:] - ranked[:, :-1], cut, out=starts[:, 1:])
+    starts = _starts(ranked, cut)
     group = np.cumsum(starts, axis=1) - 1
     labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
     np.put_along_axis(labels, order, group, axis=1)
     return order, ranked, starts, group, labels
+
+
+def _starts(ranked: np.ndarray, cut: float) -> np.ndarray:
+    """The one gap rule, on a stack of sorted columns (trials x rows x
+    columns): the first row opens a group, and so does every row whose
+    gap to the row before exceeds cut. Gaps that overflow compare without
+    a warning: inf opens a group, NaN (inf - inf) does not."""
+    starts = np.ones(ranked.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.greater(ranked[:, 1:] - ranked[:, :-1], cut, out=starts[:, 1:])
+    return starts
 
 
 def _group_values(ranked: np.ndarray, group: np.ndarray,
@@ -471,11 +480,7 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
     trials, n, m = values.shape
     ranked = np.sort(values, axis=1)
-    starts = np.ones(ranked.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.greater(ranked[:, 1:] - ranked[:, :-1], threshold,
-                   out=starts[:, 1:])
-    same = (starts == labelling.starts).all(axis=(1, 2))
+    same = (_starts(ranked, threshold) == labelling.starts).all(axis=(1, 2))
     # The candidates' entries column by column in the labelling's order,
     # so each of its groups is one run; `firsts` opens the runs, and a run
     # that opens no column is held above the run before it.
