@@ -468,18 +468,9 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     of one per period. It raises what `simulate_probing` raises; general
     plans have no windows and raise ConfigError.
     """
-    values, row_nodes = _draw(g, plan, noise, mode, [(rng, 1)])
-    return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
-                              values=values[0])
-
-
-def _draw(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
-          runs: Sequence[tuple[np.random.Generator | None, int]],
-          scales: np.ndarray | None = None
-          ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`_sampler`'s draw of `runs`, and the reported rows' buses."""
     draw, row_nodes = _sampler(g, plan, noise, mode)
-    return draw(runs, scales), row_nodes
+    return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
+                              values=draw([(rng, 1)])[0])
 
 
 def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str

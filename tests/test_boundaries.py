@@ -317,7 +317,7 @@ Y_PLAN = ProbingPlan.blocks([1, 2, 3], [0.1] * 3, 2)
     # `_add_noise` scales the meter noise past the largest float.
     lambda g: simulate_probing(g, Y_PLAN, NoiseModel(sigma_w=1.7e308),
                                rng=np.random.default_rng(0)),
-    # `_draw` divides a finite window sum by 0.1·√2.
+    # `_sampler`'s draw divides a finite window sum by 0.1·√2.
     lambda g: sample_estimate(g, Y_PLAN, NoiseModel(sigma_w=1e308),
                               rng=np.random.default_rng(0)),
 ], ids=["simulate_probing", "sample_estimate"])

@@ -38,7 +38,11 @@ exact block's labelling (bit for bit the noise-free draw's) and without
 building the recovered grid: the learnt plan, line order and truth
 resistances are held bit for bit to `_identify` then `compare_graphs`,
 and `_learn` raises what that path raises, or LabelMismatch where it
-finds no node map. It scores
+finds no node map. Its match is an adapter over the core that
+`compare_graphs` runs (`recovery._node_map`), so this holds the plan's
+line names and order to the recovered grid's, not one match to
+another; tests/test_properties.py holds the core to known renamings and
+rewirings. It scores
 only the trials that cut their estimate into that labelling, by running
 its recovery plan through the same value step and score on their group
 values, all of a chunk's trials as one stack, whatever sweep values the
@@ -94,7 +98,7 @@ from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
                        recover_full, recover_partial, recovery, reduce_grid,
                        resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
-from gridprobe.probing import _FACTOR_EXTRA_ROWS, _draw, _scale
+from gridprobe.probing import _FACTOR_EXTRA_ROWS, _sampler, _scale
 
 from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
                      reference_assemble_families, reference_group_exact,
@@ -1553,7 +1557,7 @@ def test_cut_of_silent_noise_keeps_every_tie(mode):
     owners = g.bus_order if mode == "complete" else tuple(sorted(g.leaves))
     exact, _ = noise_free_labelling(g, owners, mode)
     plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 5)
-    stack, _ = _draw(g, plan, NoiseModel(), mode, [(None, 6)])
+    stack = _sampler(g, plan, NoiseModel(), mode)[0]([(None, 6)])
     stack[4, 0, 0] = -1.0
     same = check_cut(exact, stack, 0.0007)
     assert same.tolist() == [True] * 4 + [False, True]
@@ -1584,9 +1588,9 @@ def test_cut_holds_on_random_feeders():
             exact, _ = noise_free_labelling(g, owners, mode)
             plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 4)
             sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
-            stack, _ = _draw(g, plan, NoiseModel(sigma_w=sigma), mode,
-                             [(np.random.default_rng(rng.integers(2 ** 32)),
-                               1) for _ in range(60)])
+            stack = _sampler(g, plan, NoiseModel(sigma_w=sigma), mode)[0](
+                [(np.random.default_rng(rng.integers(2 ** 32)), 1)
+                 for _ in range(60)])
             kept[mode, every_bus].update(
                 check_cut(exact, stack, r_min / 2).tolist())
     assert all(counts[True] and counts[False] for counts in kept.values()), \
@@ -1705,10 +1709,10 @@ def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
                  for periods in (2, 9, 40)]
         which = [(2 * t) % len(plans) for t in range(trials)]
         seeds = [(5, trials, r) for r in range(len(sizes))]
-        got, row_nodes = _draw(g, plans[0], noise, mode,
-                               [(np.random.default_rng(s), n)
-                                for s, n in zip(seeds, sizes)],
-                               np.array([_scale(plans[k]) for k in which]))
+        draw, row_nodes = _sampler(g, plans[0], noise, mode)
+        got = draw([(np.random.default_rng(s), n)
+                    for s, n in zip(seeds, sizes)],
+                   np.array([_scale(plans[k]) for k in which]))
         assert got.shape[0] == trials
         ks = iter(which)
         stack = iter(got)
