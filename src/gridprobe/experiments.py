@@ -2,10 +2,11 @@
 
 `identify` turns a resistance estimate into a recovered grid; the
 `recover` command calls it. It cuts the estimate into a labelling, runs
-the family check on it and walks what the labelling reads out for
-recovery, with no family objects in between. A sweep runs over a list of
-per-bus probing durations and, for each, repeatedly draws the resistance
-estimate of a probing campaign on a known feeder from its window sums.
+the family check on it and reads the recovery plan off the labelling's
+owner hierarchy, with no family objects or level sets in between. A
+sweep runs over a list of per-bus probing durations and, for each,
+repeatedly draws the resistance estimate of a probing campaign on a
+known feeder from its window sums.
 A trial fails in one of three ways, each decided where its rule lives:
 its cut differs from the noise-free labelling (grouping, `_cut_trials`'
 `same`), its group values break a family-check value rule (grouping,
@@ -34,20 +35,20 @@ from . import fileio
 from .errors import (ConfigError, as_buses, as_choice, as_float,
                      as_instance, as_int, as_path)
 from .feeder import FeederGraph
-# perfbench/tracer.py wraps stages by their names in this module and
-# fails if one is missing: `identify` calls `_label` and `_recover`, and
-# the sweep `_exact`, `_plan`, `_sampler`, `_cut_trials`, `_replay` and
-# reduce_grid, through these globals. simulate_probing,
-# estimate_resistances, group_column_noisy, assemble_families,
-# recover_full, recover_partial and compare_graphs are only the tracer's
-# targets.
+# `identify` calls `_label`, `_planned` and `_report`, and the sweep
+# `_exact`, `_planned`, `_sampler`, `_cut_trials`, `_replay` and
+# reduce_grid, through these globals. perfbench/tracer.py wraps stages by
+# their names in this module and fails if one is missing;
+# simulate_probing, estimate_resistances, group_column_noisy,
+# assemble_families, recover_full, recover_partial and compare_graphs are
+# only its targets.
 from .grouping import (_cut_trials, _label, _Labelling, _threshold,
                        assemble_families, group_column_noisy)
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       _check_windows, _exact, _finite, _sampler,
                       estimate_resistances, simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _matched, _plan,
-                       _recover, _replay, _Replay, compare_graphs,
+from .recovery import (RecoveryPlan, RecoveryReport, _matched, _planned,
+                       _replay, _Replay, _report, compare_graphs,
                        recover_full, recover_partial)
 from .reduction import reduce_grid
 
@@ -233,23 +234,25 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
 
 
 def _identify(labelling: _Labelling) -> tuple[RecoveryPlan, RecoveryReport]:
-    """The family check, then the recovery walk on the labelling's read:
-    `identify`'s steps after the cut."""
+    """The family check, then the recovery plan, read off the labelling's
+    owner hierarchy (`_planned`), and its report: `identify`'s steps after
+    the cut."""
     labelling.check()
-    return _recover(*labelling.read(), not labelling.complete)
+    return _report(_planned(labelling), frozenset(labelling.owners),
+                   not labelling.complete)
 
 
 def _learn(labelling: _Labelling, truth: FeederGraph) -> _Replay:
     """The replay of the noise-free labelling: the family check and the
-    recovery plan (`_plan`), which raise what `identify` raises, then the
-    plan's lines matched to the truth's (`_matched`), which raises
+    recovery plan (`_planned`), which raise what `identify` raises, then
+    the plan's lines matched to the truth's (`_matched`), which raises
     LabelMismatch where `compare_graphs` finds no node map. No recovered
-    grid is built or compared: the replay holds what `_recover`, then
+    grid is built or compared: the replay holds what `_identify`, then
     `compare_graphs`' node map and the truth's line resistances give."""
     labelling.check()
-    metered = not labelling.complete
-    plan, _, _ = _plan(*labelling.read(), metered)
-    return _Replay(plan, *_matched(plan, labelling.owners, truth), metered)
+    plan, _, _ = _planned(labelling)
+    return _Replay(plan, *_matched(plan, labelling.owners, truth),
+                   not labelling.complete)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -264,7 +267,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     every sweep value's windows are checked there too, so a plan defect
     raises ConfigError instead of failing every trial; a draw that
     raises, or that is not finite, stops the sweep too. The campaign's
-    noise factor is built once per call (`_sampler`). The sweep values'
+    noise factor is built once per call (`_sampler`), from the exact
+    block the call has already read. The sweep values'
     plans differ only in their window lengths, so each value needs only
     its own row of window divisors, bitwise the `_scale` of its plan.
 
@@ -295,7 +299,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
     plan = ProbingPlan.blocks(buses, delta, config.periods[0])
-    block, rows, *_ = _exact(g, plan, config.mode)
+    read = _exact(g, plan, config.mode)
+    block, rows, *_ = read
     exact = _Labelling.of(plan.buses, rows, _finite(block), config.mode,
                           None)
     replay = _learn(exact, truth)
@@ -305,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for t in config.periods:
         _check_windows(plan.buses, [t] * len(plan.buses))
     scales = np.array(plan.delta) * np.sqrt(config.periods)[:, None]
-    draw, _ = _sampler(g, plan, config.noise, config.mode)
+    draw, _ = _sampler(g, plan, config.noise, config.mode, read)
     # One stream per sweep value, drawing its trials in trial order across
     # chunks; silent noise draws nothing, so it needs no generator.
     rngs = [None if config.noise.silent

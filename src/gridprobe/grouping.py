@@ -13,9 +13,14 @@ family check runs on that matrix. Grouping's one product is a labelling
 (`_Labelling`): the checked columns of a whole estimate
 (`group_estimate`) or of one column (`group_column_exact`,
 `group_column_noisy`), cut, and read out in one place, as the level sets
-and value table recovery reads or as `ColumnGrouping`s.
-`assemble_families` reads ready-made groupings into the same check, and
-`_cut_trials` holds a sweep's stack of trials to it.
+and value table recovery reads or as `ColumnGrouping`s. Each labelling
+carries one owner hierarchy (`_Hierarchy`): for each column and each of
+its levels, the first owner it sees that deep. The family check's
+agree-above rule, recovery's plan (`recovery._hierarchy_walk`) and a
+sweep's cut read it; the pairwise pass over all column pairs
+(`_first_differences`) only explains a failure. `assemble_families`
+reads ready-made groupings into the same check, and `_cut_trials` holds
+a sweep's stack of trials to it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from .feeder import LevelSetFamily
 from .probing import MODES, ResistanceEstimate
 
 SUBSTATION = 0
-# Elements per temporary array in the blocked pairwise step of the family
-# check (`_first_differences`), which bounds its memory on large feeders.
+# Elements per temporary array in the blocked steps of the family check:
+# the owner hierarchy's prefix test, and the pairwise pass
+# (`_first_differences`) that only explains a failure. This bounds their
+# memory on large feeders.
 _BLOCK = 1 << 18
 
 
@@ -227,12 +234,67 @@ def _first_differences(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seen(labels: np.ndarray, owners: Sequence[int],
-          owner_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns in ascending owner order, and seen[a, b]: the group
-    that owner a's column puts owner b in, owners ascending."""
+class _Hierarchy(NamedTuple):
+    """The owners of a labelling as one hierarchy, owners ascending.
+
+    cols lists the columns in ascending owner order and seen[a, b] is the
+    group that owner a's column puts owner b in. rep[a, L], for each
+    level L up to owner a's deepest group, is the first owner whose seen
+    with a is at least L, and -1 past a's deepest group. rep is None
+    unless every owner sits in its deepest group, seen is symmetric and
+    the prefix rule holds: below each of its levels L, every column
+    agrees with its rep column, min(labels[:, a], L) == min(labels[:,
+    rep[a, L]], L) on every row.
+
+    Where rep is not None, the rule "two owners' columns hold identical
+    groups above the depth at which they see each other" holds for every
+    pair: for s = seen[a, b], row b of the test at (a, s) puts b at least
+    s deep in rep[a, s]'s column, so symmetry makes rep[a, s] and rep[b,
+    s] one owner, whose column both agree with below s. Then the owners
+    whose seen with a is at least L are exactly those with a's rep at L:
+    the classes of rep[:, L] are the groups a root-down walk holds at
+    level L.
+    """
+
+    cols: np.ndarray
+    seen: np.ndarray
+    rep: np.ndarray | None
+
+
+def _hierarchy(labels: np.ndarray, counts: np.ndarray, owners: Sequence[int],
+               owner_rows: np.ndarray) -> _Hierarchy:
+    """The owner hierarchy of a label matrix: a row-wise running max of
+    seen and one searchsorted give rep, and the prefix rule is tested only
+    at the last level of each run of one rep in a row, since agreeing
+    below L implies agreeing below every lower level. Costs O(n·Σcounts)
+    at most, in blocks of `_BLOCK` elements."""
     cols = np.argsort(np.asarray(owners), kind="stable")
-    return cols, labels[owner_rows[cols], cols[:, None]].astype(np.intp)
+    seen = labels[owner_rows[cols], cols[:, None]].astype(np.intp)
+    deep = counts[cols] - 1
+    if not ((np.diagonal(seen) == deep).all() and (seen == seen.T).all()):
+        return _Hierarchy(cols, seen, None)
+    m, depth = len(cols), int(deep.max()) + 1
+    held = np.arange(depth) <= deep[:, None]
+    a, level = np.nonzero(held)
+    # Row a's running max lies in [a·depth, a·depth + deep[a]], so the
+    # offset rows sort as one array; seen[a, a] = deep[a] bounds each
+    # search to its own row.
+    climb = np.maximum.accumulate(seen, axis=1) + np.arange(m)[:, None] * depth
+    rep = np.full((m, depth), -1)
+    rep[held] = np.searchsorted(climb.ravel(), a * depth + level) - a * m
+    last = held & (rep != np.arange(m)[:, None])
+    last[:, :-1] &= rep[:, 1:] != rep[:, :-1]
+    a, level = np.nonzero(last)
+    level = level.astype(labels.dtype)[:, None]
+    columns = np.ascontiguousarray(labels[:, cols].T)
+    step = max(1, _BLOCK // max(labels.shape[0], 1))
+    for i in range(0, len(a), step):
+        at = slice(i, i + step)
+        if not (np.minimum(columns[a[at]], level[at])
+                == np.minimum(columns[rep[a[at], level[at, 0]]], level[at])
+                ).all():
+            return _Hierarchy(cols, seen, None)
+    return _Hierarchy(cols, seen, rep)
 
 
 def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
@@ -246,7 +308,7 @@ def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
 
 
 def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
-                 owners: Sequence[int], owner_rows: np.ndarray, start: int,
+                 owners: Sequence[int], hierarchy: _Hierarchy, start: int,
                  value_tol: float, every_bus: bool) -> None:
     """The cross-column checks, owners taken in ascending order.
 
@@ -264,9 +326,13 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     (partial mode, or complete mode where a junction need not be an
     owner) some families pass and still fail in recovery, so recovery's
     own errors still apply there.
+
+    The identical-groups rule reads the owner hierarchy: where its rep
+    exists, no pair breaks it, and the O(n·m²) pairwise pass
+    (`_first_differences`) runs only to name the first pair that does.
     """
     m = len(owners)
-    cols, seen = _seen(labels, owners, owner_rows)
+    cols, seen = hierarchy.cols, hierarchy.seen
     ascending = [owners[c] for c in cols.tolist()]
     deep = counts[cols] - 1
     anchor = seen == deep
@@ -276,7 +342,8 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     crowded = tally > 1
     split_depth = seen != seen.T
     split_value = _split_value(values, cols, seen, value_tol)
-    above = _first_differences(labels[:, cols]) < seen
+    above = (False if hierarchy.rep is not None
+             else _first_differences(labels[:, cols]) < seen)
     bad = np.triu(split_depth | split_value | above, 1)
     stop = crowded.any(axis=1) | bad.any(axis=1)
     if not stop.any():
@@ -361,9 +428,12 @@ class _Labelling(NamedTuple):
     row last in complete mode) and owner_rows each owner's row.
     order[:, j] lists the rows of column j by value, ties by bus ID, and
     ranked[:, j] their values; starts[i, j] marks the sorted row that
-    opens a group. labels[i, j] is the index of the group holding row i
-    in column j, counts[j] the number of groups in column j and
-    values[j, :counts[j]] their values (0.0 past the last group).
+    opens a group and group[i, j] indexes the group of the i-th sorted row.
+    labels[i, j] is the index of the group holding row i in column j,
+    counts[j] the number of groups in column j and values[j, :counts[j]]
+    their values (0.0 past the last group). hierarchy is the owners' one
+    hierarchy (`_hierarchy`), which the family check, the recovery plan
+    and a sweep's cut read.
 
     For fixed owners, rows, mode and r_min, the label matrix fixes every
     level set and depth: two estimates with equal labels pass or fail
@@ -379,9 +449,11 @@ class _Labelling(NamedTuple):
     order: np.ndarray
     ranked: np.ndarray
     starts: np.ndarray
+    group: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
     values: np.ndarray
+    hierarchy: _Hierarchy
 
     @classmethod
     def of(cls, owners: tuple[int, ...], rows: Sequence[int],
@@ -395,8 +467,9 @@ class _Labelling(NamedTuple):
         counts = group[0, -1] + 1
         table = _group_values(ranked, group, int(counts.max()))
         return cls(owners, buses, owner_rows, mode == "complete", threshold,
-                   order[0], ranked[0], starts[0], labels[0], counts,
-                   table[0])
+                   order[0], ranked[0], starts[0], group[0], labels[0],
+                   counts, table[0],
+                   _hierarchy(labels[0], counts, owners, owner_rows))
 
     @property
     def value_tol(self) -> float:
@@ -408,7 +481,7 @@ class _Labelling(NamedTuple):
         _check_columns(self.labels, self.counts, self.values, self.owners,
                        self.owner_rows, n - 1 if self.complete else None)
         _check_pairs(self.labels, self.counts, self.values, self.owners,
-                     self.owner_rows, int(not self.complete), self.value_tol,
+                     self.hierarchy, int(not self.complete), self.value_tol,
                      self.complete and len(self.owners) == n - 1)
 
     def read(self) -> tuple[dict[int, tuple[frozenset[int], ...]],
@@ -492,12 +565,12 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
     same[same] = (np.maximum.reduceat(runs, firsts, axis=1)[:, above - 1]
                   < np.minimum.reduceat(runs, firsts, axis=1)[:, above]
                   ).all(axis=1)
-    table = _group_values(ranked[same], np.cumsum(labelling.starts, axis=0)
-                          - 1, labelling.values.shape[1])
-    cols, seen = _seen(labelling.labels, labelling.owners,
-                       labelling.owner_rows)
+    table = _group_values(ranked[same], labelling.group,
+                          labelling.values.shape[1])
+    hierarchy = labelling.hierarchy
     held = ~(_flat(labelling.counts, table).any(axis=-1)
-             | _split_value(table, cols, seen, threshold).any(axis=(-2, -1)))
+             | _split_value(table, hierarchy.cols, hierarchy.seen,
+                            threshold).any(axis=(-2, -1)))
     return same, held, table
 
 
@@ -633,7 +706,9 @@ def assemble_families(groupings: Iterable[ColumnGrouping],
         labels[[index[n] for n in label], j] = list(label.values())
         values[j, :len(g.values)] = g.values
     _check_columns(labels, counts, values, owners, owner_rows, substation_row)
-    _check_pairs(labels, counts, values, owners, owner_rows, start, value_tol,
+    _check_pairs(labels, counts, values, owners,
+                 _hierarchy(labels, counts, owners, owner_rows), start,
+                 value_tol,
                  not metered and set(owners) == universe - {SUBSTATION})
 
     if metered:

@@ -473,7 +473,8 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
                               values=draw([(rng, 1)])[0])
 
 
-def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
+def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
+             read: tuple | None = None
              ) -> tuple[Callable[..., np.ndarray], tuple[int, ...]]:
     """Check a block campaign and build its noise factor once; return
     draw(runs, scales=None) and the reported rows' buses. draw gives the
@@ -485,8 +486,9 @@ def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
     (plan's for None), so one stack can hold plans that differ only in
     delta and periods. The trials of a run are bitwise what
     `sample_estimate` draws with its generator, one call per trial, each
-    with its own plan."""
-    exact, row_nodes, rmat, rows, free = _exact(g, plan, mode)
+    with its own plan. A caller that has read the campaign's `_exact`
+    passes it as `read`, which is then not read again."""
+    exact, row_nodes, rmat, rows, free = read or _exact(g, plan, mode)
     as_instance(noise, NoiseModel, ConfigError, "noise")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "

@@ -12,12 +12,18 @@ it is a probed bus) or a junction invisible to the data, which gets a
 fresh bus ID above every input ID.
 
 Level-set families are read once, at the boundary (`_read`), into each
-owner's level sets and a group-value table; a sweep passes those straight
-from its cut. The walk reads topology only, off the sets: its
+owner's level sets and a group-value table, which the set walk (`_walk`)
+reads; their families need not be disjoint. `identify` and a sweep read
+no sets: `_planned` reads the same plan off a labelling's owner
+hierarchy (`_hierarchy_walk`), every level at once, and runs the set walk
+on the labelling's read only where the hierarchy does not hold, so that
+it raises the walk's error. Either walk reads topology only: its
 `RecoveryPlan` holds the root, the junction IDs, and each line with its
-depth and the columns behind it. One value step, `_line_values`, values a
-plan's lines and upstream resistance on a stack of group-value tables,
-one per trial; a sweep replays a plan on its trials with it (`_replay`).
+depth and the columns behind it. The value rules run in one place
+(`_valued`) on a plan from either walk. One value step, `_line_values`,
+values a plan's lines and upstream resistance on a stack of group-value
+tables, one per trial; a sweep replays a plan on its trials with it
+(`_replay`).
 Comparison is a node-map match, then a resistance score of a stack of
 trials. The match (`_node_map`) looks each line's child up once in the
 truth, by its probed buses below and its parent's match; it takes a
@@ -238,25 +244,129 @@ def _line_values(plan: RecoveryPlan, table: np.ndarray
     return values, upstream
 
 
-def _valued(table: np.ndarray, metered: bool, root, internal, lines: list,
-            depths: list, members: list
-            ) -> tuple[RecoveryPlan, list[float], float]:
-    """The plan of what the walk wired, valued on a one-trial group-value
-    table: the plan, its line values and the upstream resistance, or
-    InconsistentLevelSets at the first line in walk order not positive."""
+def _wired(root, internal, lines: list, depths: list, members: list,
+           metered: bool) -> RecoveryPlan:
+    """The plan of what the set walk wired."""
     sizes = list(map(len, members))
     step = np.array(depths, dtype=np.intp) - int(metered) - 1
-    plan = RecoveryPlan(root, tuple(internal), tuple(lines),
+    return RecoveryPlan(root, tuple(internal), tuple(lines),
                         np.fromiter(chain.from_iterable(members), np.intp),
                         np.repeat(np.arange(len(lines)), sizes),
                         np.repeat(step, sizes))
+
+
+def _valued(plan: RecoveryPlan, table: np.ndarray, metered: bool,
+            whole: bool = True) -> tuple[RecoveryPlan, list[float], float]:
+    """The value rules, the one place they run, on a plan from either walk
+    valued on a one-trial group-value table: the plan, its line values in
+    walk order and the upstream resistance. Raises, in walk order, the
+    first line not positive (InconsistentLevelSets); then, on a whole walk
+    (not one an error cut short), the first line not finite
+    (NonpositiveImpedance, as `FeederGraph` names it) and, metered, an
+    upstream resistance that is not finite (ConfigError, as `ReducedGrid`
+    names it)."""
     (values,), (upstream,) = _line_values(plan, table)
-    values = values.tolist()
-    for r, k in zip(values, depths):
+    values, upstream = values.tolist(), float(upstream)
+    for i, r in enumerate(values):
         if r <= 0:
+            k = int(plan.step[np.searchsorted(plan.line, i)]) + int(metered)
             raise InconsistentLevelSets(
-                f"nonpositive line resistance {r} at depth {k}")
-    return plan, values, float(upstream)
+                f"nonpositive line resistance {r} at depth {k + 1}")
+    if whole:
+        for (u, v), r in zip(plan.lines, values):
+            _impedance(r, u, v, "r")
+        if metered:
+            _upstream_r(upstream)
+    return plan, values, upstream
+
+
+def _hierarchy_walk(labelling) -> RecoveryPlan | None:
+    """The plan `_walk` wires on a labelling's read level sets, read off
+    its owner hierarchy (`grouping._Hierarchy`) instead, every level at
+    once; None unless the hierarchy holds (owners in their deepest groups,
+    seen symmetric, the prefix rule) and every node is named once.
+
+    The walk's groups at level L are the classes of rep[:, L]. Sorting
+    the columns by their rep paths (one lexsort) puts each class in one
+    run, and the runs in the walk's queue order: level first, then the
+    parent's position, then the smallest owner. A class's members are the
+    owners it holds, in column order, behind the line to its node, whose
+    step is L - 1. With complete data the node is the one row labelled L
+    in every column of its class: the member whose deepest group is L,
+    which every column of the class labels L, or a row no owner holds,
+    whose labels run as the class's one value along the sorted columns.
+    With metered data it is the member whose deepest group is L if that
+    group has the class's size, or else a junction, numbered in walk
+    order above the owners, whose class splits in two or more. A member
+    whose deepest group is L and that is not the node, a second node, or
+    a junction that does not split is an error of the set walk, which
+    then runs instead."""
+    rep = labelling.hierarchy.rep
+    if rep is None:
+        return None
+    m, depth = rep.shape
+    metered = not labelling.complete
+    order = np.lexsort(rep.T[::-1])
+    path = rep[order]
+    column = labelling.hierarchy.cols[order]
+    alive = path >= 0
+    opens = alive.copy()
+    opens[1:] &= path[1:] != path[:-1]
+    # Classes numbered in walk order; cls[p, L] is the class at level L of
+    # the column at sorted position p, where it has a level L.
+    level, first = np.nonzero(opens.T)
+    cls = np.cumsum(opens.T.ravel()).reshape(depth, m).T - 1
+    classes = len(level)
+    size = np.bincount(cls[alive], minlength=classes)
+    # Each owner is a candidate node of the class at its deepest level.
+    own = cls[np.arange(m), alive.sum(axis=1) - 1]
+    named = np.bincount(own, minlength=classes)
+    parent = cls[first[1:], level[1:] - 1]
+    if named.max() > 1:
+        return None
+    owners = labelling.owners
+    node = [None] * classes
+    for c, j in zip(own.tolist(), column.tolist()):
+        node[c] = owners[j]
+    if metered:
+        deepest = labelling.starts[::-1].argmax(axis=0) + 1
+        junction = np.flatnonzero(named == 0)
+        if ((deepest[column] != size[own]).any() or (np.bincount(
+                parent, minlength=classes)[junction] < 2).any()):
+            return None
+        first_id = max(owners) + 1
+        internal = [first_id + k for k in range(len(junction))]
+        for c, n in zip(junction.tolist(), internal):
+            node[c] = n
+    else:
+        free = np.ones(len(labelling.buses), dtype=bool)
+        free[labelling.owner_rows] = False
+        free = np.flatnonzero(free)
+        # Each free row's class in each column at the level the column
+        # labels it; a row is a class's node when its run of that class
+        # along the sorted columns is the whole class.
+        runs = cls[np.arange(m), labelling.labels[np.ix_(free, column)]]
+        opened = np.ones(runs.shape, dtype=bool)
+        opened[:, 1:] = runs[:, 1:] != runs[:, :-1]
+        at = np.flatnonzero(opened)
+        hit = runs.ravel()[at]
+        whole = np.diff(at, append=runs.size) == size[hit]
+        rows, hit = at[whole] // m, hit[whole]
+        if ((named + np.bincount(hit, minlength=classes) != 1).any()
+                or (np.bincount(rows) > 1).any()):
+            return None
+        buses = labelling.buses[free[rows]].tolist()
+        for c, n in zip(hit.tolist(), buses):
+            node[c] = n
+        internal = []
+    held = alive[:, 1:]
+    line = cls[:, 1:][held] - 1
+    members = np.broadcast_to(column[:, None], held.shape)[held]
+    by_line = np.lexsort((members, line))
+    line = line[by_line]
+    return RecoveryPlan(node[0], tuple(internal), tuple(zip(
+        [node[c] for c in parent.tolist()], node[1:])), members[by_line],
+        line, level[1:][line] - 1)
 
 
 class _Replay(NamedTuple):
@@ -291,27 +401,30 @@ def _plan(sets: Mapping[int, tuple[frozenset[int], ...]],
           table: np.ndarray, metered: bool
           ) -> tuple[RecoveryPlan, list[float], float]:
     """Walk read level sets (what `_read` returns) and value what the walk
-    wired on the group-value table: the plan, its line values in walk
-    order and the upstream resistance, under the rules the recovered grid
-    is built with. A nonpositive line wired before a walk error is raised
-    instead, as the walk met it. After the walk come the first nonpositive
-    line, then the first line that is not finite (NonpositiveImpedance,
-    as `FeederGraph` names it) and, metered, an upstream resistance that
-    is not finite (ConfigError, as `ReducedGrid` names it), each in walk
-    order."""
+    wired on the group-value table (`_valued`): the plan, its line values
+    in walk order and the upstream resistance. A nonpositive line wired
+    before a walk error is raised instead, as the walk met it."""
     wired = ([], [], [])
     try:
         root, internal = _walk(sets, metered, *wired)
     except GridProbeError:
         if wired[0]:
-            _valued(table, metered, None, [], *wired)
+            _valued(_wired(None, [], *wired, metered), table, metered,
+                    whole=False)
         raise
-    plan, values, upstream = _valued(table, metered, root, internal, *wired)
-    for (u, v), r in zip(plan.lines, values):
-        _impedance(r, u, v, "r")
-    if metered:
-        _upstream_r(upstream)
-    return plan, values, upstream
+    return _valued(_wired(root, internal, *wired, metered), table, metered)
+
+
+def _planned(labelling) -> tuple[RecoveryPlan, list[float], float]:
+    """What `_plan` gives for a labelling's read, read off its owner
+    hierarchy (`_hierarchy_walk`) where that holds, without reading its
+    level sets; elsewhere `_plan` on its read, which then raises the set
+    walk's error."""
+    metered = not labelling.complete
+    plan = _hierarchy_walk(labelling)
+    if plan is None:
+        return _plan(*labelling.read(), metered)
+    return _valued(plan, labelling.values[None], metered)
 
 
 def _matched(plan: RecoveryPlan, owners: Sequence[int], truth: FeederGraph
@@ -339,15 +452,22 @@ def _matched(plan: RecoveryPlan, owners: Sequence[int], truth: FeederGraph
 def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
              table: np.ndarray, metered: bool
              ) -> tuple[RecoveryPlan, RecoveryReport]:
-    """Plan the recovery of read level sets (`_plan`) and report the grid
-    (a ReducedGrid when metered), with its plan."""
-    plan, values, upstream = _plan(sets, table, metered)
+    """Plan the recovery of read level sets (`_plan`) and report it
+    (`_report`)."""
+    return _report(_plan(sets, table, metered), frozenset(sets), metered)
+
+
+def _report(planned: tuple[RecoveryPlan, list[float], float],
+            probing: frozenset[int], metered: bool
+            ) -> tuple[RecoveryPlan, RecoveryReport]:
+    """The plan of a valued walk and the report of its grid (a
+    ReducedGrid when metered)."""
+    plan, values, upstream = planned
     edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
-    graph = (ReducedGrid(plan.root, edges, frozenset(sets), plan.internal,
-                         upstream)
+    graph = (ReducedGrid(plan.root, edges, probing, plan.internal, upstream)
              if metered else FeederGraph(edges))
     return plan, RecoveryReport("partial" if metered else "complete", graph,
-                                frozenset(sets), plan.support)
+                                probing, plan.support)
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:

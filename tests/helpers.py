@@ -54,14 +54,16 @@ STAR_BUSES = [(0, 1, 0.3, 0.2)] + [(1, b, 0.1 + 0.01 * b, 0.05 + 0.01 * b)
                                    for b in range(2, 38)]
 
 
-def random_feeder(rng, max_buses=30, with_x=True, lo=0.05, hi=1.0):
-    """Random radial feeder with shuffled bus IDs.
+def random_feeder(rng, max_buses=30, with_x=True, lo=0.05, hi=1.0,
+                  buses=None):
+    """Random radial feeder with shuffled bus IDs: `buses` buses, or a
+    uniform draw from 1 to max_buses.
 
     Each new bus attaches to a uniformly chosen existing bus, which covers
     everything from paths to stars. IDs are a random permutation of 1..N
     so nothing downstream can rely on parents having smaller IDs.
     """
-    n = int(rng.integers(1, max_buses + 1))
+    n = int(rng.integers(1, max_buses + 1)) if buses is None else buses
     ids = [int(b) for b in rng.permutation(np.arange(1, n + 1))]
     attached = [0]
     edges = []

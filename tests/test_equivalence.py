@@ -20,10 +20,11 @@ errors.
 `identify`, the one chain from an estimate to a recovered grid, is held to
 the stage chain the `recover` command spelled out before it: the same
 grid, lines and supports, or the same exception class and message. It
-recovers from the labelling's read, as the sweep does, and is held bit
-for bit to the public chain it skips, `group_estimate` then
-`recover_full` or `recover_partial`: every report field with line values
-as float.hex, or the same exception class and message.
+recovers from the plan read off the labelling's owner hierarchy, as the
+sweep does, and is held bit for bit to the public chain it skips,
+`group_estimate` then `recover_full` or `recover_partial`: every report
+field with line values as float.hex, or the same exception class and
+message.
 `group_estimate`, which groups a whole estimate on one label matrix, is
 held to the per-column copies and the pairwise scans in helpers.py: the
 same families bit for bit, or the same first error. The library's own
@@ -61,7 +62,11 @@ for recovery as its families read, bit for bit. The stacked draw, over a
 stack that mixes sweep values, is held to one `sample_estimate` call per
 trial with the trial's own plan bit for bit; the sweep's rows to
 themselves at every chunk size, and each row to a sweep of its value
-alone. The stacked cut, which decides a trial from its sorted values and
+alone. The plan read off a labelling's owner hierarchy is held to the set
+walk over its read level sets bit for bit, on every labelling of these
+corpora, on odd row sets and on 300-bus feeders, and the hierarchy's
+prefix rule to the pairwise pass on perturbed label matrices: the same
+verdict and the same first message. The stacked cut, which decides a trial from its sorted values and
 the noise-free groups' bounds without labelling it, is held to every
 trial labelled on its own, on stacks that mix kept and rejected trials: a
 swap that keeps the gaps, exact ties, signed zeros, overflowing gaps and
@@ -1116,14 +1121,19 @@ def write_y_config(tmp_path):
 # is defined and wherever the package imports it under its own name.
 CHAIN = ("group_estimate", "group_column_noisy", "assemble_families",
          "recover_full", "recover_partial")
-CORE = ("_label", "_identify", "_recover", "_learn", "_plan")
+CORE = ("_label", "_identify", "_learn", "_planned", "_report")
+# The set walk over read level sets, which only `recover_full`,
+# `recover_partial` and a labelling whose owner hierarchy does not hold
+# reach, each wrapped where it is defined.
+SET_WALK = ("_read", "_walk", "_plan", "_recover")
 
 
 def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     # The `recover` command cuts with `_label`, the sweep labels its exact
     # block with `_Labelling.of` directly; both then run the family check
-    # and the recovery walk on the labelling's read. No grouping object is
-    # built and no public recovery is called.
+    # and read the recovery plan off the labelling's owner hierarchy. No
+    # grouping object is built, no public recovery is called and no level
+    # set is read.
     calls = Counter()
 
     def counted(name, fn):
@@ -1135,8 +1145,13 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     for name in CORE:
         monkeypatch.setattr(experiments, name,
                             counted(name, getattr(experiments, name)))
+    for name in SET_WALK:
+        monkeypatch.setattr(recovery, name,
+                            counted(name, getattr(recovery, name)))
     monkeypatch.setattr(grouping._Labelling, "of", classmethod(counted(
         "_Labelling.of", grouping._Labelling.of.__func__)))
+    monkeypatch.setattr(grouping._Labelling, "read", counted(
+        "_Labelling.read", grouping._Labelling.read))
     for module in (experiments, cli, grouping, recovery):
         for name in CHAIN:
             if hasattr(module, name):
@@ -1148,14 +1163,14 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
     assert cli.main(["recover", str(rec), "--r-min", "0.5",
                      "--out", str(tmp_path / "rep")]) == 0
     assert calls == {"_label": 1, "_Labelling.of": 1, "_identify": 1,
-                     "_recover": 1}
+                     "_planned": 1, "_report": 1}
     calls.clear()
     run_experiment(ExperimentConfig.from_dict(
         fileio.load_config(cfg), base_dir=str(tmp_path)))
     # The sweep never calls `identify` or builds a recovered grid: it
     # labels the noise-free block once, learns its recovery plan and only
     # replays that plan.
-    assert calls == {"_Labelling.of": 1, "_learn": 1, "_plan": 1}
+    assert calls == {"_Labelling.of": 1, "_learn": 1, "_planned": 1}
 
 
 def graph_replay(labelling, truth):
@@ -1175,23 +1190,69 @@ def graph_replay(labelling, truth):
                             np.array(refs), not labelling.complete)
 
 
+def assert_same_arrays(pairs):
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_same_plan(got, want):
+    """Two recovery plans hold the same root, junctions and lines and the
+    same entry arrays, bit for bit."""
+    assert (got.root, got.internal, got.lines) == (
+        want.root, want.internal, want.lines)
+    assert_same_arrays((getattr(got, key), getattr(want, key))
+                       for key in ("members", "line", "step"))
+
+
 def assert_same_replay(got, want):
     """Two replays hold the same plan, order and resistances, bit for
     bit."""
-    assert (got.plan.root, got.plan.internal, got.plan.lines, got.metered) \
-        == (want.plan.root, want.plan.internal, want.plan.lines, want.metered)
-    for a, b in [(getattr(got.plan, key), getattr(want.plan, key))
-                 for key in ("members", "line", "step")] + [
-            (got.order, want.order), (got.refs, want.refs)]:
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert got.metered == want.metered
+    assert_same_plan(got.plan, want.plan)
+    assert_same_arrays([(got.order, want.order), (got.refs, want.refs)])
+
+
+def set_walk_plan(labelling):
+    """The plan the set walk wires on a labelling's read level sets,
+    before any value rule, or the class of the error it raises."""
+    metered = not labelling.complete
+    wired = ([], [], [])
+    try:
+        root, internal = recovery._walk(labelling.read()[0], metered, *wired)
+    except GridProbeError as exc:
+        return type(exc)
+    return recovery._wired(root, internal, *wired, metered)
+
+
+def check_hierarchy_walk(labelling):
+    """Hold the plan read off a labelling's owner hierarchy to the set
+    walk's: where it reads one, the set walk wires the same plan, bit for
+    bit; where it reads none and the family check passes, the set walk
+    raises. Returns whether it read a plan."""
+    got = recovery._hierarchy_walk(labelling)
+    want = set_walk_plan(labelling)
+    if got is not None:
+        assert isinstance(want, recovery.RecoveryPlan), want
+        assert_same_plan(got, want)
+        return True
+    try:
+        labelling.check()
+    except GridProbeError:
+        return False
+    assert not isinstance(want, recovery.RecoveryPlan), \
+        "the set walk recovers a checked labelling the hierarchy does not"
+    return False
 
 
 def learn_outcome(labelling, truth):
     """Hold `_learn` on any labelling to the path it replaced: where
     `_identify` raises, the same class and message; where `compare_graphs`
     finds no node map, LabelMismatch; else the replay that node map gives,
-    bit for bit. Returns the outcome's name."""
+    bit for bit. Returns the outcome's name. The plan read off the
+    labelling's owner hierarchy is held to the set walk's
+    (`check_hierarchy_walk`)."""
+    check_hierarchy_walk(labelling)
     try:
         want = graph_replay(labelling, truth)
     except GridProbeError as exc:
@@ -1224,7 +1285,8 @@ def noise_free(g, plan, mode, truth):
     a recovered grid, which must be what `_recover` and `compare_graphs`
     give. It reads the cut's own level sets and group values; reading the
     labelling's families through recovery's boundary, as `identify` does,
-    must give the same plan and the same recovered lines, bit for bit."""
+    must give the same plan and the same recovered lines, bit for bit.
+    The plan is the one read off the labelling's owner hierarchy."""
     exact = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
                             None, mode)
     block, rows, *_ = probing._exact(g, plan, mode)
@@ -1232,13 +1294,13 @@ def noise_free(g, plan, mode, truth):
         grouping._Labelling.of(plan.buses, rows, block, mode, None), exact)
     replay = experiments._learn(exact, truth)
     assert_same_replay(replay, graph_replay(exact, truth))
+    # The plan is read off the owner hierarchy, and the set walk over the
+    # labelling's families wires it bit for bit.
+    assert check_hierarchy_walk(exact)
     metered = not exact.complete
     read, report = recovery._recover(
         *recovery._read(exact.families(), metered), metered)
-    assert (read.root, read.internal, read.lines) == (
-        replay.plan.root, replay.plan.internal, replay.plan.lines)
-    for key in ("members", "line", "step"):
-        assert np.array_equal(getattr(read, key), getattr(replay.plan, key))
+    assert_same_plan(read, replay.plan)
     # The lines of the report `_learn` got, in its graph's order.
     (values,), _ = recovery._line_values(replay.plan, exact.values[None])
     assert [(u, v, r.hex()) for u, v, r, *_ in report.graph.edges] == [
@@ -1257,6 +1319,7 @@ def check_read(labelling):
         labelling.check()
     except GridProbeError:
         return False
+    check_hierarchy_walk(labelling)
     sets, table = labelling.read()
     want_sets, want_table = recovery._read(labelling.families(),
                                            not labelling.complete)
@@ -1345,6 +1408,117 @@ def test_sweep_rule_holds_on_random_feeders():
         learnt["partial"]), learnt
     assert {"InconsistentLevelSets", "AmbiguousIntersection",
             "replay"} <= set(learnt["complete"]), learnt
+
+
+@st.composite
+def label_matrices(draw):
+    """The label matrix of a random feeder's noise-free labelling, in
+    either mode, with up to four entries changed, each owner kept in its
+    deepest group. An entry in an owner's row is mirrored across the two
+    owners where `mirror` is drawn, so seen stays symmetric and only the
+    prefix rule tells; elsewhere seen may turn asymmetric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    _, g = random_feeder(rng, max_buses=12)
+    mode = draw(st.sampled_from(["complete", "partial"]))
+    buses = tuple(sorted(g.bus_order if mode == "complete" and draw(
+        st.booleans()) else random_probing(rng, g)))
+    plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 1)
+    labelling = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
+                                None, mode)
+    labels, rows = labelling.labels.copy(), labelling.owner_rows.tolist()
+    counts = labelling.counts
+    mirror = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(labels) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, int(counts[j]) - 1))
+        if i == rows[j]:
+            continue
+        labels[i, j] = k
+        if mirror and i in rows and k < counts[rows.index(i)]:
+            labels[rows[j], rows.index(i)] = k
+    return labelling, labels
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(label_matrices())
+def test_prefix_rule_gives_the_pairwise_verdict_and_message(case):
+    # The hierarchy holds exactly when seen is symmetric and no pair of
+    # columns differs above the depth they see each other at, by the
+    # pairwise pass; the family check then raises the same first error
+    # through the hierarchy as through the pairwise pass alone.
+    labelling, labels = case
+    counts, owners = labelling.counts, labelling.owners
+    hierarchy = grouping._hierarchy(labels, counts, owners,
+                                    labelling.owner_rows)
+    seen = hierarchy.seen
+    above = grouping._first_differences(labels[:, hierarchy.cols]) < seen
+    assert (hierarchy.rep is not None) == bool(
+        (seen == seen.T).all() and not above.any())
+    every_bus = labelling.complete and len(owners) == len(labels) - 1
+    outcomes = []
+    for h in (hierarchy, hierarchy._replace(rep=None)):
+        try:
+            grouping._check_pairs(labels, counts, labelling.values, owners,
+                                  h, int(not labelling.complete),
+                                  labelling.value_tol, every_bus)
+            outcomes.append(None)
+        except InconsistentLevelSets as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_hierarchy_walk_matches_the_set_walk_on_odd_rows():
+    # Estimates whose rows are not the owners: partial mode with extra
+    # rows, and complete mode with leaf-covering owners, whose junctions
+    # are rows no owner holds, cut from noisy columns so that some walks
+    # fail. The plan read off the hierarchy is the set walk's wherever it
+    # reads one, and it reads one wherever the family check passes and
+    # the set walk wires a plan.
+    rng = np.random.default_rng(4105)
+    seen = Counter()
+    for _ in range(300):
+        _, g = random_feeder(rng, max_buses=10)
+        owners = tuple(sorted(random_probing(rng, g)))
+        mode = ("complete", "partial")[int(rng.integers(2))]
+        rows = (g.bus_order if mode == "complete" else sorted(
+            set(owners) | {b for b in g.bus_order if rng.random() < 0.3}))
+        r = resistance_matrix(g)
+        values = np.array([[r.entry(n, m) for m in owners] for n in rows])
+        values += rng.normal(0, rng.uniform(0, 0.3), values.shape)
+        labelling = grouping._label(ResistanceEstimate(rows, owners, values),
+                                    0.1, mode)
+        try:
+            labelling.check()
+            checked = "checked"
+        except GridProbeError:
+            checked = "rejected"
+        walked = isinstance(set_walk_plan(labelling), recovery.RecoveryPlan)
+        seen[mode, checked, walked, check_hierarchy_walk(labelling)] += 1
+    for mode in ("complete", "partial"):
+        assert seen[mode, "checked", True, True] >= 10, seen
+        assert seen[mode, "rejected", False, False] >= 10, seen
+    assert seen["partial", "checked", False, False] >= 1, seen
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+@pytest.mark.parametrize("r_min", [None, 0.05])
+def test_large_feeders_match_reference(mode, r_min):
+    # 300 buses: every bus probes in complete mode, and the 153 leaves in
+    # partial mode. `identify` gives the reference loops' grid and the
+    # public chain's bits, and `_learn` the replay of `_identify` and of
+    # the set walk over the labelling's families.
+    rng = np.random.default_rng(300)
+    _, g = random_feeder(rng, buses=300)
+    buses = tuple(g.bus_order if mode == "complete" else sorted(g.leaves))
+    truth = g if mode == "complete" else reduce_grid(g, buses)
+    assert r_min is None or min(r for _, _, r, *_ in truth.edges) > r_min
+    plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 1)
+    seen = Counter()
+    assert_identify_matches(sample_estimate(g, plan, NoiseModel(), mode),
+                            r_min, mode, seen)
+    assert seen == {"ok": 1}
+    noise_free(g, plan, mode, truth)
 
 
 def test_replay_rejects_group_values_that_do_not_increase():

@@ -11,7 +11,8 @@ import yaml
 
 from gridprobe import (ConfigError, FeederFormatError, NoiseModel,
                        ProbingPlan, build_feeder, cli, fileio, recover_full,
-                       recover_partial, reduce_grid, simulate_probing)
+                       recover_partial, recovery, reduce_grid,
+                       simulate_probing)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -484,10 +485,17 @@ def test_cli_refuses_period_counts_numpy_cannot_hold(tmp_path, capsys,
 BIG = 2 ** 70
 
 
-def test_bus_ids_beyond_int64_run_every_command(tmp_path, capsys):
+def test_bus_ids_beyond_int64_run_every_command(tmp_path, capsys,
+                                                monkeypatch):
     # Leaves BIG and BIG + 1 send grouping's bus arrays to numpy objects.
     # Junction 2 and pass-through bus 4 are not probed in partial mode, so
     # its recovery names junctions 1 and 2 afresh, above every probing ID.
+    # `recover` and `montecarlo` read their plans off the owner hierarchy:
+    # the set walk over level sets never runs.
+    def set_walk(*args):
+        raise AssertionError("the set walk ran")
+
+    monkeypatch.setattr(recovery, "_walk", set_walk)
     feeder = tmp_path / "big.csv"
     feeder.write_text("from,to,r_pu,x_pu\n0,1,0.5,0.2\n1,2,0.4,0.3\n"
                       f"2,{BIG},0.3,0.1\n2,3,0.6,0.2\n1,4,0.7,0.4\n"

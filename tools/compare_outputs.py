@@ -8,9 +8,11 @@ included) with PYTHONPATH=<tree>/src, and each output below must be
 byte-identical between the two:
 
 - the probe records of the bundled configs (complete T=40, partial T=39,
-  and the short complete T=1, complete T=5 and partial T=1, seed 0), and
-  of noise-free copies of both (every sigma 0.0, the shared feeder copy
-  below, T=1, seed 0);
+  and the short complete T=1, complete T=5 and partial T=1, seed 0), of
+  noise-free copies of both (every sigma 0.0, the shared feeder copy
+  below, T=1, seed 0), and noise-free records of a seeded 300-bus random
+  feeder (every bus probing in complete mode, every leaf in partial mode,
+  T=1, seed 0);
 - `recover --r-min` on BASE's T=40 and T=39 records: recovered.csv and
   report.json;
 - `recover --r-min` on BASE's short records, which fail the family check
@@ -20,6 +22,8 @@ byte-identical between the two:
 - exact `recover` on BASE's noise-free records, which recovers the
   feeder (complete) and its reduced grid (partial): recovered.csv and
   report.json, and the lines it prints without `--out`;
+- exact `recover` on BASE's noise-free 300-bus records: recovered.csv and
+  report.json;
 - `validate`, `reduce --all-leaves`, `reduce --probing` with an unsorted
   list holding a junction (5) and a pass-through bus (2), and
   `reduce --out` on a copy of the bundled feeder both trees read;
@@ -31,7 +35,7 @@ byte-identical between the two:
   trials seed 2, in both modes, where every trial's cut runs on exact
   ties.
 
-56 outputs in all.
+62 outputs in all.
 
 Prints each output that differs and exits 1 if any differs, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a failed
@@ -48,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import yaml
 
 DATA = os.path.join("src", "gridprobe", "data")
@@ -60,6 +65,8 @@ LEAVES = "36,9,10,16,17,19,20,23,25,26,27,31,32,35"
 FEEDER_COMMANDS = (("validate",), ("reduce", "--all-leaves"),
                    ("reduce", "--probing", LEAVES + ",5,2"))
 SWEEPS = ((4, 2), (50, 0), (200, 1), (1000, 1))
+# The large random feeder: buses, and the seed of its uniform attachment.
+LARGE_BUSES, LARGE_SEED = 300, 33
 
 
 def fail(message):
@@ -98,9 +105,34 @@ def noise_free_configs(tree, work, feeder):
     return configs
 
 
-def probe(tree, out, configs):
-    """The tree's probe records, by name: the bundled configs' and the
-    noise-free ones of `configs`."""
+def large_configs(work):
+    """Write a seeded random feeder of LARGE_BUSES buses, each attached to
+    a uniformly drawn earlier bus by a line with r and x uniform in [0.05,
+    1), and noise-free configs that probe every bus (complete) or every
+    leaf (partial) of it; their paths, by mode."""
+    rng = np.random.default_rng(LARGE_SEED)
+    feeder = os.path.join(work, "large.csv")
+    with open(feeder, "w") as fh:
+        fh.write("from,to,r_pu,x_pu\n")
+        for bus in range(1, LARGE_BUSES + 1):
+            r, x = rng.uniform(0.05, 1.0, 2).tolist()
+            fh.write(f"{int(rng.integers(bus))},{bus},{r!r},{x!r}\n")
+    configs = {}
+    for mode, probing in (("complete", "all-buses"),
+                          ("partial", "all-leaves")):
+        configs[mode] = os.path.join(work, f"large-{mode}.yaml")
+        with open(configs[mode], "w") as fh:
+            yaml.safe_dump({
+                "feeder": feeder, "mode": mode, "probing": probing,
+                "periods": [1], "r_min": 0.05, "trials": 1, "seed": 0,
+                "noise": {"sigma_p": 0.0, "sigma_q": 0.0, "sigma_w": 0.0},
+                "delta": {"policy": "fixed", "value_pu": 0.1}}, fh)
+    return configs
+
+
+def probe(tree, out, configs, large):
+    """The tree's probe records, by name: the bundled configs', and the
+    noise-free ones of `configs` and of the large feeder's `large`."""
     records = {}
     for mode, periods in PROBES + SHORT:
         path = os.path.join(out, f"probe-{mode}-{periods}.rec")
@@ -108,11 +140,13 @@ def probe(tree, out, configs):
                   os.path.join(tree, DATA, f"table_{mode}.yaml"),
                   "--periods", str(periods), "--seed", "0", "--out", path)
         records[f"probe {mode} T={periods} record"] = read(path)
-    for mode in configs:
-        path = os.path.join(out, f"probe-{mode}-noise-free.rec")
-        gridprobe(tree, "probe", "--config", configs[mode], "--periods", "1",
-                  "--seed", "0", "--out", path)
-        records[f"probe {mode} noise-free record"] = read(path)
+    for tag, chosen, name in (("noise-free", configs, "noise-free"),
+                              ("large", large, "large noise-free")):
+        for mode in chosen:
+            path = os.path.join(out, f"probe-{mode}-{tag}.rec")
+            gridprobe(tree, "probe", "--config", chosen[mode], "--periods",
+                      "1", "--seed", "0", "--out", path)
+            records[f"probe {mode} {name} record"] = read(path)
     return records
 
 
@@ -151,6 +185,11 @@ def outputs(tree, out, records, feeder, configs):
                 os.path.join(report, name))
         found[f"exact recover {mode} noise-free: stdout"] = gridprobe(
             tree, "recover", rec)[1]
+        report = os.path.join(out, f"recover-{mode}-large")
+        gridprobe(tree, "recover", records[mode, "large"], "--out", report)
+        for name in ("recovered.csv", "report.json"):
+            found[f"exact recover {mode} large noise-free: {name}"] = read(
+                os.path.join(report, name))
     for command in FEEDER_COMMANDS:
         found[" ".join(command)] = gridprobe(
             tree, *command, os.path.join(tree, DATA, "ieee37.csv"))[1]
@@ -199,16 +238,18 @@ def main(argv):
         shutil.copyfile(os.path.join(trees["head"], DATA, "ieee37.csv"),
                         feeder)
         configs = noise_free_configs(trees["head"], work, feeder)
+        large = large_configs(work)
         got = {}
         for tag, tree in trees.items():
             os.mkdir(os.path.join(work, tag))
-            got[tag] = probe(tree, os.path.join(work, tag), configs)
+            got[tag] = probe(tree, os.path.join(work, tag), configs, large)
         # Both trees recover BASE's records, so the recover outputs are
         # compared even where the records differ.
         records = {(mode, periods): os.path.join(
                        work, "base", f"probe-{mode}-{periods}.rec")
                    for mode, periods in PROBES + SHORT + tuple(
-                       (mode, "noise-free") for mode, _ in PROBES)}
+                       (mode, name) for mode, _ in PROBES
+                       for name in ("noise-free", "large"))}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
                                     feeder, configs))
