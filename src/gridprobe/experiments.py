@@ -258,9 +258,10 @@ def _learn(labelling: _Labelling, truth: FeederGraph) -> _Replay:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured sweep and aggregate error statistics.
 
-    Each trial draws its estimate with `sample_estimate`, which gives
-    what simulating and estimating the block plan's record would give, in
-    distribution: sweep value T's trials are what it draws trial after
+    Each trial draws its estimate through `_sampler`'s draw, bit for bit
+    what `sample_estimate` would give, which is what simulating and
+    estimating the block plan's record would give, in distribution: sweep
+    value T's trials are what `sample_estimate` would draw trial after
     trial from one `default_rng((seed, T))`. Ground truth is the feeder
     itself in complete mode and its reduced grid in partial mode. One
     block plan, the first sweep value's, is built outside the trials, and

@@ -118,6 +118,19 @@ class FeederGraph:
         for v, u in parent.items():
             children[u].append(v)
         self._children = {n: tuple(sorted(c)) for n, c in children.items()}
+        # One preorder, each bus's children taken largest ID first, and
+        # each bus's subtree size: every subtree is one run of the order.
+        order, stack = [], [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(self._children[u])
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):  # every child before its parent
+            size[parent[v]] += size[v]
+        self._preorder = tuple(order)
+        self._first = {n: i for i, n in enumerate(order)}
+        self._size = size
         self._ancestry = anc
         self._rho = rho
         self._rho_x = rho_x
@@ -208,13 +221,8 @@ class FeederGraph:
     def descendants(self, m: int) -> frozenset[int]:
         """Buses in the subtree hanging from m, m included."""
         self._check(m)
-        out = []
-        stack = [m]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self._children[u])
-        return frozenset(out)
+        i = self._first[m]
+        return frozenset(self._preorder[i:i + self._size[m]])
 
     def lca(self, m: int, n: int) -> int:
         """Deepest common bus of the two root paths."""
@@ -248,19 +256,11 @@ class FeederGraph:
         """
         for b in buses:
             self._check(b)
-        nodes, stack = [], [self._root]
-        while stack:
-            u = stack.pop()
-            nodes.append(u)
-            stack.extend(self._children[u])
-        size = dict.fromkeys(nodes, 1)
-        for v in reversed(nodes[1:]):  # every child before its parent
-            size[self._parent[v]] += size[v]
+        nodes, size = self._preorder, self._size
         out = np.empty((len(nodes), len(nodes)))
         for i, n in enumerate(nodes):
             out[i:i + size[n], i:i + size[n]] = rho[n]
-        first = {n: i for i, n in enumerate(nodes)}
-        pos = [first[b] for b in buses]
+        pos = [self._first[b] for b in buses]
         return out[np.ix_(pos, pos)]
 
     # -- equality ----------------------------------------------------------
@@ -292,12 +292,10 @@ def _probed_below(g: FeederGraph,
                   probing: frozenset[int]) -> dict[int, frozenset[int]]:
     """Probed-bus content of every subtree, in one pass from the leaves
     up: each bus unions its children's sets and adds itself if probed.
-    Keyed leaves-up, so its reversed keys walk the tree root-down."""
-    order = [g.root]
-    for u in order:
-        order.extend(g._children[u])
+    Keyed in reversed preorder, so its reversed keys walk the tree
+    root-down, every parent before its children."""
     below: dict[int, frozenset[int]] = {}
-    for u in reversed(order):
+    for u in reversed(g._preorder):
         under = {u} if u in probing else set()
         for c in g._children[u]:
             under |= below[c]

@@ -15,12 +15,12 @@ family check runs on that matrix. Grouping's one product is a labelling
 `group_column_noisy`), cut, and read out in one place, as the level sets
 and value table recovery reads or as `ColumnGrouping`s. Each labelling
 carries one owner hierarchy (`_Hierarchy`): for each column and each of
-its levels, the first owner it sees that deep. The family check's
-agree-above rule, recovery's plan (`recovery._hierarchy_walk`) and a
-sweep's cut read it; the pairwise pass over all column pairs
-(`_first_differences`) only explains a failure. `assemble_families`
-reads ready-made groupings into the same check, and `_cut_trials` holds
-a sweep's stack of trials to it.
+its levels, the first owner it sees that deep. The family check,
+recovery's plan (`recovery._hierarchy_walk`) and a sweep's cut read it.
+One primitive (`_disagreement`) tests the agree-above rule, both for
+the hierarchy and, where the hierarchy fails, to name the first failing
+pair. `assemble_families` reads ready-made groupings into the same
+check, and `_cut_trials` holds a sweep's stack of trials to it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .feeder import LevelSetFamily
 from .probing import MODES, ResistanceEstimate
 
 SUBSTATION = 0
-# Elements per temporary array in the blocked steps of the family check:
-# the owner hierarchy's prefix test, and the pairwise pass
-# (`_first_differences`) that only explains a failure. This bounds their
-# memory on large feeders.
+# Elements per temporary array of the agree-above test (`_disagreement`),
+# which may gather n·Σdepth label entries for the owner hierarchy, or
+# n·m²/2 for the pairs of a failing check. This bounds its memory on large
+# feeders.
 _BLOCK = 1 << 18
 
 
@@ -213,25 +213,23 @@ def _check_columns(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     raise InconsistentLevelSets(f"column {owners[j]}: {problem}")
 
 
-def _first_differences(labels: np.ndarray) -> np.ndarray:
-    """For every pair of columns, the lowest group index whose sets differ
-    between them, or the label type's maximum where none does.
-
-    Groups below index k agree exactly when no row that one of the two
-    columns puts below k is labelled differently by the other.
-    """
-    n, m = labels.shape
-    none = np.iinfo(labels.dtype).max
-    out = np.empty((m, m), dtype=labels.dtype)
-    step = max(1, _BLOCK // max(n * m, 1))
-    right = labels[:, None, :]
-    for a in range(0, m, step):
-        left = labels[:, a:a + step, None]
-        low = np.minimum(left, right)
-        np.maximum(low, np.multiply(left == right, none, dtype=labels.dtype),
-                   out=low)
-        out[a:a + step] = low.min(axis=0, initial=none)
-    return out
+def _disagreement(labels: np.ndarray, cols: np.ndarray, left: np.ndarray,
+                  right: np.ndarray, level: np.ndarray) -> int:
+    """The agree-above rule on (left, right, level) triples of columns
+    indexed into cols: the first triple whose columns differ below level,
+    min(labels[:, left], level) != min(labels[:, right], level) on some
+    row, or -1 if none does. Tested in order, in blocks of `_BLOCK`
+    elements, up to the first block that holds a failure."""
+    columns = np.ascontiguousarray(labels[:, cols].T)
+    level = level.astype(labels.dtype)[:, None]
+    step = max(1, _BLOCK // max(labels.shape[0], 1))
+    for i in range(0, len(left), step):
+        at = slice(i, i + step)
+        differ = (np.minimum(columns[left[at]], level[at])
+                  != np.minimum(columns[right[at]], level[at]))
+        if differ.any():
+            return i + int(differ.any(axis=1).argmax())
+    return -1
 
 
 class _Hierarchy(NamedTuple):
@@ -244,7 +242,8 @@ class _Hierarchy(NamedTuple):
     unless every owner sits in its deepest group, seen is symmetric and
     the prefix rule holds: below each of its levels L, every column
     agrees with its rep column, min(labels[:, a], L) == min(labels[:,
-    rep[a, L]], L) on every row.
+    rep[a, L]], L) on every row: the agree-above rule (`_disagreement`)
+    on the triples (a, rep[a, L], L).
 
     Where rep is not None, the rule "two owners' columns hold identical
     groups above the depth at which they see each other" holds for every
@@ -264,10 +263,10 @@ class _Hierarchy(NamedTuple):
 def _hierarchy(labels: np.ndarray, counts: np.ndarray, owners: Sequence[int],
                owner_rows: np.ndarray) -> _Hierarchy:
     """The owner hierarchy of a label matrix: a row-wise running max of
-    seen and one searchsorted give rep, and the prefix rule is tested only
-    at the last level of each run of one rep in a row, since agreeing
-    below L implies agreeing below every lower level. Costs O(n·Σcounts)
-    at most, in blocks of `_BLOCK` elements."""
+    seen and one searchsorted give rep, and the prefix rule is tested
+    (`_disagreement`) only at the last level of each run of one rep in a
+    row, since agreeing below L implies agreeing below every lower level.
+    Costs O(n·Σcounts) at most."""
     cols = np.argsort(np.asarray(owners), kind="stable")
     seen = labels[owner_rows[cols], cols[:, None]].astype(np.intp)
     deep = counts[cols] - 1
@@ -285,16 +284,8 @@ def _hierarchy(labels: np.ndarray, counts: np.ndarray, owners: Sequence[int],
     last = held & (rep != np.arange(m)[:, None])
     last[:, :-1] &= rep[:, 1:] != rep[:, :-1]
     a, level = np.nonzero(last)
-    level = level.astype(labels.dtype)[:, None]
-    columns = np.ascontiguousarray(labels[:, cols].T)
-    step = max(1, _BLOCK // max(labels.shape[0], 1))
-    for i in range(0, len(a), step):
-        at = slice(i, i + step)
-        if not (np.minimum(columns[a[at]], level[at])
-                == np.minimum(columns[rep[a[at], level[at, 0]]], level[at])
-                ).all():
-            return _Hierarchy(cols, seen, None)
-    return _Hierarchy(cols, seen, rep)
+    failed = _disagreement(labels, cols, a, rep[a, level], level) >= 0
+    return _Hierarchy(cols, seen, None if failed else rep)
 
 
 def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
@@ -328,8 +319,9 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     own errors still apply there.
 
     The identical-groups rule reads the owner hierarchy: where its rep
-    exists, no pair breaks it, and the O(n·m²) pairwise pass
-    (`_first_differences`) runs only to name the first pair that does.
+    exists, no pair breaks it. Otherwise its test (`_disagreement`) runs
+    on the pairs (a, b > a, seen[a, b]) in row order, up to the first row
+    another rule stops at, to name the first pair that breaks it.
     """
     m = len(owners)
     cols, seen = hierarchy.cols, hierarchy.seen
@@ -342,10 +334,15 @@ def _check_pairs(labels: np.ndarray, counts: np.ndarray, values: np.ndarray,
     crowded = tally > 1
     split_depth = seen != seen.T
     split_value = _split_value(values, cols, seen, value_tol)
-    above = (False if hierarchy.rep is not None
-             else _first_differences(labels[:, cols]) < seen)
-    bad = np.triu(split_depth | split_value | above, 1)
+    bad = np.triu(split_depth | split_value, 1)
     stop = crowded.any(axis=1) | bad.any(axis=1)
+    if hierarchy.rep is None:
+        a, b = np.triu_indices(m, 1)
+        pairs = a <= (stop.argmax() if stop.any() else m)
+        a, b = a[pairs], b[pairs]
+        first = _disagreement(labels, cols, a, b, seen[a, b])
+        if first >= 0:
+            bad[a[first], b[first]] = stop[a[first]] = True
     if not stop.any():
         if every_bus:
             # Checked last, so families the rules above reject keep their

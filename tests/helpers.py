@@ -28,7 +28,9 @@ from gridprobe import (AmbiguousIntersection, ColumnGrouping, ConfigError,
                        metered_level_sets, reactance_matrix, recover_full,
                        recover_partial, reduce_grid, resistance_matrix)
 from gridprobe.errors import as_int
+from gridprobe.feeder import _probed_below
 from gridprobe.fileio import _read_text
+from gridprobe.grouping import _BLOCK
 
 # One line per acceptance criterion; conftest.py echoes these in the
 # terminal summary so a plain pytest run shows the verdicts.
@@ -464,6 +466,30 @@ def _reference_check_pairwise(families, value_tol):
                     f"depth-{k} bus")
 
 
+def reference_first_differences(labels: np.ndarray) -> np.ndarray:
+    """For every pair of columns, the lowest group index whose sets differ
+    between them, or the label type's maximum where none does.
+
+    Groups below index k agree exactly when no row that one of the two
+    columns puts below k is labelled differently by the other.
+
+    The earlier pairwise pass of the family check, kept as the oracle of
+    its agree-above rule.
+    """
+    n, m = labels.shape
+    none = np.iinfo(labels.dtype).max
+    out = np.empty((m, m), dtype=labels.dtype)
+    step = max(1, _BLOCK // max(n * m, 1))
+    right = labels[:, None, :]
+    for a in range(0, m, step):
+        left = labels[:, a:a + step, None]
+        low = np.minimum(left, right)
+        np.maximum(low, np.multiply(left == right, none, dtype=labels.dtype),
+                   out=low)
+        out[a:a + step] = low.min(axis=0, initial=none)
+    return out
+
+
 # -- reference identification chain -------------------------------------------
 #
 # The stage chain the `recover` command spelled out before `identify` took
@@ -824,6 +850,26 @@ def check_probed_root_claims_subtree(g: FeederGraph, probing):
         claimants = {m for m in subtree_probed
                      if level_sets(g, m).at(k) & p == subtree_probed}
         assert claimants == (frozenset({n}) & p), (n, k, sorted(claimants))
+
+
+def check_probed_below_walks_root_down(g: FeederGraph, probing):
+    """Every bus's subtree, as `descendants` gives it, is the set of buses
+    whose root path passes through it; `_probed_below` keys each bus to
+    its subtree's probed buses, and its reversed keys list every parent
+    before its children, the order `compare_graphs` matches lines in."""
+    p = frozenset(probing)
+    edges = list(g.edges)
+    paths = {n: oracle_path(edges, n) for n in g.nodes}
+    below = _probed_below(g, p)
+    assert set(below) == g.nodes
+    for u in g.nodes:
+        subtree = frozenset(n for n in g.nodes if u in paths[n])
+        assert g.descendants(u) == subtree, u
+        assert below[u] == subtree & p, u
+    walk = list(reversed(below))
+    assert walk[0] == g.root
+    at = {n: i for i, n in enumerate(walk)}
+    assert all(at[u] < at[v] for u, v, *_ in edges), walk
 
 
 def check_equal_metered_groups_mark_shared_branching(g: FeederGraph, probing):

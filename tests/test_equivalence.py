@@ -85,6 +85,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,7 +107,8 @@ from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
 from gridprobe.probing import _FACTOR_EXTRA_ROWS, _sampler, _scale
 
 from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
-                     reference_assemble_families, reference_group_exact,
+                     reference_assemble_families,
+                     reference_first_differences, reference_group_exact,
                      reference_group_estimate, reference_group_noisy,
                      reference_identify,
                      reference_load_record, reference_recover_full,
@@ -1440,32 +1442,74 @@ def label_matrices(draw):
     return labelling, labels
 
 
+def pairwise_error(labelling, labels, hierarchy):
+    """The first error of the cross-column checks on labels, in their
+    order, with the agree-above rule read off the pairwise oracle: the
+    first owner row that holds a failure, ascending; in it a crowded
+    group first, else the first column whose pair fails, by split depth,
+    then split value, then agree-above; then, with every bus an owner,
+    the one-bus-per-group rule. None where every rule holds."""
+    cols, seen = hierarchy.cols, hierarchy.seen.tolist()
+    owners = [labelling.owners[c] for c in cols.tolist()]
+    deep = (labelling.counts[cols] - 1).tolist()
+    at = labelling.values[cols[:, None], hierarchy.seen].tolist()
+    above = (reference_first_differences(labels[:, cols])
+             < hierarchy.seen).tolist()
+    start, m = int(not labelling.complete), len(owners)
+    anchors = [[[owners[b] for b in range(m) if seen[a][b] == deep[b] == k]
+                for k in range(deep[a] + 1)] for a in range(m)]
+    for a in range(m):
+        for k, buses in enumerate(anchors[a]):
+            if len(buses) > 1:
+                return (f"column {owners[a]}: several depth-{k + start} "
+                        f"buses {buses} in one depth-{k + start} group")
+        for b in range(a + 1, m):
+            pair = f"columns {owners[a]} and {owners[b]} disagree"
+            if seen[a][b] != seen[b][a]:
+                return f"{pair} on their split depth"
+            if abs(at[a][b] - at[b][a]) > labelling.value_tol:
+                return f"{pair} on their split value"
+            if above[a][b]:
+                return f"{pair} above depth {seen[a][b] + start}"
+    if labelling.complete and m == len(labels) - 1:
+        for a in range(m):
+            for k, buses in enumerate(anchors[a]):
+                if len(buses) + (k == 0) != 1:
+                    return (f"column {owners[a]}: depth-{k} group does not "
+                            f"hold exactly one depth-{k} bus")
+    return None
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(label_matrices())
 def test_prefix_rule_gives_the_pairwise_verdict_and_message(case):
     # The hierarchy holds exactly when seen is symmetric and no pair of
     # columns differs above the depth they see each other at, by the
-    # pairwise pass; the family check then raises the same first error
-    # through the hierarchy as through the pairwise pass alone.
+    # earlier pairwise pass; the family check raises that pass's first
+    # error, in its order, whether it reads the hierarchy or tests the
+    # pairs, at any block size.
     labelling, labels = case
     counts, owners = labelling.counts, labelling.owners
     hierarchy = grouping._hierarchy(labels, counts, owners,
                                     labelling.owner_rows)
     seen = hierarchy.seen
-    above = grouping._first_differences(labels[:, hierarchy.cols]) < seen
+    above = reference_first_differences(labels[:, hierarchy.cols]) < seen
     assert (hierarchy.rep is not None) == bool(
         (seen == seen.T).all() and not above.any())
     every_bus = labelling.complete and len(owners) == len(labels) - 1
     outcomes = []
-    for h in (hierarchy, hierarchy._replace(rep=None)):
+    for h, block in ((hierarchy, grouping._BLOCK),
+                     (hierarchy._replace(rep=None), grouping._BLOCK),
+                     (hierarchy._replace(rep=None), 1)):
         try:
-            grouping._check_pairs(labels, counts, labelling.values, owners,
-                                  h, int(not labelling.complete),
-                                  labelling.value_tol, every_bus)
+            with mock.patch.object(grouping, "_BLOCK", block):
+                grouping._check_pairs(labels, counts, labelling.values,
+                                      owners, h, int(not labelling.complete),
+                                      labelling.value_tol, every_bus)
             outcomes.append(None)
         except InconsistentLevelSets as exc:
             outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes == [pairwise_error(labelling, labels, hierarchy)] * 3
 
 
 def test_hierarchy_walk_matches_the_set_walk_on_odd_rows():

@@ -85,6 +85,10 @@ def test_equal_metered_groups_mark_shared_branching():
     sweep_probed(helpers.check_equal_metered_groups_mark_shared_branching, 113)
 
 
+def test_probed_below_walks_each_subtree_root_down():
+    sweep_probed(helpers.check_probed_below_walks_root_down, 115)
+
+
 def renamed(grid, names):
     return ReducedGrid(names.get(grid.root, grid.root),
                        [(names.get(u, u), names.get(v, v), r)

@@ -10,9 +10,9 @@ byte-identical between the two:
 - the probe records of the bundled configs (complete T=40, partial T=39,
   and the short complete T=1, complete T=5 and partial T=1, seed 0), of
   noise-free copies of both (every sigma 0.0, the shared feeder copy
-  below, T=1, seed 0), and noise-free records of a seeded 300-bus random
-  feeder (every bus probing in complete mode, every leaf in partial mode,
-  T=1, seed 0);
+  below, T=1, seed 0), and records of a seeded 300-bus random feeder
+  (every bus probing in complete mode, every leaf in partial mode):
+  noise-free at T=1, seed 0, and noisy (sigma_w 0.003) at T=5, seed 1;
 - `recover --r-min` on BASE's T=40 and T=39 records: recovered.csv and
   report.json;
 - `recover --r-min` on BASE's short records, which fail the family check
@@ -24,6 +24,9 @@ byte-identical between the two:
   report.json, and the lines it prints without `--out`;
 - exact `recover` on BASE's noise-free 300-bus records: recovered.csv and
   report.json;
+- `recover --r-min 0.05` on BASE's noisy 300-bus records, which fail the
+  family check, in partial mode on the agree-above rule ("columns ...
+  disagree above depth ..."): exit code, stdout and stderr;
 - `validate`, `reduce --all-leaves`, `reduce --probing` with an unsorted
   list holding a junction (5) and a pass-through bus (2), and
   `reduce --out` on a copy of the bundled feeder both trees read;
@@ -35,7 +38,7 @@ byte-identical between the two:
   trials seed 2, in both modes, where every trial's cut runs on exact
   ties.
 
-62 outputs in all.
+70 outputs in all.
 
 Prints each output that differs and exits 1 if any differs, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a failed
@@ -67,6 +70,8 @@ FEEDER_COMMANDS = (("validate",), ("reduce", "--all-leaves"),
 SWEEPS = ((4, 2), (50, 0), (200, 1), (1000, 1))
 # The large random feeder: buses, and the seed of its uniform attachment.
 LARGE_BUSES, LARGE_SEED = 300, 33
+# Its noisy records: sigma_w, periods and seed.
+LARGE_NOISY = (0.003, 5, 1)
 
 
 def fail(message):
@@ -108,8 +113,9 @@ def noise_free_configs(tree, work, feeder):
 def large_configs(work):
     """Write a seeded random feeder of LARGE_BUSES buses, each attached to
     a uniformly drawn earlier bus by a line with r and x uniform in [0.05,
-    1), and noise-free configs that probe every bus (complete) or every
-    leaf (partial) of it; their paths, by mode."""
+    1), and configs that probe every bus (complete) or every leaf
+    (partial) of it, noise-free and with LARGE_NOISY's sigma_w; their
+    paths, by tag ("large" or "large-noisy"), then mode."""
     rng = np.random.default_rng(LARGE_SEED)
     feeder = os.path.join(work, "large.csv")
     with open(feeder, "w") as fh:
@@ -117,22 +123,24 @@ def large_configs(work):
         for bus in range(1, LARGE_BUSES + 1):
             r, x = rng.uniform(0.05, 1.0, 2).tolist()
             fh.write(f"{int(rng.integers(bus))},{bus},{r!r},{x!r}\n")
-    configs = {}
+    configs = {"large": {}, "large-noisy": {}}
     for mode, probing in (("complete", "all-buses"),
                           ("partial", "all-leaves")):
-        configs[mode] = os.path.join(work, f"large-{mode}.yaml")
-        with open(configs[mode], "w") as fh:
-            yaml.safe_dump({
-                "feeder": feeder, "mode": mode, "probing": probing,
-                "periods": [1], "r_min": 0.05, "trials": 1, "seed": 0,
-                "noise": {"sigma_p": 0.0, "sigma_q": 0.0, "sigma_w": 0.0},
-                "delta": {"policy": "fixed", "value_pu": 0.1}}, fh)
+        for tag, sigma in (("large", 0.0), ("large-noisy", LARGE_NOISY[0])):
+            configs[tag][mode] = os.path.join(work, f"{tag}-{mode}.yaml")
+            with open(configs[tag][mode], "w") as fh:
+                yaml.safe_dump({
+                    "feeder": feeder, "mode": mode, "probing": probing,
+                    "periods": [1], "r_min": 0.05, "trials": 1, "seed": 0,
+                    "noise": {"sigma_p": 0.0, "sigma_q": 0.0,
+                              "sigma_w": sigma},
+                    "delta": {"policy": "fixed", "value_pu": 0.1}}, fh)
     return configs
 
 
 def probe(tree, out, configs, large):
-    """The tree's probe records, by name: the bundled configs', and the
-    noise-free ones of `configs` and of the large feeder's `large`."""
+    """The tree's probe records, by name: the bundled configs', the
+    noise-free ones of `configs`, and the large feeder's of `large`."""
     records = {}
     for mode, periods in PROBES + SHORT:
         path = os.path.join(out, f"probe-{mode}-{periods}.rec")
@@ -140,12 +148,16 @@ def probe(tree, out, configs, large):
                   os.path.join(tree, DATA, f"table_{mode}.yaml"),
                   "--periods", str(periods), "--seed", "0", "--out", path)
         records[f"probe {mode} T={periods} record"] = read(path)
-    for tag, chosen, name in (("noise-free", configs, "noise-free"),
-                              ("large", large, "large noise-free")):
+    _, periods, seed = LARGE_NOISY
+    for tag, chosen, name, draw in (
+            ("noise-free", configs, "noise-free", (1, 0)),
+            ("large", large["large"], "large noise-free", (1, 0)),
+            ("large-noisy", large["large-noisy"], "large noisy",
+             (periods, seed))):
         for mode in chosen:
             path = os.path.join(out, f"probe-{mode}-{tag}.rec")
             gridprobe(tree, "probe", "--config", chosen[mode], "--periods",
-                      "1", "--seed", "0", "--out", path)
+                      str(draw[0]), "--seed", str(draw[1]), "--out", path)
             records[f"probe {mode} {name} record"] = read(path)
     return records
 
@@ -190,6 +202,14 @@ def outputs(tree, out, records, feeder, configs):
         for name in ("recovered.csv", "report.json"):
             found[f"exact recover {mode} large noise-free: {name}"] = read(
                 os.path.join(report, name))
+        name = f"recover --r-min 0.05 {mode} large noisy"
+        code, stdout, stderr = gridprobe(
+            tree, "recover", records[mode, "large-noisy"], "--r-min", "0.05",
+            "--out", os.path.join(out, f"recover-{mode}-large-noisy"),
+            check=False)
+        found[f"{name}: exit code"] = str(code).encode()
+        found[f"{name}: stdout"] = stdout
+        found[f"{name}: stderr"] = stderr
     for command in FEEDER_COMMANDS:
         found[" ".join(command)] = gridprobe(
             tree, *command, os.path.join(tree, DATA, "ieee37.csv"))[1]
@@ -249,7 +269,7 @@ def main(argv):
                        work, "base", f"probe-{mode}-{periods}.rec")
                    for mode, periods in PROBES + SHORT + tuple(
                        (mode, name) for mode, _ in PROBES
-                       for name in ("noise-free", "large"))}
+                       for name in ("noise-free", "large", "large-noisy"))}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
                                     feeder, configs))
