@@ -85,30 +85,6 @@ class FeederGraph:
         self._r = {(u, v): r for u, v, r, _ in parsed}
         self._x = {(u, v): x for u, v, _, x in parsed}
 
-        # Walk each parent chain up to a bus already placed, then place the
-        # chain top-down: root-to-bus ancestry and cumulative path
-        # impedances. A bus met twice on one chain closes a cycle; a chain
-        # ending anywhere but the root means a second component.
-        anc: dict[int, tuple[int, ...] | None] = {root: (root,)}
-        rho: dict[int, float] = {root: 0.0}
-        rho_x: dict[int, float | None] = {root: 0.0}
-        for n in nodes:
-            chain = []
-            while n not in anc:
-                anc[n] = None  # on the chain being walked
-                chain.append(n)
-                if n not in parent:
-                    raise Disconnected(f"bus {n} is not connected to the root")
-                n = parent[n]
-            if anc[n] is None:
-                raise CycleDetected(f"cycle through bus {n}")
-            for v in reversed(chain):
-                u = parent[v]
-                anc[v] = anc[u] + (v,)
-                rho[v] = rho[u] + self._r[(u, v)]
-                xe, up = self._x[(u, v)], rho_x[u]
-                rho_x[v] = None if (xe is None or up is None) else up + xe
-
         self._root = root
         self._edges: tuple[Edge, ...] = tuple(
             sorted(parsed, key=lambda e: (e[1], e[0])))
@@ -118,13 +94,33 @@ class FeederGraph:
         for v, u in parent.items():
             children[u].append(v)
         self._children = {n: tuple(sorted(c)) for n, c in children.items()}
-        # One preorder, each bus's children taken largest ID first, and
-        # each bus's subtree size: every subtree is one run of the order.
+        # One preorder, each bus's children taken largest ID first, placing
+        # each child's root-to-bus ancestry and cumulative path impedances
+        # from its parent's; every subtree is one run of the order.
+        anc: dict[int, tuple[int, ...]] = {root: (root,)}
+        rho: dict[int, float] = {root: 0.0}
+        rho_x: dict[int, float | None] = {root: 0.0}
         order, stack = [], [root]
         while stack:
             u = stack.pop()
             order.append(u)
+            for v in self._children[u]:
+                anc[v] = anc[u] + (v,)
+                rho[v] = rho[u] + self._r[(u, v)]
+                xe, up = self._x[(u, v)], rho_x[u]
+                rho_x[v] = None if (xe is None or up is None) else up + xe
             stack.extend(self._children[u])
+        if len(order) < len(nodes):
+            # The first bus the preorder missed: its parent chain closes a
+            # cycle or ends at a bus other than the root.
+            n = next(n for n in nodes if n not in anc)
+            chain = set()
+            while n not in chain:
+                chain.add(n)
+                if n not in parent:
+                    raise Disconnected(f"bus {n} is not connected to the root")
+                n = parent[n]
+            raise CycleDetected(f"cycle through bus {n}")
         size = dict.fromkeys(order, 1)
         for v in reversed(order[1:]):  # every child before its parent
             size[parent[v]] += size[v]

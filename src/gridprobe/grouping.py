@@ -156,17 +156,17 @@ def _group_values(ranked: np.ndarray, group: np.ndarray,
     A group value is the left-to-right sum of its sorted run, started
     from 0, divided by the run's length: bit for bit what Python's sum
     gave before 3.12, on any Python. One weighted bincount over the
-    entries, trial by trial and column by column in sorted order, gives
+    entries in their stacked (trial, sorted row, column) order gives
     exactly that, since it adds each weight into its bin from 0.0 in
-    index order. Pairwise or compensated summation (np.mean,
-    np.add.reduceat, math.fsum) rounds differently.
+    index order, and each bin's entries come in sorted order. Pairwise or
+    compensated summation (np.mean, np.add.reduceat, math.fsum) rounds
+    differently.
     """
     trials, _, m = ranked.shape
-    bins = np.arange(trials * m).reshape(trials, 1, m) * gmax
-    target = (group + bins).transpose(0, 2, 1).ravel()
+    target = (group + np.arange(m) * gmax
+              + np.arange(trials)[:, None, None] * (m * gmax)).ravel()
     size = trials * m * gmax
-    sums = np.bincount(target, weights=ranked.transpose(0, 2, 1).ravel(),
-                       minlength=size)
+    sums = np.bincount(target, weights=ranked.ravel(), minlength=size)
     sizes = np.bincount(target, minlength=size)
     return (sums / np.maximum(sizes, 1)).reshape(trials, m, gmax)
 
@@ -426,7 +426,8 @@ class _Labelling(NamedTuple):
     order[:, j] lists the rows of column j by value, ties by bus ID, and
     ranked[:, j] their values; starts[i, j] marks the sorted row that
     opens a group and group[i, j] indexes the group of the i-th sorted row.
-    labels[i, j] is the index of the group holding row i in column j,
+    labels[i, j] is the index of the group holding row i in column j and
+    tops[i, j] the sorted row that closes that group (a sweep's cut),
     counts[j] the number of groups in column j and values[j, :counts[j]]
     their values (0.0 past the last group). hierarchy is the owners' one
     hierarchy (`_hierarchy`), which the family check, the recovery plan
@@ -447,6 +448,7 @@ class _Labelling(NamedTuple):
     ranked: np.ndarray
     starts: np.ndarray
     group: np.ndarray
+    tops: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
     values: np.ndarray
@@ -462,9 +464,13 @@ class _Labelling(NamedTuple):
         order, ranked, starts, group, labels = _sort_cut(
             buses, values[None], 0.0 if threshold is None else threshold)
         counts = group[0, -1] + 1
+        # Column by column, the sorted rows that close a group: those
+        # before a start, and the last.
+        closes = np.flatnonzero(np.roll(starts[0], -1, axis=0).T) % len(buses)
         table = _group_values(ranked, group, int(counts.max()))
         return cls(owners, buses, owner_rows, mode == "complete", threshold,
-                   order[0], ranked[0], starts[0], group[0], labels[0],
+                   order[0], ranked[0], starts[0], group[0],
+                   closes[np.cumsum(counts) - counts + labels[0]], labels[0],
                    counts, table[0],
                    _hierarchy(labels[0], counts, owners, owner_rows))
 
@@ -530,38 +536,32 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hold a stack of estimates (trials x rows x owners) to the family
     check of a labelling that passed it, cut by the gap rule at
-    `threshold` with its rows and owners. Returns `same`, which trials cut
-    into its labels and so pass every rule that reads labels; `held`, for
-    those trials, whether their group values pass the value rules at
-    threshold too; and their group values (trials x owners x groups), bit
-    for bit what `_label` gives each.
+    `threshold`, which must be positive, with its rows and owners. Returns
+    `same`, which trials cut into its labels and so pass every rule that
+    reads labels; `held`, for those trials, whether their group values
+    pass the value rules at threshold too; and their group values (trials
+    x owners x groups), bit for bit what `_label` gives each.
 
     A trial's labels are the labelling's exactly when its sorted values
-    open groups where the labelling's do (`starts`) and, in every column,
-    each of the labelling's groups lies strictly below the next: equal
-    starts alone let buses of adjacent groups swap values. Neither needs
-    a trial's own sort order: the gaps come from its sorted values and the
-    group bounds from its entries in the labelling's order, so no trial is
-    argsorted or labelled. An accepted trial's groups are the labelling's,
-    so its sorted values are valued on the labelling's group index.
+    open groups where the labelling's do (`starts`) and every entry is at
+    most the last sorted value of the group the labelling puts it in
+    (`tops`): equal starts alone let buses of adjacent groups swap values.
+    With equal starts and a positive cut, every group's top lies strictly
+    below the next group's first value, so in each column the rows whose
+    entries are at most group g's top are exactly the trial's groups
+    0..g; by induction over g, the bound holds exactly when each of the
+    labelling's groups is the trial's. Neither test needs a trial's own
+    sort order, so no trial is argsorted or labelled, and an accepted
+    trial's sorted values are valued on the labelling's group index.
     """
     if labelling.complete:
         trials, _, m = values.shape
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
-    trials, n, m = values.shape
     ranked = np.sort(values, axis=1)
     same = (_starts(ranked, threshold) == labelling.starts).all(axis=(1, 2))
-    # The candidates' entries column by column in the labelling's order,
-    # so each of its groups is one run; `firsts` opens the runs, and a run
-    # that opens no column is held above the run before it.
-    firsts = np.flatnonzero(labelling.starts.T)
-    entries = (labelling.order * m + np.arange(m)).T.ravel()
-    runs = values.reshape(trials, n * m)[np.flatnonzero(same)[:, None],
-                                         entries]
-    above = np.flatnonzero(firsts % n)
-    same[same] = (np.maximum.reduceat(runs, firsts, axis=1)[:, above - 1]
-                  < np.minimum.reduceat(runs, firsts, axis=1)[:, above]
-                  ).all(axis=1)
+    at = np.flatnonzero(same)[:, None, None]
+    top = ranked[at, labelling.tops, np.arange(values.shape[2])]
+    same[same] = (values[same] <= top).all(axis=(1, 2))
     table = _group_values(ranked[same], labelling.group,
                           labelling.values.shape[1])
     hierarchy = labelling.hierarchy

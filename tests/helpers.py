@@ -30,7 +30,7 @@ from gridprobe import (AmbiguousIntersection, ColumnGrouping, ConfigError,
 from gridprobe.errors import as_int
 from gridprobe.feeder import _probed_below
 from gridprobe.fileio import _read_text
-from gridprobe.grouping import _BLOCK
+from gridprobe.grouping import _BLOCK, _flat, _split_value, _starts
 
 # One line per acceptance criterion; conftest.py echoes these in the
 # terminal summary so a plain pytest run shows the verdicts.
@@ -488,6 +488,53 @@ def reference_first_differences(labels: np.ndarray) -> np.ndarray:
                    out=low)
         out[a:a + step] = low.min(axis=0, initial=none)
     return out
+
+
+def _reference_group_values(ranked: np.ndarray, group: np.ndarray,
+                            gmax: int) -> np.ndarray:
+    """The earlier group-value table: one weighted bincount over the
+    entries taken trial by trial and column by column in sorted order."""
+    trials, _, m = ranked.shape
+    bins = np.arange(trials * m).reshape(trials, 1, m) * gmax
+    target = (group + bins).transpose(0, 2, 1).ravel()
+    size = trials * m * gmax
+    sums = np.bincount(target, weights=ranked.transpose(0, 2, 1).ravel(),
+                       minlength=size)
+    sizes = np.bincount(target, minlength=size)
+    return (sums / np.maximum(sizes, 1)).reshape(trials, m, gmax)
+
+
+def reference_cut_trials(labelling, values: np.ndarray, threshold: float):
+    """The earlier stacked cut, kept as the oracle of the sweep's: a
+    candidate (equal starts) keeps the labelling's labels exactly when, in
+    every column, each of the labelling's groups, gathered in its sorted
+    order, has its maximum strictly below the next group's minimum
+    (`reduceat` over the runs). Returns (same, held, table) as
+    `grouping._cut_trials` does."""
+    if labelling.complete:
+        trials, _, m = values.shape
+        values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
+    trials, n, m = values.shape
+    ranked = np.sort(values, axis=1)
+    same = (_starts(ranked, threshold) == labelling.starts).all(axis=(1, 2))
+    # The candidates' entries column by column in the labelling's order,
+    # so each of its groups is one run; `firsts` opens the runs, and a run
+    # that opens no column is held above the run before it.
+    firsts = np.flatnonzero(labelling.starts.T)
+    entries = (labelling.order * m + np.arange(m)).T.ravel()
+    runs = values.reshape(trials, n * m)[np.flatnonzero(same)[:, None],
+                                         entries]
+    above = np.flatnonzero(firsts % n)
+    same[same] = (np.maximum.reduceat(runs, firsts, axis=1)[:, above - 1]
+                  < np.minimum.reduceat(runs, firsts, axis=1)[:, above]
+                  ).all(axis=1)
+    table = _reference_group_values(ranked[same], labelling.group,
+                                    labelling.values.shape[1])
+    hierarchy = labelling.hierarchy
+    held = ~(_flat(labelling.counts, table).any(axis=-1)
+             | _split_value(table, hierarchy.cols, hierarchy.seen,
+                            threshold).any(axis=(-2, -1)))
+    return same, held, table
 
 
 # -- reference identification chain -------------------------------------------

@@ -67,10 +67,13 @@ walk over its read level sets bit for bit, on every labelling of these
 corpora, on odd row sets and on 300-bus feeders, and the hierarchy's
 prefix rule to the pairwise pass on perturbed label matrices: the same
 verdict and the same first message. The stacked cut, which decides a trial from its sorted values and
-the noise-free groups' bounds without labelling it, is held to every
+the noise-free groups' tops without labelling it, is held to every
 trial labelled on its own, on stacks that mix kept and rejected trials: a
 swap that keeps the gaps, exact ties, signed zeros, overflowing gaps and
-random feeders.
+random feeders. It is also held to the earlier cut in helpers.py, which
+compared each group's maximum with the next group's minimum: the same
+verdicts, held flags and group-value bytes on noisy, swapped, rounded and
+noise-free stacks, in both modes.
 """
 
 import importlib
@@ -107,7 +110,7 @@ from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
 from gridprobe.probing import _FACTOR_EXTRA_ROWS, _sampler, _scale
 
 from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
-                     reference_assemble_families,
+                     reference_assemble_families, reference_cut_trials,
                      reference_first_differences, reference_group_exact,
                      reference_group_estimate, reference_group_noisy,
                      reference_identify,
@@ -1811,6 +1814,71 @@ def test_cut_holds_on_random_feeders():
                  for _ in range(60)])
             kept[mode, every_bus].update(
                 check_cut(exact, stack, r_min / 2).tolist())
+    assert all(counts[True] and counts[False] for counts in kept.values()), \
+        kept
+
+
+def cut_stacks(rng, g, owners, mode, r_min, trials=24):
+    """Four kinds of trial stack for a noise-free labelling, each mixing
+    trials the cut keeps with trials it does not: meter noise at 0.02 to
+    0.5 r_min per entry; the same noise with one pair of buses of adjacent
+    groups swapped in every other trial, which keeps the sorted values and
+    so the starts; the noise rounded to multiples of the cut, so gaps fall
+    on it; and the noise-free estimate itself, exact ties, with one entry
+    moved by a multiple of the cut in every other trial. Returns the
+    labelling and the stacks by kind."""
+    exact, values = noise_free_labelling(g, owners, mode)
+    plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 4)
+    sigma = rng.uniform(0.02, 0.5) * r_min * 0.1 * 2
+    noisy = _sampler(g, plan, NoiseModel(sigma_w=sigma), mode)[0](
+        [(np.random.default_rng(rng.integers(2 ** 32)), 1)
+         for _ in range(trials)])
+    rows = len(values)
+    swapped = noisy.copy()
+    for t in range(0, trials, 2):
+        j = rng.integers(len(owners))
+        labels = exact.labels[:rows, j]
+        if labels.max() > labels.min():
+            g0 = rng.integers(labels.min(), labels.max())
+            a, b = (rng.choice(np.flatnonzero(labels == k))
+                    for k in (g0, labels[labels > g0].min()))
+            swapped[t, [a, b], j] = swapped[t, [b, a], j]
+    cut = r_min / 2
+    silent = np.repeat(values[None], trials, axis=0)
+    for t in range(1, trials, 2):
+        silent[t, rng.integers(rows), rng.integers(len(owners))] += (
+            rng.choice([-2, -1, 1, 2]) * cut)
+    return exact, {"noisy": noisy, "swapped": swapped,
+                   "rounded": np.round(noisy / cut) * cut, "silent": silent}
+
+
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_cut_gives_the_reduceat_verdict(mode):
+    # The group-top bound against the earlier per-group maximum and
+    # minimum (`reference_cut_trials`): the same `same`, `held` and
+    # table bytes on the bundled feeder and on random feeders.
+    rng = np.random.default_rng(3505)
+    feeders = [fileio.load_feeder(os.path.join(DATA, "ieee37.csv"))]
+    feeders += [random_feeder(rng, max_buses=14)[1] for _ in range(20)]
+    kept = {}
+    for g in feeders:
+        for every_bus in (True, False) if mode == "complete" else (False,):
+            owners = tuple(sorted(g.bus_order if every_bus
+                                  else random_probing(rng, g)))
+            truth = g if mode == "complete" else reduce_grid(g, owners)
+            r_min = min((r for _, _, r, *_ in truth.edges), default=1.0)
+            exact, stacks = cut_stacks(rng, g, owners, mode, r_min)
+            for kind, stack in stacks.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    same, held, table = grouping._cut_trials(
+                        exact, stack, r_min / 2)
+                    want = reference_cut_trials(exact, stack, r_min / 2)
+                assert same.tolist() == want[0].tolist()
+                assert held.tolist() == want[1].tolist()
+                assert table.shape == want[2].shape
+                assert table.tobytes() == want[2].tobytes()
+                kept.setdefault(kind, Counter()).update(same.tolist())
     assert all(counts[True] and counts[False] for counts in kept.values()), \
         kept
 

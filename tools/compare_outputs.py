@@ -36,9 +36,13 @@ byte-identical between the two:
   modes;
 - `montecarlo` results.json and stdout on the noise-free configs at 4
   trials seed 2, in both modes, where every trial's cut runs on exact
-  ties.
+  ties;
+- `montecarlo` results.json and stdout on the 300-bus feeder, in both
+  modes, at LARGE_SWEEP's sigma_w, sweep values, trials and seed, with a
+  fixed probing magnitude: some trials keep the noise-free cut and some
+  do not, and in complete mode each chunk of the sweep holds one trial.
 
-70 outputs in all.
+74 outputs in all.
 
 Prints each output that differs and exits 1 if any differs, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a failed
@@ -72,6 +76,8 @@ SWEEPS = ((4, 2), (50, 0), (200, 1), (1000, 1))
 LARGE_BUSES, LARGE_SEED = 300, 33
 # Its noisy records: sigma_w, periods and seed.
 LARGE_NOISY = (0.003, 5, 1)
+# Its sweeps: sigma_w, sweep values, trials per value and seed.
+LARGE_SWEEP = (0.003, [16, 24, 32, 48], 4, 3)
 
 
 def fail(message):
@@ -114,8 +120,9 @@ def large_configs(work):
     """Write a seeded random feeder of LARGE_BUSES buses, each attached to
     a uniformly drawn earlier bus by a line with r and x uniform in [0.05,
     1), and configs that probe every bus (complete) or every leaf
-    (partial) of it, noise-free and with LARGE_NOISY's sigma_w; their
-    paths, by tag ("large" or "large-noisy"), then mode."""
+    (partial) of it, noise-free, with LARGE_NOISY's sigma_w, and with
+    LARGE_SWEEP's sigma_w and sweep values; their paths, by tag ("large",
+    "large-noisy" or "large-sweep"), then mode."""
     rng = np.random.default_rng(LARGE_SEED)
     feeder = os.path.join(work, "large.csv")
     with open(feeder, "w") as fh:
@@ -123,15 +130,18 @@ def large_configs(work):
         for bus in range(1, LARGE_BUSES + 1):
             r, x = rng.uniform(0.05, 1.0, 2).tolist()
             fh.write(f"{int(rng.integers(bus))},{bus},{r!r},{x!r}\n")
-    configs = {"large": {}, "large-noisy": {}}
+    configs = {"large": {}, "large-noisy": {}, "large-sweep": {}}
     for mode, probing in (("complete", "all-buses"),
                           ("partial", "all-leaves")):
-        for tag, sigma in (("large", 0.0), ("large-noisy", LARGE_NOISY[0])):
+        for tag, sigma, periods in (
+                ("large", 0.0, [1]), ("large-noisy", LARGE_NOISY[0], [1]),
+                ("large-sweep", *LARGE_SWEEP[:2])):
             configs[tag][mode] = os.path.join(work, f"{tag}-{mode}.yaml")
             with open(configs[tag][mode], "w") as fh:
                 yaml.safe_dump({
                     "feeder": feeder, "mode": mode, "probing": probing,
-                    "periods": [1], "r_min": 0.05, "trials": 1, "seed": 0,
+                    "periods": periods, "r_min": 0.05, "trials": 1,
+                    "seed": 0,
                     "noise": {"sigma_p": 0.0, "sigma_q": 0.0,
                               "sigma_w": sigma},
                     "delta": {"policy": "fixed", "value_pu": 0.1}}, fh)
@@ -162,10 +172,11 @@ def probe(tree, out, configs, large):
     return records
 
 
-def outputs(tree, out, records, feeder, configs):
+def outputs(tree, out, records, feeder, configs, large):
     """The tree's other outputs, by name: recovering `records`, reading
     its bundled feeder and the shared copy `feeder`, and its sweeps of
-    the bundled configs and the noise-free `configs`."""
+    the bundled configs, the noise-free `configs` and the large feeder's
+    `large` sweep configs."""
     found = {}
     for mode, periods in PROBES:
         rec, r_min = records[mode, periods], R_MIN[mode]
@@ -221,6 +232,9 @@ def outputs(tree, out, records, feeder, configs):
               for trials, seed in SWEEPS for mode, _ in PROBES]
     sweeps += [(f"{mode} noise-free 4 trials seed 2", configs[mode], 4, 2)
                for mode in configs]
+    _, _, trials, seed = LARGE_SWEEP
+    sweeps += [(f"{mode} large {trials} trials seed {seed}", large[mode],
+                trials, seed) for mode in large]
     for name, config, trials, seed in sweeps:
         sweep = os.path.join(out, "montecarlo-" + name.replace(" ", "-"))
         stdout = gridprobe(tree, "montecarlo", "--config", config,
@@ -272,7 +286,7 @@ def main(argv):
                        for name in ("noise-free", "large", "large-noisy"))}
         for tag, tree in trees.items():
             got[tag].update(outputs(tree, os.path.join(work, tag), records,
-                                    feeder, configs))
+                                    feeder, configs, large["large-sweep"]))
     differ = [name for name in got["base"]
               if got["base"][name] != got["head"][name]]
     for name in differ:
