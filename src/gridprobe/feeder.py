@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,47 +54,70 @@ class FeederGraph:
         self._build(0, edges)
 
     def _build(self, root: int, edges: Iterable[Sequence]) -> None:
+        # One walk validates each line and fills the parent, line and
+        # child tables. Every line is validated before a repeated child is
+        # reported, so the first such child is only noted on the way.
         parsed: list[Edge] = []
+        parent: dict[int, int] = {}
+        r_of: dict[tuple[int, int], float] = {}
+        x_of: dict[tuple[int, int], float | None] = {}
+        kids: dict[int, list[int]] = {}
+        uppers: set[int] = set()
+        repeated = None
+        # Plain ints and floats in range skip the checks that keep them.
         for e in as_instance(edges, Iterable, ConfigError, "lines"):
-            as_instance(e, (list, tuple), ConfigError, "line")
-            if len(e) not in (3, 4):
-                raise ConfigError(f"line {e!r} must be (parent, child, r) "
-                                  f"or (parent, child, r, x)")
-            if len(e) == 3:
+            if type(e) is not tuple:
+                as_instance(e, (list, tuple), ConfigError, "line")
+            if len(e) == 4:
+                u, v, r, x = e
+            elif len(e) == 3:
                 u, v, r = e
                 x = None
             else:
-                u, v, r, x = e
-            u = as_int(u, UnknownNode, "bus ID")
-            v = as_int(v, UnknownNode, "bus ID")
-            r = _impedance(r, u, v, "r")
-            if x is not None:
+                raise ConfigError(f"line {e!r} must be (parent, child, r) "
+                                  f"or (parent, child, r, x)")
+            if type(u) is not int:
+                u = as_int(u, UnknownNode, "bus ID")
+            if type(v) is not int:
+                v = as_int(v, UnknownNode, "bus ID")
+            if type(r) is not float or not 0 < r < math.inf:
+                r = _impedance(r, u, v, "r")
+            if x is not None and (type(x) is not float
+                                  or not 0 < x < math.inf):
                 x = _impedance(x, u, v, "x")
             parsed.append((u, v, r, x))
-        parent: dict[int, int] = {}
-        for u, v, _, _ in parsed:
             if v in parent:
-                raise DuplicateNode(f"bus {v} has more than one parent")
+                if repeated is None:
+                    repeated = v
+                continue
             parent[v] = u
+            r_of[u, v] = r
+            x_of[u, v] = x
+            if u in kids:
+                kids[u].append(v)
+            else:
+                kids[u] = [v]
+            uppers.add(u)
+        if repeated is not None:
+            raise DuplicateNode(f"bus {repeated} has more than one parent")
         # A tree without lines is its root alone.
-        nodes = set(parent) | {u for u, *_ in parsed} or {root}
+        nodes = set(parent) | uppers or {root}
         if root not in nodes:
             raise MissingRoot(f"root bus {root} is missing")
         if root in parent:
             raise MissingRoot(f"root bus {root} must not have a parent")
 
-        self._r = {(u, v): r for u, v, r, _ in parsed}
-        self._x = {(u, v): x for u, v, _, x in parsed}
+        self._r = r_of
+        self._x = x_of
 
         self._root = root
-        self._edges: tuple[Edge, ...] = tuple(
-            sorted(parsed, key=lambda e: (e[1], e[0])))
+        # Each bus is the child of one line, so lines sort by child alone.
+        self._edges: tuple[Edge, ...] = tuple(sorted(parsed,
+                                                     key=itemgetter(1)))
         self._parent = parent
         self._nodes = frozenset(nodes)
-        children: dict[int, list[int]] = {n: [] for n in nodes}
-        for v, u in parent.items():
-            children[u].append(v)
-        self._children = {n: tuple(sorted(c)) for n, c in children.items()}
+        children = self._children = {
+            n: tuple(sorted(kids[n])) if n in kids else () for n in nodes}
         # One preorder, each bus's children taken largest ID first, placing
         # each child's root-to-bus ancestry and cumulative path impedances
         # from its parent's; every subtree is one run of the order.
@@ -104,12 +128,15 @@ class FeederGraph:
         while stack:
             u = stack.pop()
             order.append(u)
-            for v in self._children[u]:
-                anc[v] = anc[u] + (v,)
-                rho[v] = rho[u] + self._r[(u, v)]
-                xe, up = self._x[(u, v)], rho_x[u]
-                rho_x[v] = None if (xe is None or up is None) else up + xe
-            stack.extend(self._children[u])
+            below = children[u]
+            if below:
+                up, ru, xu = anc[u], rho[u], rho_x[u]
+                for v in below:
+                    anc[v] = up + (v,)
+                    rho[v] = ru + r_of[u, v]
+                    xe = x_of[u, v]
+                    rho_x[v] = None if (xe is None or xu is None) else xu + xe
+                stack.extend(below)
         if len(order) < len(nodes):
             # The first bus the preorder missed: its parent chain closes a
             # cycle or ends at a bus other than the root.
@@ -248,16 +275,21 @@ class FeederGraph:
         In a preorder every subtree is one run of buses, so the pairs
         inside it are one square block. The blocks are written in
         preorder, each bus after its ancestors, so the last write for a
-        pair is its deepest common bus.
+        pair is its deepest common bus. A bus is its own pair's deepest
+        common bus, so the diagonal is written last, and the blocks of
+        leaves, which it covers, are skipped.
         """
         for b in buses:
             self._check(b)
-        nodes, size = self._preorder, self._size
-        out = np.empty((len(nodes), len(nodes)))
-        for i, n in enumerate(nodes):
-            out[i:i + size[n], i:i + size[n]] = rho[n]
-        pos = [self._first[b] for b in buses]
-        return out[np.ix_(pos, pos)]
+        nodes, size, first = self._preorder, self._size, self._first
+        n = len(nodes)
+        out = np.empty((n, n))
+        for i, u in enumerate(nodes):
+            if size[u] > 1:
+                out[i:i + size[u], i:i + size[u]] = rho[u]
+        out.flat[::n + 1] = [rho[u] for u in nodes]
+        pos = np.array([first[b] for b in buses], dtype=np.intp)
+        return out[pos[:, None], pos]
 
     # -- equality ----------------------------------------------------------
 

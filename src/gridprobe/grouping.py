@@ -466,7 +466,9 @@ class _Labelling(NamedTuple):
         counts = group[0, -1] + 1
         # Column by column, the sorted rows that close a group: those
         # before a start, and the last.
-        closes = np.flatnonzero(np.roll(starts[0], -1, axis=0).T) % len(buses)
+        ends = np.ones_like(starts[0])
+        ends[:-1] = starts[0, 1:]
+        closes = np.flatnonzero(ends.T) % len(buses)
         table = _group_values(ranked, group, int(counts.max()))
         return cls(owners, buses, owner_rows, mode == "complete", threshold,
                    order[0], ranked[0], starts[0], group[0],

@@ -78,9 +78,14 @@ def _probing(g: FeederGraph, probing: Iterable[int]) -> frozenset[int]:
 def identifiable_junctions(g: FeederGraph,
                            probing: Iterable[int]) -> frozenset[int]:
     """Buses with at least two children whose subtrees each hold a probed bus."""
-    below = _probed_below(g, _probing(g, probing))
-    return frozenset(n for n, kids in g._children.items() if sum(
-        bool(below[c]) for c in kids) >= 2)
+    return _junctions(g, _probing(g, probing))
+
+
+def _junctions(g: FeederGraph, probing: frozenset[int]) -> frozenset[int]:
+    """`identifiable_junctions` of probing buses `_probing` has checked."""
+    below = _probed_below(g, probing)
+    return frozenset(n for n, kids in g._children.items() if len(kids) > 1
+                     and sum(bool(below[c]) for c in kids) >= 2)
 
 
 def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
@@ -95,7 +100,7 @@ def reduce_grid(g: FeederGraph, probing: Iterable[int]) -> ReducedGrid:
         raise LeafNotProbed(
             f"leaves {sorted(unprobed)} carry no probing inverter")
 
-    junctions = identifiable_junctions(g, p)
+    junctions = _junctions(g, p)
     kept = p | junctions
 
     # Reduced parent: nearest proper ancestor that is kept. The line's

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 import gridprobe.experiments
@@ -13,6 +14,7 @@ from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
                        LabelMismatch, ReducedGrid, ResistanceEstimate,
                        build_feeder, fileio, resistance_matrix,
                        run_experiment, write_results)
+from gridprobe.experiments import _mpe_stats
 from gridprobe.grouping import _label
 
 Y_TEXT = ("from,to,r_pu,x_pu\n"
@@ -264,8 +266,43 @@ def test_sweep_refuses_a_later_period_count_numpy_cannot_hold(tmp_path):
     """Only the first sweep value's plan draws the noise-free estimate;
     every other plan's windows are checked before numpy sees them."""
     cfg = y_config(tmp_path, periods=[1, 2 ** 63])
-    with pytest.raises(ConfigError, match="too long to represent"):
+    with pytest.raises(ConfigError, match="^probing window for bus 1 is too "
+                                          "long to represent$"):
         run_experiment(cfg)
+
+
+def test_sweep_names_the_first_probing_bus_of_a_window_too_long(tmp_path):
+    """Every bus of a sweep value's plan shares its window, so the first
+    probing bus, in plan order, is named."""
+    cfg = y_config(tmp_path, mode="partial", probing=[3, 2],
+                   periods=[4, 2 ** 64, 2 ** 63])
+    with pytest.raises(ConfigError, match="^probing window for bus 2 is too "
+                                          "long to represent$"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+def test_row_statistics_are_numpy_mean_and_std_bit_for_bit(n):
+    """A row's MPE mean and standard error are what np.mean and np.std
+    give: numpy sums pairwise in blocks, which these lengths cross, and a
+    left-to-right sum rounds differently."""
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 3e2):
+        for _ in range(5):
+            x = rng.random(n) * scale
+            mean, se = _mpe_stats(x)
+            assert mean.hex() == float(np.mean(x)).hex()
+            if n == 1:
+                assert se is None
+            else:
+                assert se.hex() == float(np.std(x, ddof=1)
+                                         / np.sqrt(n)).hex()
+
+
+def test_row_statistics_need_one_and_two_trials():
+    assert _mpe_stats(np.empty(0)) == (None, None)
+    assert _mpe_stats(np.array([0.25])) == (0.25, None)
+    assert _mpe_stats(np.array([0.0, 0.0])) == (0.0, 0.0)
 
 
 def test_overwhelming_noise_breaks_recovery(tmp_path):

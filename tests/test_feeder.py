@@ -86,8 +86,28 @@ def test_broken_edge_lists_name_the_bus(edges, error, message):
 
 
 def test_duplicate_parent_rejected():
-    with pytest.raises(DuplicateNode):
+    with pytest.raises(DuplicateNode, match="^bus 2 has more than one parent$"):
         build_feeder([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    # Every line is validated before a repeated child is reported, so a
+    # bad impedance on a later line wins.
+    ([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, -1.0)],
+     NonpositiveImpedance, r"line \(2,3\) r"),
+    ([(0, 1, 1.0), (1, 1.5, 1.0), (0, 1, 1.0)], UnknownNode, "bus ID"),
+    # The first repeated child is named, not the first line it repeats.
+    ([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 1, 1.0)], DuplicateNode,
+     "^bus 2 has more than one parent$"),
+    # A repeated child wins over a missing or parented root.
+    ([(1, 2, 1.0), (3, 2, 1.0)], DuplicateNode,
+     "^bus 2 has more than one parent$"),
+    ([(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)], DuplicateNode,
+     "^bus 1 has more than one parent$"),
+])
+def test_first_of_two_defects_is_reported(edges, error, message):
+    with pytest.raises(error, match=message):
+        build_feeder(edges)
 
 
 def test_missing_or_parented_root_rejected():

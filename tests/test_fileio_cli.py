@@ -10,9 +10,9 @@ import pytest
 import yaml
 
 from gridprobe import (ConfigError, FeederFormatError, NoiseModel,
-                       ProbingPlan, build_feeder, cli, fileio, recover_full,
-                       recover_partial, recovery, reduce_grid,
-                       simulate_probing)
+                       NonpositiveImpedance, ProbingPlan, build_feeder, cli,
+                       fileio, recover_full, recover_partial, recovery,
+                       reduce_grid, simulate_probing)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -70,6 +70,45 @@ def test_feeder_reports_bad_number(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("from,to,r_pu,x_pu\n# fine\n0,1,zap,\n")
     with pytest.raises(FeederFormatError, match="line 3"):
+        fileio.load_feeder(p)
+
+
+@pytest.mark.parametrize("line, message", [
+    # A field that fails to parse is named without its spaces.
+    ("0, 1x,0.1", "line 2: invalid literal for int() with base 10: '1x'"),
+    ("0,1, 0.1 z ,", "line 2: could not convert string to float: '0.1 z'"),
+    ("0,1,0.1,  x  ", "line 2: could not convert string to float: 'x'"),
+    # The first bad field of a line is named.
+    (" 1x , 2y ,zap", "line 2: invalid literal for int() with base 10: '1x'"),
+])
+def test_feeder_names_the_bad_field_stripped(tmp_path, line, message):
+    p = tmp_path / "f.csv"
+    p.write_text(f"from,to,r_pu,x_pu\n{line}\n")
+    with pytest.raises(FeederFormatError) as info:
+        fileio.load_feeder(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_feeder_fields_may_carry_spaces(tmp_path):
+    p = tmp_path / "f.csv"
+    # str.strip drops \x1c-\x1f too, which int and float refuse.
+    p.write_text("from, to, r_pu, x_pu\n 0 , 1 , 1.0 , 1.0 \n1,2,2.0,  \n"
+                 "1 ,3\t,\x1f3.0\x1c\n")
+    g = fileio.load_feeder(p)
+    assert g.edges == ((0, 1, 1.0, 1.0), (1, 2, 2.0, None),
+                       (1, 3, 3.0, None))
+
+
+def test_feeder_reports_the_reader_error_before_the_tree_error(tmp_path):
+    """Lines are parsed before the tree is built: a bad number on a later
+    line wins over a repeated child on an earlier one, and a repeated
+    child wins over a nonpositive impedance only where it comes later."""
+    p = tmp_path / "f.csv"
+    p.write_text("from,to,r_pu,x_pu\n0,1,1.0,\n0,1,1.0,\n1,2,zap,\n")
+    with pytest.raises(FeederFormatError, match="line 4"):
+        fileio.load_feeder(p)
+    p.write_text("from,to,r_pu,x_pu\n0,1,1.0,\n0,1,1.0,\n1,2,0.0,\n")
+    with pytest.raises(NonpositiveImpedance, match=r"line \(1,2\) r"):
         fileio.load_feeder(p)
 
 
