@@ -64,26 +64,20 @@ class FeederGraph:
         kids: dict[int, list[int]] = {}
         uppers: set[int] = set()
         repeated = None
-        # Plain ints and floats in range skip the checks that keep them.
         for e in as_instance(edges, Iterable, ConfigError, "lines"):
-            if type(e) is not tuple:
-                as_instance(e, (list, tuple), ConfigError, "line")
-            if len(e) == 4:
-                u, v, r, x = e
-            elif len(e) == 3:
+            as_instance(e, (list, tuple), ConfigError, "line")
+            if len(e) not in (3, 4):
+                raise ConfigError(f"line {e!r} must be (parent, child, r) "
+                                  f"or (parent, child, r, x)")
+            if len(e) == 3:
                 u, v, r = e
                 x = None
             else:
-                raise ConfigError(f"line {e!r} must be (parent, child, r) "
-                                  f"or (parent, child, r, x)")
-            if type(u) is not int:
-                u = as_int(u, UnknownNode, "bus ID")
-            if type(v) is not int:
-                v = as_int(v, UnknownNode, "bus ID")
-            if type(r) is not float or not 0 < r < math.inf:
-                r = _impedance(r, u, v, "r")
-            if x is not None and (type(x) is not float
-                                  or not 0 < x < math.inf):
+                u, v, r, x = e
+            u = as_int(u, UnknownNode, "bus ID")
+            v = as_int(v, UnknownNode, "bus ID")
+            r = _impedance(r, u, v, "r")
+            if x is not None:
                 x = _impedance(x, u, v, "x")
             parsed.append((u, v, r, x))
             if v in parent:

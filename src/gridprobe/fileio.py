@@ -70,38 +70,26 @@ def load_feeder(path: str | os.PathLike) -> FeederGraph:
                         f"{FEEDER_HEADER!r}, got {line!r}")
                 saw_header = True
                 continue
-            fields = line.split(",")
+            fields = [f.strip() for f in line.split(",")]
             if len(fields) not in (3, 4):
                 raise FeederFormatError(
                     f"{path}: line {lineno}: expected 3 or 4 fields, "
                     f"got {len(fields)}")
             try:
-                edges.append(_line_fields(fields))
-            except ValueError:
-                # Parsed again from the stripped fields, as a line always
-                # was: `str.strip` also drops the separators \x1c-\x1f,
-                # which `int` and `float` refuse, and an error then names
-                # its field without spaces.
-                try:
-                    edges.append(_line_fields([f.strip() for f in fields]))
-                except ValueError as exc:
-                    raise FeederFormatError(
-                        f"{path}: line {lineno}: {exc}") from None
+                u, v = int(fields[0]), int(fields[1])
+                r = float(fields[2])
+                x = None
+                if len(fields) == 4 and fields[3] != "":
+                    x = float(fields[3])
+            except ValueError as exc:
+                raise FeederFormatError(
+                    f"{path}: line {lineno}: {exc}") from None
+            edges.append((u, v, r, x))
     if not saw_header:
         raise FeederFormatError(f"{path}: missing header line")
     if not edges:
         raise FeederFormatError(f"{path}: no edges")
     return build_feeder(edges)
-
-
-def _line_fields(fields: list[str]) -> tuple:
-    """A feeder line's (from, to, r, x) from its 3 or 4 CSV fields; x is
-    None where the field is missing or blank. `int` and `float` accept
-    surrounding spaces, so only the reactance field, which is tested for
-    emptiness, is stripped; ValueError for a field they refuse."""
-    x = fields[3].strip() if len(fields) == 4 else ""
-    return (int(fields[0]), int(fields[1]), float(fields[2]),
-            float(x) if x else None)
 
 
 def save_feeder(g: FeederGraph, path: str | os.PathLike,

@@ -353,6 +353,44 @@ def test_output_comparison_says_what_differs_in_a_results_file(tmp_path):
         "trial_seed_rule")
 
 
+@pytest.mark.parametrize("edit, refused", [
+    ("src/gridprobe/data/table.yaml", "src/gridprobe/data/table.yaml"),
+    ("perfbench/run.py", "perfbench/run.py"),
+    ("perfbench/extra.py", "perfbench/extra.py"),
+    ("perfbench/out/run.json", None),
+    ("src/gridprobe/feeder.py", None),
+])
+def test_pairs_harness_refuses_trees_whose_benchmark_inputs_differ(
+        tmp_path, capsys, edit, refused):
+    """tools/bench_pairs.py pairs two trees only when perfbench/ and the
+    bundled data its workloads load are the same; run output and the
+    package's code may differ."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(os.path.dirname(__file__), "..",
+                                    "tools", "bench_pairs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    trees = []
+    for side in ("base", "change"):
+        tree = tmp_path / side
+        for rel in ("BENCHMARK.json", "perfbench/run.py",
+                    "src/gridprobe/data/table.yaml",
+                    "src/gridprobe/feeder.py"):
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text("{}\n")
+        trees.append(tree)
+    path = trees[1] / edit
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("edited\n")
+    if refused is None:
+        assert tool.benchmark_difference(*trees) is None
+        return
+    with pytest.raises(SystemExit) as info:
+        tool.main([str(t) for t in trees])
+    assert info.value.code == 2
+    assert refused in capsys.readouterr().err
+
+
 def test_results_are_deterministic(tmp_path):
     cfg = y_config(tmp_path, noise={"sigma_w": 0.01, "sigma_p": 1e-4,
                                     "sigma_q": 1e-4})

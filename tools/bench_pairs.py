@@ -1,16 +1,17 @@
 """Run the benchmark on two gridprobe source trees in alternating pairs.
 
-    python tools/bench_pairs.py BASE CHANGE [--workload NAME ...] \
-        [--seed 1] [--pairs 10] [--seconds 25] [--control] \
-        [--out pairs.json]
+    python tools/bench_pairs.py BASE CHANGE [--seed 1] [--pairs 10] \
+        [--seconds 25] [--control] [--out pairs.json]
 
 BASE and CHANGE are source checkouts, each with BENCHMARK.json and
-perfbench/. The harness refuses to run (exit 2) unless their perfbench/
-directories hold the same files, byte for byte; run output
-(perfbench/out/) and bytecode caches are left out of the comparison.
+perfbench/. The harness refuses to run (exit 2) unless the benchmark's
+inputs are the same in both: perfbench/ and the bundled configs and
+feeder its workloads read (src/gridprobe/data/) must hold the same files,
+byte for byte. Run output (perfbench/out/) and bytecode caches are left
+out of the comparison.
 
-For each workload (all of BENCHMARK.json's by default) and each of
-`--pairs` seeds, starting at `--seed`, it runs
+For each workload of BENCHMARK.json and each of `--pairs` seeds, starting
+at `--seed`, it runs
 
     python3 perfbench/run.py --workload NAME --seed SEED \
         --seconds SECONDS --trace 0
@@ -24,14 +25,15 @@ BASE), BASE's quartile spread, and `change_worse_by`: the relative change
 of the median in the metric's worse direction, beside its bound.
 
 `--control` adds a null-edit control: a copy of BASE with one trailing
-comment line appended to src/gridprobe/grouping.py is paired against BASE the same way, on the next `--pairs` seeds, and
-reported in the same form. A null edit runs the same code, so its pairs
-show how far the layout of the files alone moves each metric.
+comment line appended to src/gridprobe/grouping.py is paired against
+BASE the same way, on the next `--pairs` seeds, and reported in the same
+form. A null edit runs the same code, so its pairs show how far the
+layout of the files alone moves each metric.
 
 Progress goes to standard error, the summary table to standard output,
 and the full result (every run included) to `--out` as JSON, rewritten
-after each workload's set of pairs. Exits 1 if
-a run fails or reports a failed check, 0 otherwise.
+after each workload's set of pairs. Exits 1 if a run fails or reports a
+failed check, 0 otherwise.
 """
 
 import argparse
@@ -49,8 +51,11 @@ import numpy as np
 
 # The module a null edit appends its comment to.
 CONTROL_MODULE = "src/gridprobe/grouping.py"
-# Left out of the perfbench/ comparison: what running the benchmark
-# writes into the tree.
+# The directories whose files decide what the benchmark measures: its
+# own code, and the bundled configs and feeder its workloads load.
+BENCHMARK_INPUTS = ("perfbench", "src/gridprobe/data")
+# Left out of the comparison: what running the benchmark writes into the
+# tree.
 RUN_LEFTOVERS = {"out", "__pycache__"}
 
 
@@ -59,27 +64,28 @@ def fail(message: str) -> None:
     raise SystemExit(2)
 
 
-def perfbench_files(tree: Path) -> dict[str, Path]:
-    """The files of tree/perfbench by relative path, run output left out."""
-    root = tree / "perfbench"
+def benchmark_files(tree: Path) -> dict[str, Path]:
+    """The files of tree's BENCHMARK_INPUTS by path relative to tree, run
+    output left out."""
     files = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in RUN_LEFTOVERS)
-        for name in filenames:
-            path = Path(dirpath) / name
-            files[path.relative_to(root).as_posix()] = path
+    for top in BENCHMARK_INPUTS:
+        for dirpath, dirnames, filenames in os.walk(tree / top):
+            dirnames[:] = [d for d in dirnames if d not in RUN_LEFTOVERS]
+            for name in filenames:
+                path = Path(dirpath) / name
+                files[path.relative_to(tree).as_posix()] = path
     return files
 
 
-def perfbench_difference(base: Path, change: Path) -> str | None:
-    """Why the two trees' perfbench/ directories differ, or None."""
-    a, b = perfbench_files(base), perfbench_files(change)
+def benchmark_difference(base: Path, change: Path) -> str | None:
+    """Why the two trees' benchmark inputs differ, or None."""
+    a, b = benchmark_files(base), benchmark_files(change)
     only = sorted(set(a) ^ set(b))
     if only:
-        return f"perfbench/{only[0]} is in one tree only"
+        return f"{only[0]} is in one tree only"
     for rel in sorted(a):
         if not filecmp.cmp(a[rel], b[rel], shallow=False):
-            return f"perfbench/{rel} differs"
+            return f"{rel} differs"
     return None
 
 
@@ -199,7 +205,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
@@ -214,17 +219,12 @@ def main(argv=None) -> int:
             fail(f"{tree} has no perfbench/run.py")
         if not (tree / "BENCHMARK.json").is_file():
             fail(f"{tree} has no BENCHMARK.json")
-    why = perfbench_difference(base, change)
+    why = benchmark_difference(base, change)
     if why:
         fail(f"the trees' benchmarks differ ({why}); pairs would not "
              f"compare the same measurement")
     bench = json.loads((base / "BENCHMARK.json").read_text("utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = args.workload or names
-    for w in workloads:
-        if w not in names:
-            parser.error(f"unknown workload {w!r}; BENCHMARK.json has "
-                         f"{', '.join(names)}")
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     seeds = list(range(args.seed, args.seed + args.pairs))
     result = {
