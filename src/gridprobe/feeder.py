@@ -151,6 +151,7 @@ class FeederGraph:
         self._ancestry = anc
         self._rho = rho
         self._rho_x = rho_x
+        self._paths: dict[str, np.ndarray] = {}
         self._matrices: dict[str, ResistanceMatrix] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -271,10 +272,9 @@ class FeederGraph:
         preorder, each bus after its ancestors, so the last write for a
         pair is its deepest common bus. A bus is its own pair's deepest
         common bus, so the diagonal is written last, and the blocks of
-        leaves, which it covers, are skipped.
+        leaves, which it covers, are skipped. The buses must be the
+        tree's; a caller that takes them from outside checks them first.
         """
-        for b in buses:
-            self._check(b)
         nodes, size, first = self._preorder, self._size, self._first
         n = len(nodes)
         out = np.empty((n, n))
@@ -526,17 +526,27 @@ class ResistanceMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         ri = [bus_index(self.nodes, m) for m in rows]
         ci = [bus_index(self.nodes, n) for n in cols]
-        return self.values[np.ix_(ri, ci)]
+        return self.values[ri][:, ci]
 
 
 def _cached_matrix(g: FeederGraph, key: str,
-                   rho: Mapping[int, float]) -> ResistanceMatrix:
-    """Shared-path matrix over bus_order, built once per (immutable) tree."""
+                   rho: Mapping[int, float]) -> np.ndarray:
+    """Read-only shared-path array over bus_order, built once per
+    (immutable) tree."""
+    out = g._paths.get(key)
+    if out is None:
+        out = g._paths[key] = g._shared_path(g.bus_order, rho)
+        out.setflags(write=False)
+    return out
+
+
+def _wrapped(g: FeederGraph, key: str,
+             rho: Mapping[int, float]) -> ResistanceMatrix:
+    """The cached array as one ResistanceMatrix per tree."""
     out = g._matrices.get(key)
     if out is None:
-        order = g.bus_order
-        out = ResistanceMatrix(nodes=order, values=g._shared_path(order, rho))
-        g._matrices[key] = out
+        out = g._matrices[key] = ResistanceMatrix(
+            nodes=g.bus_order, values=_cached_matrix(g, key, rho))
     return out
 
 
@@ -545,7 +555,7 @@ def resistance_matrix(g: FeederGraph) -> ResistanceMatrix:
     conductance Laplacian, computed here by shared-path sums. Built once
     per feeder; later calls return the same read-only object."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
-    return _cached_matrix(g, "r", g._rho)
+    return _wrapped(g, "r", g._rho)
 
 
 def _require_reactance(g: FeederGraph) -> None:
@@ -560,7 +570,7 @@ def reactance_matrix(g: FeederGraph) -> ResistanceMatrix:
     """Bus reactance matrix; requires every line to carry a reactance."""
     as_instance(g, FeederGraph, ConfigError, "feeder")
     _require_reactance(g)
-    return _cached_matrix(g, "x", g._rho_x)
+    return _wrapped(g, "x", g._rho_x)
 
 
 def effective_resistance(g: FeederGraph, m: int, n: int) -> float:

@@ -129,11 +129,14 @@ def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
     values = values[:, by_bus]
     rank = np.argsort(values, axis=1, kind="stable")
     order = by_bus[rank]
-    ranked = np.take_along_axis(values, rank, axis=1)
+    # Each (trial, column) pair indexes its own sorted rows.
+    trial = np.arange(len(values))[:, None, None]
+    column = np.arange(values.shape[2])
+    ranked = values[trial, rank, column]
     starts = _starts(ranked, cut)
     group = np.cumsum(starts, axis=1) - 1
     labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
-    np.put_along_axis(labels, order, group, axis=1)
+    labels[trial, order, column] = group
     return order, ranked, starts, group, labels
 
 
@@ -293,7 +296,9 @@ def _split_value(values: np.ndarray, cols: np.ndarray, seen: np.ndarray,
     """split_value[..., a, b]: owners a and b, ascending, give the groups
     that hold each other values further apart than value_tol. values may
     stack trials on its leading axes."""
-    at = values[..., cols[:, None], seen]
+    *lead, m, gmax = values.shape
+    at = np.take(values.reshape(*lead, m * gmax), cols[:, None] * gmax + seen,
+                 axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(at - np.swapaxes(at, -1, -2)) > value_tol
 
@@ -556,14 +561,16 @@ def _cut_trials(labelling: _Labelling, values: np.ndarray, threshold: float
     sort order, so no trial is argsorted or labelled, and an accepted
     trial's sorted values are valued on the labelling's group index.
     """
+    trials, _, m = values.shape
     if labelling.complete:
-        trials, _, m = values.shape
         values = np.concatenate([values, np.zeros((trials, 1, m))], axis=1)
     ranked = np.sort(values, axis=1)
     same = (_starts(ranked, threshold) == labelling.starts).all(axis=(1, 2))
-    at = np.flatnonzero(same)[:, None, None]
-    top = ranked[at, labelling.tops, np.arange(values.shape[2])]
-    same[same] = (values[same] <= top).all(axis=(1, 2))
+    # Every candidate's group tops, by one flat index into its sorted rows.
+    kept = values[same]
+    top = np.take(ranked.reshape(trials, values.shape[1] * m)[same],
+                  (labelling.tops * m + np.arange(m)).ravel(), axis=1)
+    same[same] = (kept <= top.reshape(kept.shape)).all(axis=(1, 2))
     table = _group_values(ranked[same], labelling.group,
                           labelling.values.shape[1])
     hierarchy = labelling.hierarchy

@@ -29,8 +29,11 @@ from .errors import (
     as_instance,
     as_int,
 )
-from .feeder import (FeederGraph, _require_reactance, bus_index,
-                     reactance_matrix, resistance_matrix)
+# The campaign reads the feeder's cached shared-path arrays directly;
+# resistance_matrix and reactance_matrix are only perfbench/tracer.py's
+# targets here.
+from .feeder import (FeederGraph, _cached_matrix, _require_reactance,
+                     bus_index, reactance_matrix, resistance_matrix)
 
 RANK_TOL = 1e-10
 
@@ -299,17 +302,17 @@ def _noise_factor(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
     None when no injection noise reaches the rows (no bus is free, or
     sigma_p = sigma_q = 0): the noise is sigma_w·W alone."""
     through = []
-    if noise.sigma_q > 0 and not free:
+    if noise.sigma_q > 0:
         # Lines without reactance raise even when no bus is free.
         _require_reactance(g)
     # A factor too large for floats is caught by the record's finiteness
     # check.
     with np.errstate(over="ignore", invalid="ignore"):
         if noise.sigma_p > 0 and free:
-            through.append(noise.sigma_p * rmat[np.ix_(rows, free)])
+            through.append(noise.sigma_p * rmat[rows][:, free])
         if noise.sigma_q > 0 and free:
-            through.append(noise.sigma_q
-                           * reactance_matrix(g).values[np.ix_(rows, free)])
+            through.append(noise.sigma_q * _cached_matrix(
+                g, "x", g._rho_x)[rows][:, free])
         if not through:
             return None, noise.sigma_w
         if len(rows) > len(through) * len(free) + _FACTOR_EXTRA_ROWS:
@@ -369,11 +372,11 @@ def simulate_probing(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
         raise ConfigError(f"probing record of {len(rows)} rows by "
                           f"{plan.total_periods} periods is too long to "
                           f"represent")
-    rmat = resistance_matrix(g).values
+    rmat = _cached_matrix(g, "r", g._rho)
     if plan.is_block:
         # Each period has one nonzero injection, so this is bitwise the
         # product with the block injection matrix.
-        v = np.repeat(rmat[np.ix_(rows, cols)] * np.array(plan.delta),
+        v = np.repeat(rmat[rows][:, cols] * np.array(plan.delta),
                       plan.periods, axis=1)
     else:
         v = (rmat[:, cols] @ plan.injections())[rows, :]
@@ -525,5 +528,5 @@ def _exact(g: FeederGraph, plan: ProbingPlan, mode: str
     free buses. Raises what `_layout` raises. A block plan's noise-free
     draw is this block bit for bit: R >= 0 and x + 0.0 == x."""
     cols, rows, free, row_nodes = _layout(g, plan, mode)
-    rmat = resistance_matrix(g).values
-    return rmat[np.ix_(rows, cols)], row_nodes, rmat, rows, free
+    rmat = _cached_matrix(g, "r", g._rho)
+    return rmat[rows][:, cols], row_nodes, rmat, rows, free

@@ -345,7 +345,7 @@ def _hierarchy_walk(labelling) -> RecoveryPlan | None:
         # Each free row's class in each column at the level the column
         # labels it; a row is a class's node when its run of that class
         # along the sorted columns is the whole class.
-        runs = cls[np.arange(m), labelling.labels[np.ix_(free, column)]]
+        runs = cls[np.arange(m), labelling.labels[free][:, column]]
         opened = np.ones(runs.shape, dtype=bool)
         opened[:, 1:] = runs[:, 1:] != runs[:, :-1]
         at = np.flatnonzero(opened)

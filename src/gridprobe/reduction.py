@@ -46,8 +46,11 @@ class ReducedGrid(FeederGraph):
 
         Entry (m, n) is root_upstream_r plus the in-grid path resistance
         down to the deepest common bus, which reproduces the corresponding
-        entries of the full feeder's resistance matrix.
+        entries of the full feeder's resistance matrix. A bus not in the
+        grid raises UnknownNode.
         """
+        for b in buses:
+            self._check(b)
         return self.root_upstream_r + self._shared_path(buses, self._rho)
 
     def _key(self) -> tuple:

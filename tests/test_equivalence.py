@@ -16,7 +16,10 @@ bitwise, noisy ones in per-entry mean and variance of the estimate.
 `sample_estimate`, which draws a block plan's estimate from its window
 sums, is held to the record path the same way: noise-free estimates to
 1e-12 relative, noisy ones in per-entry mean and variance, and the same
-errors.
+errors. The campaign reads each feeder's cached shared-path arrays
+directly; its exact block and noise factor are held bit for bit to the
+blocks of the public `resistance_matrix` and `reactance_matrix` objects,
+which wrap those same arrays.
 `identify`, the one chain from an estimate to a recovered grid, is held to
 the stage chain the `recover` command spelled out before it: the same
 grid, lines and supports, or the same exception class and message. It
@@ -100,8 +103,8 @@ from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
                        NonpositiveImpedance, ProbingPlan,
                        ProbingRecord, ResistanceEstimate, assemble_families,
                        build_feeder, cli, compare_graphs,
-                       estimate_resistances, experiments, fileio, grouping,
-                       group_column_exact, group_column_noisy,
+                       estimate_resistances, experiments, feeder, fileio,
+                       grouping, group_column_exact, group_column_noisy,
                        group_estimate, identify, level_sets,
                        metered_level_sets, probing, reactance_matrix,
                        recover_full, recover_partial, recovery, reduce_grid,
@@ -1754,6 +1757,16 @@ def test_cut_rejects_a_swap_that_keeps_the_gaps():
     assert same.tolist() == [True, False, True]
 
 
+@pytest.mark.parametrize("mode", ["complete", "partial"])
+def test_cut_takes_a_stack_without_trials(mode):
+    # The cut gathers by flat indexes into the stack; a stack of no trials
+    # gives no verdicts and an empty table of the labelling's width.
+    g = build_feeder(EIGHT_BUSES)
+    owners = g.bus_order if mode == "complete" else sorted(g.leaves)
+    exact, values = noise_free_labelling(g, owners, mode)
+    assert check_cut(exact, values[None][:0], 0.01).shape == (0,)
+
+
 def test_cut_keeps_exact_ties_and_signed_zeros():
     # Column 1 gives the substation and both buses of the other branch
     # 0.0, one group of ties; a -0.0 among them keeps the cut, and a -0.0
@@ -2085,6 +2098,82 @@ def test_sweep_value_draws_from_one_stream_across_chunks(name, monkeypatch):
     monkeypatch.setattr(experiments, "_BLOCK",
                         2 * (37 * 36 if cfg.mode == "complete" else 14 * 14))
     assert exact_rows(run_experiment(cfg).rows) == exact_rows(alone)
+
+
+def reference_noise_factor(g, noise, rows, free):
+    """The noise factor pair as built from the public matrix objects, by
+    np.ix_ blocks of `resistance_matrix` and `reactance_matrix`."""
+    through = []
+    if noise.sigma_p > 0 and free:
+        through.append(noise.sigma_p
+                       * resistance_matrix(g).values[np.ix_(rows, free)])
+    if noise.sigma_q > 0 and free:
+        through.append(noise.sigma_q
+                       * reactance_matrix(g).values[np.ix_(rows, free)])
+    if not through:
+        return None, noise.sigma_w
+    if len(rows) > len(through) * len(free) + _FACTOR_EXTRA_ROWS:
+        return np.hstack(through), noise.sigma_w
+    if noise.sigma_w > 0:
+        through.append(noise.sigma_w * np.eye(len(rows)))
+    return np.linalg.qr(np.hstack(through).T, mode="r").T, 0.0
+
+
+def test_cached_arrays_give_the_matrix_objects_blocks():
+    # The campaign reads the feeder's cached shared-path arrays directly;
+    # every block and noise factor must be bitwise what the public matrix
+    # objects give, and those objects must wrap the cached arrays. The
+    # bundled feeder probes its leaves, every bus, and every bus but one,
+    # whose 36 rows outnumber the injection columns by more than
+    # _FACTOR_EXTRA_ROWS; random feeders of up to 60 buses probe their
+    # leaves and a sprinkle. Every other feeder is read through the public
+    # objects first.
+    rng = np.random.default_rng(37)
+    bundled = [fileio.load_feeder(os.path.join(DATA, "ieee37.csv"))
+               for _ in range(3)]
+    order = bundled[0].bus_order
+    cases = list(zip(bundled, (sorted(bundled[0].leaves), list(order),
+                               list(order[1:]))))
+    for _ in range(20):
+        _, g = random_feeder(rng, max_buses=60)
+        cases.append((g, sorted(random_probing(rng, g))))
+    noises = [NoiseModel(sigma_p=0.01, sigma_q=0.02, sigma_w=0.005),
+              NoiseModel(sigma_p=0.01), NoiseModel(sigma_q=0.01),
+              NoiseModel(sigma_w=0.005)]
+    factor_paths = set()
+    for k, (g, buses) in enumerate(cases):
+        public_first = k % 2 == 1
+        if public_first:
+            resistance_matrix(g), reactance_matrix(g)
+        plan = ProbingPlan.blocks(buses, [0.1] * len(buses), 3)
+        order = g.bus_order
+        cols = [order.index(b) for b in buses]
+        free = [i for i in range(len(order)) if i not in cols]
+        for mode in ("complete", "partial"):
+            rows = cols if mode == "partial" else list(range(len(order)))
+            block, row_nodes, rmat, *_ = probing._exact(g, plan, mode)
+            want = resistance_matrix(g).values[np.ix_(rows, cols)]
+            assert block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+            assert row_nodes == tuple(order[i] for i in rows)
+            for noise in noises:
+                factor, meter = probing._noise_factor(g, rmat, noise, rows,
+                                                      free)
+                ref, ref_meter = reference_noise_factor(g, noise, rows, free)
+                assert meter == ref_meter
+                if ref is None:
+                    assert factor is None
+                    continue
+                factor_paths.add(meter > 0)
+                assert factor.shape == ref.shape
+                assert factor.tobytes() == ref.tobytes()
+        assert resistance_matrix(g).values is rmat
+        assert rmat is feeder._cached_matrix(g, "r", g._rho)
+        assert (reactance_matrix(g).values
+                is feeder._cached_matrix(g, "x", g._rho_x))
+    # Meter noise drawn apart (many more rows than injection columns) and
+    # folded into the triangular factor.
+    assert factor_paths == {True, False}
 
 
 def test_tracer_targets_resolve():

@@ -328,7 +328,7 @@ def test_provenance_records_the_setup(tmp_path):
 
 def test_output_comparison_says_what_differs_in_a_results_file(tmp_path):
     """tools/compare_outputs.py tells equal rows under a changed
-    provenance from changed rows."""
+    provenance, and rows that only gain keys, from changed rows."""
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", os.path.join(os.path.dirname(__file__), "..",
                                         "tools", "compare_outputs.py"))
@@ -346,11 +346,20 @@ def test_output_comparison_says_what_differs_in_a_results_file(tmp_path):
     assert tool.results_diff(base, head) == (
         "results rows equal; provenance keys that differ: seed, "
         "trial_seed_rule")
+    for row in head["results"]:
+        row.update(margin=0.5, failures={})
+    assert tool.results_diff(base, head) == (
+        "results rows equal on the base's keys; new keys: failures, margin; "
+        "provenance keys that differ: seed, trial_seed_rule")
     del head["provenance"]["numpy"]
     head["results"][0]["error_pct"] += 1.0
     assert tool.results_diff(base, head) == (
         "results rows differ; provenance keys that differ: numpy, seed, "
         "trial_seed_rule")
+    # A row that loses a key differs, even if it gains another.
+    head = json.loads((tmp_path / "head" / "results.json").read_text())
+    head["results"][0]["margin"] = head["results"][0].pop("mpe_se")
+    assert tool.results_diff(base, head).startswith("results rows differ;")
 
 
 @pytest.mark.parametrize("edit, refused", [

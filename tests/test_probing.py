@@ -6,12 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from gridprobe import (ConfigError, ExperimentConfig, NoiseModel,
-                       NonpositiveRmin, ProbingPlan, RankDeficientProbing,
-                       UnknownProbingBus, build_feeder, design_plan,
-                       estimate_resistances, fileio, noise_bound,
-                       reactance_matrix, reduce_grid, resistance_matrix,
-                       sample_estimate, simulate_probing)
+from gridprobe import (ConfigError, ExperimentConfig, FeederGraph,
+                       NoiseModel, NonpositiveRmin, ProbingPlan,
+                       RankDeficientProbing, UnknownProbingBus, build_feeder,
+                       design_plan, estimate_resistances, fileio,
+                       noise_bound, reactance_matrix, reduce_grid,
+                       resistance_matrix, sample_estimate, simulate_probing)
 from gridprobe import probing
 
 from helpers import EIGHT_BUSES, STAR_BUSES, random_feeder
@@ -320,10 +320,18 @@ def test_sampled_estimates_need_a_block_plan():
 
 def test_draws_build_the_reactance_matrix_only_for_free_buses(monkeypatch):
     # With every bus probing no load noise is drawn, so the reactance
-    # matrix is never read; it is built once a bus is free.
+    # matrix is never read; it is built once a bus is free. The X array is
+    # the tree's shared-path sums over its reactance path sums, so the
+    # test watches those.
     built = []
-    monkeypatch.setattr(probing, "reactance_matrix",
-                        lambda g: built.append(g) or reactance_matrix(g))
+    shared_path = FeederGraph._shared_path
+
+    def watched(tree, buses, rho):
+        if rho is tree._rho_x:
+            built.append(tree)
+        return shared_path(tree, buses, rho)
+
+    monkeypatch.setattr(FeederGraph, "_shared_path", watched)
     g = build_feeder([(0, 1, 0.1, 0.1), (1, 2, 0.2, 0.1), (1, 3, 0.3, 0.1)])
     noise = NoiseModel(sigma_q=0.01, sigma_w=0.01, seed=3)
     every = ProbingPlan.blocks([1, 2, 3], [0.5] * 3, 4)

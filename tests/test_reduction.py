@@ -114,6 +114,16 @@ def test_probed_submatrix_is_preserved():
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("bus", [99, 0, True])
+def test_submatrix_refuses_a_bus_outside_the_grid(bus):
+    # The reduced grid of the Y feeder holds buses 1, 2 and 3: bus 0 is
+    # the substation above it, and True, which equals 1, is not a bus ID.
+    rg = reduce_grid(build_feeder(Y_EDGES), {2, 3})
+    with pytest.raises(UnknownNode,
+                       match=f"^bus {bus} is not in the feeder$"):
+        rg.resistance_submatrix([2, bus, 3])
+
+
 def test_reduced_lca_and_descendants():
     g = build_feeder(Y_EDGES)
     rg = reduce_grid(g, {2, 3})

@@ -47,9 +47,9 @@ byte-identical between the two:
 Prints each output that differs and exits 1 if any differs, 0 if none
 does; exits 2 on a usage error, a tree without src/gridprobe or a failed
 command that must succeed. Under a results.json that differs it says
-whether its `results` rows are equal and which provenance keys differ,
-and prints both trees' (periods, error_pct, mpe_pct) rows where the rows
-differ.
+whether its `results` rows are equal, equal on BASE's keys with the keys
+HEAD adds named, or differ, and which provenance keys differ, and prints
+both trees' (periods, error_pct, mpe_pct) rows where the rows differ.
 """
 
 import json
@@ -246,11 +246,28 @@ def outputs(tree, out, records, feeder, configs, large):
     return found
 
 
+def rows_verdict(base, head):
+    """Whether two `results` lists hold equal rows: "equal", "equal on
+    the base's keys; new keys: ..." where HEAD's rows only add keys, or
+    "differ"."""
+    if base == head:
+        return "equal"
+    if len(base) != len(head):
+        return "differ"
+    added = set()
+    for row, new in zip(base, head):
+        if not row.keys() <= new.keys() or any(new[k] != v
+                                               for k, v in row.items()):
+            return "differ"
+        added |= new.keys() - row.keys()
+    return f"equal on the base's keys; new keys: {', '.join(sorted(added))}"
+
+
 def results_diff(base, head):
-    """Whether two parsed results.json files hold equal `results` rows,
-    and which of their provenance keys differ (one tree's key missing from
-    the other's counts as differing)."""
-    rows = "equal" if base["results"] == head["results"] else "differ"
+    """Whether two parsed results.json files hold equal `results` rows
+    (`rows_verdict`), and which of their provenance keys differ (one
+    tree's key missing from the other's counts as differing)."""
+    rows = rows_verdict(base["results"], head["results"])
     old, new = base["provenance"], head["provenance"]
     keys = sorted(k for k in old.keys() | new.keys()
                   if k not in old or k not in new or old[k] != new[k])
@@ -294,7 +311,8 @@ def main(argv):
         if name.endswith("results.json"):
             sweeps = {tag: json.loads(got[tag][name]) for tag in got}
             print("  " + results_diff(sweeps["base"], sweeps["head"]))
-            if sweeps["base"]["results"] != sweeps["head"]["results"]:
+            if rows_verdict(sweeps["base"]["results"],
+                            sweeps["head"]["results"]) == "differ":
                 for tag, sweep in sweeps.items():
                     print(f"  {tag}: " + "  ".join(
                         f"({r['periods']}, {r['error_pct']}, {r['mpe_pct']})"
