@@ -48,9 +48,9 @@ from .grouping import (_cut_trials, _label, _Labelling, _threshold,
 from .probing import (MODES, NoiseModel, ProbingPlan, ResistanceEstimate,
                       _check_windows, _exact, _finite, _sampler,
                       estimate_resistances, simulate_probing)
-from .recovery import (RecoveryPlan, RecoveryReport, _matched, _planned,
-                       _replay, _Replay, _report, compare_graphs,
-                       recover_full, recover_partial)
+from .recovery import (RecoveryReport, _matched, _planned, _replay,
+                       _Replay, _report, compare_graphs, recover_full,
+                       recover_partial)
 from .reduction import reduce_grid
 
 PROBING_POLICIES = ("all-buses", "all-leaves")
@@ -231,10 +231,10 @@ def identify(estimate: ResistanceEstimate, r_min: float | None,
     Gives what `group_estimate` then `recover_full` or `recover_partial`
     give, without building the groupings.
     """
-    return _identify(_label(estimate, r_min, mode))[1]
+    return _identify(_label(estimate, r_min, mode))
 
 
-def _identify(labelling: _Labelling) -> tuple[RecoveryPlan, RecoveryReport]:
+def _identify(labelling: _Labelling) -> RecoveryReport:
     """The family check, then the recovery plan, read off the labelling's
     owner hierarchy (`_planned`), and its report: `identify`'s steps after
     the cut."""
@@ -268,27 +268,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     block plan, the first sweep value's, is built outside the trials, and
     every sweep value's windows are checked there too, so a plan defect
     raises ConfigError instead of failing every trial; a draw that
-    raises, or that is not finite, stops the sweep too. The campaign's
-    noise factor is built once per call (`_sampler`), from the exact
-    block the call has already read. The sweep values'
-    plans differ only in their window lengths, so each value needs only
-    its own row of window divisors, bitwise the `_scale` of its plan.
+    raises, or that is not finite, stops the sweep too. The sweep
+    values' plans differ only in their window lengths, so each value needs
+    only its own row of window divisors, delta_j·√T_j of its plan.
 
     A call learns the noise-free labelling once: it labels the exact
     block R[rows, cols] (`probing._exact`), which is bit for bit the
     noise-free draw and is held to the draw's finiteness rule, and
     `_learn` plans its recovery and matches the plan's lines to the
     truth's, building no grid. Its errors stop the sweep: no trial could
-    pass where noise-free data fail. The
-    (sweep value, trial) pairs are walked in sweep order, in chunks of at
-    most `_BLOCK` estimate entries that may span sweep values. A chunk is
-    drawn as one stack, each trial divided by its sweep value's window
-    divisors, and held to the family check by `_cut_trials`; `_replay`
-    scores the trials it cuts into the noise-free labelling. A trial is
-    correct exactly when `identify` and `compare_graphs` would find the
-    truth: its cut is the same (`same`), its group values pass the family
-    check's value rules (`held`) and its lines pass recovery's line rules
-    (`ok`). Any other trial is a topology error. Each row's statistics see
+    pass where noise-free data fail. Only then, after every window is
+    checked, does `_sampler` check the campaign and build its noise
+    factor, once per call, so a window too long to represent is named
+    before a line without reactance. The (sweep value, trial) pairs are
+    walked in sweep order, in chunks of at most `_BLOCK` estimate entries
+    that may span sweep values. A chunk is drawn as one stack, each trial
+    divided by its sweep value's window divisors, and held to the family
+    check by `_cut_trials`; `_replay` scores the trials it cuts into the
+    noise-free labelling. A trial is correct exactly when `identify` and
+    `compare_graphs` would find the truth: its cut is the same (`same`),
+    its group values pass the family check's value rules (`held`) and its
+    lines pass recovery's line rules (`ok`). Any other trial is a
+    topology error. Each row's statistics see
     its accepted MPEs in trial order, so a row does not depend on the
     chunk size or on the other sweep values. A row's `seconds` is its
     share of the trial loop's wall time: each chunk's time is shared among
@@ -301,8 +302,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     delta = config.delta_map(buses)
     truth = g if config.mode == "complete" else reduce_grid(g, buses)
     plan = ProbingPlan.blocks(buses, delta, config.periods[0])
-    read = _exact(g, plan, config.mode)
-    block, rows, *_ = read
+    block, rows = _exact(g, plan, config.mode)
     exact = _Labelling.of(plan.buses, rows, _finite(block), config.mode,
                           None)
     replay = _learn(exact, truth)
@@ -313,7 +313,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # window that is too long.
     _check_windows(plan.buses[:1] * len(config.periods), config.periods)
     scales = np.array(plan.delta) * np.sqrt(config.periods)[:, None]
-    draw, _ = _sampler(g, plan, config.noise, config.mode, read)
+    draw, _ = _sampler(g, plan, config.noise, config.mode)
     # One stream per sweep value, drawing its trials in trial order across
     # chunks; silent noise draws nothing, so it needs no generator.
     rngs = [None if config.noise.silent

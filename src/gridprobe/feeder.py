@@ -523,10 +523,18 @@ class ResistanceMatrix:
         j = bus_index(self.nodes, n)
         return dict(zip(self.nodes, self.values[:, j].tolist()))
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        ri = [bus_index(self.nodes, m) for m in rows]
-        ci = [bus_index(self.nodes, n) for n in cols]
+    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> np.ndarray:
+        ri = [bus_index(self.nodes, m) for m in _bus_list(rows)]
+        ci = [bus_index(self.nodes, n) for n in _bus_list(cols)]
         return self.values[ri][:, ci]
+
+
+def _bus_list(buses: Iterable[int]) -> list:
+    """The rows of a submatrix, read once, repeats kept; UnknownNode for
+    anything that is not iterable."""
+    if not np.iterable(buses):
+        raise UnknownNode(f"buses must be iterable, got {buses!r}")
+    return list(buses)
 
 
 def _cached_matrix(g: FeederGraph, key: str,

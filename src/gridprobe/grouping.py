@@ -7,13 +7,14 @@ sets straight off the data: exactly on clean columns, and by a sorted
 gap rule on noisy ones, where a jump larger than half the smallest line
 resistance marks a boundary between groups.
 
-One gap routine cuts any number of columns at once into a label matrix
-(bus x column owner, each entry the index of the bus's group), and one
-family check runs on that matrix. Grouping's one product is a labelling
+One gap rule (`_starts`) opens the groups of sorted columns: a
+labelling cuts an estimate's columns into a label matrix (bus x column
+owner, each entry the index of the bus's group), and one family check
+runs on that matrix. Grouping's one product is a labelling
 (`_Labelling`): the checked columns of a whole estimate
 (`group_estimate`) or of one column (`group_column_exact`,
-`group_column_noisy`), cut, and read out in one place, as the level sets
-and value table recovery reads or as `ColumnGrouping`s. Each labelling
+`group_column_noisy`), cut, and read out in one place, as
+`ColumnGrouping`s (`_Labelling.families`). Each labelling
 carries one owner hierarchy (`_Hierarchy`): for each column and each of
 its levels, the first owner it sees that deep. The family check,
 recovery's plan (`recovery._hierarchy_walk`) and a sweep's cut read it.
@@ -112,32 +113,6 @@ def _entry(entry, owner: int) -> tuple[int, float]:
 
 
 # -- the gap routine ----------------------------------------------------------
-
-
-def _sort_cut(buses: np.ndarray, values: np.ndarray, cut: float
-              ) -> tuple[np.ndarray, ...]:
-    """Cut a stack of matrices (trials x rows x columns) at once: sort
-    every column, ties by bus ID, and start a new group wherever the gap
-    to the previous entry exceeds cut (zero for exact grouping).
-
-    Returns, each trials x rows x columns, the rows of every column by
-    value (order), their values (ranked), the sorted rows that open a
-    group (starts), each sorted row's group index (group) and each row's
-    group index (labels).
-    """
-    by_bus = np.argsort(buses, kind="stable")
-    values = values[:, by_bus]
-    rank = np.argsort(values, axis=1, kind="stable")
-    order = by_bus[rank]
-    # Each (trial, column) pair indexes its own sorted rows.
-    trial = np.arange(len(values))[:, None, None]
-    column = np.arange(values.shape[2])
-    ranked = values[trial, rank, column]
-    starts = _starts(ranked, cut)
-    group = np.cumsum(starts, axis=1) - 1
-    labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
-    labels[trial, order, column] = group
-    return order, ranked, starts, group, labels
 
 
 def _starts(ranked: np.ndarray, cut: float) -> np.ndarray:
@@ -466,20 +441,30 @@ class _Labelling(NamedTuple):
         """Check the columns of a rows x owners matrix (`_columns`), then
         cut them at threshold (None cuts exactly)."""
         buses, values, owner_rows = _columns(owners, rows, values, mode)
-        order, ranked, starts, group, labels = _sort_cut(
-            buses, values[None], 0.0 if threshold is None else threshold)
-        counts = group[0, -1] + 1
+        # Sort every column, ties by bus ID, and open a group wherever the
+        # gap to the previous entry exceeds the cut (zero for exact
+        # grouping).
+        by_bus = np.argsort(buses, kind="stable")
+        order = by_bus[np.argsort(values[by_bus], axis=0, kind="stable")]
+        column = np.arange(len(owners))
+        ranked = values[order, column]
+        starts = _starts(ranked[None], 0.0 if threshold is None
+                         else threshold)[0]
+        group = np.cumsum(starts, axis=0) - 1
+        labels = np.empty(ranked.shape, dtype=np.min_scalar_type(len(buses)))
+        labels[order, column] = group
+        counts = group[-1] + 1
         # Column by column, the sorted rows that close a group: those
         # before a start, and the last.
-        ends = np.ones_like(starts[0])
-        ends[:-1] = starts[0, 1:]
+        ends = np.ones_like(starts)
+        ends[:-1] = starts[1:]
         closes = np.flatnonzero(ends.T) % len(buses)
-        table = _group_values(ranked, group, int(counts.max()))
+        table = _group_values(ranked[None], group[None], int(counts.max()))
         return cls(owners, buses, owner_rows, mode == "complete", threshold,
-                   order[0], ranked[0], starts[0], group[0],
-                   closes[np.cumsum(counts) - counts + labels[0]], labels[0],
+                   order, ranked, starts, group,
+                   closes[np.cumsum(counts) - counts + labels], labels,
                    counts, table[0],
-                   _hierarchy(labels[0], counts, owners, owner_rows))
+                   _hierarchy(labels, counts, owners, owner_rows))
 
     @property
     def value_tol(self) -> float:
@@ -494,39 +479,29 @@ class _Labelling(NamedTuple):
                      self.hierarchy, int(not self.complete), self.value_tol,
                      self.complete and len(self.owners) == n - 1)
 
-    def read(self) -> tuple[dict[int, tuple[frozenset[int], ...]],
-                            np.ndarray]:
-        """What `recovery._read` gives for the labelling's families: each
-        owner's level sets, in column order, and the one-trial group-value
-        table (1 x owners x groups)."""
-        n = len(self.buses)
-        firsts = (np.flatnonzero(self.starts.T.ravel()) % n).tolist()
-        sets = {}
-        k = 0
-        for owner, col, count in zip(self.owners,
-                                     self.buses[self.order].T.tolist(),
-                                     self.counts.tolist()):
-            bounds = firsts[k:k + count] + [n]
-            k += count
-            sets[owner] = tuple(frozenset(col[a:b])
-                                for a, b in zip(bounds, bounds[1:]))
-        return sets, self.values[None]
-
     def families(self, probing: frozenset[int] | None = None
                  ) -> dict[int, ColumnGrouping]:
         """One ColumnGrouping per column, keyed by owner in column order;
         partial-mode ones carry `probing`."""
-        sets, _ = self.read()
+        n = len(self.buses)
+        firsts = (np.flatnonzero(self.starts.T.ravel()) % n).tolist()
         metered = not self.complete
-        entries = zip(self.buses[self.order].T.tolist(),
-                      self.ranked.T.tolist())
-        return {owner: ColumnGrouping(
-                    owner=owner, start_depth=int(metered), sets=s,
-                    values=tuple(values[:len(s)]), metered=metered,
-                    probing=probing, sorted_entries=tuple(zip(*col)),
-                    threshold=self.threshold)
-                for (owner, s), values, col in zip(
-                    sets.items(), self.values.tolist(), entries)}
+        out = {}
+        k = 0
+        for owner, col, ranked, values, count in zip(
+                self.owners, self.buses[self.order].T.tolist(),
+                self.ranked.T.tolist(), self.values.tolist(),
+                self.counts.tolist()):
+            bounds = firsts[k:k + count] + [n]
+            k += count
+            out[owner] = ColumnGrouping(
+                owner=owner, start_depth=int(metered),
+                sets=tuple(frozenset(col[a:b])
+                           for a, b in zip(bounds, bounds[1:])),
+                values=tuple(values[:count]), metered=metered,
+                probing=probing, sorted_entries=tuple(zip(col, ranked)),
+                threshold=self.threshold)
+        return out
 
 
 def _label(estimate: ResistanceEstimate, r_min: float | None,

@@ -278,14 +278,6 @@ def _check_windows(buses: Sequence[int], periods: Sequence[int]) -> None:
                               f"represent")
 
 
-def _scale(plan: ProbingPlan) -> np.ndarray:
-    """A block plan's window divisors delta_j·√T_j, by which the draw turns
-    each window's sum into its estimate column; a window numpy cannot hold
-    raises ConfigError."""
-    _check_windows(plan.buses, plan.periods)
-    return np.array(plan.delta) * np.sqrt(plan.periods)
-
-
 def _noise_factor(g: FeederGraph, rmat: np.ndarray, noise: NoiseModel,
                   rows: list[int], free: list[int]
                   ) -> tuple[np.ndarray | None, float]:
@@ -472,26 +464,31 @@ def sample_estimate(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel,
     plans have no windows and raise ConfigError.
     """
     draw, row_nodes = _sampler(g, plan, noise, mode)
+    if rng is not None:
+        as_instance(rng, np.random.Generator, ConfigError, "rng")
+    elif not noise.silent:
+        rng = np.random.default_rng(noise.seed)
+    scales = np.array(plan.delta) * np.sqrt(plan.periods)
     return ResistanceEstimate(row_nodes=row_nodes, col_nodes=plan.buses,
-                              values=draw([(rng, 1)])[0])
+                              values=draw([(rng, 1)], scales)[0])
 
 
-def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
-             read: tuple | None = None
+def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str
              ) -> tuple[Callable[..., np.ndarray], tuple[int, ...]]:
     """Check a block campaign and build its noise factor once; return
-    draw(runs, scales=None) and the reported rows' buses. draw gives the
+    draw(runs, scales) and the reported rows' buses. draw gives the
     estimates `sample_estimate` draws, stacked trials x reported rows x
     probing buses. Each (generator, count) run draws its next `count`
-    trials in trial order, a run without a generator from one seeded with
-    noise.seed; silent noise draws nothing and builds no generator. Trial
-    t divides its window sums by scales[t], the `_scale` of its own plan
-    (plan's for None), so one stack can hold plans that differ only in
-    delta and periods. The trials of a run are bitwise what
-    `sample_estimate` draws with its generator, one call per trial, each
-    with its own plan. A caller that has read the campaign's `_exact`
-    passes it as `read`, which is then not read again."""
-    exact, row_nodes, rmat, rows, free = read or _exact(g, plan, mode)
+    trials in trial order; silent noise draws nothing and reads no
+    generator, so its runs may hold None. Trial t divides its window sums
+    by scales[t], its own plan's delta_j·√T_j, so one stack can hold plans
+    that differ only in delta and periods. The trials of a run are bitwise
+    what `sample_estimate` draws with its generator, one call per trial,
+    each with its own plan. Each draw adds its noise to the block `_exact`
+    gives."""
+    cols, rows, free, row_nodes = _layout(g, plan, mode)
+    rmat = _cached_matrix(g, "r", g._rho)
+    exact = rmat[rows][:, cols]
     as_instance(noise, NoiseModel, ConfigError, "noise")
     if not plan.is_block:
         raise ConfigError("only block plans can be sampled from window "
@@ -502,17 +499,10 @@ def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
                                                     free)
 
     def draw(runs: Sequence[tuple[np.random.Generator | None, int]],
-             scales: np.ndarray | None = None) -> np.ndarray:
-        for rng, _ in runs:
-            if rng is not None:
-                as_instance(rng, np.random.Generator, ConfigError, "rng")
+             scales: np.ndarray) -> np.ndarray:
         sums = np.zeros((sum(count for _, count in runs), *exact.shape))
         if pair is not None:
-            _add_noise(*pair, sums, [
-                (np.random.default_rng(noise.seed) if rng is None else rng,
-                 count) for rng, count in runs])
-        if scales is None:
-            scales = _scale(plan)
+            _add_noise(*pair, sums, runs)
         with np.errstate(over="ignore", invalid="ignore"):
             return _finite(exact + sums / scales[..., None, :])
 
@@ -520,13 +510,10 @@ def _sampler(g: FeederGraph, plan: ProbingPlan, noise: NoiseModel, mode: str,
 
 
 def _exact(g: FeederGraph, plan: ProbingPlan, mode: str
-           ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, list[int],
-                      list[int]]:
+           ) -> tuple[np.ndarray, tuple[int, ...]]:
     """A campaign's noise-free estimate R[rows, cols], which may hold inf
-    where a path resistance overflows, and the reported rows' buses; then
-    R itself and the positions in bus_order of the reported rows and the
-    free buses. Raises what `_layout` raises. A block plan's noise-free
-    draw is this block bit for bit: R >= 0 and x + 0.0 == x."""
-    cols, rows, free, row_nodes = _layout(g, plan, mode)
-    rmat = _cached_matrix(g, "r", g._rho)
-    return rmat[rows][:, cols], row_nodes, rmat, rows, free
+    where a path resistance overflows, and the reported rows' buses.
+    Raises what `_layout` raises. A block plan's noise-free draw is this
+    block bit for bit: R >= 0 and x + 0.0 == x."""
+    cols, rows, _, row_nodes = _layout(g, plan, mode)
+    return _cached_matrix(g, "r", g._rho)[rows][:, cols], row_nodes

@@ -15,15 +15,17 @@ Level-set families are read once, at the boundary (`_read`), into each
 owner's level sets and a group-value table, which the set walk (`_walk`)
 reads; their families need not be disjoint. `identify` and a sweep read
 no sets: `_planned` reads the same plan off a labelling's owner
-hierarchy (`_hierarchy_walk`), every level at once, and runs the set walk
-on the labelling's read only where the hierarchy does not hold, so that
-it raises the walk's error. Either walk reads topology only: its
-`RecoveryPlan` holds the root, the junction IDs, and each line with its
-depth and the columns behind it. The value rules run in one place
-(`_valued`) on a plan from either walk. One value step, `_line_values`,
-values a plan's lines and upstream resistance on a stack of group-value
-tables, one per trial; a sweep replays a plan on its trials with it
-(`_replay`).
+hierarchy (`_hierarchy_walk`), every level at once, and only where the
+hierarchy does not hold reads the labelling's families at the boundary
+and runs the set walk, so that it raises the walk's error. Either walk
+reads topology only: its `RecoveryPlan` holds the root, the junction
+IDs, and each line with its depth and the columns behind it. The set
+walk returns the plan of what it wired with the error that stopped it,
+so that a nonpositive line wired first is raised first. The value rules
+run in one place (`_valued`) on a plan from either walk. One value step,
+`_line_values`, values a plan's lines and upstream resistance on a stack
+of group-value tables, one per trial; a sweep replays a plan on its
+trials with it (`_replay`).
 Comparison is a node-map match, then a resistance score of a stack of
 trials. The match (`_node_map`) looks each line's child up once in the
 truth, by its probed buses below and its parent's match; it takes a
@@ -151,14 +153,12 @@ def _read(families, metered: bool
     return sets, table
 
 
-def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool,
-          lines: list, depths: list, members: list
-          ) -> tuple[int | None, list[int]]:
+def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool
+          ) -> tuple[RecoveryPlan, GridProbeError | None]:
     """Rebuild the tree of checked level sets (each owner's, indexed from
-    depth `metered`) root-down, topology only: append each line to `lines`
-    as it is wired, its child's depth to `depths` and the positions of its
-    columns, in owner order, to `members`. Returns the root and the
-    junctions.
+    depth `metered`) root-down, topology only. Returns the plan of what it
+    wired, root and junctions included, and None; or, where it stops, the
+    plan of the lines wired before (no root, no junctions) and the error.
 
     With complete data a group's depth-k ancestor is the one bus common to
     its members' depth-k sets; with metered data it is the member whose
@@ -175,51 +175,63 @@ def _walk(sets: Mapping[int, tuple[frozenset[int], ...]], metered: bool,
     named: set[int] = set()
     root: int | None = None
     internal: list[int] = []
+    lines, depths, members = [], [], []
     queue: deque = deque([(frozenset(sets), None, start)])
-    while queue:
-        group, parent, k = queue.popleft()
-        try:
-            at = {m: sets[m][k - start] for m in group}
-        except IndexError:
-            m = next(m for m in group if k - start >= len(sets[m]))
-            raise error(f"column {m} has no depth-{k} group",
-                        depth=k, buses=group) from None
-        if metered:
-            claimants = sorted(m for m in group if at[m] == group)
-            if len(claimants) > 1:
-                raise error(f"buses {claimants} both claim to root "
-                            f"{sorted(group)}", depth=k, buses=group)
-            n = claimants[0] if claimants else None
-        else:
-            inter = frozenset.intersection(*at.values())
-            if len(inter) != 1:
-                raise error(f"depth-{k} intersection of {sorted(group)} has "
-                            f"{len(inter)} buses", depth=k, buses=group)
-            (n,) = inter
-        junction = n is None
-        if junction:
-            n = first_id + len(internal)
-            internal.append(n)
-        elif n in named:
-            raise error(f"bus {n} identified twice", depth=k, buses=group)
-        named.add(n)
-        if parent is None:
-            root = n
-        else:
-            lines.append((parent, n))
-            depths.append(k)
-            members.append(sorted(row[m] for m in group))
-        rest = group - {n}
-        if rest:
-            blocks: dict[frozenset[int], set[int]] = {}
-            for m in rest:
-                blocks.setdefault(at[m], set()).add(m)
-            if junction and len(blocks) == 1:
-                raise error(f"ancestor {n} at depth {k} does not "
-                            f"separate {sorted(group)}", depth=k, buses=group)
-            for part in sorted(map(frozenset, blocks.values()), key=min):
-                queue.append((part, n, k + 1))
-    return root, internal
+    stopped = None
+    try:
+        while queue:
+            group, parent, k = queue.popleft()
+            try:
+                at = {m: sets[m][k - start] for m in group}
+            except IndexError:
+                m = next(m for m in group if k - start >= len(sets[m]))
+                raise error(f"column {m} has no depth-{k} group",
+                            depth=k, buses=group) from None
+            if metered:
+                claimants = sorted(m for m in group if at[m] == group)
+                if len(claimants) > 1:
+                    raise error(f"buses {claimants} both claim to root "
+                                f"{sorted(group)}", depth=k, buses=group)
+                n = claimants[0] if claimants else None
+            else:
+                inter = frozenset.intersection(*at.values())
+                if len(inter) != 1:
+                    raise error(f"depth-{k} intersection of {sorted(group)} "
+                                f"has {len(inter)} buses", depth=k,
+                                buses=group)
+                (n,) = inter
+            junction = n is None
+            if junction:
+                n = first_id + len(internal)
+                internal.append(n)
+            elif n in named:
+                raise error(f"bus {n} identified twice", depth=k, buses=group)
+            named.add(n)
+            if parent is None:
+                root = n
+            else:
+                lines.append((parent, n))
+                depths.append(k)
+                members.append(sorted(row[m] for m in group))
+            rest = group - {n}
+            if rest:
+                blocks: dict[frozenset[int], set[int]] = {}
+                for m in rest:
+                    blocks.setdefault(at[m], set()).add(m)
+                if junction and len(blocks) == 1:
+                    raise error(f"ancestor {n} at depth {k} does not "
+                                f"separate {sorted(group)}", depth=k,
+                                buses=group)
+                for part in sorted(map(frozenset, blocks.values()), key=min):
+                    queue.append((part, n, k + 1))
+    except GridProbeError as exc:
+        root, internal, stopped = None, [], exc
+    sizes = list(map(len, members))
+    step = np.array(depths, dtype=np.intp) - start - 1
+    return RecoveryPlan(root, tuple(internal), tuple(lines),
+                        np.fromiter(chain.from_iterable(members), np.intp),
+                        np.repeat(np.arange(len(lines)), sizes),
+                        np.repeat(step, sizes)), stopped
 
 
 def _line_values(plan: RecoveryPlan, table: np.ndarray
@@ -242,17 +254,6 @@ def _line_values(plan: RecoveryPlan, table: np.ndarray
                   / np.bincount(plan.line, minlength=lines))
         upstream = _left_sums(table[..., 0]) / table.shape[1]
     return values, upstream
-
-
-def _wired(root, internal, lines: list, depths: list, members: list,
-           metered: bool) -> RecoveryPlan:
-    """The plan of what the set walk wired."""
-    sizes = list(map(len, members))
-    step = np.array(depths, dtype=np.intp) - int(metered) - 1
-    return RecoveryPlan(root, tuple(internal), tuple(lines),
-                        np.fromiter(chain.from_iterable(members), np.intp),
-                        np.repeat(np.arange(len(lines)), sizes),
-                        np.repeat(step, sizes))
 
 
 def _valued(plan: RecoveryPlan, table: np.ndarray, metered: bool,
@@ -281,7 +282,7 @@ def _valued(plan: RecoveryPlan, table: np.ndarray, metered: bool,
 
 
 def _hierarchy_walk(labelling) -> RecoveryPlan | None:
-    """The plan `_walk` wires on a labelling's read level sets, read off
+    """The plan `_walk` wires on a labelling's level sets, read off
     its owner hierarchy (`grouping._Hierarchy`) instead, every level at
     once; None unless the hierarchy holds (owners in their deepest groups,
     seen symmetric, the prefix rule) and every node is named once.
@@ -404,26 +405,22 @@ def _plan(sets: Mapping[int, tuple[frozenset[int], ...]],
     wired on the group-value table (`_valued`): the plan, its line values
     in walk order and the upstream resistance. A nonpositive line wired
     before a walk error is raised instead, as the walk met it."""
-    wired = ([], [], [])
-    try:
-        root, internal = _walk(sets, metered, *wired)
-    except GridProbeError:
-        if wired[0]:
-            _valued(_wired(None, [], *wired, metered), table, metered,
-                    whole=False)
-        raise
-    return _valued(_wired(root, internal, *wired, metered), table, metered)
+    plan, error = _walk(sets, metered)
+    planned = _valued(plan, table, metered, whole=error is None)
+    if error is not None:
+        raise error
+    return planned
 
 
 def _planned(labelling) -> tuple[RecoveryPlan, list[float], float]:
-    """What `_plan` gives for a labelling's read, read off its owner
+    """What `_plan` gives for a labelling's families, read off its owner
     hierarchy (`_hierarchy_walk`) where that holds, without reading its
-    level sets; elsewhere `_plan` on its read, which then raises the set
-    walk's error."""
+    level sets; elsewhere `_plan` on the families' read (`_read`), which
+    then raises the set walk's error."""
     metered = not labelling.complete
     plan = _hierarchy_walk(labelling)
     if plan is None:
-        return _plan(*labelling.read(), metered)
+        return _plan(*_read(labelling.families(), metered), metered)
     return _valued(plan, labelling.values[None], metered)
 
 
@@ -450,24 +447,21 @@ def _matched(plan: RecoveryPlan, owners: Sequence[int], truth: FeederGraph
 
 
 def _recover(sets: Mapping[int, tuple[frozenset[int], ...]],
-             table: np.ndarray, metered: bool
-             ) -> tuple[RecoveryPlan, RecoveryReport]:
+             table: np.ndarray, metered: bool) -> RecoveryReport:
     """Plan the recovery of read level sets (`_plan`) and report it
     (`_report`)."""
     return _report(_plan(sets, table, metered), frozenset(sets), metered)
 
 
 def _report(planned: tuple[RecoveryPlan, list[float], float],
-            probing: frozenset[int], metered: bool
-            ) -> tuple[RecoveryPlan, RecoveryReport]:
-    """The plan of a valued walk and the report of its grid (a
-    ReducedGrid when metered)."""
+            probing: frozenset[int], metered: bool) -> RecoveryReport:
+    """The report of a valued walk's grid (a ReducedGrid when metered)."""
     plan, values, upstream = planned
     edges = [(u, v, r) for (u, v), r in zip(plan.lines, values)]
     graph = (ReducedGrid(plan.root, edges, probing, plan.internal, upstream)
              if metered else FeederGraph(edges))
-    return plan, RecoveryReport("partial" if metered else "complete", graph,
-                                probing, plan.support)
+    return RecoveryReport("partial" if metered else "complete", graph,
+                          probing, plan.support)
 
 
 def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -478,7 +472,7 @@ def recover_full(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     original ID together with every line resistance. Anything but a
     mapping of bus to level-set family raises ConfigError.
     """
-    return _recover(*_read(families, False), False)[1]
+    return _recover(*_read(families, False), False)
 
 
 def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
@@ -488,7 +482,7 @@ def recover_partial(families: Mapping[int, LevelSetFamily]) -> RecoveryReport:
     not probed get fresh IDs allocated above the largest probing ID.
     Anything but a mapping of bus to level-set family raises ConfigError.
     """
-    return _recover(*_read(families, True), True)[1]
+    return _recover(*_read(families, True), True)
 
 
 # -- comparison ---------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, LeafNotProbed, UnknownNode, as_buses,
                      as_float, as_instance, as_int)
-from .feeder import FeederGraph, _probed_below
+from .feeder import FeederGraph, _bus_list, _probed_below
 
 
 class ReducedGrid(FeederGraph):
@@ -41,14 +41,16 @@ class ReducedGrid(FeederGraph):
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         return tuple((u, v, r) for u, v, r, _ in self._edges)
 
-    def resistance_submatrix(self, buses: Sequence[int]) -> np.ndarray:
+    def resistance_submatrix(self, buses: Iterable[int]) -> np.ndarray:
         """Matrix of substation-referenced resistances between retained buses.
 
         Entry (m, n) is root_upstream_r plus the in-grid path resistance
         down to the deepest common bus, which reproduces the corresponding
-        entries of the full feeder's resistance matrix. A bus not in the
-        grid raises UnknownNode.
+        entries of the full feeder's resistance matrix. The buses are read
+        once and may repeat; a bus not in the grid, or buses that are not
+        iterable, raise UnknownNode.
         """
+        buses = _bus_list(buses)
         for b in buses:
             self._check(b)
         return self.root_upstream_r + self._shared_path(buses, self._rho)

@@ -87,6 +87,12 @@ def random_probing(rng, g: FeederGraph) -> frozenset[int]:
     return frozenset(p)
 
 
+def window_scales(plan) -> np.ndarray:
+    """A block plan's window divisors delta_j·√T_j, by which a draw turns
+    each window's sum into its estimate column."""
+    return np.array(plan.delta) * np.sqrt(plan.periods)
+
+
 # -- oracles over raw edge lists ----------------------------------------------
 
 

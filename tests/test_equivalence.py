@@ -110,7 +110,7 @@ from gridprobe import (ConfigError, ExperimentConfig, GridProbeError,
                        recover_full, recover_partial, recovery, reduce_grid,
                        resistance_matrix, run_experiment,
                        sample_estimate, simulate_probing)
-from gridprobe.probing import _FACTOR_EXTRA_ROWS, _sampler, _scale
+from gridprobe.probing import _FACTOR_EXTRA_ROWS, _sampler
 
 from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
                      reference_assemble_families, reference_cut_trials,
@@ -119,7 +119,7 @@ from helpers import (EIGHT_BUSES, STAR_BUSES, random_feeder, random_probing,
                      reference_identify,
                      reference_load_record, reference_recover_full,
                      reference_recover_partial, reference_save_record,
-                     reference_simulate_probing)
+                     reference_simulate_probing, window_scales)
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(ROOT, "src", "gridprobe", "data")
@@ -1158,8 +1158,8 @@ def test_cli_and_sweep_call_one_grouping_stage(tmp_path, monkeypatch):
                             counted(name, getattr(recovery, name)))
     monkeypatch.setattr(grouping._Labelling, "of", classmethod(counted(
         "_Labelling.of", grouping._Labelling.of.__func__)))
-    monkeypatch.setattr(grouping._Labelling, "read", counted(
-        "_Labelling.read", grouping._Labelling.read))
+    monkeypatch.setattr(grouping._Labelling, "families", counted(
+        "_Labelling.families", grouping._Labelling.families))
     for module in (experiments, cli, grouping, recovery):
         for name in CHAIN:
             if hasattr(module, name):
@@ -1186,8 +1186,8 @@ def graph_replay(labelling, truth):
     `_identify`'s check and recovery, then `compare_graphs`' node map and
     the truth's line resistances, in the recovered graph's line order.
     None where `compare_graphs` finds no node map."""
-    plan, report = experiments._identify(labelling)
-    graph = report.graph
+    graph = experiments._identify(labelling).graph
+    plan, _, _ = recovery._planned(labelling)
     node = compare_graphs(graph, truth, labelling.owners).node_map
     if node is None:
         return None
@@ -1222,15 +1222,13 @@ def assert_same_replay(got, want):
 
 
 def set_walk_plan(labelling):
-    """The plan the set walk wires on a labelling's read level sets,
-    before any value rule, or the class of the error it raises."""
+    """The plan the set walk wires on a labelling's level sets, read
+    through its families, before any value rule, or the class of the
+    error it raises."""
     metered = not labelling.complete
-    wired = ([], [], [])
-    try:
-        root, internal = recovery._walk(labelling.read()[0], metered, *wired)
-    except GridProbeError as exc:
-        return type(exc)
-    return recovery._wired(root, internal, *wired, metered)
+    plan, error = recovery._walk(
+        recovery._read(labelling.families(), metered)[0], metered)
+    return plan if error is None else type(error)
 
 
 def check_hierarchy_walk(labelling):
@@ -1297,7 +1295,7 @@ def noise_free(g, plan, mode, truth):
     The plan is the one read off the labelling's owner hierarchy."""
     exact = grouping._label(sample_estimate(g, plan, NoiseModel(), mode),
                             None, mode)
-    block, rows, *_ = probing._exact(g, plan, mode)
+    block, rows = probing._exact(g, plan, mode)
     assert_same_labelling(
         grouping._Labelling.of(plan.buses, rows, block, mode, None), exact)
     replay = experiments._learn(exact, truth)
@@ -1306,9 +1304,10 @@ def noise_free(g, plan, mode, truth):
     # labelling's families wires it bit for bit.
     assert check_hierarchy_walk(exact)
     metered = not exact.complete
-    read, report = recovery._recover(
-        *recovery._read(exact.families(), metered), metered)
+    sets, table = recovery._read(exact.families(), metered)
+    read, _, _ = recovery._plan(sets, table, metered)
     assert_same_plan(read, replay.plan)
+    report = recovery._recover(sets, table, metered)
     # The lines of the report `_learn` got, in its graph's order.
     (values,), _ = recovery._line_values(replay.plan, exact.values[None])
     assert [(u, v, r.hex()) for u, v, r, *_ in report.graph.edges] == [
@@ -1317,24 +1316,15 @@ def noise_free(g, plan, mode, truth):
     return exact, replay
 
 
-def check_read(labelling):
-    """A labelling that passes the family check reads, for recovery, as
-    its families read: the same owners in the same order, the same sets
-    with their members in the same iteration order (which fixes the bits
-    of a line's value) and the same value table, bit for bit. Returns
-    whether it passes."""
+def check_labelling(labelling):
+    """Whether a labelling passes the family check; where it does, the
+    plan read off its owner hierarchy is held to the set walk's
+    (`check_hierarchy_walk`)."""
     try:
         labelling.check()
     except GridProbeError:
         return False
     check_hierarchy_walk(labelling)
-    sets, table = labelling.read()
-    want_sets, want_table = recovery._read(labelling.families(),
-                                           not labelling.complete)
-    assert [(m, [list(s) for s in fam]) for m, fam in sets.items()] == [
-        (m, [list(s) for s in fam]) for m, fam in want_sets.items()]
-    assert table.shape == want_table.shape
-    assert table.tobytes() == want_table.tobytes()
     return True
 
 
@@ -1355,7 +1345,7 @@ def check_trial(estimate, r_min, mode, truth, exact, replay, seen):
         pass
     correct = outcome is not None and outcome.topology_correct
     labelling = grouping._label(estimate, r_min, mode)
-    checked = check_read(labelling)
+    checked = check_labelling(labelling)
     (same,), held, table = grouping._cut_trials(
         exact, estimate.values[None], labelling.threshold)
     assert same == np.array_equal(labelling.labels, exact.labels)
@@ -1791,7 +1781,8 @@ def test_cut_of_silent_noise_keeps_every_tie(mode):
     owners = g.bus_order if mode == "complete" else tuple(sorted(g.leaves))
     exact, _ = noise_free_labelling(g, owners, mode)
     plan = ProbingPlan.blocks(owners, [0.1] * len(owners), 5)
-    stack = _sampler(g, plan, NoiseModel(), mode)[0]([(None, 6)])
+    stack = _sampler(g, plan, NoiseModel(), mode)[0]([(None, 6)],
+                                                    window_scales(plan))
     stack[4, 0, 0] = -1.0
     same = check_cut(exact, stack, 0.0007)
     assert same.tolist() == [True] * 4 + [False, True]
@@ -1824,7 +1815,7 @@ def test_cut_holds_on_random_feeders():
             sigma = rng.uniform(0.05, 0.6) * r_min * 0.1 * 2
             stack = _sampler(g, plan, NoiseModel(sigma_w=sigma), mode)[0](
                 [(np.random.default_rng(rng.integers(2 ** 32)), 1)
-                 for _ in range(60)])
+                 for _ in range(60)], window_scales(plan))
             kept[mode, every_bus].update(
                 check_cut(exact, stack, r_min / 2).tolist())
     assert all(counts[True] and counts[False] for counts in kept.values()), \
@@ -1845,7 +1836,7 @@ def cut_stacks(rng, g, owners, mode, r_min, trials=24):
     sigma = rng.uniform(0.02, 0.5) * r_min * 0.1 * 2
     noisy = _sampler(g, plan, NoiseModel(sigma_w=sigma), mode)[0](
         [(np.random.default_rng(rng.integers(2 ** 32)), 1)
-         for _ in range(trials)])
+         for _ in range(trials)], window_scales(plan))
     rows = len(values)
     swapped = noisy.copy()
     for t in range(0, trials, 2):
@@ -2011,7 +2002,7 @@ def test_stacked_draw_matches_one_draw_per_trial(mode, trials):
         draw, row_nodes = _sampler(g, plans[0], noise, mode)
         got = draw([(np.random.default_rng(s), n)
                     for s, n in zip(seeds, sizes)],
-                   np.array([_scale(plans[k]) for k in which]))
+                   np.array([window_scales(plans[k]) for k in which]))
         assert got.shape[0] == trials
         ks = iter(which)
         stack = iter(got)
@@ -2151,7 +2142,8 @@ def test_cached_arrays_give_the_matrix_objects_blocks():
         free = [i for i in range(len(order)) if i not in cols]
         for mode in ("complete", "partial"):
             rows = cols if mode == "partial" else list(range(len(order)))
-            block, row_nodes, rmat, *_ = probing._exact(g, plan, mode)
+            block, row_nodes = probing._exact(g, plan, mode)
+            rmat = g._paths["r"]
             want = resistance_matrix(g).values[np.ix_(rows, cols)]
             assert block.shape == want.shape
             assert block.tobytes() == want.tobytes()

@@ -11,9 +11,9 @@ import pytest
 import gridprobe.experiments
 import gridprobe.probing
 from gridprobe import (ConfigError, ExperimentConfig, InconsistentLevelSets,
-                       LabelMismatch, ReducedGrid, ResistanceEstimate,
-                       build_feeder, fileio, resistance_matrix,
-                       run_experiment, write_results)
+                       LabelMismatch, NonpositiveImpedance, ReducedGrid,
+                       ResistanceEstimate, build_feeder, fileio,
+                       resistance_matrix, run_experiment, write_results)
 from gridprobe.experiments import _mpe_stats
 from gridprobe.grouping import _label
 
@@ -278,6 +278,26 @@ def test_sweep_names_the_first_probing_bus_of_a_window_too_long(tmp_path):
                    periods=[4, 2 ** 64, 2 ** 63])
     with pytest.raises(ConfigError, match="^probing window for bus 2 is too "
                                           "long to represent$"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("periods, error, message", [
+    ([1, 2 ** 64], ConfigError,
+     "^probing window for bus 1 is too long to represent$"),
+    ([1, 2], NonpositiveImpedance,
+     r"^line \(1,3\) has no reactance; reactance matrix undefined$"),
+], ids=["window first", "reactance"])
+def test_sweep_checks_every_window_before_it_reads_reactance(
+        tmp_path, periods, error, message):
+    """The sweep learns from the first sweep value's plan and checks every
+    sweep value's windows before it builds the noise factor, which needs
+    every line's reactance under sigma_q > 0: a window too long to
+    represent is named before a line without reactance."""
+    (tmp_path / "nox.csv").write_text(Y_TEXT.replace("1,3,3.0,1.0",
+                                                     "1,3,3.0,"))
+    cfg = y_config(tmp_path, feeder="nox.csv", periods=periods,
+                   noise={"sigma_q": 0.01})
+    with pytest.raises(error, match=message):
         run_experiment(cfg)
 
 

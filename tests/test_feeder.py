@@ -320,6 +320,19 @@ def test_submatrix_ordering():
     assert sub[0, 0] == 4.0 and sub[1, 1] == 3.0 and sub[0, 1] == 1.0
 
 
+def test_submatrix_reads_one_shot_iterables():
+    rmat = resistance_matrix(y_tree())
+    want = rmat.submatrix([3, 2, 3], [2, 3])
+    got = rmat.submatrix(iter([3, 2, 3]), (b for b in [2, 3]))
+    assert got.shape == (3, 2) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows, cols", [(5, [2]), ([2], None)])
+def test_submatrix_refuses_buses_that_are_not_iterable(rows, cols):
+    with pytest.raises(UnknownNode, match="^buses must be iterable, got "):
+        resistance_matrix(y_tree()).submatrix(rows, cols)
+
+
 # -- effective resistance -----------------------------------------------------
 
 

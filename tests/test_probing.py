@@ -14,7 +14,7 @@ from gridprobe import (ConfigError, ExperimentConfig, FeederGraph,
                        resistance_matrix, sample_estimate, simulate_probing)
 from gridprobe import probing
 
-from helpers import EIGHT_BUSES, STAR_BUSES, random_feeder
+from helpers import EIGHT_BUSES, STAR_BUSES, random_feeder, window_scales
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gridprobe",
                     "data")
@@ -432,5 +432,5 @@ def test_draw_without_a_free_bus_is_scaled_meter_noise(noise):
     got = sample_estimate(g, plan, noise, rng=np.random.default_rng(9))
     shake = np.random.default_rng(9).standard_normal((8, 8))
     shake *= 0.005
-    want = rmat + shake / probing._scale(plan)
+    want = rmat + shake / window_scales(plan)
     assert got.values.tobytes() == want.tobytes()

@@ -124,6 +124,24 @@ def test_submatrix_refuses_a_bus_outside_the_grid(bus):
         rg.resistance_submatrix([2, bus, 3])
 
 
+def test_submatrix_reads_its_buses_once():
+    # A one-shot iterable gives what a list gives; repeated buses are
+    # repeated rows.
+    rg = reduce_grid(build_feeder(Y_EDGES), {2, 3})
+    want = rg.resistance_submatrix([2, 3, 2])
+    assert want.shape == (3, 3) and want[0, 2] == want[0, 0] == 3.0
+    got = rg.resistance_submatrix(iter([2, 3, 2]))
+    assert got.tobytes() == want.tobytes()
+    assert rg.resistance_submatrix(b for b in (3,)).tolist() == [[4.0]]
+
+
+@pytest.mark.parametrize("buses", [5, None, 2.5])
+def test_submatrix_refuses_buses_that_are_not_iterable(buses):
+    rg = reduce_grid(build_feeder(Y_EDGES), {2, 3})
+    with pytest.raises(UnknownNode, match="^buses must be iterable, got "):
+        rg.resistance_submatrix(buses)
+
+
 def test_reduced_lca_and_descendants():
     g = build_feeder(Y_EDGES)
     rg = reduce_grid(g, {2, 3})
